@@ -28,8 +28,7 @@ from .hir import HybridProgram, cfg, emit, parse
 from .lowering import lower_to_native
 from .profiles import NATIVE, PERMISSIVE, PROFILES, Diagnostic, Profile, validate
 from .sim import (ClassicalMode, ExecConfig, NoiseModel, QuantumState,
-                  RegisterFile, ShotRecord, apply_noise, measure,
-                  read_records, run_shot, run_shots, step_classical,
-                  write_records)
+                  ShotRecord, apply_noise, measure, read_records, run_shot,
+                  run_shots, write_records)
 
 __version__ = "0.1.0"

@@ -137,7 +137,7 @@ def build_ipe_program(phi_inv: float, t: float,
     )
     body = (Gate("x", (1,)),) + build_ipe_step(oracle_coeff=oracle_coeff) + \
         (Output("d"),)
-    proc = Procedure("ipe_step", 2, (), decls,
+    proc = Procedure("ipe_step", 2, decls,
                      (BasicBlock("main", body, Ret()),))
     return make_program(proc)
 
@@ -210,7 +210,7 @@ def build_rwpe(params: RwpeParams = RwpeParams()) -> HybridProgram:
         ), Br("head")),
         BasicBlock("done", (Output("mu"),), Ret()),
     )
-    proc = Procedure("rwpe", 2, (), decls, blocks)
+    proc = Procedure("rwpe", 2, decls, blocks)
     return make_program(proc)
 
 
@@ -248,7 +248,7 @@ def build_active_reset(num_qubits: int = 1) -> HybridProgram:
         BasicBlock("succeed", (Output("ok"),), Ret()),
         BasicBlock("give_up", (Output("ok"),), Ret()),
     )
-    proc = Procedure("active_reset", num_qubits, (), decls, blocks)
+    proc = Procedure("active_reset", num_qubits, decls, blocks)
     return make_program(proc)
 
 
@@ -278,7 +278,7 @@ def build_teleport() -> HybridProgram:
         ), Br("done")),
         BasicBlock("done", (Output("mx"), Output("mzv")), Ret()),
     )
-    proc = Procedure("teleport", 3, (), decls, blocks)
+    proc = Procedure("teleport", 3, decls, blocks)
     return make_program(proc)
 
 

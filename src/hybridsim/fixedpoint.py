@@ -212,35 +212,3 @@ class Int18:
     def __repr__(self) -> str:
         return f"Int18({self.raw})"
 
-
-# Named operation aliases over the raw-word core.
-def fx_encode(x: float) -> FixedQ216:
-    return FixedQ216(encode(x))
-
-
-def fx_add(a: FixedQ216, b: FixedQ216) -> FixedQ216:
-    return a + b
-
-
-def fx_sub(a: FixedQ216, b: FixedQ216) -> FixedQ216:
-    return a - b
-
-
-def fx_mul(a: FixedQ216, b: FixedQ216) -> FixedQ216:
-    return a * b
-
-
-def fx_neg(a: FixedQ216) -> FixedQ216:
-    return -a
-
-
-def fx_recip(a: FixedQ216) -> FixedQ216:
-    return a.recip()
-
-
-def fx_div(a: FixedQ216, b: FixedQ216) -> FixedQ216:
-    return a / b
-
-
-def fx_to_radians(a: FixedQ216) -> float:
-    return a.to_radians()

@@ -47,7 +47,7 @@ CLASSICAL_OPS = {
 }
 
 _KEYWORDS = frozenset(
-    ("proc", "qubits", "param", "var", "endproc", "mz", "reset",
+    ("proc", "qubits", "var", "endproc", "mz", "reset",
      "active_reset", "output", "br", "condbr", "ret", "record")
     + tuple(KINDS) + tuple(GATE_ARITY) + tuple(CLASSICAL_OPS)
 )
@@ -147,7 +147,6 @@ class BasicBlock:
 class Procedure:
     name: str
     qubits: int
-    params: tuple[tuple[str, str], ...]      # (name, kind)
     decls: tuple[VarDecl, ...]
     blocks: tuple[BasicBlock, ...]
 
@@ -287,12 +286,6 @@ def check_procedure(proc: Procedure):
     if proc.qubits < 0:
         raise SemanticError(f"procedure {proc.name!r}: negative qubit count")
     kinds: dict[str, str] = {}
-    for name, kind in proc.params:
-        if kind not in KINDS:
-            raise SemanticError(f"unknown kind {kind!r} for param {name!r}")
-        if name in kinds:
-            raise SemanticError(f"duplicate declaration of {name!r}")
-        kinds[name] = kind
     for d in proc.decls:
         if d.kind not in KINDS:
             raise SemanticError(f"unknown kind {d.kind!r} for var {d.name!r}")
@@ -484,7 +477,7 @@ def parse(text: str) -> HybridProgram:
             if len(tokens) != 4 or tokens[2] != "qubits" or not _INT_RE.match(tokens[3]):
                 raise IRSyntaxError("expected: proc NAME qubits N", ln)
             cur = {"name": _parse_procname(tokens[1], ln),
-                   "qubits": int(tokens[3]), "params": [], "decls": []}
+                   "qubits": int(tokens[3]), "decls": []}
             blocks = []
             continue
         if cur is None:
@@ -494,16 +487,8 @@ def parse(text: str) -> HybridProgram:
                 raise IRSyntaxError("endproc takes nothing", ln)
             close_block(ln)
             procs.append(Procedure(cur["name"], cur["qubits"],
-                                   tuple(cur["params"]), tuple(cur["decls"]),
-                                   tuple(blocks)))
+                                   tuple(cur["decls"]), tuple(blocks)))
             cur = None
-            continue
-        if tokens[0] == "param":
-            if label is not None or blocks:
-                raise IRSyntaxError("param after first block", ln)
-            if len(tokens) != 3 or tokens[1] not in KINDS:
-                raise IRSyntaxError("expected: param KIND NAME", ln)
-            cur["params"].append((_parse_varname(tokens[2], ln), tokens[1]))
             continue
         if tokens[0] == "var":
             if label is not None or blocks:
@@ -586,8 +571,6 @@ def emit(prog: HybridProgram) -> str:
         if i:
             out.append("")
         out.append(f"proc {p.name} qubits {p.qubits}")
-        for name, kind in p.params:
-            out.append(f"  param {kind} {name}")
         for d in p.decls:
             out.append(f"  var {d.kind} {d.name} = {_fmt_operand(d.init)}")
         for b in p.blocks:

@@ -80,7 +80,7 @@ def lower_to_native(prog: hir.HybridProgram, profile: Profile) -> hir.HybridProg
     gate has no decomposition into the profile's set."""
     procs = []
     for p in prog.procedures:
-        taken = {d.name for d in p.decls} | {n for n, _ in p.params}
+        taken = {d.name for d in p.decls}
         new_decls: list[hir.VarDecl] = []
         blocks = []
         for b in p.blocks:
@@ -109,7 +109,7 @@ def lower_to_native(prog: hir.HybridProgram, profile: Profile) -> hir.HybridProg
                         f"gate {instr.name!r} survived lowering into profile "
                         f"{profile.name!r}")
             blocks.append(hir.BasicBlock(b.label, tuple(instrs), b.terminator))
-        procs.append(hir.Procedure(p.name, p.qubits, p.params,
+        procs.append(hir.Procedure(p.name, p.qubits,
                                    p.decls + tuple(new_decls), tuple(blocks)))
     lowered = hir.HybridProgram(tuple(procs), prog.entry)
     hir.check_semantics(lowered)

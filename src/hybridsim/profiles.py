@@ -1,10 +1,10 @@
 """Backend profiles and profile validation.
 
 A profile restricts the IR to what one target can execute: which gates and
-classical ops exist, how many qubits there are, and which register kinds the
-firmware provides.  Validation never raises; it returns diagnostics that
-serialize to JSON.  Out-of-range literals are reported here because the
-target toolchain rejects them at compile time (there is no run-time check).
+classical ops exist and how many qubits there are.  Validation never raises;
+it returns diagnostics that serialize to JSON.  Out-of-range literals are
+reported here because the target toolchain rejects them at compile time
+(there is no run-time check).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from . import fixedpoint as fx
 from . import hir
 
 ALL_CLASSICAL_OPS = frozenset(hir.CLASSICAL_OPS)
-ALL_KINDS = frozenset(hir.KINDS)
 NON_GATE_QUANTUM = frozenset({"mz", "reset", "active_reset"})
 
 
@@ -25,8 +24,6 @@ class Profile:
     gates: frozenset[str]            # gate names plus mz/reset/active_reset
     classical_ops: frozenset[str]
     max_qubits: int
-    require_static_qubits: bool = True
-    numeric_kinds: frozenset[str] = ALL_KINDS
 
     def __post_init__(self):
         if not self.gates:
@@ -101,19 +98,9 @@ def validate(prog: hir.HybridProgram, profile: Profile) -> list[Diagnostic]:
             add("too-many-qubits",
                 f"procedure {p.name!r} declares {p.qubits} qubits; "
                 f"profile {profile.name!r} allows {profile.max_qubits}", p.name)
-        kinds = dict(p.params)
+        kinds = {d.name: d.kind for d in p.decls}
         for d in p.decls:
-            kinds[d.name] = d.kind
-            if d.kind not in profile.numeric_kinds:
-                add("kind-unsupported",
-                    f"kind {d.kind!r} not provided by profile {profile.name!r}",
-                    p.name)
             check_literal(d.init, d.kind, p.name, None, None)
-        for name, kind in p.params:
-            if kind not in profile.numeric_kinds:
-                add("kind-unsupported",
-                    f"kind {kind!r} not provided by profile {profile.name!r}",
-                    p.name)
         for b in p.blocks:
             for instr in b.instructions:
                 if isinstance(instr, hir.Gate):

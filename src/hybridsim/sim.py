@@ -6,6 +6,11 @@ control flow run between gates.  Three infidelity sources can be switched
 on independently: finite shot counts, depolarizing/readout noise, and
 fixed-point classical arithmetic instead of exact reals.
 
+The classical mode is resolved once per compile into a `Domain`, exact
+reals or bit-exact Q2.16 words.  The domain encodes literals, implements
+the arithmetic ops, turns angles into radians and boxes register values
+for records; the closure compiler is the same for both modes.
+
 Determinism contract: each shot draws from its own generator seeded by a
 splitmix-style mix of (config seed, shot index), so shots may be evaluated
 in any order - serially, in slices, or permuted - and produce identical
@@ -21,10 +26,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 from . import fixedpoint as fx
 from . import hir
@@ -37,8 +43,6 @@ _SX_B = 0.5 - 0.5j
 
 DEFAULT_STEP_LIMIT = 10**6
 
-PULSE_GATES_1Q = frozenset({"h", "x", "sx"})
-PULSE_GATES_2Q = frozenset({"eswap", "crz", "cnot"})
 NOISELESS_GATES = frozenset({"rz"})  # virtual: a bookkeeping phase, zero cost
 
 
@@ -246,15 +250,12 @@ class NoiseModel:
     p_gate1: float = 0.002
     p_gate2: float = 0.02
     p_readout: float = 0.02
-    p_rz: float = 0.0  # fixed at zero; kept to document the exemption
 
     def __post_init__(self):
-        for name in ("p_gate1", "p_gate2", "p_readout", "p_rz"):
+        for name in ("p_gate1", "p_gate2", "p_readout"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {v}")
-        if self.p_rz != 0.0:
-            raise ValueError("p_rz is fixed at 0: rz is a virtual gate")
 
 
 @dataclass(frozen=True)
@@ -278,116 +279,79 @@ class ShotRecord:
     seed: int
     outputs: tuple[tuple[str, object], ...]
     evidence: tuple[tuple[object, object, int], ...]
-    iteration_count: int
 
 
-@dataclass
-class RegisterFile:
-    """Kind-tagged register map.  Values are bit/int/float in exact-real
-    mode and bit/Int18/FixedQ216 in fixed-point mode."""
+# ---------------------------------------------------------------------------
+# Number domains.  A register holds a word: a float or int for exact reals,
+# a raw 18-bit integer for Q2.16.  Everything that depends on the classical
+# mode is a field of the domain; the compiler below never asks which mode
+# it is in.
 
-    kinds: dict[str, str]
-    values: dict[str, object]
-
-    @classmethod
-    def from_decls(cls, decls: Iterable[hir.VarDecl],
-                   mode: ClassicalMode) -> "RegisterFile":
-        kinds, values = {}, {}
-        for d in decls:
-            kinds[d.name] = d.kind
-            values[d.name] = _load_literal(d.init, d.kind, mode)
-        return cls(kinds, values)
+@dataclass(frozen=True)
+class Domain:
+    literal: dict[str, Callable]              # kind -> literal encoder
+    ops: dict[tuple[str, str], Callable]      # (op, operand kind) -> word fn
+    radians: Callable[[object], float]        # angle word -> radians
+    box: dict[str, Callable | None]           # kind -> record value (None: bare)
 
 
-def _load_literal(v, kind: str, mode: ClassicalMode):
-    if kind == "bit":
-        return int(v)
-    if mode is ClassicalMode.EXACT_REAL:
-        return float(v) if kind == "fixed" else int(v)
-    if kind == "fixed":
-        return fx.FixedQ216.from_real(float(v))
-    return fx.Int18.from_int(int(v))
+_COMPARE = {
+    "cmp_eq": lambda a, b: 1 if a == b else 0,
+    "cmp_lt": lambda a, b: 1 if a < b else 0,
+}
 
 
-def step_classical(instr: hir.Classical, regs: RegisterFile,
-                   mode: ClassicalMode) -> RegisterFile:
-    """Evaluate one classical instruction against a register file,
-    returning an updated copy.  The interpreter uses a compiled fast path;
-    this is the reference single-step semantics."""
-    kinds = dict(regs.kinds)
-    values = dict(regs.values)
-    fixed_mode = mode is ClassicalMode.FIXED_POINT
-
-    def load(tok, want):
-        if isinstance(tok, str):
-            v = values[tok]
-            if fixed_mode and isinstance(v, (fx.FixedQ216, fx.Int18)):
-                return v.raw
-            return v
-        if want == "fixed":
-            return fx.encode(float(tok)) if fixed_mode else float(tok)
-        if want == "bit":
-            return int(tok)
-        return fx.check_int_range(int(tok)) if fixed_mode else int(tok)
-
-    op, dest = instr.op, instr.dest
-    dkind = kinds[dest]
-    if op in ("cmp_eq", "cmp_lt"):
-        k = hir._infer_cmp_kind(kinds, instr.srcs, instr.line)
-        a, b = (load(s, k) for s in instr.srcs)
-        values[dest] = int(a == b) if op == "cmp_eq" else int(a < b)
-    elif op == "select":
-        cond = load(instr.srcs[0], "bit")
-        chosen = load(instr.srcs[1] if cond else instr.srcs[2], dkind)
-        values[dest] = _store(chosen, dkind, fixed_mode)
-    elif op == "recip":
-        a = load(instr.srcs[0], "fixed")
-        if fixed_mode:
-            values[dest] = fx.FixedQ216(fx.recip_raw(a))
-        else:
-            if a == 0.0:
-                raise DivideByZero("reciprocal of zero")
-            values[dest] = 1.0 / a
-    elif op == "div":
-        a, b = (load(s, "fixed") for s in instr.srcs)
-        if fixed_mode:
-            values[dest] = fx.FixedQ216(fx.div_raw(a, b))
-        else:
-            if b == 0.0:
-                raise DivideByZero("division by zero")
-            values[dest] = a / b
-    elif op == "neg":
-        a = load(instr.srcs[0], dkind)
-        values[dest] = _store(-a if not fixed_mode else fx.wrap_raw(-a),
-                              dkind, fixed_mode)
-    else:  # add / sub / mul
-        a, b = (load(s, dkind) for s in instr.srcs)
-        if fixed_mode:
-            if op == "mul" and dkind == "fixed":
-                raw = fx.mul_raw(a, b)
-            elif op == "add":
-                raw = fx.wrap_raw(a + b)
-            elif op == "sub":
-                raw = fx.wrap_raw(a - b)
-            else:
-                raw = fx.wrap_raw(a * b)
-            values[dest] = _store(raw, dkind, True)
-        else:
-            values[dest] = a + b if op == "add" else a - b if op == "sub" else a * b
-    return RegisterFile(kinds, values)
+def _real_recip(a):
+    if a == 0.0:
+        raise DivideByZero("reciprocal of zero")
+    return 1.0 / a
 
 
-def _store(v, kind: str, fixed_mode: bool):
-    if not fixed_mode or kind == "bit":
-        return v
-    return fx.FixedQ216(v) if kind == "fixed" else fx.Int18(v)
+def _real_div(a, b):
+    if b == 0.0:
+        raise DivideByZero("division by zero")
+    return a / b
+
+
+def _real_domain() -> Domain:
+    ops = {(op, k): fn for op, fn in (("add", operator.add), ("sub", operator.sub),
+                                      ("mul", operator.mul), ("neg", operator.neg))
+           for k in ("int18", "fixed")}
+    ops["recip", "fixed"] = _real_recip
+    ops["div", "fixed"] = _real_div
+    return Domain(literal={"bit": int, "int18": int, "fixed": float},
+                  ops=ops, radians=math.pi.__mul__,
+                  box={"bit": None, "int18": None, "fixed": None})
+
+
+def _q216_domain() -> Domain:
+    wrap = fx.wrap_raw
+    ops = {(op, k): fn for op, fn in (("add", fx.add_raw), ("sub", fx.sub_raw),
+                                      ("neg", fx.neg_raw))
+           for k in ("int18", "fixed")}
+    ops["mul", "int18"] = lambda a, b: wrap(a * b)
+    ops["mul", "fixed"] = fx.mul_raw
+    ops["recip", "fixed"] = fx.recip_raw
+    ops["div", "fixed"] = fx.div_raw
+    return Domain(literal={"bit": int,
+                           "int18": lambda v: fx.check_int_range(int(v)),
+                           "fixed": lambda v: fx.encode(float(v))},
+                  ops=ops, radians=fx.to_radians,
+                  box={"bit": None, "int18": fx.Int18, "fixed": fx.FixedQ216})
+
+
+def select_domain(mode: ClassicalMode) -> Domain:
+    """The domain for `mode`.  Built afresh on every call, so the fixed-point
+    ops are whatever `fixedpoint` holds when a program is compiled."""
+    return _q216_domain() if mode is ClassicalMode.FIXED_POINT else _real_domain()
 
 
 # ---------------------------------------------------------------------------
 # Compilation of a program into per-shot closures.
 #
-# Registers live in a flat list indexed by compile-time slots.  Fixed-point
-# registers hold raw 18-bit words; exact-real registers hold floats/ints.
+# Registers live in a flat list indexed by compile-time slots: one slot per
+# declared variable, then one per literal operand, so every
+# classical operand is a slot index.
 
 class _Ctx:
     __slots__ = ("state", "regs", "rng", "outputs", "evidence", "steps")
@@ -414,78 +378,50 @@ def derive_shot_seed(seed: int, shot_index: int) -> int:
 
 
 class _Compiled:
-    def __init__(self, program: hir.HybridProgram, mode: ClassicalMode,
+    def __init__(self, program: hir.HybridProgram, domain: Domain,
                  noise: NoiseModel | None):
         hir.check_semantics(program)
         proc = program.entry_procedure()
-        if proc.params:
-            raise SemanticError(
-                f"entry procedure {proc.name!r} has unbound parameters")
-        self.mode = mode
+        self.domain = domain
         self.noise = noise
         self.nqubits = proc.qubits
-        self.decls = proc.decls
         self.slot: dict[str, int] = {d.name: i for i, d in enumerate(proc.decls)}
         self.kinds: dict[str, str] = {d.name: d.kind for d in proc.decls}
+        # Encode initializers now: range errors are load-time errors.
+        self._regs0 = [domain.literal[d.kind](d.init) for d in proc.decls]
         block_index = {b.label: i for i, b in enumerate(proc.blocks)}
         self.blocks = [
             (tuple(self._compile_instr(i) for i in b.instructions),
              self._compile_terminator(b.terminator, block_index))
             for b in proc.blocks
         ]
-        # Encode literal initializers now: range errors are load-time errors.
-        self._regs0 = self._init_regs()
 
     # -- operand helpers ----------------------------------------------------
 
-    def _init_regs(self) -> list:
-        fixed_mode = self.mode is ClassicalMode.FIXED_POINT
-        regs = []
-        for d in self.decls:
-            if d.kind == "bit":
-                regs.append(int(d.init))
-            elif fixed_mode:
-                regs.append(fx.encode(float(d.init)) if d.kind == "fixed"
-                            else fx.check_int_range(int(d.init)))
-            else:
-                regs.append(float(d.init) if d.kind == "fixed" else int(d.init))
-        return regs
-
-    def _getter(self, tok, want: str):
-        fixed_mode = self.mode is ClassicalMode.FIXED_POINT
+    def _operand(self, tok, kind: str) -> int:
+        """Slot of a variable, or of a new constant slot holding the
+        encoded literal."""
         if isinstance(tok, str):
-            i = self.slot[tok]
-            return lambda regs: regs[i]
-        if want == "bit":
-            c = int(tok)
-        elif want == "fixed":
-            c = fx.encode(float(tok)) if fixed_mode else float(tok)
-        else:
-            c = fx.check_int_range(int(tok)) if fixed_mode else int(tok)
-        return lambda regs: c
+            return self.slot[tok]
+        self._regs0.append(self.domain.literal[kind](tok))
+        return len(self._regs0) - 1
 
     def _angle_getter(self, tok):
         """Angle operand -> radians at the quantum boundary."""
+        radians = self.domain.radians
         if isinstance(tok, str):
             i = self.slot[tok]
-            if self.mode is ClassicalMode.FIXED_POINT:
-                return lambda regs: fx.to_radians(regs[i])
-            return lambda regs: regs[i] * math.pi
-        if self.mode is ClassicalMode.FIXED_POINT:
-            rad = fx.to_radians(fx.encode(float(tok)))
-        else:
-            rad = float(tok) * math.pi
+            return lambda regs: radians(regs[i])
+        rad = radians(self.domain.literal["fixed"](tok))
         return lambda regs: rad
 
     def _boxed(self, name: str):
         """Reader producing the typed register value for outputs/evidence."""
         i = self.slot[name]
-        kind = self.kinds[name]
-        if self.mode is ClassicalMode.EXACT_REAL or kind == "bit":
+        box = self.domain.box[self.kinds[name]]
+        if box is None:
             return lambda regs: regs[i]
-        if kind == "fixed":
-            return lambda regs: fx.FixedQ216(regs[i])
-        return lambda regs: fx.Int18(regs[i])
+        return lambda regs: box(regs[i])
 
     # -- instruction compilation --------------------------------------------
 
@@ -566,69 +502,36 @@ class _Compiled:
         op = instr.op
         dest = self.slot[instr.dest]
         dkind = self.kinds[instr.dest]
-        fixed_mode = self.mode is ClassicalMode.FIXED_POINT
-        if op in ("cmp_eq", "cmp_lt"):
+        if op in _COMPARE:
             k = hir._infer_cmp_kind(self.kinds, instr.srcs, instr.line)
-            ga, gb = self._getter(instr.srcs[0], k), self._getter(instr.srcs[1], k)
-            if op == "cmp_eq":
-                return lambda ctx: ctx.regs.__setitem__(
-                    dest, 1 if ga(ctx.regs) == gb(ctx.regs) else 0)
-            return lambda ctx: ctx.regs.__setitem__(
-                dest, 1 if ga(ctx.regs) < gb(ctx.regs) else 0)
+            kinds = (k, k)
+            fn = _COMPARE[op]
+        elif op == "select":
+            kinds = ("bit", dkind, dkind)
+        else:
+            kinds = (dkind,) * len(instr.srcs)
+            fn = self.domain.ops[op, dkind]
+        srcs = [self._operand(s, k) for s, k in zip(instr.srcs, kinds)]
         if op == "select":
-            gc = self._getter(instr.srcs[0], "bit")
-            ga = self._getter(instr.srcs[1], dkind)
-            gb = self._getter(instr.srcs[2], dkind)
-            return lambda ctx: ctx.regs.__setitem__(
-                dest, ga(ctx.regs) if gc(ctx.regs) else gb(ctx.regs))
-        if op == "recip":
-            ga = self._getter(instr.srcs[0], "fixed")
-            if fixed_mode:
-                return lambda ctx: ctx.regs.__setitem__(
-                    dest, fx.recip_raw(ga(ctx.regs)))
+            c, a, b = srcs
 
-            def recip_real(ctx):
-                a = ga(ctx.regs)
-                if a == 0.0:
-                    raise DivideByZero("reciprocal of zero")
-                ctx.regs[dest] = 1.0 / a
-            return recip_real
-        if op == "div":
-            ga = self._getter(instr.srcs[0], "fixed")
-            gb = self._getter(instr.srcs[1], "fixed")
-            if fixed_mode:
-                return lambda ctx: ctx.regs.__setitem__(
-                    dest, fx.div_raw(ga(ctx.regs), gb(ctx.regs)))
+            def select(ctx):
+                regs = ctx.regs
+                regs[dest] = regs[a] if regs[c] else regs[b]
+            return select
+        if len(srcs) == 1:
+            (a,) = srcs
 
-            def div_real(ctx):
-                b = gb(ctx.regs)
-                if b == 0.0:
-                    raise DivideByZero("division by zero")
-                ctx.regs[dest] = ga(ctx.regs) / b
-            return div_real
-        if op == "neg":
-            ga = self._getter(instr.srcs[0], dkind)
-            if fixed_mode:
-                return lambda ctx: ctx.regs.__setitem__(
-                    dest, fx.wrap_raw(-ga(ctx.regs)))
-            return lambda ctx: ctx.regs.__setitem__(dest, -ga(ctx.regs))
-        ga, gb = self._getter(instr.srcs[0], dkind), self._getter(instr.srcs[1], dkind)
-        if fixed_mode:
-            if op == "mul" and dkind == "fixed":
-                fn = fx.mul_raw
-            elif op == "add":
-                fn = fx.add_raw
-            elif op == "sub":
-                fn = fx.sub_raw
-            else:
-                fn = lambda a, b: fx.wrap_raw(a * b)
-            return lambda ctx: ctx.regs.__setitem__(
-                dest, fn(ga(ctx.regs), gb(ctx.regs)))
-        if op == "add":
-            return lambda ctx: ctx.regs.__setitem__(dest, ga(ctx.regs) + gb(ctx.regs))
-        if op == "sub":
-            return lambda ctx: ctx.regs.__setitem__(dest, ga(ctx.regs) - gb(ctx.regs))
-        return lambda ctx: ctx.regs.__setitem__(dest, ga(ctx.regs) * gb(ctx.regs))
+            def unary(ctx):
+                regs = ctx.regs
+                regs[dest] = fn(regs[a])
+            return unary
+        a, b = srcs
+
+        def binary(ctx):
+            regs = ctx.regs
+            regs[dest] = fn(regs[a], regs[b])
+        return binary
 
     def _compile_terminator(self, term: hir.Terminator, block_index: dict[str, int]):
         if isinstance(term, hir.Br):
@@ -674,35 +577,27 @@ class _Compiled:
                 break
         ctx.steps = steps
         record = ShotRecord(shot_index, shot_seed, tuple(ctx.outputs),
-                            tuple(ctx.evidence), len(ctx.evidence))
+                            tuple(ctx.evidence))
         return record, ctx
 
 
 def compile_program(program: hir.HybridProgram, cfg: ExecConfig) -> _Compiled:
-    return _Compiled(program, cfg.classical_mode, cfg.noise)
+    return _Compiled(program, select_domain(cfg.classical_mode), cfg.noise)
 
 
 def run_shot(program: hir.HybridProgram, cfg: ExecConfig,
              shot_index: int = 0) -> ShotRecord:
     """Execute one shot.  Deterministic given (cfg.seed, shot_index)."""
-    compiled = compile_program(program, cfg)
-    try:
-        return compiled.run(cfg.seed, shot_index, cfg.step_limit)
-    except (DivideByZero, StepLimitExceeded, BadQubitIndex) as e:
-        raise ShotError(shot_index, e) from e
+    return run_shots(program, cfg, [shot_index])[0]
 
 
 def run_shot_debug(program: hir.HybridProgram, cfg: ExecConfig,
                    shot_index: int = 0):
-    """Like run_shot, but also returns the final statevector and registers:
-    (record, QuantumState, RegisterFile)."""
-    compiled = compile_program(program, cfg)
-    record, ctx = compiled.run_with_ctx(cfg.seed, shot_index, cfg.step_limit)
-    kinds = dict(compiled.kinds)
-    fixed_mode = cfg.classical_mode is ClassicalMode.FIXED_POINT
-    values = {name: _store(ctx.regs[i], kinds[name], fixed_mode)
-              for name, i in compiled.slot.items()}
-    return record, ctx.state, RegisterFile(kinds, values)
+    """Like run_shot, but also returns the final statevector:
+    (record, QuantumState)."""
+    record, ctx = compile_program(program, cfg).run_with_ctx(
+        cfg.seed, shot_index, cfg.step_limit)
+    return record, ctx.state
 
 
 def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
@@ -722,19 +617,21 @@ def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
 
 # ---------------------------------------------------------------------------
 # Shot-record serialization: JSON lines, one object per shot.  Fixed-point
-# values carry both the raw word and its decoded decimal.
+# values carry both the raw word and its decoded decimal; 18-bit integers
+# carry the raw word alone, which keeps them apart from bare ints.
 
 def _value_to_json(v):
     if isinstance(v, fx.FixedQ216):
         return {"raw": v.raw, "value": v.value}
     if isinstance(v, fx.Int18):
-        return v.raw
+        return {"raw": v.raw}
     return v
 
 
 def _value_from_json(v):
     if isinstance(v, dict):
-        return fx.FixedQ216(int(v["raw"]))
+        box = fx.FixedQ216 if "value" in v else fx.Int18
+        return box(int(v["raw"]))
     return v
 
 
@@ -753,8 +650,7 @@ def record_from_json(obj: dict) -> ShotRecord:
     evidence = tuple(
         (_value_from_json(e["t"]), _value_from_json(e["phi_inv"]), int(e["d"]))
         for e in obj["evidence"])
-    return ShotRecord(int(obj["shot"]), int(obj["seed"]), outputs, evidence,
-                      len(evidence))
+    return ShotRecord(int(obj["shot"]), int(obj["seed"]), outputs, evidence)
 
 
 def write_records(records: Iterable[ShotRecord], fp: IO[str]):

@@ -117,7 +117,7 @@ def test_rwpe_sigma_closed_form_via_evidence():
 
 def test_rwpe_evidence_consistent_with_walk_replay():
     rec = sim.run_shot(build_rwpe(), ExecConfig(seed=9), 0)
-    assert rec.iteration_count == 24 == len(rec.evidence)
+    assert len(rec.evidence) == 24
     outcomes = [d for *_, d in rec.evidence]
     traj, mu_final, _ = oracles.rwpe_walk_replay(0.7951, 0.6065, outcomes)
     for (mu_k, sigma_k, phi_inv_k, t_k), (t, phi_inv, _) in zip(traj, rec.evidence):
@@ -139,7 +139,7 @@ def test_rwpe_refresh_period_controls_eigenstate_resets():
     # refresh_period=1 refreshes before every iteration after the first
     prog = build_rwpe(RwpeParams(n_iter=4, refresh_period=1))
     rec = sim.run_shot(prog, ExecConfig(seed=2), 0)
-    assert rec.iteration_count == 4
+    assert len(rec.evidence) == 4
 
 
 def test_active_reset_markov_enumeration_light():

@@ -154,6 +154,6 @@ def test_refit_reduces_mse_small():
 def test_refit_rejects_empty():
     with pytest.raises(ValueError):
         refit([])
-    rec = sim.ShotRecord(0, 0, (("mu", 0.1),), (), 0)
+    rec = sim.ShotRecord(0, 0, (("mu", 0.1),), ())
     with pytest.raises(ValueError):
         refit([rec])

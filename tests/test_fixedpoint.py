@@ -147,9 +147,9 @@ def test_typed_wrappers():
     assert (x + x).value == -1.0
     assert (x * x).value == -1.75
     assert (-x).value == -1.5
-    assert fx.fx_recip(fx.fx_encode(0.5)).value == -2.0
-    assert (fx.fx_encode(1.0) / fx.fx_encode(0.5)).value == -2.0
-    assert fx.fx_to_radians(fx.fx_encode(1.0)) == pytest.approx(math.pi)
+    assert fx.FixedQ216.from_real(0.5).recip().value == -2.0
+    assert (fx.FixedQ216.from_real(1.0) / fx.FixedQ216.from_real(0.5)).value == -2.0
+    assert fx.FixedQ216.from_real(1.0).to_radians() == pytest.approx(math.pi)
     i = fx.Int18.from_int(131071)
     assert (i + fx.Int18.from_int(1)).raw == -131072
     with pytest.raises(OutOfRange):

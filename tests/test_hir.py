@@ -190,7 +190,7 @@ def programs(draw):
         else:
             term = hir.Ret(tuple(draw(st.sampled_from([[], [decls[0].name]]))))
         blocks.append(hir.BasicBlock(label, instrs, term))
-    proc = hir.Procedure("main", nqubits, (), tuple(decls), tuple(blocks))
+    proc = hir.Procedure("main", nqubits, tuple(decls), tuple(blocks))
     return hir.make_program(proc)
 
 
@@ -259,8 +259,7 @@ def test_golden_lowered_rwpe():
     assert hir.parse(golden.read_text(encoding="utf-8")) == lowered
 
 
-def test_entry_with_parameters_parses():
-    prog = hir.parse("proc main qubits 0\n  param fixed w\na:\n  output w\n"
-                     "  ret\nendproc\n")
-    assert prog.entry_procedure().params == (("w", "fixed"),)
-    assert hir.parse(hir.emit(prog)) == prog
+def test_param_is_a_syntax_error():
+    with pytest.raises(IRSyntaxError):
+        hir.parse("proc main qubits 0\n  param fixed w\na:\n  output w\n"
+                  "  ret\nendproc\n")

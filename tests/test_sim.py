@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import oracles
@@ -134,40 +136,172 @@ def test_reset_preserves_unentangled_partner():
     assert np.allclose(before, after, atol=1e-10)
 
 
-# -- classical single-step semantics -------------------------------------------
+# -- classical semantics, whole programs ------------------------------------------
 
-def test_step_classical_fixed_vs_real():
-    regs = sim.RegisterFile({"a": "fixed", "b": "fixed", "c": "fixed"},
-                            {"a": fx.FixedQ216.from_real(1.5),
-                             "b": fx.FixedQ216.from_real(1.5),
-                             "c": fx.FixedQ216(0)})
-    out = sim.step_classical(hir.Classical("mul", "c", ("a", "b")), regs, FIXED)
-    assert out.values["c"].value == -1.75
-
-    regs = sim.RegisterFile({"a": "fixed", "b": "fixed", "c": "fixed"},
-                            {"a": 1.5, "b": 1.5, "c": 0.0})
-    out = sim.step_classical(hir.Classical("mul", "c", ("a", "b")), regs,
-                             ClassicalMode.EXACT_REAL)
-    assert out.values["c"] == 2.25
+def _outputs(text, mode=ClassicalMode.EXACT_REAL):
+    return dict(sim.run_shot(hir.parse(text), ExecConfig(classical_mode=mode)).outputs)
 
 
-def test_step_classical_cmp_and_select():
-    regs = sim.RegisterFile({"d": "bit", "r": "bit", "x": "fixed"},
-                            {"d": 0, "r": 0, "x": 0.25})
-    out = sim.step_classical(hir.Classical("cmp_eq", "r", ("d", 0)), regs,
-                             ClassicalMode.EXACT_REAL)
-    assert out.values["r"] == 1
-    regs = sim.RegisterFile({"c": "bit", "x": "fixed"}, {"c": 1, "x": 0.0})
-    out = sim.step_classical(hir.Classical("select", "x", ("c", 0.5, -0.5)),
-                             regs, ClassicalMode.EXACT_REAL)
-    assert out.values["x"] == 0.5
+def test_mul_wraps_in_fixed_mode_only():
+    text = ("proc main qubits 0\n  var fixed a = 1.5\n  var fixed c = 0.0\n"
+            "entry:\n  mul c, a, a\n  output c\n  ret\nendproc\n")
+    assert _outputs(text, FIXED)["c"] == fx.FixedQ216.from_real(-1.75)
+    assert _outputs(text)["c"] == 2.25
 
 
-def test_step_classical_divide_by_zero():
-    regs = sim.RegisterFile({"a": "fixed", "b": "fixed"}, {"a": 0.0, "b": 1.0})
-    with pytest.raises(DivideByZero):
-        sim.step_classical(hir.Classical("recip", "b", ("a",)), regs,
-                           ClassicalMode.EXACT_REAL)
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+def test_cmp_and_select_with_literal_operands(mode):
+    text = """proc main qubits 0
+  var bit d = 0
+  var bit r = 0
+  var fixed v = 0.25
+entry:
+  cmp_eq r, d, 0
+  select v, r, 0.5, -0.5
+  ret r, v
+endproc
+"""
+    out = _outputs(text, mode)
+    assert out["r"] == 1
+    half = fx.FixedQ216.from_real(0.5) if mode is FIXED else 0.5
+    assert out["v"] == half
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("instr", ["recip b, a", "div b, 1.0, a"],
+                         ids=["recip", "div"])
+def test_divide_by_zero_raises_shot_error(mode, instr):
+    prog = hir.parse("proc main qubits 0\n  var fixed a = 0.0\n"
+                     f"  var fixed b = 0.0\nentry:\n  {instr}\n  ret\n"
+                     "endproc\n")
+    with pytest.raises(ShotError) as err:
+        sim.run_shot(prog, ExecConfig(classical_mode=mode), 4)
+    assert err.value.shot_index == 4
+    assert isinstance(err.value.cause, DivideByZero)
+
+
+# Differential test: random straight-line classical programs, every op, a
+# literal allowed in every operand position, against a fold over the
+# independent word arithmetic in `oracles` (fixed) or Python arithmetic (real).
+
+_VARS = {"fixed": ("f0", "f1", "f2"), "int18": ("i0", "i1"), "bit": ("b0", "b1")}
+_RAW = st.integers(fx.RAW_MIN, fx.RAW_MAX)
+
+
+def _literals(kind):
+    if kind == "bit":
+        return st.sampled_from([0, 1])
+    if kind == "int18":
+        return _RAW
+    return st.one_of(st.integers(-2, 1), _RAW.map(lambda r: r / fx.SCALE),
+                     st.floats(fx.REAL_MIN, fx.REAL_MAX))
+
+
+def _operands(kind):
+    return st.one_of(_literals(kind), st.sampled_from(_VARS[kind]))
+
+
+@st.composite
+def _classical_programs(draw):
+    decls = tuple(hir.VarDecl(name, kind, draw(_literals(kind)))
+                  for kind, names in _VARS.items() for name in names)
+    instrs = []
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(sorted(hir.CLASSICAL_OPS)))
+        if op in ("cmp_eq", "cmp_lt"):
+            dkind, k = "bit", draw(st.sampled_from(hir.KINDS))
+            kinds = (k, k)
+        elif op == "select":
+            dkind = draw(st.sampled_from(hir.KINDS))
+            kinds = ("bit", dkind, dkind)
+        else:
+            dkind = "fixed" if op in ("recip", "div") else \
+                draw(st.sampled_from(["fixed", "int18"]))
+            kinds = (dkind,) * hir.CLASSICAL_OPS[op]
+        srcs = tuple(draw(_operands(k)) for k in kinds)
+        instrs.append(hir.Classical(op, draw(st.sampled_from(_VARS[dkind])), srcs))
+    names = tuple(d.name for d in decls)
+    proc = hir.Procedure("main", 0, decls,
+                         (hir.BasicBlock("entry", tuple(instrs), hir.Ret(names)),))
+    return hir.make_program(proc)
+
+
+def _real_recip(a):
+    if a == 0.0:
+        raise DivideByZero("reciprocal of zero")
+    return 1.0 / a
+
+
+def _real_div(a, b):
+    if b == 0.0:
+        raise DivideByZero("division by zero")
+    return a / b
+
+
+_FIXED_OPS = {
+    ("add", "fixed"): oracles.fx_add, ("add", "int18"): oracles.fx_add,
+    ("sub", "fixed"): oracles.fx_sub, ("sub", "int18"): oracles.fx_sub,
+    ("neg", "fixed"): oracles.fx_neg, ("neg", "int18"): oracles.fx_neg,
+    ("mul", "fixed"): oracles.fx_mul,
+    ("mul", "int18"): lambda a, b: oracles.wrap18(a * b),
+    ("recip", "fixed"): fx.recip_raw, ("div", "fixed"): fx.div_raw,
+}
+_REAL_OPS = {
+    **{("add", k): lambda a, b: a + b for k in ("fixed", "int18")},
+    **{("sub", k): lambda a, b: a - b for k in ("fixed", "int18")},
+    **{("mul", k): lambda a, b: a * b for k in ("fixed", "int18")},
+    **{("neg", k): lambda a: -a for k in ("fixed", "int18")},
+    ("recip", "fixed"): _real_recip, ("div", "fixed"): _real_div,
+}
+
+
+def _fold(prog, fixed: bool):
+    """Expected outputs of a straight-line program, in order."""
+    proc = prog.entry_procedure()
+    kinds = {d.name: d.kind for d in proc.decls}
+    ops = _FIXED_OPS if fixed else _REAL_OPS
+
+    def word(tok, kind):
+        if isinstance(tok, str):
+            return regs[tok]
+        if kind == "fixed":
+            return oracles.encode(float(tok)) if fixed else float(tok)
+        return int(tok)
+
+    regs = {d.name: word(d.init, d.kind) for d in proc.decls}
+    for ins in proc.blocks[0].instructions:
+        if ins.op in ("cmp_eq", "cmp_lt"):
+            var = [kinds[s] for s in ins.srcs if isinstance(s, str)]
+            k = var[0] if var else \
+                "fixed" if any(isinstance(s, float) for s in ins.srcs) else "int18"
+            a, b = (word(s, k) for s in ins.srcs)
+            regs[ins.dest] = int(a == b) if ins.op == "cmp_eq" else int(a < b)
+        elif ins.op == "select":
+            c, a, b = ins.srcs
+            chosen = a if word(c, "bit") else b
+            regs[ins.dest] = word(chosen, kinds[ins.dest])
+        else:
+            k = kinds[ins.dest]
+            regs[ins.dest] = ops[ins.op, k](*(word(s, k) for s in ins.srcs))
+    box = {"bit": int, "int18": fx.Int18, "fixed": fx.FixedQ216} if fixed else \
+        {"bit": int, "int18": int, "fixed": float}
+    return tuple((name, box[kinds[name]](regs[name]))
+                 for name in proc.blocks[0].terminator.values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classical_programs(), st.sampled_from(list(ClassicalMode)))
+def test_classical_ops_match_oracle_fold(prog, mode):
+    try:
+        expected = _fold(prog, fixed=mode is FIXED)
+    except DivideByZero:
+        with pytest.raises(ShotError) as err:
+            sim.run_shot(prog, ExecConfig(classical_mode=mode))
+        assert isinstance(err.value.cause, DivideByZero)
+        return
+    got = sim.run_shot(prog, ExecConfig(classical_mode=mode)).outputs
+    # repr tells 1 from 1.0 and -0.0 from 0.0, and equates nan with nan
+    assert repr(got) == repr(expected)
 
 
 # -- whole-shot behavior --------------------------------------------------------
@@ -180,7 +314,7 @@ def _prepend_entry(prog, instrs):
     prep = hir.BasicBlock("test_prep", tuple(instrs),
                           hir.Br(proc.blocks[0].label))
     return hir.HybridProgram(
-        (hir.Procedure(proc.name, proc.qubits, proc.params, proc.decls,
+        (hir.Procedure(proc.name, proc.qubits, proc.decls,
                        (prep,) + proc.blocks),), prog.entry)
 
 
@@ -206,7 +340,7 @@ def test_teleport_all_branches_ideal():
     rng = random.Random(17)
     for trial in range(40):
         instrs, psi = _random_prep(rng)
-        record, state, _ = sim.run_shot_debug(
+        record, state = sim.run_shot_debug(
             _prepend_entry(prog, instrs), ExecConfig(seed=trial), 0)
         bits = dict(record.outputs)
         seen.add((bits["mx"], bits["mzv"]))
@@ -220,7 +354,7 @@ def test_teleport_basis_inputs():
     prog = build_teleport()
     for prep, expect_index in ((None, 0), (hir.Gate("x", (0,)), 1)):
         p = _prepend_entry(prog, (prep,)) if prep else prog
-        _, state, _ = sim.run_shot_debug(p, ExecConfig(seed=5), 0)
+        _, state = sim.run_shot_debug(p, ExecConfig(seed=5), 0)
         rho = oracles.reduced_density(state.amps, 3, [2])
         assert rho[expect_index, expect_index] == pytest.approx(1.0, abs=1e-10)
 
@@ -238,7 +372,7 @@ def _instrumented_reset():
         else:
             blocks.append(b)
     return hir.HybridProgram(
-        (hir.Procedure(proc.name, proc.qubits, proc.params, proc.decls,
+        (hir.Procedure(proc.name, proc.qubits, proc.decls,
                        tuple(blocks)),), prog.entry)
 
 
@@ -286,7 +420,7 @@ def test_shot_determinism_and_order_independence():
 def test_fixed_point_rwpe_completes_with_wrap():
     cfg = ExecConfig(classical_mode=FIXED, seed=11, shots=3)
     for rec in sim.run_shots(build_rwpe(), cfg):
-        assert rec.iteration_count == 24
+        assert len(rec.evidence) == 24
         # evolution times really did wrap at some point
         assert any(t.value < 0 for t, _, _ in rec.evidence)
 
@@ -341,8 +475,8 @@ def test_noise_p_zero_leaves_state_unchanged():
     prog = hir.parse("proc main qubits 2\nentry:\n  x q0\n  h q1\n"
                      "  eswap(0.3) q0, q1\n  ret\nendproc\n")
     offable = NoiseModel(p_gate1=0.0, p_gate2=0.0, p_readout=0.0)
-    _, noisy, _ = sim.run_shot_debug(prog, ExecConfig(seed=5, noise=offable), 0)
-    _, ideal, _ = sim.run_shot_debug(prog, ExecConfig(seed=5), 0)
+    _, noisy = sim.run_shot_debug(prog, ExecConfig(seed=5, noise=offable), 0)
+    _, ideal = sim.run_shot_debug(prog, ExecConfig(seed=5), 0)
     assert noisy.amps == ideal.amps
 
 
@@ -396,7 +530,7 @@ def test_readout_flip_forced():
                      "  mz q0 -> d\n  output d\n  ret\nendproc\n")
     cfg = ExecConfig(seed=0, noise=NoiseModel(p_gate1=0, p_gate2=0,
                                               p_readout=1.0))
-    record, state, _ = sim.run_shot_debug(prog, cfg, 0)
+    record, state = sim.run_shot_debug(prog, cfg, 0)
     assert dict(record.outputs)["d"] == 1        # reported bit flipped
     assert state.amps[0] == pytest.approx(1.0)   # state followed the true bit
 
@@ -414,8 +548,6 @@ def test_rz_is_noise_exempt():
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(p_gate1=1.5)
-    with pytest.raises(ValueError):
-        NoiseModel(p_rz=0.1)
     with pytest.raises(ValueError):
         ExecConfig(shots=0)
 
@@ -505,9 +637,9 @@ endproc
 
 def test_normalization_invariant_during_run():
     prog = build_rwpe()
-    _, state, _ = sim.run_shot_debug(prog, ExecConfig(seed=2), 0)
+    _, state = sim.run_shot_debug(prog, ExecConfig(seed=2), 0)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
-    _, state, _ = sim.run_shot_debug(
+    _, state = sim.run_shot_debug(
         prog, ExecConfig(seed=2, classical_mode=FIXED, noise=NoiseModel()), 0)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
@@ -521,7 +653,7 @@ entry:
   ret
 endproc
 """)
-    _, state, _ = sim.run_shot_debug(prog, ExecConfig(seed=9), 0)
+    _, state = sim.run_shot_debug(prog, ExecConfig(seed=9), 0)
     assert abs(state.amps[0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -536,6 +668,33 @@ def test_jsonl_roundtrip_both_modes():
         sim.write_records(records, buf)
         buf.seek(0)
         assert sim.read_records(buf) == records
+
+
+def _records(fixed: bool):
+    if fixed:
+        number = st.builds(fx.FixedQ216, _RAW)
+        value = st.one_of(st.sampled_from([0, 1]), st.builds(fx.Int18, _RAW), number)
+    else:
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        value = st.one_of(st.sampled_from([0, 1]), st.integers(), number)
+    names = st.sampled_from(["mu", "ok", "counter", "d"])
+    return st.builds(
+        sim.ShotRecord, st.integers(0, 2 ** 32), st.integers(0, 2 ** 64 - 1),
+        st.lists(st.tuples(names, value), max_size=4).map(tuple),
+        st.lists(st.tuples(number, number, st.sampled_from([0, 1])),
+                 max_size=4).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(lambda fixed: st.lists(_records(fixed), max_size=3)))
+def test_jsonl_roundtrip_property(records):
+    buf = io.StringIO()
+    sim.write_records(records, buf)
+    buf.seek(0)
+    back = sim.read_records(buf)
+    assert back == records
+    assert [[type(v) for _, v in r.outputs] for r in back] == \
+        [[type(v) for _, v in r.outputs] for r in records]
 
 
 def test_jsonl_fixed_values_carry_raw_and_decimal():
