@@ -19,12 +19,12 @@ from .algorithms import (RWPE_CONSTANTS, RwpeConstants, RwpeParams,
 from .bayes import (EvidenceRecord, PosteriorGrid, RefitResult,
                     evidence_from_record, log_likelihood, mmse_estimate,
                     posterior, refit, uniform_grid)
-from .cli import Histogram, histogram
 from .errors import (BadQubitIndex, DegeneratePosterior, DivideByZero,
                      HybridSimError, IRSyntaxError, OutOfRange, SemanticError,
                      ShotError, StepLimitExceeded, UnloweredGate)
 from .fixedpoint import FixedQ216, Int18
 from .hir import HybridProgram, cfg, emit, parse
+from .hist import Histogram, histogram
 from .lowering import lower_to_native
 from .profiles import NATIVE, PERMISSIVE, PROFILES, Diagnostic, Profile, validate
 from .sim import (ClassicalMode, ExecConfig, NoiseModel, QuantumState,

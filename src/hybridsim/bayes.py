@@ -10,6 +10,15 @@ and the product over a record, evaluated on a discrete grid of candidate
 phases, gives a posterior whose mean is the minimum-mean-squared-error
 estimate.  Everything is computed in log space with max subtraction; each
 log factor is floored at -745 so contradictory evidence stays finite.
+
+A record's log likelihood is evaluated in one pass over an (entries, grid)
+buffer, using cos^2 x = sin^2(x + pi/2) so that every element costs one
+sine and one log.  The sine form keeps full relative accuracy next to a
+zero of the likelihood, where the one-cosine form (1 -+ cos(2x)) / 2
+cancels catastrophically.  `refit` evaluates each record once: the per-shot
+posterior normalises log prior + row, and the pooled posterior normalises
+log prior + the sum of all rows.  Only one record's buffer is alive at a
+time, so memory does not grow with the number of records.
 """
 
 from __future__ import annotations
@@ -73,13 +82,17 @@ def uniform_grid(size: int = 2001,
 
 def _log_factors(ev: EvidenceRecord, phis_rad: np.ndarray) -> np.ndarray:
     """Sum of floored per-datum log likelihoods at each candidate phase."""
-    total = np.zeros_like(phis_rad)
-    for t, phi_inv, d in ev.entries:
-        half = 0.5 * t * (phis_rad - phi_inv)
-        factor = np.cos(half) ** 2 if d == 0 else np.sin(half) ** 2
-        with np.errstate(divide="ignore"):
-            total += np.maximum(np.log(factor), LOG_FLOOR)
-    return total
+    columns = np.array(ev.entries, dtype=float).reshape(-1, 3).T
+    t, phi_inv, d = columns[:, :, None]
+    buf = np.subtract(phis_rad, phi_inv)          # (entries, grid)
+    buf *= 0.5 * t
+    buf += np.where(d == 0, 0.5 * math.pi, 0.0)   # cos^2 x = sin^2(x + pi/2)
+    np.sin(buf, out=buf)
+    np.square(buf, out=buf)
+    with np.errstate(divide="ignore"):
+        np.log(buf, out=buf)
+    np.maximum(buf, LOG_FLOOR, out=buf)
+    return buf.sum(axis=0)
 
 
 def log_likelihood(ev: EvidenceRecord, phi: float) -> float:
@@ -87,12 +100,13 @@ def log_likelihood(ev: EvidenceRecord, phi: float) -> float:
     return float(_log_factors(ev, np.asarray([phi], dtype=float))[0])
 
 
-def posterior(ev: EvidenceRecord, grid: PosteriorGrid) -> PosteriorGrid:
-    """Bayes update of `grid` by the whole evidence record."""
+def _log_weights(grid: PosteriorGrid) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        logw = np.where(grid.weights > 0.0,
+        return np.where(grid.weights > 0.0,
                         np.log(np.maximum(grid.weights, 1e-300)), -np.inf)
-    logw = logw + _log_factors(ev, grid.nodes * math.pi)
+
+
+def _normalised(nodes: np.ndarray, logw: np.ndarray) -> PosteriorGrid:
     m = np.max(logw)
     if not np.isfinite(m):
         raise DegeneratePosterior("no grid node carries posterior weight")
@@ -100,7 +114,13 @@ def posterior(ev: EvidenceRecord, grid: PosteriorGrid) -> PosteriorGrid:
     total = w.sum()
     if total <= 0.0:
         raise DegeneratePosterior("posterior weights underflowed to zero")
-    return PosteriorGrid(grid.nodes, w / total)
+    return PosteriorGrid(nodes, w / total)
+
+
+def posterior(ev: EvidenceRecord, grid: PosteriorGrid) -> PosteriorGrid:
+    """Bayes update of `grid` by the whole evidence record."""
+    return _normalised(grid.nodes, _log_weights(grid)
+                       + _log_factors(ev, grid.nodes * math.pi))
 
 
 def mmse_estimate(grid: PosteriorGrid) -> float:
@@ -131,21 +151,27 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
     """
     if not records:
         raise ValueError("no records to refit")
-    per_shot = []
+    raw = None if raw_estimates is None else np.asarray(list(raw_estimates))
+    if raw is not None and len(raw) != len(records):
+        raise ValueError(f"{len(raw)} raw estimates for {len(records)} records")
     prior = uniform_grid(grid_size, prior_interval)
-    pooled_grid = prior
+    log_prior = _log_weights(prior)
+    phis = prior.nodes * math.pi
+    pooled_rows = np.zeros_like(phis)
+    per_shot = []
     for rec in records:
         if not rec.evidence:
             raise ValueError(f"shot {rec.shot} has no evidence to refit")
-        ev = evidence_from_record(rec)
-        per_shot.append(2.0 * mmse_estimate(posterior(ev, prior)))
-        pooled_grid = posterior(ev, pooled_grid)
-    pooled = 2.0 * mmse_estimate(pooled_grid)
+        row = _log_factors(evidence_from_record(rec), phis)
+        per_shot.append(2.0 * mmse_estimate(
+            _normalised(prior.nodes, log_prior + row)))
+        pooled_rows += row
+    pooled = 2.0 * mmse_estimate(_normalised(prior.nodes,
+                                             log_prior + pooled_rows))
     arr = np.asarray(per_shot)
     mse = raw_mse = None
     if true_value is not None:
         mse = float(np.mean((arr - true_value) ** 2))
-        if raw_estimates is not None:
-            raw = np.asarray(list(raw_estimates))
+        if raw is not None:
             raw_mse = float(np.mean((raw - true_value) ** 2))
     return RefitResult(tuple(per_shot), pooled, float(arr.mean()), mse, raw_mse)

@@ -247,3 +247,39 @@ def rwpe_walk_replay(mu0: float, sigma0: float, outcomes) -> tuple:
 
 def binom_3sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+
+
+# -- two-pass grid refit ------------------------------------------------------
+
+def _grid_update(log_w: np.ndarray, evidence, phis_rad: np.ndarray) -> np.ndarray:
+    """Normalised weights after multiplying in each entry's cos^2 / sin^2
+    factor, one entry at a time, each log factor floored at -745."""
+    total = np.array(log_w, dtype=float)
+    for t, phi_inv, d in evidence:
+        half = 0.5 * t * (phis_rad - phi_inv)
+        factor = np.cos(half) ** 2 if d == 0 else np.sin(half) ** 2
+        with np.errstate(divide="ignore"):
+            total += np.maximum(np.log(factor), -745.0)
+    w = np.exp(total - np.max(total))
+    return w / w.sum()
+
+
+def refit_two_pass(evidences, grid_size: int = 2001,
+                   interval: tuple[float, float] = (-1.0, 1.0)):
+    """Per-shot and pooled MMSE estimates (doubled scale) from evidence lists
+    of (t, phi_inv radians, d).  The per-shot posterior starts from the
+    uniform prior; the pooled one folds every record into the previous
+    posterior in turn, so each record's factors are evaluated twice."""
+    nodes = np.linspace(interval[0], interval[1], grid_size)
+    phis = nodes * math.pi
+    prior = np.full(grid_size, 1.0 / grid_size)
+    per_shot = []
+    pooled = prior
+    for ev in evidences:
+        post = _grid_update(np.log(prior), ev, phis)
+        per_shot.append(2.0 * float(np.dot(post, nodes)))
+        with np.errstate(divide="ignore"):
+            log_pooled = np.where(pooled > 0.0,
+                                  np.log(np.maximum(pooled, 1e-300)), -np.inf)
+        pooled = _grid_update(log_pooled, ev, phis)
+    return per_shot, 2.0 * float(np.dot(pooled, nodes))

@@ -18,7 +18,8 @@ from hybridsim import fixedpoint as fx
 from hybridsim.algorithms import (analytic_pr0, build_active_reset,
                                   build_ipe_program, build_rwpe,
                                   runtime_estimate)
-from hybridsim.cli import histogram, main
+from hybridsim.cli import main
+from hybridsim.hist import histogram
 from hybridsim.lowering import lower_to_native
 from hybridsim.profiles import NATIVE, validate
 from hybridsim.sim import ClassicalMode, ExecConfig, NoiseModel

@@ -130,7 +130,7 @@ def test_rwpe_convention_lock_small_ensemble():
     """Mode of the reported (doubled) estimate sits at +0.5."""
     records = sim.run_shots(build_rwpe(), ExecConfig(seed=31, shots=600))
     values = [runtime_estimate(r) for r in records]
-    from hybridsim.cli import histogram
+    from hybridsim.hist import histogram
     hist = histogram(values)
     assert hist.bin_center(hist.mode_bin()) == pytest.approx(0.5, abs=1e-9)
 

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hybridsim import bayes, sim
 from hybridsim.algorithms import build_rwpe, runtime_estimate
 from hybridsim.bayes import (EvidenceRecord, PosteriorGrid, log_likelihood,
                              mmse_estimate, posterior, refit, uniform_grid)
 from hybridsim.errors import DegeneratePosterior
-from hybridsim.sim import ExecConfig
+from hybridsim.sim import ClassicalMode, ExecConfig
 
 TRUE_PHASE = 0.25          # units of pi, for the default oracle coefficient
 
@@ -27,6 +28,28 @@ def test_log_likelihood_trivial():
     assert log_likelihood(_ev([(2.0, 0.7, 0)]), 0.7) == pytest.approx(0.0)
     # a contradictory outcome at the likelihood zero is floored, not -inf
     assert log_likelihood(_ev([(2.0, 0.7, 1)]), 0.7) == -745.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.5, 400.0), st.floats(-3.0, 3.0), st.floats(1e-9, 1e-3),
+       st.sampled_from([-1.0, 1.0]))
+def test_log_likelihood_accurate_next_to_a_zero(t, phi_inv, gap, sign):
+    """Outcome 1 next to its zero keeps full relative accuracy; a form
+    built on 1 - cos(t * delta) rounds to the floor here."""
+    phi = phi_inv + sign * gap
+    delta = phi - phi_inv
+    expected = 2.0 * math.log(abs(math.sin(t * delta / 2.0)))
+    assert log_likelihood(_ev([(t, phi_inv, 1)]), phi) == pytest.approx(
+        expected, rel=0.0, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(-10.0, 10.0), st.integers(0, 1),
+       st.floats(-10.0, 10.0))
+def test_log_factor_is_floored_and_never_nan(t, phi_inv, d, phi):
+    value = log_likelihood(_ev([(t, phi_inv, d)]), phi)
+    assert bayes.LOG_FLOOR <= value <= 0.0
+    assert log_likelihood(_ev([(t, phi_inv, 1)]), phi_inv) == bayes.LOG_FLOOR
 
 
 def test_posterior_uniform_empty_evidence():
@@ -149,6 +172,57 @@ def test_refit_reduces_mse_small():
     assert result.mse is not None and result.raw_mse is not None
     assert result.mse <= result.raw_mse
     assert abs(result.pooled - 0.5) < 0.01
+
+
+def _records(evidences):
+    return [sim.ShotRecord(i, 0, (), tuple(ev)) for i, ev in enumerate(evidences)]
+
+
+def _assert_matches_two_pass(records, grid_size):
+    result = refit(records, grid_size=grid_size)
+    per_shot, pooled = oracles.refit_two_pass(
+        [bayes.evidence_from_record(r).entries for r in records], grid_size)
+    assert np.max(np.abs(np.subtract(result.per_shot, per_shot))) <= 1e-10
+    assert abs(result.pooled - pooled) <= 1e-10
+
+
+ORACLE_GRID = 201
+ORACLE_NODES = np.linspace(-1.0, 1.0, ORACLE_GRID)
+node = st.integers(0, ORACLE_GRID - 1).map(lambda k: float(ORACLE_NODES[k]))
+# Evidence angles are in units of pi.  t stays at or below 20 so the zeros of
+# one factor lie at least 5 nodes apart: when every node sits on a zero, the
+# posterior is decided by rounding alone and no two evaluations agree.
+times = st.floats(0.5, 20.0)
+entry_groups = st.one_of(
+    st.tuples(times, st.floats(-2.0, 2.0), st.integers(0, 1)).map(lambda e: [e]),
+    st.tuples(times, node).map(lambda e: [(e[0], e[1], 1)]),  # sin^2 zero
+    node.map(lambda p: [(1.0, p - 1.0, 0)]),                  # cos^2 zero
+    st.tuples(times, st.floats(-2.0, 2.0)).map(               # contradiction
+        lambda e: [(e[0], e[1], 0), (e[0], e[1], 1)]),
+)
+evidences = st.lists(
+    st.lists(entry_groups, min_size=1, max_size=6).map(
+        lambda groups: [e for g in groups for e in g]),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(evidences)
+def test_refit_matches_two_pass_oracle(evs):
+    _assert_matches_two_pass(_records(evs), ORACLE_GRID)
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode))
+def test_refit_matches_two_pass_oracle_on_rwpe_records(mode):
+    records = sim.run_shots(build_rwpe(), ExecConfig(
+        classical_mode=mode, seed=21, shots=8))
+    _assert_matches_two_pass(records, 2001)
+
+
+def test_refit_rejects_raw_estimates_of_wrong_length():
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=4, shots=6))
+    with pytest.raises(ValueError, match="2 raw estimates for 6 records"):
+        refit(records, true_value=0.5, raw_estimates=[0.5, 0.5])
 
 
 def test_refit_rejects_empty():

@@ -1,12 +1,17 @@
 """Command-line pipeline: files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hybridsim import hir
 from hybridsim.algorithms import build_rwpe, build_teleport
-from hybridsim.cli import histogram, main
+from hybridsim.cli import main
+from hybridsim.hist import histogram
 
 TELEPORT = hir.emit(build_teleport())
 
@@ -214,3 +219,22 @@ def test_full_pipeline_byte_identical(tmp_path):
             for ext in (".records.jsonl", ".hist.csv", ".summary.json",
                         ".refit.csv", ".refit.json")))
     assert outputs[0] == outputs[1]
+
+
+# -- python -m hybridsim ---------------------------------------------------------
+
+def test_module_entry_point_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+    def hybridsim(*args):
+        done = subprocess.run([sys.executable, "-m", "hybridsim", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    assert hybridsim("rwpe", "--shots", "20")["shots"] == 20
+    assert hybridsim("refit", "rwpe.records.jsonl")["shots"] == 20
