@@ -3,9 +3,10 @@
 The toolkit models a control stack where classical arithmetic and control
 flow execute between quantum gates inside a single shot: a line-oriented IR
 with basic blocks (`hir`), backend profiles and lowering onto a native gate
-set (`profiles`, `lowering`), a shot-based statevector interpreter with
-switchable exact-real or Q2.16 fixed-point register semantics and optional
-noise (`sim`, `fixedpoint`), reference program builders for active reset,
+set (`profiles`, `lowering`), a shot-based statevector engine that
+compiles each program into one Python function, with switchable exact-real
+or Q2.16 fixed-point register semantics and optional noise (`sim`,
+`fixedpoint`), reference program builders for active reset,
 single-step phase estimation, random-walk phase estimation and
 teleportation (`algorithms`), and offline Bayesian refitting of recorded
 evidence (`bayes`).

@@ -49,9 +49,14 @@ class DegeneratePosterior(HybridSimError):
 
 
 class ShotError(HybridSimError):
-    """Wraps an error raised inside one shot with its shot index."""
+    """Wraps an error raised inside one shot with its shot index, and the
+    label of the block and the source line it was raised at (the line is
+    None for a program built without source text)."""
 
-    def __init__(self, shot_index: int, cause: Exception):
-        super().__init__(f"shot {shot_index}: {cause}")
+    def __init__(self, shot_index: int, cause: Exception,
+                 block: str | None = None, line: int | None = None):
+        super().__init__(f"shot {shot_index}, block {block}, line {line}: {cause}")
         self.shot_index = shot_index
         self.cause = cause
+        self.block = block
+        self.line = line

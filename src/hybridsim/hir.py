@@ -172,7 +172,7 @@ def make_program(*procedures: Procedure) -> HybridProgram:
 
 # ---------------------------------------------------------------------------
 # Semantic checking over the object model (used by parse and by the
-# interpreter's load step, so builder-made programs get the same scrutiny).
+# compiler's load step, so builder-made programs get the same scrutiny).
 
 def _operand_kind(tok: str | float | int) -> str:
     if isinstance(tok, str):

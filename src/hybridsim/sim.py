@@ -1,30 +1,35 @@
 """Shot-based executor for hybrid programs.
 
-One shot = one pass of the interpreter over the entry procedure: a single
-statevector lives for the whole shot while classical instructions and
-control flow run between gates.  Three infidelity sources can be switched
-on independently: finite shot counts, depolarizing/readout noise, and
-fixed-point classical arithmetic instead of exact reals.
+One shot = one pass over the entry procedure: a single statevector lives
+for the whole shot while classical instructions and control flow run
+between gates.  Three infidelity sources can be switched on independently:
+finite shot counts, depolarizing/readout noise, and fixed-point classical
+arithmetic instead of exact reals.
 
 The classical mode is resolved once per compile into a `Domain`, exact
 reals or bit-exact Q2.16 words.  The domain encodes literals, implements
 the arithmetic ops, turns angles into radians and boxes register values
-for records; the closure compiler is the same for both modes.
+for records; the code generator is the same for both modes.
+
+Each program is compiled into the source of one Python function, which
+runs once per shot: registers are its locals, the amplitudes one list, and
+every gate, measurement, reset and noise draw is inlined as a loop over
+index pairs computed at compile time.  `QuantumState`, `apply_noise` and
+`measure` are the same operations one call at a time; a shot of the
+generated code equals, byte for byte, a replay through them.
 
 Determinism contract: each shot draws from its own generator seeded by a
 splitmix-style mix of (config seed, shot index), so shots may be evaluated
 in any order - serially, in slices, or permuted - and produce identical
 records byte for byte.
-
-The statevector is a plain list of Python complex numbers; programs in this
-domain use a handful of qubits and per-amplitude index arithmetic beats
-vectorized dispatch at that size.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
+import linecache
 import math
 import operator
 import random
@@ -60,6 +65,21 @@ def _quads(n: int, a: int, b: int) -> tuple[tuple[int, int, int, int], ...]:
     mb = 1 << (n - 1 - b)
     return tuple((i, i | mb, i | ma, i | ma | mb)
                  for i in range(1 << n) if not i & (ma | mb))
+
+
+def _pauli(amps: list[complex], pairs, which: int):
+    """Pauli `which` (1 = X, 2 = Y, 3 = Z) on the qubit that `pairs` spans."""
+    if which == 1:
+        for i0, i1 in pairs:
+            amps[i0], amps[i1] = amps[i1], amps[i0]
+    elif which == 2:
+        for i0, i1 in pairs:
+            a0, a1 = amps[i0], amps[i1]
+            amps[i0] = -1j * a1
+            amps[i1] = 1j * a0
+    else:
+        for _, i1 in pairs:
+            amps[i1] = -amps[i1]
 
 
 class QuantumState:
@@ -104,17 +124,7 @@ class QuantumState:
 
     def pauli(self, q: int, which: int):
         """which: 1 = X, 2 = Y, 3 = Z."""
-        amps = self.amps
-        if which == 1:
-            self.x(q)
-        elif which == 2:
-            for i0, i1 in _pairs(self.n, q):
-                a0, a1 = amps[i0], amps[i1]
-                amps[i0] = -1j * a1
-                amps[i1] = 1j * a0
-        else:
-            for _, i1 in _pairs(self.n, q):
-                amps[i1] = -amps[i1]
+        _pauli(self.amps, _pairs(self.n, q), which)
 
     # -- two-qubit gates ----------------------------------------------------
 
@@ -347,23 +357,23 @@ def select_domain(mode: ClassicalMode) -> Domain:
 
 
 # ---------------------------------------------------------------------------
-# Compilation of a program into per-shot closures.
+# Compilation of a program into one generated Python function.
 #
-# Registers live in a flat list indexed by compile-time slots: one slot per
-# declared variable, then one per literal operand, so every
-# classical operand is a slot index.
-
-class _Ctx:
-    __slots__ = ("state", "regs", "rng", "outputs", "evidence", "steps")
-
-    def __init__(self, state, regs, rng):
-        self.state = state
-        self.regs = regs
-        self.rng = rng
-        self.outputs = []
-        self.evidence = []
-        self.steps = 0
-
+# The entry procedure becomes the source of `run(rng, out, ev, limit)`.
+# Registers are the locals r0, r1, ... (one per declared variable), the
+# amplitudes are the list `A`, and each block is one branch of a `while`
+# dispatch on the block index `b`.  Gates, measurements, resets and noise
+# draws are inlined as loops over pair tuples computed at compile time.
+# Every kernel performs the floating-point operations of its `QuantumState`
+# method in the same order, and draws from the shot's generator in the
+# order of `measure` and `apply_noise`, so a shot gives the same record and
+# the same amplitudes as a replay through those functions.
+#
+# Every value the source refers to (encoded literals, the phases of literal
+# angles, noise probabilities, pair tuples, the domain's ops and boxes) is
+# a name bound in the exec namespace, never a literal in the text.
+# Programs that differ only in literals therefore share one source, whose
+# code object is cached by that text.
 
 def _mix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -377,212 +387,354 @@ def derive_shot_seed(seed: int, shot_index: int) -> int:
     return _mix64(_mix64(seed & 0xFFFFFFFFFFFFFFFF) ^ (shot_index & 0xFFFFFFFFFFFFFFFF))
 
 
-class _Compiled:
-    def __init__(self, program: hir.HybridProgram, domain: Domain,
+# Kernel templates.  {P} names a pair tuple (i0, i1), {Q} a quad tuple;
+# angle gates read their phases from {p0}/{p1} or {corner}/{cc}/{ss}, which
+# are locals computed from a register or names of precomputed constants.
+_SWAP = """\
+for i0, i1 in {P}:
+    A[i0], A[i1] = A[i1], A[i0]"""
+
+_H = """\
+for i0, i1 in {P}:
+    t0 = A[i0]
+    t1 = A[i1]
+    A[i0] = (t0 + t1) * S
+    A[i1] = (t0 - t1) * S"""
+
+_SX = """\
+for i0, i1 in {P}:
+    t0 = A[i0]
+    t1 = A[i1]
+    A[i0] = SXA * t0 + SXB * t1
+    A[i1] = SXB * t0 + SXA * t1"""
+
+_PHASE = """\
+for i0, i1 in {P}:
+    A[i0] *= {p0}
+    A[i1] *= {p1}"""
+
+_PHASE_OF_REGISTER = """\
+th = RAD({reg})
+p1 = complex(cos(0.5 * th), sin(0.5 * th))
+p0 = p1.conjugate()"""
+
+_ESWAP = """\
+for i00, i01, i10, i11 in {Q}:
+    A[i00] *= {corner}
+    A[i11] *= {corner}
+    t0 = A[i01]
+    t1 = A[i10]
+    A[i01] = {cc} * t0 + {ss} * t1
+    A[i10] = {ss} * t0 + {cc} * t1"""
+
+_ESWAP_OF_REGISTER = """\
+th = 0.5 * RAD({reg})
+corner = complex(cos(th), -sin(th))
+cc = cos(th)
+ss = -1j * sin(th)"""
+
+# Born probability of 1, then the draw.  Collapse keeps the surviving half
+# and rescales it; `reset` fuses the collapse to 1 with the flip back to 0.
+_BORN = """\
+p = 0.0
+for i0, i1 in {P}:
+    t1 = A[i1]
+    p += t1.real * t1.real + t1.imag * t1.imag
+"""
+
+_MEASURE = _BORN + """\
+if rand() < p:
+    s = 1.0 / sqrt(p) if p > 0.0 else 1.0
+    for i0, i1 in {P}:
+        A[i0] = 0j
+        A[i1] *= s
+    {dest} = 1
+else:
+    p = 1.0 - p
+    s = 1.0 / sqrt(p) if p > 0.0 else 1.0
+    for i0, i1 in {P}:
+        A[i1] = 0j
+        A[i0] *= s
+    {dest} = 0"""
+
+_RESET = _BORN + """\
+if rand() < p:
+    s = 1.0 / sqrt(p) if p > 0.0 else 1.0
+    for i0, i1 in {P}:
+        A[i0] = A[i1] * s
+        A[i1] = 0j
+else:
+    p = 1.0 - p
+    s = 1.0 / sqrt(p) if p > 0.0 else 1.0
+    for i0, i1 in {P}:
+        A[i1] = 0j
+        A[i0] *= s"""
+
+_READOUT_FLIP = """\
+if rand() < p_readout:
+    {dest} ^= 1"""
+
+_NOISE1 = """\
+if rand() < p_gate1:
+    pauli(A, {P}, 1 + randrange(3))"""
+
+# m in 1..15 names a two-qubit Pauli: high two bits on a, low two on b.
+_NOISE2 = """\
+if rand() < p_gate2:
+    m = 1 + randrange(15)
+    if m >> 2:
+        pauli(A, {Pa}, m >> 2)
+    if m & 3:
+        pauli(A, {Pb}, m & 3)"""
+
+_STEP_CHECK = """\
+steps += {n}
+if steps > limit:
+    raise StepLimitExceeded(f"instruction budget of {{limit}} exhausted")"""
+
+_CODE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source: str, filename: str):
+    return compile(source, filename, "exec")
+
+
+class _Generator:
+    """Builds the source of `run` for one procedure, the exec namespace it
+    needs, and a table from each generated line to (block label, HIR line)."""
+
+    def __init__(self, proc: hir.Procedure, domain: Domain,
                  noise: NoiseModel | None):
-        hir.check_semantics(program)
-        proc = program.entry_procedure()
         self.domain = domain
         self.noise = noise
-        self.nqubits = proc.qubits
-        self.slot: dict[str, int] = {d.name: i for i, d in enumerate(proc.decls)}
-        self.kinds: dict[str, str] = {d.name: d.kind for d in proc.decls}
+        self.n = proc.qubits
+        self.reg = {d.name: f"r{i}" for i, d in enumerate(proc.decls)}
+        self.kinds = {d.name: d.kind for d in proc.decls}
+        self.ns: dict[str, object] = {
+            "StepLimitExceeded": StepLimitExceeded, "RAD": domain.radians,
+            "S": _SQRT_HALF, "SXA": _SX_A, "SXB": _SX_B,
+            "cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
+            "pauli": _pauli,
+            "A0": QuantumState(self.n).amps,
+        }
+        for (op, kind), fn in domain.ops.items():
+            self.ns[f"{op}_{kind}"] = fn
+        for kind, box in domain.box.items():
+            self.ns[f"box_{kind}"] = box
+        if noise is not None:
+            self.ns.update(p_gate1=noise.p_gate1, p_gate2=noise.p_gate2,
+                           p_readout=noise.p_readout)
+        self.lines: list[str] = []
+        self.where: list[tuple[str | None, int | None]] = []
+        self.at: tuple[str | None, int | None] = (None, None)
+        self.consts = 0
+
+        self.emit(0, "def run(rng, out, ev, limit):")
+        self.emit(1, "rand = rng.random\nrandrange = rng.randrange\nA = A0[:]")
         # Encode initializers now: range errors are load-time errors.
-        self._regs0 = [domain.literal[d.kind](d.init) for d in proc.decls]
-        block_index = {b.label: i for i, b in enumerate(proc.blocks)}
-        self.blocks = [
-            (tuple(self._compile_instr(i) for i in b.instructions),
-             self._compile_terminator(b.terminator, block_index))
-            for b in proc.blocks
-        ]
+        for d in proc.decls:
+            self.emit(1, f"{self.reg[d.name]} = "
+                         f"{self.const(domain.literal[d.kind](d.init))}")
+        self.emit(1, "steps = 0\nb = 0\nwhile True:")
+        index = {b.label: i for i, b in enumerate(proc.blocks)}
+        for i, block in enumerate(proc.blocks):
+            first = block.instructions[0] if block.instructions else block.terminator
+            self.at = (block.label, first.line)
+            self.emit(2, f"{'if' if i == 0 else 'elif'} b == {i}:")
+            self.emit(3, _STEP_CHECK.format(n=len(block.instructions) + 1))
+            for instr in block.instructions:
+                self.at = (block.label, instr.line)
+                self.instruction(instr)
+            self.at = (block.label, block.terminator.line)
+            self.terminator(block.terminator, index)
+        self.source = "\n".join(self.lines) + "\n"
 
-    # -- operand helpers ----------------------------------------------------
+    # -- helpers ------------------------------------------------------------
 
-    def _operand(self, tok, kind: str) -> int:
-        """Slot of a variable, or of a new constant slot holding the
-        encoded literal."""
+    def emit(self, depth: int, text: str):
+        lines = text.split("\n")
+        pad = "    " * depth
+        self.lines += [pad + line for line in lines]
+        self.where += [self.at] * len(lines)
+
+    def const(self, value) -> str:
+        """Name of a new namespace entry holding `value`."""
+        name = f"c{self.consts}"
+        self.consts += 1
+        self.ns[name] = value
+        return name
+
+    def pairs(self, q: int) -> str:
+        name = f"P{q}"
+        self.ns[name] = _pairs(self.n, q)
+        return name
+
+    def quads(self, a: int, b: int) -> str:
+        name = f"Q{a}_{b}"
+        self.ns[name] = _quads(self.n, a, b)
+        return name
+
+    def controlled(self, c: int, t: int) -> str:
+        """(i10, i11) over qubits (c, t): the pairs a controlled gate touches."""
+        name = f"C{c}_{t}"
+        self.ns[name] = tuple((i10, i11) for _, _, i10, i11 in _quads(self.n, c, t))
+        return name
+
+    def operand(self, tok, kind: str) -> str:
+        """A register, or a constant holding the encoded literal."""
         if isinstance(tok, str):
-            return self.slot[tok]
-        self._regs0.append(self.domain.literal[kind](tok))
-        return len(self._regs0) - 1
+            return self.reg[tok]
+        return self.const(self.domain.literal[kind](tok))
 
-    def _angle_getter(self, tok):
-        """Angle operand -> radians at the quantum boundary."""
-        radians = self.domain.radians
-        if isinstance(tok, str):
-            i = self.slot[tok]
-            return lambda regs: radians(regs[i])
-        rad = radians(self.domain.literal["fixed"](tok))
-        return lambda regs: rad
+    def boxed(self, name: str) -> str:
+        if self.domain.box[self.kinds[name]] is None:
+            return self.reg[name]
+        return f"box_{self.kinds[name]}({self.reg[name]})"
 
-    def _boxed(self, name: str):
-        """Reader producing the typed register value for outputs/evidence."""
-        i = self.slot[name]
-        box = self.domain.box[self.kinds[name]]
-        if box is None:
-            return lambda regs: regs[i]
-        return lambda regs: box(regs[i])
+    # -- instructions -------------------------------------------------------
 
-    # -- instruction compilation --------------------------------------------
-
-    def _compile_instr(self, instr: hir.Instruction):
+    def instruction(self, instr: hir.Instruction):
         if isinstance(instr, hir.Gate):
-            return self._compile_gate(instr)
-        if isinstance(instr, hir.Measure):
-            return self._compile_measure(instr)
-        if isinstance(instr, hir.Reset):
-            q = instr.qubit
-            return lambda ctx: ctx.state.reset(q, ctx.rng)
-        if isinstance(instr, hir.ActiveReset):
-            def active_reset(ctx):
-                for q in range(ctx.state.n):
-                    ctx.state.reset(q, ctx.rng)
-            return active_reset
-        if isinstance(instr, hir.Classical):
-            return self._compile_classical(instr)
-        if isinstance(instr, hir.Output):
-            name = instr.name
-            read = self._boxed(name)
-            return lambda ctx: ctx.outputs.append((name, read(ctx.regs)))
-        raise SemanticError(f"cannot compile {instr!r}")
+            self.gate(instr)
+        elif isinstance(instr, hir.Measure):
+            dest = self.reg[instr.dest]
+            self.emit(3, _MEASURE.format(P=self.pairs(instr.qubit), dest=dest))
+            if self.noise is not None:
+                self.emit(3, _READOUT_FLIP.format(dest=dest))
+            if instr.record is not None:
+                t, phi_inv = (self.boxed(v) for v in instr.record)
+                self.emit(3, f"ev.append(({t}, {phi_inv}, {dest}))")
+        elif isinstance(instr, hir.Reset):
+            self.reset(instr.qubit)
+        elif isinstance(instr, hir.ActiveReset):
+            for q in range(self.n):
+                self.reset(q)
+        elif isinstance(instr, hir.Classical):
+            self.classical(instr)
+        elif isinstance(instr, hir.Output):
+            self.emit(3, f"out.append(({instr.name!r}, {self.boxed(instr.name)}))")
+        else:
+            raise SemanticError(f"cannot compile {instr!r}")
 
-    def _compile_gate(self, instr: hir.Gate):
+    def reset(self, q: int):
+        self.emit(3, _RESET.format(P=self.pairs(q)))
+
+    def gate(self, instr: hir.Gate):
         name, qs = instr.name, instr.qubits
-        noise = self.noise
-        if name in ("rz", "crz", "eswap"):
-            angle = self._angle_getter(instr.angle)
-            if name == "rz":
-                q = qs[0]
-                return lambda ctx: ctx.state.rz(q, angle(ctx.regs))
-            if name == "crz":
-                c, t = qs
-                body = lambda ctx: ctx.state.crz(c, t, angle(ctx.regs))
-            else:
-                a, b = qs
-                body = lambda ctx: ctx.state.eswap(a, b, angle(ctx.regs))
-        elif name == "h":
-            q = qs[0]
-            body = lambda ctx: ctx.state.h(q)
+        if name == "h":
+            self.emit(3, _H.format(P=self.pairs(qs[0])))
         elif name == "x":
-            q = qs[0]
-            body = lambda ctx: ctx.state.x(q)
+            self.emit(3, _SWAP.format(P=self.pairs(qs[0])))
         elif name == "sx":
-            q = qs[0]
-            body = lambda ctx: ctx.state.sx(q)
+            self.emit(3, _SX.format(P=self.pairs(qs[0])))
         elif name == "cnot":
-            c, t = qs
-            body = lambda ctx: ctx.state.cnot(c, t)
+            self.emit(3, _SWAP.format(P=self.controlled(*qs)))
+        elif name in ("rz", "crz"):
+            pairs = self.pairs(qs[0]) if name == "rz" else self.controlled(*qs)
+            if isinstance(instr.angle, str):
+                self.emit(3, _PHASE_OF_REGISTER.format(reg=self.reg[instr.angle]))
+                p0, p1 = "p0", "p1"
+            else:
+                theta = self.domain.radians(self.domain.literal["fixed"](instr.angle))
+                phase = complex(math.cos(0.5 * theta), math.sin(0.5 * theta))
+                p0, p1 = self.const(phase.conjugate()), self.const(phase)
+            self.emit(3, _PHASE.format(P=pairs, p0=p0, p1=p1))
+        elif name == "eswap":
+            if isinstance(instr.angle, str):
+                self.emit(3, _ESWAP_OF_REGISTER.format(reg=self.reg[instr.angle]))
+                terms = {"corner": "corner", "cc": "cc", "ss": "ss"}
+            else:
+                half = 0.5 * self.domain.radians(
+                    self.domain.literal["fixed"](instr.angle))
+                terms = {"corner": self.const(complex(math.cos(half), -math.sin(half))),
+                         "cc": self.const(math.cos(half)),
+                         "ss": self.const(-1j * math.sin(half))}
+            self.emit(3, _ESWAP.format(Q=self.quads(*qs), **terms))
         else:
             raise SemanticError(f"unknown gate {name!r}")
-        if noise is None or name in NOISELESS_GATES:
-            return body
-
-        def noisy(ctx):
-            body(ctx)
-            apply_noise(ctx.state, name, qs, ctx.rng, noise)
-        return noisy
-
-    def _compile_measure(self, instr: hir.Measure):
-        q = instr.qubit
-        dest = self.slot[instr.dest]
-        noise = self.noise
-        readers = None
-        if instr.record is not None:
-            readers = (self._boxed(instr.record[0]), self._boxed(instr.record[1]))
-
-        def do_measure(ctx):
-            bit = measure(ctx.state, q, ctx.rng, noise)
-            ctx.regs[dest] = bit
-            if readers is not None:
-                ctx.evidence.append(
-                    (readers[0](ctx.regs), readers[1](ctx.regs), bit))
-        return do_measure
-
-    def _compile_classical(self, instr: hir.Classical):
-        op = instr.op
-        dest = self.slot[instr.dest]
-        dkind = self.kinds[instr.dest]
-        if op in _COMPARE:
-            k = hir._infer_cmp_kind(self.kinds, instr.srcs, instr.line)
-            kinds = (k, k)
-            fn = _COMPARE[op]
-        elif op == "select":
-            kinds = ("bit", dkind, dkind)
+        if self.noise is None or name in NOISELESS_GATES:
+            return
+        if len(qs) == 1:
+            self.emit(3, _NOISE1.format(P=self.pairs(qs[0])))
         else:
-            kinds = (dkind,) * len(instr.srcs)
-            fn = self.domain.ops[op, dkind]
-        srcs = [self._operand(s, k) for s, k in zip(instr.srcs, kinds)]
-        if op == "select":
-            c, a, b = srcs
+            self.emit(3, _NOISE2.format(Pa=self.pairs(qs[0]), Pb=self.pairs(qs[1])))
 
-            def select(ctx):
-                regs = ctx.regs
-                regs[dest] = regs[a] if regs[c] else regs[b]
-            return select
-        if len(srcs) == 1:
-            (a,) = srcs
+    def classical(self, instr: hir.Classical):
+        op = instr.op
+        dest = self.reg[instr.dest]
+        dkind = self.kinds[instr.dest]
+        if op in ("cmp_eq", "cmp_lt"):
+            k = hir._infer_cmp_kind(self.kinds, instr.srcs, instr.line)
+            a, b = (self.operand(s, k) for s in instr.srcs)
+            rel = "==" if op == "cmp_eq" else "<"
+            self.emit(3, f"{dest} = 1 if {a} {rel} {b} else 0")
+        elif op == "select":
+            c, a, b = (self.operand(s, k)
+                       for s, k in zip(instr.srcs, ("bit", dkind, dkind)))
+            self.emit(3, f"{dest} = {a} if {c} else {b}")
+        else:
+            args = ", ".join(self.operand(s, dkind) for s in instr.srcs)
+            self.emit(3, f"{dest} = {op}_{dkind}({args})")
 
-            def unary(ctx):
-                regs = ctx.regs
-                regs[dest] = fn(regs[a])
-            return unary
-        a, b = srcs
-
-        def binary(ctx):
-            regs = ctx.regs
-            regs[dest] = fn(regs[a], regs[b])
-        return binary
-
-    def _compile_terminator(self, term: hir.Terminator, block_index: dict[str, int]):
+    def terminator(self, term: hir.Terminator, index: dict[str, int]):
         if isinstance(term, hir.Br):
-            i = block_index[term.target]
-            return lambda ctx: i
-        if isinstance(term, hir.CondBr):
-            c = self.slot[term.cond]
-            then_i = block_index[term.then_target]
-            else_i = block_index[term.else_target]
-            return lambda ctx: then_i if ctx.regs[c] else else_i
-        readers = tuple((v, self._boxed(v)) for v in term.values)
+            self.emit(3, f"b = {index[term.target]}")
+        elif isinstance(term, hir.CondBr):
+            self.emit(3, f"b = {index[term.then_target]} if {self.reg[term.cond]} "
+                         f"else {index[term.else_target]}")
+        else:
+            for v in term.values:
+                self.emit(3, f"out.append(({v!r}, {self.boxed(v)}))")
+            self.emit(3, "return A")
 
-        def ret(ctx):
-            for name, read in readers:
-                ctx.outputs.append((name, read(ctx.regs)))
-            return -1
-        return ret
 
-    # -- running ------------------------------------------------------------
+class CompiledProgram:
+    """A program compiled for one configuration.  `shot` runs one shot of
+    the generated function `run`; `source` is its text, registered in
+    `linecache` under `filename` so tracebacks show the generated lines."""
 
-    def run(self, seed: int, shot_index: int, step_limit: int) -> ShotRecord:
-        record, _ = self.run_with_ctx(seed, shot_index, step_limit)
-        return record
+    def __init__(self, program: hir.HybridProgram, cfg: ExecConfig):
+        hir.check_semantics(program)
+        proc = program.entry_procedure()
+        gen = _Generator(proc, select_domain(cfg.classical_mode), cfg.noise)
+        self.nqubits = proc.qubits
+        self.source = gen.source
+        self.where = gen.where
+        digest = hashlib.sha1(gen.source.encode()).hexdigest()[:10]
+        self.filename = f"<hir {proc.name}:{digest}>"
+        linecache.cache[self.filename] = (len(gen.source), None,
+                                          gen.source.splitlines(True),
+                                          self.filename)
+        code = _code(gen.source, self.filename)
+        exec(code, gen.ns)
+        self.run = gen.ns["run"]
 
-    def run_with_ctx(self, seed: int, shot_index: int, step_limit: int):
+    def shot(self, seed: int, shot_index: int, step_limit: int):
+        """(ShotRecord, final amplitudes) of one shot."""
         shot_seed = derive_shot_seed(seed, shot_index)
-        ctx = _Ctx(QuantumState(self.nqubits), list(self._regs0),
-                   random.Random(shot_seed))
-        blocks = self.blocks
-        limit = step_limit
-        steps = 0
-        bi = 0
-        while True:
-            instrs, term = blocks[bi]
-            steps += len(instrs) + 1
-            if steps > limit:
-                raise StepLimitExceeded(
-                    f"instruction budget of {limit} exhausted")
-            for fn in instrs:
-                fn(ctx)
-            bi = term(ctx)
-            if bi < 0:
-                break
-        ctx.steps = steps
-        record = ShotRecord(shot_index, shot_seed, tuple(ctx.outputs),
-                            tuple(ctx.evidence))
-        return record, ctx
+        out: list = []
+        ev: list = []
+        try:
+            amps = self.run(random.Random(shot_seed), out, ev, step_limit)
+        except (DivideByZero, StepLimitExceeded, BadQubitIndex) as e:
+            raise ShotError(shot_index, e, *self._locate(e)) from e
+        return ShotRecord(shot_index, shot_seed, tuple(out), tuple(ev)), amps
+
+    def _locate(self, exc: Exception) -> tuple[str | None, int | None]:
+        """(block label, HIR line) of the generated line that raised."""
+        code = self.run.__code__
+        where = (None, None)
+        tb = exc.__traceback__
+        while tb is not None:
+            if tb.tb_frame.f_code is code:
+                where = self.where[tb.tb_lineno - 1]
+            tb = tb.tb_next
+        return where
 
 
-def compile_program(program: hir.HybridProgram, cfg: ExecConfig) -> _Compiled:
-    return _Compiled(program, select_domain(cfg.classical_mode), cfg.noise)
+def compile_program(program: hir.HybridProgram, cfg: ExecConfig) -> CompiledProgram:
+    return CompiledProgram(program, cfg)
 
 
 def run_shot(program: hir.HybridProgram, cfg: ExecConfig,
@@ -595,9 +747,11 @@ def run_shot_debug(program: hir.HybridProgram, cfg: ExecConfig,
                    shot_index: int = 0):
     """Like run_shot, but also returns the final statevector:
     (record, QuantumState)."""
-    record, ctx = compile_program(program, cfg).run_with_ctx(
-        cfg.seed, shot_index, cfg.step_limit)
-    return record, ctx.state
+    compiled = compile_program(program, cfg)
+    record, amps = compiled.shot(cfg.seed, shot_index, cfg.step_limit)
+    state = QuantumState(compiled.nqubits)
+    state.amps = amps
+    return record, state
 
 
 def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
@@ -606,13 +760,7 @@ def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
     Results depend only on (seed, shot index), never on evaluation order."""
     compiled = compile_program(program, cfg)
     indices = range(cfg.shots) if shot_indices is None else shot_indices
-    records = []
-    for i in indices:
-        try:
-            records.append(compiled.run(cfg.seed, i, cfg.step_limit))
-        except (DivideByZero, StepLimitExceeded, BadQubitIndex) as e:
-            raise ShotError(i, e) from e
-    return records
+    return [compiled.shot(cfg.seed, i, cfg.step_limit)[0] for i in indices]
 
 
 # ---------------------------------------------------------------------------

@@ -231,3 +231,17 @@ def test_refit_rejects_empty():
     rec = sim.ShotRecord(0, 0, (("mu", 0.1),), ())
     with pytest.raises(ValueError):
         refit([rec])
+
+
+def test_refit_rejects_grid_with_fewer_than_six_nodes_per_period():
+    # RWPE's last evolution time is 322.08: 6 nodes per period of 2/|t| over
+    # [-1, 1] need 1934 nodes.
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=1, shots=3))
+    refit(records, grid_size=1934)
+    with pytest.raises(ValueError, match=r"shot 0: \|t\| = 322\.085 needs a grid "
+                                         r"of at least 1934 nodes"):
+        refit(records, grid_size=1933)
+    # A narrower prior interval needs proportionally fewer nodes.
+    refit(records, grid_size=1001, prior_interval=(0.0, 1.0))
+    with pytest.raises(ValueError, match="at least 968 nodes"):
+        refit(records, grid_size=967, prior_interval=(0.0, 1.0))

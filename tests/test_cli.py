@@ -153,7 +153,7 @@ def test_refit_pipeline(tmp_path, capsys):
     prefix = str(tmp_path / "walk")
     main(["rwpe", "--shots", "60", "--seed", "9", "--out-prefix", prefix])
     capsys.readouterr()
-    assert main(["refit", prefix + ".records.jsonl", "--grid", "801",
+    assert main(["refit", prefix + ".records.jsonl",
                  "--true-value", "0.5", "--out-prefix", prefix]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["shots"] == 60
@@ -163,6 +163,16 @@ def test_refit_pipeline(tmp_path, capsys):
     assert len(csv_lines) == 61
     blob = json.loads(open(prefix + ".refit.json").read())
     assert blob == payload
+
+
+def test_refit_rejects_grid_too_coarse_for_recorded_times(tmp_path, capsys):
+    prefix = str(tmp_path / "walk")
+    main(["rwpe", "--shots", "5", "--seed", "9", "--out-prefix", prefix])
+    capsys.readouterr()
+    assert main(["refit", prefix + ".records.jsonl", "--grid", "801"]) == 1
+    err = capsys.readouterr().err
+    assert "shot 0: |t| = 322.085" in err
+    assert "at least 1934 nodes" in err
 
 
 def test_refit_deterministic(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Byte-identity guard for shot records.
 
 `golden/records.sha256.json` holds the SHA-256 of the JSONL for the first
-100 shots of each reference program, in both classical modes, with and
-without the default noise model, at fixed seeds.  Any change to the
-interpreter that alters a single byte of a record fails here.  A change
+100 shots of each reference program (RWPE and IPE also lowered to the
+NATIVE profile), in both classical modes, with and without the default
+noise model, at fixed seeds.  Any change to the engine that alters a
+single byte of a record fails here.  A change
 that alters records on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_records_golden.py
@@ -16,9 +17,10 @@ import io
 import json
 from pathlib import Path
 
-from hybridsim import sim
+from hybridsim import profiles, sim
 from hybridsim.algorithms import (build_active_reset, build_ipe_program,
                                   build_rwpe, build_teleport)
+from hybridsim.lowering import lower_to_native
 from hybridsim.sim import ClassicalMode, ExecConfig, NoiseModel
 
 GOLDEN = Path(__file__).parent / "golden" / "records.sha256.json"
@@ -29,6 +31,10 @@ PROGRAMS = {
     "active_reset": (build_active_reset, 7),
     "teleport": (build_teleport, 31),
     "ipe": (lambda: build_ipe_program(0.3, 1.25), 99),
+    # Lowered to NATIVE, so `sx` and `eswap` reach a golden too.
+    "rwpe_native": (lambda: lower_to_native(build_rwpe(), profiles.NATIVE), 2025),
+    "ipe_native": (lambda: lower_to_native(build_ipe_program(-0.4, 1.7, 0.9),
+                                           profiles.NATIVE), 101),
 }
 
 

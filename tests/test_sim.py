@@ -4,6 +4,7 @@ determinism, and record serialization."""
 import io
 import math
 import random
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -469,6 +470,144 @@ endproc
     assert isinstance(err.value.cause, DivideByZero)
 
 
+_DIVIDES_IN_BLOCK_WORK = """proc main qubits 1
+  var fixed a = 0.0
+  var fixed b = 0.0
+entry:
+  h q0
+  br work
+work:
+  x q0
+  recip b, a
+  ret
+endproc
+"""
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+def test_shot_error_names_block_and_source_line(mode):
+    prog = hir.parse(_DIVIDES_IN_BLOCK_WORK)
+    with pytest.raises(ShotError) as err:
+        sim.run_shots(prog, ExecConfig(classical_mode=mode), [7])
+    e = err.value
+    assert (e.shot_index, e.block, e.line) == (7, "work", 9)
+    assert isinstance(e.cause, DivideByZero)
+    assert str(e) == "shot 7, block work, line 9: reciprocal of zero"
+    # The traceback shows the generated statement that raised.
+    text = "".join(traceback.format_exception(e.cause))
+    assert '<hir main:' in text
+    assert "r1 = recip_fixed(r0)" in text
+
+
+def test_step_limit_shot_error_names_the_looping_block():
+    prog = hir.parse("proc main qubits 0\nentry:\n  br loop\n"
+                     "loop:\n  br loop\nendproc\n")
+    with pytest.raises(ShotError) as err:
+        sim.run_shot(prog, ExecConfig(step_limit=100), 3)
+    e = err.value
+    assert (e.shot_index, e.block, e.line) == (3, "loop", 5)
+    assert isinstance(e.cause, StepLimitExceeded)
+    assert "shot 3, block loop, line 5:" in str(e)
+
+
+# Differential test: the generated engine against a replay of the same shot
+# through the QuantumState methods, `apply_noise` and `measure`, drawing from
+# the same per-shot generator.  Amplitudes and records must be equal exactly.
+
+_HEAVY_NOISE = NoiseModel(p_gate1=0.3, p_gate2=0.4, p_readout=0.3)
+_ANGLE_VARS = ("f0", "f1")
+_BIT_VARS = ("d0", "d1")
+
+
+@st.composite
+def _quantum_programs(draw):
+    n = draw(st.integers(0, 4))
+    angle = st.one_of(st.sampled_from(_ANGLE_VARS),
+                      st.floats(fx.REAL_MIN, fx.REAL_MAX))
+    decls = tuple(hir.VarDecl(v, "fixed", draw(st.floats(fx.REAL_MIN, fx.REAL_MAX)))
+                  for v in _ANGLE_VARS) + \
+        tuple(hir.VarDecl(v, "bit", 0) for v in _BIT_VARS)
+    choices = ["active_reset"]
+    if n >= 1:
+        choices += ["h", "x", "sx", "rz", "mz", "reset"]
+    if n >= 2:
+        choices += ["crz", "eswap", "cnot"]
+    instrs = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(choices))
+        if kind == "active_reset":
+            instrs.append(hir.ActiveReset())
+            continue
+        q = draw(st.integers(0, n - 1))
+        if kind == "mz":
+            record = draw(st.sampled_from([None, _ANGLE_VARS]))
+            instrs.append(hir.Measure(q, draw(st.sampled_from(_BIT_VARS)), record))
+        elif kind == "reset":
+            instrs.append(hir.Reset(q))
+        elif hir.GATE_ARITY[kind] == 1:
+            instrs.append(hir.Gate(kind, (q,), draw(angle) if kind == "rz" else None))
+        else:
+            qs = (q, draw(st.integers(0, n - 1).filter(lambda r: r != q)))
+            instrs.append(hir.Gate(kind, qs, None if kind == "cnot" else draw(angle)))
+    proc = hir.Procedure("main", n, decls, (hir.BasicBlock(
+        "entry", tuple(instrs), hir.Ret(_BIT_VARS + _ANGLE_VARS)),))
+    return hir.make_program(proc)
+
+
+def _replay(prog, cfg, shot_index):
+    """(record, amplitudes) of one shot, instruction by instruction."""
+    proc = prog.entry_procedure()
+    domain = sim.select_domain(cfg.classical_mode)
+    kinds = {d.name: d.kind for d in proc.decls}
+    regs = {d.name: domain.literal[d.kind](d.init) for d in proc.decls}
+
+    def boxed(name):
+        box = domain.box[kinds[name]]
+        return regs[name] if box is None else box(regs[name])
+
+    shot_seed = sim.derive_shot_seed(cfg.seed, shot_index)
+    rng = random.Random(shot_seed)
+    state = QuantumState(proc.qubits)
+    evidence = []
+    for ins in proc.blocks[0].instructions:
+        if isinstance(ins, hir.Gate):
+            angle = None
+            if ins.angle is not None:
+                word = regs[ins.angle] if isinstance(ins.angle, str) else \
+                    domain.literal["fixed"](ins.angle)
+                angle = domain.radians(word)
+            state.apply_gate(ins.name, ins.qubits, angle)
+            if cfg.noise is not None:
+                sim.apply_noise(state, ins.name, ins.qubits, rng, cfg.noise)
+        elif isinstance(ins, hir.Measure):
+            regs[ins.dest] = sim.measure(state, ins.qubit, rng, cfg.noise)
+            if ins.record is not None:
+                evidence.append((boxed(ins.record[0]), boxed(ins.record[1]),
+                                 regs[ins.dest]))
+        elif isinstance(ins, hir.Reset):
+            state.reset(ins.qubit, rng)
+        else:
+            for q in range(proc.qubits):
+                state.reset(q, rng)
+    outputs = tuple((v, boxed(v)) for v in proc.blocks[0].terminator.values)
+    return sim.ShotRecord(shot_index, shot_seed, outputs, tuple(evidence)), state.amps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quantum_programs(), st.sampled_from(list(ClassicalMode)),
+       st.sampled_from([None, NoiseModel(), _HEAVY_NOISE]),
+       st.integers(0, 2 ** 32 - 1))
+def test_engine_matches_quantum_state_replay(prog, mode, noise, seed):
+    cfg = ExecConfig(classical_mode=mode, noise=noise, seed=seed)
+    for i in range(3):
+        record, state = sim.run_shot_debug(prog, cfg, i)
+        want_record, want_amps = _replay(prog, cfg, i)
+        assert record == want_record
+        assert state.amps == want_amps
+        # repr also tells -0.0 from 0.0
+        assert repr(state.amps) == repr(want_amps)
+
+
 # -- noise ---------------------------------------------------------------------
 
 def test_noise_p_zero_leaves_state_unchanged():
@@ -483,7 +622,6 @@ def test_noise_p_zero_leaves_state_unchanged():
 def test_noise_pauli_frequencies():
     prog = hir.parse("proc main qubits 1\nentry:\n  x q0\n  ret\nendproc\n")
     cfg = ExecConfig(seed=13, noise=NoiseModel(p_gate1=1.0, p_readout=0.0))
-    compiled = sim.compile_program(prog, cfg)
     targets = {
         "x": oracles.X @ np.array([0, 1]),
         "y": oracles.Y @ np.array([0, 1]),
@@ -492,8 +630,8 @@ def test_noise_pauli_frequencies():
     counts = {k: 0 for k in targets}
     n = 30000
     for i in range(n):
-        _, ctx = compiled.run_with_ctx(13, i, 10 ** 6)
-        amps = np.array(ctx.state.amps)
+        _, state = sim.run_shot_debug(prog, cfg, i)
+        amps = np.array(state.amps)
         for k, vec in targets.items():
             if np.allclose(amps, vec, atol=1e-12):
                 counts[k] += 1
