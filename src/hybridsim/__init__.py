@@ -13,10 +13,9 @@ evidence (`bayes`).
 """
 
 from . import algorithms, bayes, fixedpoint, hir, lowering, profiles, sim
-from .algorithms import (RWPE_CONSTANTS, RwpeConstants, RwpeParams,
-                         analytic_pr0, build_active_reset, build_ipe_program,
-                         build_ipe_step, build_rwpe, build_teleport,
-                         runtime_estimate)
+from .algorithms import (RwpeParams, analytic_pr0, build_active_reset,
+                         build_ipe_program, build_ipe_step, build_rwpe,
+                         build_teleport, runtime_estimate)
 from .bayes import (EvidenceRecord, PosteriorGrid, RefitResult,
                     evidence_from_record, log_likelihood, mmse_estimate,
                     posterior, refit, uniform_grid)

@@ -38,15 +38,6 @@ SHRINK_FACTOR = math.sqrt((math.e - 1.0) / math.e)      # deviation contraction
 
 
 @dataclass(frozen=True)
-class RwpeConstants:
-    c_shift: float = SHIFT_FACTOR
-    c_shrink: float = SHRINK_FACTOR
-
-
-RWPE_CONSTANTS = RwpeConstants()
-
-
-@dataclass(frozen=True)
 class RwpeParams:
     """Run configuration for the random-walk estimator.
 

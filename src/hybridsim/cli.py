@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import algorithms, bayes, hir, lowering, sim
-from .errors import HybridSimError, IRSyntaxError, SemanticError, ShotError
+from .errors import HybridSimError, ShotError
 from .hist import histogram
 from .profiles import PROFILES, validate
 
@@ -75,26 +75,13 @@ def _emit_diagnostics(diags):
         print(json.dumps(d.to_json(), separators=(",", ":")), file=sys.stderr)
 
 
-def _run_records(program, args):
-    cfg = _exec_config(args)
-    return sim.run_shots(program, cfg)
-
-
 def cmd_run(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (IRSyntaxError, SemanticError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    program = _load_program(args.program)
     diags = validate(program, PROFILES["permissive"])
     if diags:
         _emit_diagnostics(diags)
         return 1
-    try:
-        records = _run_records(program, args)
-    except ShotError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    records = sim.run_shots(program, _exec_config(args))
     buf = io.StringIO()
     sim.write_records(records, buf)
     _write_text(args.out, buf.getvalue())
@@ -105,12 +92,7 @@ def cmd_rwpe(args) -> int:
     params = algorithms.RwpeParams(
         mu0=args.mu0, sigma0=args.sigma0, n_iter=args.iters,
         refresh_period=args.refresh_period, oracle_coeff=args.oracle_coeff)
-    program = algorithms.build_rwpe(params)
-    try:
-        records = _run_records(program, args)
-    except ShotError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    records = sim.run_shots(algorithms.build_rwpe(params), _exec_config(args))
     estimates = [algorithms.runtime_estimate(r) for r in records]
     hist = histogram(estimates, args.bins)
     mode_bin = hist.mode_bin()
@@ -131,28 +113,15 @@ def cmd_rwpe(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (IRSyntaxError, SemanticError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    diags = validate(program, PROFILES[args.profile])
+    diags = validate(_load_program(args.program), PROFILES[args.profile])
     for d in diags:
         print(json.dumps(d.to_json(), separators=(",", ":")))
     return 1 if diags else 0
 
 
 def cmd_lower(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (IRSyntaxError, SemanticError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        lowered, diags = lowering.lower_and_check(program, PROFILES[args.profile])
-    except HybridSimError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    lowered, diags = lowering.lower_and_check(_load_program(args.program),
+                                              PROFILES[args.profile])
     if diags:
         _emit_diagnostics(diags)
         return 1
@@ -176,13 +145,9 @@ def cmd_refit(args) -> int:
             raw = [algorithms.runtime_estimate(r) for r in records]
         except KeyError:
             raw = None
-    try:
-        result = bayes.refit(records, grid_size=args.grid,
-                             prior_interval=tuple(args.interval),
-                             true_value=args.true_value, raw_estimates=raw)
-    except (ValueError, HybridSimError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    result = bayes.refit(records, grid_size=args.grid,
+                         prior_interval=tuple(args.interval),
+                         true_value=args.true_value, raw_estimates=raw)
     payload = {
         "pooled": result.pooled,
         "mean": result.mean,
@@ -202,12 +167,7 @@ def cmd_refit(args) -> int:
 
 
 def cmd_demo_reset(args) -> int:
-    program = algorithms.build_active_reset()
-    try:
-        records = _run_records(program, args)
-    except ShotError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    records = sim.run_shots(algorithms.build_active_reset(), _exec_config(args))
     successes = sum(v for r in records for name, v in r.outputs if name == "ok")
     print(json.dumps({"shots": len(records),
                       "success_rate": successes / len(records)}))
@@ -219,12 +179,7 @@ def cmd_demo_reset(args) -> int:
 
 
 def cmd_demo_teleport(args) -> int:
-    program = algorithms.build_teleport()
-    try:
-        records = _run_records(program, args)
-    except ShotError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    records = sim.run_shots(algorithms.build_teleport(), _exec_config(args))
     branch_counts: dict[str, int] = {}
     for r in records:
         key = "".join(str(v) for _, v in r.outputs)
@@ -296,9 +251,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, HybridSimError) as e:
-        # bad parameters or load-time failures; shot-time errors (exit 2)
-        # are handled inside the command functions
+    except ShotError as e:          # a failure inside a shot
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, HybridSimError) as e:
+        # bad parameters, unreadable or invalid input files
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -16,9 +16,8 @@ Semantics mirrored here:
 - a Q2.16 value used as a rotation is read in units of pi, so the word's
   wrap range covers two full periods and wrap-around is harmless there.
 
-The module-level functions operate on raw integer words (fast path used by
-the simulator); :class:`FixedQ216` and :class:`Int18` wrap them in typed
-values for everything else.
+The module-level functions operate on raw integer words; :class:`FixedQ216`
+and :class:`Int18` box a word as a typed value in shot records.
 """
 
 from __future__ import annotations
@@ -150,34 +149,9 @@ class FixedQ216:
         if not (RAW_MIN <= self.raw <= RAW_MAX):
             raise OutOfRange(f"raw word {self.raw} is not an 18-bit value")
 
-    @classmethod
-    def from_real(cls, x: float) -> "FixedQ216":
-        return cls(encode(x))
-
     @property
     def value(self) -> float:
         return decode(self.raw)
-
-    def __add__(self, other: "FixedQ216") -> "FixedQ216":
-        return FixedQ216(add_raw(self.raw, other.raw))
-
-    def __sub__(self, other: "FixedQ216") -> "FixedQ216":
-        return FixedQ216(sub_raw(self.raw, other.raw))
-
-    def __mul__(self, other: "FixedQ216") -> "FixedQ216":
-        return FixedQ216(mul_raw(self.raw, other.raw))
-
-    def __neg__(self) -> "FixedQ216":
-        return FixedQ216(neg_raw(self.raw))
-
-    def recip(self) -> "FixedQ216":
-        return FixedQ216(recip_raw(self.raw))
-
-    def __truediv__(self, other: "FixedQ216") -> "FixedQ216":
-        return FixedQ216(div_raw(self.raw, other.raw))
-
-    def to_radians(self) -> float:
-        return to_radians(self.raw)
 
     def __repr__(self) -> str:
         return f"FixedQ216(raw={self.raw}, value={self.value!r})"
@@ -192,22 +166,6 @@ class Int18:
     def __post_init__(self):
         if not (RAW_MIN <= self.raw <= RAW_MAX):
             raise OutOfRange(f"raw word {self.raw} is not an 18-bit value")
-
-    @classmethod
-    def from_int(cls, x: int) -> "Int18":
-        return cls(check_int_range(x))
-
-    def __add__(self, other: "Int18") -> "Int18":
-        return Int18(wrap_raw(self.raw + other.raw))
-
-    def __sub__(self, other: "Int18") -> "Int18":
-        return Int18(wrap_raw(self.raw - other.raw))
-
-    def __mul__(self, other: "Int18") -> "Int18":
-        return Int18(wrap_raw(self.raw * other.raw))
-
-    def __neg__(self) -> "Int18":
-        return Int18(wrap_raw(-self.raw))
 
     def __repr__(self) -> str:
         return f"Int18({self.raw})"

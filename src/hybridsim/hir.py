@@ -1,6 +1,6 @@
 """Textual hybrid intermediate representation.
 
-A program is a list of procedures, each a prologue of variable declarations
+A program is exactly one procedure: a prologue of variable declarations
 followed by labelled basic blocks.  Blocks mix quantum instructions,
 classical register arithmetic and IO, and end in exactly one terminator
 (`br`, `condbr`, or `ret`).  The grammar is line-oriented:
@@ -20,8 +20,9 @@ classical register arithmetic and IO, and end in exactly one terminator
 
 Variable kinds are `bit`, `int18` and `fixed` (Q2.16).  Angles are written
 in units of pi and may be a `fixed` variable or a decimal literal.  Qubit
-operands are `q0`, `q1`, ... with static indices.  The first procedure is
-the entry point.  `parse` and `emit` are exact inverses on valid programs.
+operands are `q0`, `q1`, ... with static indices.  No instruction calls
+another procedure, so any text after `endproc` is a syntax error.  `parse`
+and `emit` are exact inverses on valid programs.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ class VarDecl:
     name: str
     kind: str
     init: float | int
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,19 +155,16 @@ class Procedure:
 
 @dataclass(frozen=True, slots=True)
 class HybridProgram:
-    procedures: tuple[Procedure, ...]
-    entry: str
+    procedure: Procedure
 
     def entry_procedure(self) -> Procedure:
-        for p in self.procedures:
-            if p.name == self.entry:
-                return p
-        raise SemanticError(f"entry procedure {self.entry!r} not found")
+        """The procedure (the name predates single-procedure programs)."""
+        return self.procedure
 
 
-def make_program(*procedures: Procedure) -> HybridProgram:
-    """Build a program whose entry is the first procedure, and check it."""
-    prog = HybridProgram(tuple(procedures), procedures[0].name)
+def make_program(procedure: Procedure) -> HybridProgram:
+    """Build the program of `procedure`, and check it."""
+    prog = HybridProgram(procedure)
     check_semantics(prog)
     return prog
 
@@ -173,12 +172,6 @@ def make_program(*procedures: Procedure) -> HybridProgram:
 # ---------------------------------------------------------------------------
 # Semantic checking over the object model (used by parse and by the
 # compiler's load step, so builder-made programs get the same scrutiny).
-
-def _operand_kind(tok: str | float | int) -> str:
-    if isinstance(tok, str):
-        return "var"
-    return "fixed" if isinstance(tok, float) else "int"
-
 
 def _check_operand(kinds: dict[str, str], tok, want: str, line, what: str):
     if isinstance(tok, str):
@@ -282,7 +275,8 @@ def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
         raise SemanticError(f"unknown instruction {instr!r}")
 
 
-def check_procedure(proc: Procedure):
+def check_semantics(prog: HybridProgram):
+    proc = prog.procedure
     if proc.qubits < 0:
         raise SemanticError(f"procedure {proc.name!r}: negative qubit count")
     kinds: dict[str, str] = {}
@@ -318,17 +312,6 @@ def check_procedure(proc: Procedure):
         for tgt in targets:
             if tgt not in labels:
                 raise SemanticError(f"branch to unknown label {tgt!r}", t.line)
-
-
-def check_semantics(prog: HybridProgram):
-    names = set()
-    for p in prog.procedures:
-        if p.name in names:
-            raise SemanticError(f"duplicate procedure {p.name!r}")
-        names.add(p.name)
-        check_procedure(p)
-    if prog.entry not in names:
-        raise SemanticError(f"entry procedure {prog.entry!r} not found")
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +433,7 @@ _DEFAULT_INIT = {"bit": 0, "int18": 0, "fixed": 0.0}
 
 def parse(text: str) -> HybridProgram:
     """Parse program text.  Raises IRSyntaxError / SemanticError."""
-    procs: list[Procedure] = []
+    proc: Procedure | None = None    # the procedure, once closed
     cur: dict | None = None          # open procedure under construction
     blocks: list[BasicBlock] = []
     label: str | None = None
@@ -470,6 +453,9 @@ def parse(text: str) -> HybridProgram:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
+        if proc is not None:
+            raise IRSyntaxError("text after endproc (a program is one "
+                                "procedure)", ln)
         tokens = line.split()
         if tokens[0] == "proc":
             if cur is not None:
@@ -486,8 +472,8 @@ def parse(text: str) -> HybridProgram:
             if len(tokens) != 1:
                 raise IRSyntaxError("endproc takes nothing", ln)
             close_block(ln)
-            procs.append(Procedure(cur["name"], cur["qubits"],
-                                   tuple(cur["decls"]), tuple(blocks)))
+            proc = Procedure(cur["name"], cur["qubits"],
+                             tuple(cur["decls"]), tuple(blocks))
             cur = None
             continue
         if tokens[0] == "var":
@@ -499,7 +485,7 @@ def parse(text: str) -> HybridProgram:
             kind, name, init_tok = m.group(1), _parse_varname(m.group(2), ln), m.group(3)
             init = (_parse_literal(init_tok, kind, ln) if init_tok is not None
                     else _DEFAULT_INIT[kind])
-            cur["decls"].append(VarDecl(name, kind, init))
+            cur["decls"].append(VarDecl(name, kind, init, line=ln))
             continue
         m = _LABEL_RE.match(line)
         if m:
@@ -518,11 +504,9 @@ def parse(text: str) -> HybridProgram:
             instrs.append(item)
     if cur is not None:
         raise IRSyntaxError("missing endproc", len(text.splitlines()) or 1)
-    if not procs:
-        raise IRSyntaxError("no procedures", 1)
-    prog = HybridProgram(tuple(procs), procs[0].name)
-    check_semantics(prog)
-    return prog
+    if proc is None:
+        raise IRSyntaxError("no procedure", 1)
+    return make_program(proc)
 
 
 # ---------------------------------------------------------------------------
@@ -566,19 +550,16 @@ def _fmt_instruction(instr: Instruction | Terminator) -> str:
 
 
 def emit(prog: HybridProgram) -> str:
-    out: list[str] = []
-    for i, p in enumerate(prog.procedures):
-        if i:
-            out.append("")
-        out.append(f"proc {p.name} qubits {p.qubits}")
-        for d in p.decls:
-            out.append(f"  var {d.kind} {d.name} = {_fmt_operand(d.init)}")
-        for b in p.blocks:
-            out.append(f"{b.label}:")
-            for instr in b.instructions:
-                out.append(f"  {_fmt_instruction(instr)}")
-            out.append(f"  {_fmt_instruction(b.terminator)}")
-        out.append("endproc")
+    p = prog.procedure
+    out = [f"proc {p.name} qubits {p.qubits}"]
+    for d in p.decls:
+        out.append(f"  var {d.kind} {d.name} = {_fmt_operand(d.init)}")
+    for b in p.blocks:
+        out.append(f"{b.label}:")
+        for instr in b.instructions:
+            out.append(f"  {_fmt_instruction(instr)}")
+        out.append(f"  {_fmt_instruction(b.terminator)}")
+    out.append("endproc")
     return "\n".join(out) + "\n"
 
 
@@ -605,8 +586,8 @@ class Cfg:
         return "\n".join(lines) + "\n"
 
 
-def cfg(target: HybridProgram | Procedure) -> Cfg:
-    proc = target.entry_procedure() if isinstance(target, HybridProgram) else target
+def cfg(prog: HybridProgram) -> Cfg:
+    proc = prog.procedure
     succ: dict[str, tuple[str, ...]] = {}
     for b in proc.blocks:
         t = b.terminator

@@ -78,42 +78,38 @@ def _expand_crz(instr: hir.Gate, taken: set[str],
 def lower_to_native(prog: hir.HybridProgram, profile: Profile) -> hir.HybridProgram:
     """Rewrite every gate the profile rejects; raises UnloweredGate if some
     gate has no decomposition into the profile's set."""
-    procs = []
-    for p in prog.procedures:
-        taken = {d.name for d in p.decls}
-        new_decls: list[hir.VarDecl] = []
-        blocks = []
-        for b in p.blocks:
-            instrs: list[hir.Instruction] = list(b.instructions)
-            changed = True
-            while changed:
-                changed = False
-                out: list[hir.Instruction] = []
-                for instr in instrs:
-                    if not isinstance(instr, hir.Gate) or instr.name in profile.gates:
-                        out.append(instr)
-                    elif instr.name == "cnot":
-                        out.extend(_expand_cnot(*instr.qubits))
-                        changed = True
-                    elif instr.name == "crz":
-                        out.extend(_expand_crz(instr, taken, new_decls))
-                        changed = True
-                    else:
-                        raise UnloweredGate(
-                            f"no decomposition of {instr.name!r} into profile "
-                            f"{profile.name!r}")
-                instrs = out
+    p = prog.procedure
+    taken = {d.name for d in p.decls}
+    new_decls: list[hir.VarDecl] = []
+    blocks = []
+    for b in p.blocks:
+        instrs: list[hir.Instruction] = list(b.instructions)
+        changed = True
+        while changed:
+            changed = False
+            out: list[hir.Instruction] = []
             for instr in instrs:
-                if isinstance(instr, hir.Gate) and instr.name not in profile.gates:
+                if not isinstance(instr, hir.Gate) or instr.name in profile.gates:
+                    out.append(instr)
+                elif instr.name == "cnot":
+                    out.extend(_expand_cnot(*instr.qubits))
+                    changed = True
+                elif instr.name == "crz":
+                    out.extend(_expand_crz(instr, taken, new_decls))
+                    changed = True
+                else:
                     raise UnloweredGate(
-                        f"gate {instr.name!r} survived lowering into profile "
+                        f"no decomposition of {instr.name!r} into profile "
                         f"{profile.name!r}")
-            blocks.append(hir.BasicBlock(b.label, tuple(instrs), b.terminator))
-        procs.append(hir.Procedure(p.name, p.qubits,
-                                   p.decls + tuple(new_decls), tuple(blocks)))
-    lowered = hir.HybridProgram(tuple(procs), prog.entry)
-    hir.check_semantics(lowered)
-    return lowered
+            instrs = out
+        for instr in instrs:
+            if isinstance(instr, hir.Gate) and instr.name not in profile.gates:
+                raise UnloweredGate(
+                    f"gate {instr.name!r} survived lowering into profile "
+                    f"{profile.name!r}")
+        blocks.append(hir.BasicBlock(b.label, tuple(instrs), b.terminator))
+    return hir.make_program(hir.Procedure(
+        p.name, p.qubits, p.decls + tuple(new_decls), tuple(blocks)))
 
 
 def lower_and_check(prog: hir.HybridProgram, profile: Profile):

@@ -1,6 +1,6 @@
 """Shot-based executor for hybrid programs.
 
-One shot = one pass over the entry procedure: a single statevector lives
+One shot = one pass over the program's procedure: a single statevector lives
 for the whole shot while classical instructions and control flow run
 between gates.  Three infidelity sources can be switched on independently:
 finite shot counts, depolarizing/readout noise, and fixed-point classical
@@ -359,7 +359,7 @@ def select_domain(mode: ClassicalMode) -> Domain:
 # ---------------------------------------------------------------------------
 # Compilation of a program into one generated Python function.
 #
-# The entry procedure becomes the source of `run(rng, out, ev, limit)`.
+# The program's procedure becomes the source of `run(rng, out, ev, limit)`.
 # Registers are the locals r0, r1, ... (one per declared variable), the
 # amplitudes are the list `A`, and each block is one branch of a `while`
 # dispatch on the block index `b`.  Gates, measurements, resets and noise
@@ -696,7 +696,7 @@ class CompiledProgram:
 
     def __init__(self, program: hir.HybridProgram, cfg: ExecConfig):
         hir.check_semantics(program)
-        proc = program.entry_procedure()
+        proc = program.procedure
         gen = _Generator(proc, select_domain(cfg.classical_mode), cfg.noise)
         self.nqubits = proc.qubits
         self.source = gen.source
@@ -717,7 +717,7 @@ class CompiledProgram:
         ev: list = []
         try:
             amps = self.run(random.Random(shot_seed), out, ev, step_limit)
-        except (DivideByZero, StepLimitExceeded, BadQubitIndex) as e:
+        except (DivideByZero, StepLimitExceeded) as e:
             raise ShotError(shot_index, e, *self._locate(e)) from e
         return ShotRecord(shot_index, shot_seed, tuple(out), tuple(ev)), amps
 

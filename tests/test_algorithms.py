@@ -7,18 +7,18 @@ import pytest
 
 import oracles
 from hybridsim import sim
-from hybridsim.algorithms import (RWPE_CONSTANTS, RwpeParams, analytic_pr0,
-                                  build_active_reset, build_ipe_program,
-                                  build_ipe_step, build_rwpe, build_teleport,
-                                  runtime_estimate)
+from hybridsim.algorithms import (SHIFT_FACTOR, SHRINK_FACTOR, RwpeParams,
+                                  analytic_pr0, build_active_reset,
+                                  build_ipe_program, build_ipe_step,
+                                  build_rwpe, build_teleport, runtime_estimate)
 from hybridsim.profiles import PERMISSIVE, validate
 from hybridsim.sim import ClassicalMode, ExecConfig
 
 
 def test_constants_satisfy_identities():
-    assert abs(RWPE_CONSTANTS.c_shift ** 2 - 1 / math.e) < 1e-12
-    assert abs(RWPE_CONSTANTS.c_shrink ** 2 - (math.e - 1) / math.e) < 1e-12
-    assert abs(RWPE_CONSTANTS.c_shift - 0.6065307) < 1e-7
+    assert abs(SHIFT_FACTOR ** 2 - 1 / math.e) < 1e-12
+    assert abs(SHRINK_FACTOR ** 2 - (math.e - 1) / math.e) < 1e-12
+    assert abs(SHIFT_FACTOR - 0.6065307) < 1e-7
 
 
 def test_params_validation():
@@ -85,8 +85,8 @@ def test_ipe_fragment_shape():
 
 
 def test_rwpe_single_iteration_updates():
-    """One iteration moves the mean by exactly sigma0 * c_shift, with the
-    direction set by the recorded outcome (up on 1, down on 0)."""
+    """One iteration moves the mean by exactly sigma0 * SHIFT_FACTOR, with
+    the direction set by the recorded outcome (up on 1, down on 0)."""
     params = RwpeParams(n_iter=1)
     prog = build_rwpe(params)
     seen = set()
@@ -96,7 +96,7 @@ def test_rwpe_single_iteration_updates():
         assert t == pytest.approx(1 / params.sigma0, rel=1e-12)
         assert phi_inv == pytest.approx(params.mu0 - 0.5 * params.sigma0)
         mu = dict(rec.outputs)["mu"]
-        step = params.sigma0 * RWPE_CONSTANTS.c_shift
+        step = params.sigma0 * SHIFT_FACTOR
         expected = params.mu0 + step if d else params.mu0 - step
         assert mu == pytest.approx(expected, abs=1e-12)
         seen.add(d)
@@ -110,7 +110,7 @@ def test_rwpe_sigma_closed_form_via_evidence():
     sigma0 = RwpeParams().sigma0
     times = [t for t, _, _ in rec.evidence]
     for k, t in enumerate(times):
-        sigma_k = sigma0 * RWPE_CONSTANTS.c_shrink ** k
+        sigma_k = sigma0 * SHRINK_FACTOR ** k
         assert t == pytest.approx(1 / sigma_k, rel=1e-9)
     assert all(a < b for a, b in zip(times, times[1:]))
 

@@ -80,6 +80,25 @@ def test_run_invalid_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+TWO_PROCEDURES = (TELEPORT + "\nproc b qubits 99\n  var fixed w = 9.0\n"
+                  "entry:\n  ret\nendproc\n")
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "lower"])
+def test_second_procedure_exits_1(tmp_path, capsys, command):
+    prog = _write(tmp_path, "two.hir", TWO_PROCEDURES)
+    line = TELEPORT.count("\n") + 2
+    assert main([command, prog]) == 1
+    err = capsys.readouterr().err
+    assert f"error: line {line}, col 1: text after endproc" in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "lower"])
+def test_missing_program_file_exits_1(tmp_path, capsys, command):
+    assert main([command, str(tmp_path / "absent.hir")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_range_diagnostic_exits_1(tmp_path, capsys):
     prog = _write(tmp_path, "range.hir",
                   "proc main qubits 1\n  var fixed a = 3.5\nentry:\n"
@@ -173,6 +192,15 @@ def test_refit_rejects_grid_too_coarse_for_recorded_times(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "shot 0: |t| = 322.085" in err
     assert "at least 1934 nodes" in err
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_refit_rejects_grid_below_two_nodes(tmp_path, capsys, grid):
+    prefix = str(tmp_path / "walk")
+    main(["rwpe", "--shots", "2", "--seed", "9", "--out-prefix", prefix])
+    capsys.readouterr()
+    assert main(["refit", prefix + ".records.jsonl", "--grid", grid]) == 1
+    assert "error: grid needs >= 2 nodes" in capsys.readouterr().err
 
 
 def test_refit_deterministic(tmp_path, capsys):

@@ -91,6 +91,14 @@ def test_qubit_out_of_range():
         hir.parse("proc main qubits 1\na:\n  h q3\n  ret\nendproc\n")
 
 
+def test_second_procedure_is_a_syntax_error():
+    with pytest.raises(IRSyntaxError) as e:
+        hir.parse(MINIMAL + "\nproc other qubits 99\nentry:\n  ret\nendproc\n")
+    assert e.value.line == 6
+    with pytest.raises(IRSyntaxError, match="after endproc"):
+        hir.parse(MINIMAL + "  h q0\n")
+
+
 def test_syntax_error_carries_line():
     try:
         hir.parse("proc main qubits 1\nentry:\n  frobnicate q0\n  ret\nendproc\n")

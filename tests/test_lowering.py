@@ -11,7 +11,7 @@ from hybridsim import hir
 from hybridsim.algorithms import build_rwpe
 from hybridsim.errors import UnloweredGate
 from hybridsim.lowering import lower_to_native
-from hybridsim.profiles import NATIVE, PERMISSIVE, Profile, validate
+from hybridsim.profiles import NATIVE, Profile, validate
 
 TOL = 1e-10
 
@@ -85,8 +85,7 @@ def test_lowered_rwpe_validates_native():
 
 def test_unlowerable_gate_raises():
     no_entangler = Profile(name="tiny",
-                           gates=frozenset({"h", "x", "rz", "mz", "reset"}),
-                           classical_ops=PERMISSIVE.classical_ops, max_qubits=4)
+                           gates=frozenset({"h", "x", "rz"}), max_qubits=4)
     with pytest.raises(UnloweredGate):
         lower_to_native(_single_gate_program("crz(0.5) q0, q1"), no_entangler)
     with pytest.raises(UnloweredGate):

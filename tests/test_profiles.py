@@ -32,6 +32,7 @@ endproc
 """)
     diags = validate(prog, PERMISSIVE)
     assert [d.code for d in diags] == ["literal-out-of-range"]
+    assert (diags[0].block, diags[0].line) == (None, 2)
 
     prog = hir.parse("""proc main qubits 1
 entry:
@@ -67,36 +68,19 @@ def test_diagnostic_json_shape():
     assert set(blob["location"]) == {"proc", "block", "line"}
 
 
-def test_classical_op_unsupported():
-    narrow = Profile(name="nodiv", gates=PERMISSIVE.gates,
-                     classical_ops=frozenset({"add", "sub"}), max_qubits=8)
-    prog = hir.parse("""proc main qubits 0
-  var fixed a = 0.5
-entry:
-  recip a, a
-  ret
-endproc
-""")
-    assert any(d.code == "classical-op-unsupported"
-               for d in validate(prog, narrow))
-
-
 def test_empty_gate_set_rejected():
     with pytest.raises(ValueError):
-        Profile(name="empty", gates=frozenset(), classical_ops=frozenset(),
-                max_qubits=1)
+        Profile(name="empty", gates=frozenset(), max_qubits=1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.sampled_from(sorted(PERMISSIVE.gates))),
-       st.sets(st.sampled_from(sorted(PERMISSIVE.classical_ops))),
        st.integers(min_value=1, max_value=20))
-def test_validate_monotone_in_profile(gates, ops, maxq):
+def test_validate_monotone_in_profile(gates, maxq):
     """Enlarging a profile never adds diagnostics."""
     small = Profile(name="small", gates=frozenset(gates) | {"h"},
-                    classical_ops=frozenset(ops), max_qubits=maxq)
+                    max_qubits=maxq)
     big = Profile(name="big", gates=small.gates | PERMISSIVE.gates,
-                  classical_ops=PERMISSIVE.classical_ops,
                   max_qubits=max(maxq, PERMISSIVE.max_qubits))
     for prog in (build_rwpe(), build_teleport()):
         n_small = len(validate(prog, small))

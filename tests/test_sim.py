@@ -146,7 +146,7 @@ def _outputs(text, mode=ClassicalMode.EXACT_REAL):
 def test_mul_wraps_in_fixed_mode_only():
     text = ("proc main qubits 0\n  var fixed a = 1.5\n  var fixed c = 0.0\n"
             "entry:\n  mul c, a, a\n  output c\n  ret\nendproc\n")
-    assert _outputs(text, FIXED)["c"] == fx.FixedQ216.from_real(-1.75)
+    assert _outputs(text, FIXED)["c"] == fx.FixedQ216(fx.encode(-1.75))
     assert _outputs(text)["c"] == 2.25
 
 
@@ -164,7 +164,7 @@ endproc
 """
     out = _outputs(text, mode)
     assert out["r"] == 1
-    half = fx.FixedQ216.from_real(0.5) if mode is FIXED else 0.5
+    half = fx.FixedQ216(fx.encode(0.5)) if mode is FIXED else 0.5
     assert out["v"] == half
 
 
@@ -314,9 +314,8 @@ def _prepend_entry(prog, instrs):
     proc = prog.entry_procedure()
     prep = hir.BasicBlock("test_prep", tuple(instrs),
                           hir.Br(proc.blocks[0].label))
-    return hir.HybridProgram(
-        (hir.Procedure(proc.name, proc.qubits, proc.decls,
-                       (prep,) + proc.blocks),), prog.entry)
+    return hir.HybridProgram(hir.Procedure(proc.name, proc.qubits, proc.decls,
+                                           (prep,) + proc.blocks))
 
 
 def _random_prep(rng):
@@ -372,9 +371,8 @@ def _instrumented_reset():
                 b.terminator))
         else:
             blocks.append(b)
-    return hir.HybridProgram(
-        (hir.Procedure(proc.name, proc.qubits, proc.decls,
-                       tuple(blocks)),), prog.entry)
+    return hir.HybridProgram(hir.Procedure(proc.name, proc.qubits, proc.decls,
+                                           tuple(blocks)))
 
 
 def test_active_reset_trace_from_zero():
