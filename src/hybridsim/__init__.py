@@ -19,16 +19,15 @@ from .algorithms import (RwpeParams, analytic_pr0, build_active_reset,
 from .bayes import (EvidenceRecord, PosteriorGrid, RefitResult,
                     evidence_from_record, log_likelihood, mmse_estimate,
                     posterior, refit, uniform_grid)
-from .errors import (BadQubitIndex, DegeneratePosterior, DivideByZero,
-                     HybridSimError, IRSyntaxError, OutOfRange, SemanticError,
-                     ShotError, StepLimitExceeded, UnloweredGate)
+from .errors import (DegeneratePosterior, DivideByZero, HybridSimError,
+                     IRSyntaxError, OutOfRange, SemanticError, ShotError,
+                     StepLimitExceeded, UnloweredGate)
 from .fixedpoint import FixedQ216, Int18
 from .hir import HybridProgram, cfg, emit, parse
 from .hist import Histogram, histogram
 from .lowering import lower_to_native
 from .profiles import NATIVE, PERMISSIVE, PROFILES, Diagnostic, Profile, validate
-from .sim import (ClassicalMode, ExecConfig, NoiseModel, QuantumState,
-                  ShotRecord, apply_noise, measure, read_records, run_shot,
-                  run_shots, write_records)
+from .sim import (ClassicalMode, ExecConfig, NoiseModel, ShotRecord,
+                  read_records, run_shot, run_shots, write_records)
 
 __version__ = "0.1.0"

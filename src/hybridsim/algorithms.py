@@ -81,39 +81,28 @@ def analytic_pr0(phi: float, phi_inv: float, t: float) -> float:
     return math.cos(0.5 * t * (phi - phi_inv)) ** 2
 
 
-def _ipe_gates(ancilla: int, target: int, inv_angle_var: str,
-               oracle_angle_var: str, d_var: str,
-               record: tuple[str, str] | None) -> tuple:
-    """Gate portion of one estimation step; angles already computed."""
-    return (
-        Reset(ancilla),
-        Gate("h", (ancilla,)),
-        Gate("rz", (ancilla,), inv_angle_var),
-        Gate("crz", (ancilla, target), oracle_angle_var),
-        Gate("h", (ancilla,)),
-        Measure(ancilla, d_var, record),
-    )
+# Gate portion of one estimation step: work qubit 0, eigenstate qubit 1,
+# angles already in a_inv and a_orc; the outcome lands in d, recorded as
+# evidence with (t, phi_inv).
+_IPE_GATES = (
+    Reset(0),
+    Gate("h", (0,)),
+    Gate("rz", (0,), "a_inv"),
+    Gate("crz", (0, 1), "a_orc"),
+    Gate("h", (0,)),
+    Measure(0, "d", ("t", "phi_inv")),
+)
 
 
-def build_ipe_step(ancilla: int = 0, target: int = 1, *,
-                   t_var: str = "t", phi_inv_var: str = "phi_inv",
-                   d_var: str = "d", inv_angle_var: str = "a_inv",
-                   oracle_angle_var: str = "a_orc",
-                   oracle_coeff: str | float = -0.5,
-                   record: bool = True) -> tuple:
+def build_ipe_step(oracle_coeff: str | float = -0.5) -> tuple:
     """One estimation-step fragment over run-time variables.
 
-    The caller declares `t_var`/`phi_inv_var` (fixed), two fixed scratch
-    angle registers, and a bit destination.  The target register must
+    The caller declares `t` and `phi_inv` (fixed), the scratch angle
+    registers `a_inv` and `a_orc` (fixed), and the bit `d`.  Qubit 1 must
     already hold an eigenstate of the oracle rotation.
     """
-    rec = (t_var, phi_inv_var) if record else None
-    angles = (
-        Classical("mul", inv_angle_var, (phi_inv_var, t_var)),
-        Classical("mul", oracle_angle_var, (t_var, oracle_coeff)),
-    )
-    return angles + _ipe_gates(ancilla, target, inv_angle_var,
-                               oracle_angle_var, d_var, rec)
+    return (Classical("mul", "a_inv", ("phi_inv", "t")),
+            Classical("mul", "a_orc", ("t", oracle_coeff))) + _IPE_GATES
 
 
 def build_ipe_program(phi_inv: float, t: float,
@@ -163,7 +152,6 @@ def build_rwpe(params: RwpeParams = RwpeParams()) -> HybridProgram:
         VarDecl("more", "bit", 0),
         VarDecl("do_refresh", "bit", 0),
     )
-    ipe = _ipe_gates(0, 1, "a_inv", "a_orc", "d", ("t", "phi_inv"))
     blocks = (
         BasicBlock("prep", (Gate("x", (1,)),), Br("head")),
         BasicBlock("head", (
@@ -185,7 +173,7 @@ def build_rwpe(params: RwpeParams = RwpeParams()) -> HybridProgram:
             Classical("recip", "t", ("sigma",)),
             Classical("div", "a_inv", ("phi_inv", "sigma")),
             Classical("div", "a_orc", (params.oracle_coeff, "sigma")),
-        ) + ipe, CondBr("d", "walk_up", "walk_down")),
+        ) + _IPE_GATES, CondBr("d", "walk_up", "walk_down")),
         BasicBlock("walk_down", (
             Classical("mul", "step", ("sigma", SHIFT_FACTOR)),
             Classical("sub", "mu", ("mu", "step")),

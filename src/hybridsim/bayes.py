@@ -82,6 +82,8 @@ def uniform_grid(size: int = 2001,
                  interval: tuple[float, float] = (-1.0, 1.0)) -> PosteriorGrid:
     if size < 2:
         raise ValueError(f"grid needs >= 2 nodes, got {size}")
+    if not interval[0] < interval[1]:
+        raise ValueError(f"prior interval needs lo < hi, got {tuple(interval)}")
     nodes = np.linspace(interval[0], interval[1], size)
     return PosteriorGrid(nodes, np.full(size, 1.0 / size))
 

@@ -120,8 +120,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lower(args) -> int:
-    lowered, diags = lowering.lower_and_check(_load_program(args.program),
-                                              PROFILES[args.profile])
+    profile = PROFILES[args.profile]
+    lowered = lowering.lower_to_native(_load_program(args.program), profile)
+    diags = validate(lowered, profile)
     if diags:
         _emit_diagnostics(diags)
         return 1

@@ -36,10 +36,6 @@ class UnloweredGate(HybridSimError):
     """A gate survived lowering with no decomposition into the profile."""
 
 
-class BadQubitIndex(HybridSimError):
-    """Qubit index out of range or repeated within one gate."""
-
-
 class StepLimitExceeded(HybridSimError):
     """A shot ran past its instruction budget."""
 

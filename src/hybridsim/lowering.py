@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import hir
 from .errors import UnloweredGate
-from .profiles import Profile, validate
+from .profiles import Profile
 
 # cnot lowering template: (gate, qubit-slots, angle) with c/t placeholders.
 _CNOT_SEQ = (
@@ -102,17 +102,6 @@ def lower_to_native(prog: hir.HybridProgram, profile: Profile) -> hir.HybridProg
                         f"no decomposition of {instr.name!r} into profile "
                         f"{profile.name!r}")
             instrs = out
-        for instr in instrs:
-            if isinstance(instr, hir.Gate) and instr.name not in profile.gates:
-                raise UnloweredGate(
-                    f"gate {instr.name!r} survived lowering into profile "
-                    f"{profile.name!r}")
         blocks.append(hir.BasicBlock(b.label, tuple(instrs), b.terminator))
     return hir.make_program(hir.Procedure(
         p.name, p.qubits, p.decls + tuple(new_decls), tuple(blocks)))
-
-
-def lower_and_check(prog: hir.HybridProgram, profile: Profile):
-    """Lower, then validate; returns (program, diagnostics)."""
-    lowered = lower_to_native(prog, profile)
-    return lowered, validate(lowered, profile)

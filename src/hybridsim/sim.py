@@ -14,9 +14,9 @@ for records; the code generator is the same for both modes.
 Each program is compiled into the source of one Python function, which
 runs once per shot: registers are its locals, the amplitudes one list, and
 every gate, measurement, reset and noise draw is inlined as a loop over
-index pairs computed at compile time.  `QuantumState`, `apply_noise` and
-`measure` are the same operations one call at a time; a shot of the
-generated code equals, byte for byte, a replay through them.
+index pairs computed at compile time.  This is the only engine: the
+independent reference that checks it, an interpreter that walks the same
+blocks one instruction at a time, lives in `tests/oracles.py`.
 
 Determinism contract: each shot draws from its own generator seeded by a
 splitmix-style mix of (config seed, shot index), so shots may be evaluated
@@ -39,8 +39,7 @@ from typing import IO, Callable, Iterable
 
 from . import fixedpoint as fx
 from . import hir
-from .errors import (BadQubitIndex, DivideByZero, SemanticError, ShotError,
-                     StepLimitExceeded)
+from .errors import DivideByZero, SemanticError, ShotError, StepLimitExceeded
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _SX_A = 0.5 + 0.5j
@@ -83,165 +82,18 @@ def _pauli(amps: list[complex], pairs, which: int):
 
 
 class QuantumState:
-    """Normalized complex amplitude vector over n qubits with collapse
-    and reset support."""
+    """The final statevector of a shot, as `run_shot_debug` returns it:
+    `n` qubits and their 2**n `amps` (qubit 0 is the most significant bit
+    of an index).  It has no operations: every shot runs as generated
+    code.  It keeps its old name because the traced benchmark run
+    (`perfbench/run.py --trace 1`) reads `sim.QuantumState` when it
+    installs its hooks, and would crash without it."""
 
     __slots__ = ("n", "amps")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, amps: list[complex]):
         self.n = n
-        self.amps = [0j] * (1 << n)
-        self.amps[0] = 1 + 0j
-
-    # -- single-qubit gates -------------------------------------------------
-
-    def h(self, q: int):
-        amps = self.amps
-        for i0, i1 in _pairs(self.n, q):
-            a0, a1 = amps[i0], amps[i1]
-            amps[i0] = (a0 + a1) * _SQRT_HALF
-            amps[i1] = (a0 - a1) * _SQRT_HALF
-
-    def x(self, q: int):
-        amps = self.amps
-        for i0, i1 in _pairs(self.n, q):
-            amps[i0], amps[i1] = amps[i1], amps[i0]
-
-    def sx(self, q: int):
-        amps = self.amps
-        for i0, i1 in _pairs(self.n, q):
-            a0, a1 = amps[i0], amps[i1]
-            amps[i0] = _SX_A * a0 + _SX_B * a1
-            amps[i1] = _SX_B * a0 + _SX_A * a1
-
-    def rz(self, q: int, theta: float):
-        p1 = complex(math.cos(0.5 * theta), math.sin(0.5 * theta))
-        p0 = p1.conjugate()
-        amps = self.amps
-        for i0, i1 in _pairs(self.n, q):
-            amps[i0] *= p0
-            amps[i1] *= p1
-
-    def pauli(self, q: int, which: int):
-        """which: 1 = X, 2 = Y, 3 = Z."""
-        _pauli(self.amps, _pairs(self.n, q), which)
-
-    # -- two-qubit gates ----------------------------------------------------
-
-    def crz(self, c: int, t: int, theta: float):
-        p1 = complex(math.cos(0.5 * theta), math.sin(0.5 * theta))
-        p0 = p1.conjugate()
-        amps = self.amps
-        for _, _, i10, i11 in _quads(self.n, c, t):
-            amps[i10] *= p0
-            amps[i11] *= p1
-
-    def eswap(self, a: int, b: int, theta: float):
-        half = 0.5 * theta
-        corner = complex(math.cos(half), -math.sin(half))   # e^{-i theta/2}
-        cc = math.cos(half)
-        ss = -1j * math.sin(half)
-        amps = self.amps
-        for i00, i01, i10, i11 in _quads(self.n, a, b):
-            amps[i00] *= corner
-            amps[i11] *= corner
-            a01, a10 = amps[i01], amps[i10]
-            amps[i01] = cc * a01 + ss * a10
-            amps[i10] = ss * a01 + cc * a10
-
-    def cnot(self, c: int, t: int):
-        amps = self.amps
-        for _, _, i10, i11 in _quads(self.n, c, t):
-            amps[i10], amps[i11] = amps[i11], amps[i10]
-
-    # -- measurement and reset ----------------------------------------------
-
-    def born_p1(self, q: int) -> float:
-        amps = self.amps
-        total = 0.0
-        for _, i1 in _pairs(self.n, q):
-            a = amps[i1]
-            total += a.real * a.real + a.imag * a.imag
-        return total
-
-    def measure(self, q: int, rng: random.Random) -> int:
-        p1 = self.born_p1(q)
-        outcome = 1 if rng.random() < p1 else 0
-        amps = self.amps
-        keep = p1 if outcome else 1.0 - p1
-        scale = 1.0 / math.sqrt(keep) if keep > 0.0 else 1.0
-        for i0, i1 in _pairs(self.n, q):
-            if outcome:
-                amps[i0] = 0j
-                amps[i1] *= scale
-            else:
-                amps[i1] = 0j
-                amps[i0] *= scale
-        return outcome
-
-    def reset(self, q: int, rng: random.Random):
-        if self.measure(q, rng):
-            self.x(q)
-
-    # -- generic entry points -----------------------------------------------
-
-    def apply_gate(self, gate: str, qubits: Iterable[int],
-                   angle: float | None = None):
-        """Apply a named gate; `angle` is in radians."""
-        qs = tuple(qubits)
-        arity = hir.GATE_ARITY.get(gate)
-        if arity is None:
-            raise BadQubitIndex(f"unknown gate {gate!r}")
-        if len(qs) != arity or len(set(qs)) != len(qs) or \
-                any(not (0 <= q < self.n) for q in qs):
-            raise BadQubitIndex(f"bad qubits {qs} for {gate} on {self.n} qubits")
-        if gate == "h":
-            self.h(qs[0])
-        elif gate == "x":
-            self.x(qs[0])
-        elif gate == "sx":
-            self.sx(qs[0])
-        elif gate == "rz":
-            self.rz(qs[0], angle)
-        elif gate == "crz":
-            self.crz(qs[0], qs[1], angle)
-        elif gate == "eswap":
-            self.eswap(qs[0], qs[1], angle)
-        elif gate == "cnot":
-            self.cnot(qs[0], qs[1])
-
-    def norm_sq(self) -> float:
-        return sum(a.real * a.real + a.imag * a.imag for a in self.amps)
-
-
-def apply_noise(state: QuantumState, gate_class: str, qubits: tuple[int, ...],
-                rng: random.Random, noise: "NoiseModel") -> None:
-    """Depolarizing draw after one gate: with the class probability, apply a
-    uniformly random non-identity Pauli on the touched qubits.  Virtual
-    gates (rz) are exempt and must not be passed here."""
-    if gate_class in NOISELESS_GATES:
-        return
-    if len(qubits) == 1:
-        if rng.random() < noise.p_gate1:
-            state.pauli(qubits[0], 1 + rng.randrange(3))
-    else:
-        if rng.random() < noise.p_gate2:
-            m = 1 + rng.randrange(15)
-            ka, kb = m >> 2, m & 3
-            if ka:
-                state.pauli(qubits[0], ka)
-            if kb:
-                state.pauli(qubits[1], kb)
-
-
-def measure(state: QuantumState, q: int, rng: random.Random,
-            noise: "NoiseModel | None" = None) -> int:
-    """Projective measurement returning the *reported* bit: the collapse
-    follows the true outcome; with noise, the report flips with p_readout."""
-    bit = state.measure(q, rng)
-    if noise is not None and rng.random() < noise.p_readout:
-        bit ^= 1
-    return bit
+        self.amps = amps
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +216,10 @@ def select_domain(mode: ClassicalMode) -> Domain:
 # amplitudes are the list `A`, and each block is one branch of a `while`
 # dispatch on the block index `b`.  Gates, measurements, resets and noise
 # draws are inlined as loops over pair tuples computed at compile time.
-# Every kernel performs the floating-point operations of its `QuantumState`
-# method in the same order, and draws from the shot's generator in the
-# order of `measure` and `apply_noise`, so a shot gives the same record and
-# the same amplitudes as a replay through those functions.
+# Each kernel's floating-point operations and draws from the shot's
+# generator follow a fixed order, which the reference interpreter in
+# `tests/oracles.py` repeats, so a shot and its replay through that
+# interpreter give the same record, amplitudes and step count.
 #
 # Every value the source refers to (encoded literals, the phases of literal
 # angles, noise probabilities, pair tuples, the domain's ops and boxes) is
@@ -516,7 +368,7 @@ class _Generator:
             "S": _SQRT_HALF, "SXA": _SX_A, "SXB": _SX_B,
             "cos": math.cos, "sin": math.sin, "sqrt": math.sqrt,
             "pauli": _pauli,
-            "A0": QuantumState(self.n).amps,
+            "A0": [1 + 0j] + [0j] * ((1 << self.n) - 1),
         }
         for (op, kind), fn in domain.ops.items():
             self.ns[f"{op}_{kind}"] = fn
@@ -749,9 +601,7 @@ def run_shot_debug(program: hir.HybridProgram, cfg: ExecConfig,
     (record, QuantumState)."""
     compiled = compile_program(program, cfg)
     record, amps = compiled.shot(cfg.seed, shot_index, cfg.step_limit)
-    state = QuantumState(compiled.nqubits)
-    state.amps = amps
-    return record, state
+    return record, QuantumState(compiled.nqubits, amps)
 
 
 def run_shots(program: hir.HybridProgram, cfg: ExecConfig,

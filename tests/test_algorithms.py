@@ -80,8 +80,6 @@ def test_ipe_fragment_shape():
     assert names == ["Classical", "Classical", "Reset", "Gate", "Gate",
                      "Gate", "Gate", "Measure"]
     assert frag[-1].record == ("t", "phi_inv")
-    frag = build_ipe_step(record=False)
-    assert frag[-1].record is None
 
 
 def test_rwpe_single_iteration_updates():

@@ -245,3 +245,15 @@ def test_refit_rejects_grid_with_fewer_than_six_nodes_per_period():
     refit(records, grid_size=1001, prior_interval=(0.0, 1.0))
     with pytest.raises(ValueError, match="at least 968 nodes"):
         refit(records, grid_size=967, prior_interval=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("interval", [(0.5, 0.5), (1.0, -1.0)],
+                         ids=["empty", "reversed"])
+def test_refit_rejects_a_prior_interval_without_width(interval):
+    # A zero-width prior passed the nodes-per-period check trivially and
+    # refit every record to 2 * interval[0].
+    with pytest.raises(ValueError, match="prior interval needs lo < hi"):
+        uniform_grid(11, interval)
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=1, shots=3))
+    with pytest.raises(ValueError, match="prior interval needs lo < hi"):
+        refit(records, prior_interval=interval)

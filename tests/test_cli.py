@@ -203,6 +203,17 @@ def test_refit_rejects_grid_below_two_nodes(tmp_path, capsys, grid):
     assert "error: grid needs >= 2 nodes" in capsys.readouterr().err
 
 
+def test_refit_rejects_an_empty_prior_interval(tmp_path, capsys):
+    prefix = str(tmp_path / "walk")
+    main(["rwpe", "--shots", "3", "--seed", "9", "--out-prefix", prefix])
+    capsys.readouterr()
+    code = main(["refit", prefix + ".records.jsonl", "--interval", "0.5", "0.5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: prior interval needs lo < hi" in captured.err
+    assert captured.out == ""
+
+
 def test_refit_deterministic(tmp_path, capsys):
     prefix = str(tmp_path / "walk")
     main(["rwpe", "--shots", "20", "--seed", "2", "--out-prefix", prefix])

@@ -1,11 +1,14 @@
 """Simulator semantics: gates, measurement, reset, classical modes, noise,
-determinism, and record serialization."""
+determinism, and record serialization.  The engine is checked shot by shot
+against the reference interpreter `oracles.interpret`."""
 
+import ast
 import io
 import math
 import random
 import traceback
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +20,14 @@ import oracles
 from hybridsim import hir, sim
 from hybridsim import fixedpoint as fx
 from hybridsim.algorithms import build_active_reset, build_rwpe, build_teleport
-from hybridsim.errors import (BadQubitIndex, DivideByZero, ShotError,
-                              StepLimitExceeded)
-from hybridsim.sim import ClassicalMode, ExecConfig, NoiseModel, QuantumState
+from hybridsim.errors import DivideByZero, ShotError, StepLimitExceeded
+from hybridsim.sim import ClassicalMode, ExecConfig, NoiseModel
+from oracles import QuantumState
 
 FIXED = ClassicalMode.FIXED_POINT
 
 
-# -- QuantumState unit behavior ------------------------------------------------
+# -- the reference statevector model, oracles.QuantumState ----------------------
 
 def test_h_on_zero():
     s = QuantumState(1)
@@ -77,9 +80,9 @@ def test_gate_dispatch_matches_oracle():
 
 def test_bad_qubit_index():
     s = QuantumState(2)
-    with pytest.raises(BadQubitIndex):
+    with pytest.raises(ValueError):
         s.apply_gate("h", [2])
-    with pytest.raises(BadQubitIndex):
+    with pytest.raises(ValueError):
         s.apply_gate("cnot", [1, 1])
 
 
@@ -181,11 +184,30 @@ def test_divide_by_zero_raises_shot_error(mode, instr):
     assert isinstance(err.value.cause, DivideByZero)
 
 
+# A failure raised inside generated code has a different origin for every
+# program (the file name carries a digest of its source), so hypothesis
+# would shrink each shrunk program as a new bug; one is enough.
+_DIFFERENTIAL = settings(max_examples=300, deadline=None,
+                         report_multiple_bugs=False)
+
+
+def _reference(prog, cfg, shot_index):
+    """(record, amplitudes, steps) of one shot through the reference
+    interpreter, drawing from the engine's per-shot generator."""
+    shot_seed = sim.derive_shot_seed(cfg.seed, shot_index)
+    outputs, evidence, amps, steps = oracles.interpret(
+        prog.procedure, cfg.classical_mode.value, cfg.noise,
+        random.Random(shot_seed), cfg.step_limit)
+    return sim.ShotRecord(shot_index, shot_seed, outputs, evidence), amps, steps
+
+
 # Differential test: random straight-line classical programs, every op, a
-# literal allowed in every operand position, against a fold over the
-# independent word arithmetic in `oracles` (fixed) or Python arithmetic (real).
+# literal allowed in every operand position, against the reference
+# interpreter's independent word arithmetic (fixed) or Python arithmetic
+# (real).
 
 _VARS = {"fixed": ("f0", "f1", "f2"), "int18": ("i0", "i1"), "bit": ("b0", "b1")}
+_NAMES = tuple(name for names in _VARS.values() for name in names)
 _RAW = st.integers(fx.RAW_MIN, fx.RAW_MAX)
 
 
@@ -202,105 +224,48 @@ def _operands(kind):
     return st.one_of(_literals(kind), st.sampled_from(_VARS[kind]))
 
 
+def _decls(draw):
+    return tuple(hir.VarDecl(name, kind, draw(_literals(kind)))
+                 for kind, names in _VARS.items() for name in names)
+
+
+def _classical(draw, ops):
+    op = draw(st.sampled_from(ops))
+    if op in ("cmp_eq", "cmp_lt"):
+        dkind, k = "bit", draw(st.sampled_from(hir.KINDS))
+        kinds = (k, k)
+    elif op == "select":
+        dkind = draw(st.sampled_from(hir.KINDS))
+        kinds = ("bit", dkind, dkind)
+    else:
+        dkind = "fixed" if op in ("recip", "div") else \
+            draw(st.sampled_from(["fixed", "int18"]))
+        kinds = (dkind,) * hir.CLASSICAL_OPS[op]
+    srcs = tuple(draw(_operands(k)) for k in kinds)
+    return hir.Classical(op, draw(st.sampled_from(_VARS[dkind])), srcs)
+
+
 @st.composite
 def _classical_programs(draw):
-    decls = tuple(hir.VarDecl(name, kind, draw(_literals(kind)))
-                  for kind, names in _VARS.items() for name in names)
-    instrs = []
-    for _ in range(draw(st.integers(1, 12))):
-        op = draw(st.sampled_from(sorted(hir.CLASSICAL_OPS)))
-        if op in ("cmp_eq", "cmp_lt"):
-            dkind, k = "bit", draw(st.sampled_from(hir.KINDS))
-            kinds = (k, k)
-        elif op == "select":
-            dkind = draw(st.sampled_from(hir.KINDS))
-            kinds = ("bit", dkind, dkind)
-        else:
-            dkind = "fixed" if op in ("recip", "div") else \
-                draw(st.sampled_from(["fixed", "int18"]))
-            kinds = (dkind,) * hir.CLASSICAL_OPS[op]
-        srcs = tuple(draw(_operands(k)) for k in kinds)
-        instrs.append(hir.Classical(op, draw(st.sampled_from(_VARS[dkind])), srcs))
-    names = tuple(d.name for d in decls)
-    proc = hir.Procedure("main", 0, decls,
-                         (hir.BasicBlock("entry", tuple(instrs), hir.Ret(names)),))
+    instrs = [_classical(draw, sorted(hir.CLASSICAL_OPS))
+              for _ in range(draw(st.integers(1, 12)))]
+    proc = hir.Procedure("main", 0, _decls(draw),
+                         (hir.BasicBlock("entry", tuple(instrs), hir.Ret(_NAMES)),))
     return hir.make_program(proc)
 
 
-def _real_recip(a):
-    if a == 0.0:
-        raise DivideByZero("reciprocal of zero")
-    return 1.0 / a
-
-
-def _real_div(a, b):
-    if b == 0.0:
-        raise DivideByZero("division by zero")
-    return a / b
-
-
-_FIXED_OPS = {
-    ("add", "fixed"): oracles.fx_add, ("add", "int18"): oracles.fx_add,
-    ("sub", "fixed"): oracles.fx_sub, ("sub", "int18"): oracles.fx_sub,
-    ("neg", "fixed"): oracles.fx_neg, ("neg", "int18"): oracles.fx_neg,
-    ("mul", "fixed"): oracles.fx_mul,
-    ("mul", "int18"): lambda a, b: oracles.wrap18(a * b),
-    ("recip", "fixed"): fx.recip_raw, ("div", "fixed"): fx.div_raw,
-}
-_REAL_OPS = {
-    **{("add", k): lambda a, b: a + b for k in ("fixed", "int18")},
-    **{("sub", k): lambda a, b: a - b for k in ("fixed", "int18")},
-    **{("mul", k): lambda a, b: a * b for k in ("fixed", "int18")},
-    **{("neg", k): lambda a: -a for k in ("fixed", "int18")},
-    ("recip", "fixed"): _real_recip, ("div", "fixed"): _real_div,
-}
-
-
-def _fold(prog, fixed: bool):
-    """Expected outputs of a straight-line program, in order."""
-    proc = prog.entry_procedure()
-    kinds = {d.name: d.kind for d in proc.decls}
-    ops = _FIXED_OPS if fixed else _REAL_OPS
-
-    def word(tok, kind):
-        if isinstance(tok, str):
-            return regs[tok]
-        if kind == "fixed":
-            return oracles.encode(float(tok)) if fixed else float(tok)
-        return int(tok)
-
-    regs = {d.name: word(d.init, d.kind) for d in proc.decls}
-    for ins in proc.blocks[0].instructions:
-        if ins.op in ("cmp_eq", "cmp_lt"):
-            var = [kinds[s] for s in ins.srcs if isinstance(s, str)]
-            k = var[0] if var else \
-                "fixed" if any(isinstance(s, float) for s in ins.srcs) else "int18"
-            a, b = (word(s, k) for s in ins.srcs)
-            regs[ins.dest] = int(a == b) if ins.op == "cmp_eq" else int(a < b)
-        elif ins.op == "select":
-            c, a, b = ins.srcs
-            chosen = a if word(c, "bit") else b
-            regs[ins.dest] = word(chosen, kinds[ins.dest])
-        else:
-            k = kinds[ins.dest]
-            regs[ins.dest] = ops[ins.op, k](*(word(s, k) for s in ins.srcs))
-    box = {"bit": int, "int18": fx.Int18, "fixed": fx.FixedQ216} if fixed else \
-        {"bit": int, "int18": int, "fixed": float}
-    return tuple((name, box[kinds[name]](regs[name]))
-                 for name in proc.blocks[0].terminator.values)
-
-
-@settings(max_examples=300, deadline=None)
+@_DIFFERENTIAL
 @given(_classical_programs(), st.sampled_from(list(ClassicalMode)))
 def test_classical_ops_match_oracle_fold(prog, mode):
+    cfg = ExecConfig(classical_mode=mode)
     try:
-        expected = _fold(prog, fixed=mode is FIXED)
-    except DivideByZero:
+        expected, _, _ = _reference(prog, cfg, 0)
+    except ZeroDivisionError:
         with pytest.raises(ShotError) as err:
-            sim.run_shot(prog, ExecConfig(classical_mode=mode))
+            sim.run_shot(prog, cfg)
         assert isinstance(err.value.cause, DivideByZero)
         return
-    got = sim.run_shot(prog, ExecConfig(classical_mode=mode)).outputs
+    got = sim.run_shot(prog, cfg)
     # repr tells 1 from 1.0 and -0.0 from 0.0, and equates nan with nan
     assert repr(got) == repr(expected)
 
@@ -508,102 +473,139 @@ def test_step_limit_shot_error_names_the_looping_block():
     assert "shot 3, block loop, line 5:" in str(e)
 
 
-# Differential test: the generated engine against a replay of the same shot
-# through the QuantumState methods, `apply_noise` and `measure`, drawing from
-# the same per-shot generator.  Amplitudes and records must be equal exactly.
+# Differential test: the generated engine against the reference interpreter
+# on random programs with control flow.  Blocks form a chain; each ends in a
+# `br` or a `condbr` to later blocks, on a bit just measured or just
+# compared, and the last one returns, so a one-block program is a
+# straight-line one.  At most one back edge, bounded by the int18 counter
+# `k`, makes a loop.  Records, amplitudes and step counts must agree exactly.
+#
+# `mul`, `recip` and `div` stay in the straight-line classical test above:
+# repeated under a loop they could grow a real-mode int18 register without
+# bound or drive an angle to infinity.
 
 _HEAVY_NOISE = NoiseModel(p_gate1=0.3, p_gate2=0.4, p_readout=0.3)
-_ANGLE_VARS = ("f0", "f1")
-_BIT_VARS = ("d0", "d1")
+_LOOP_SAFE_OPS = ("add", "cmp_eq", "cmp_lt", "neg", "select", "sub")
+_ANGLE = st.one_of(st.sampled_from(_VARS["fixed"]),
+                   st.floats(fx.REAL_MIN, fx.REAL_MAX))
 
 
-@st.composite
-def _quantum_programs(draw):
-    n = draw(st.integers(0, 4))
-    angle = st.one_of(st.sampled_from(_ANGLE_VARS),
-                      st.floats(fx.REAL_MIN, fx.REAL_MAX))
-    decls = tuple(hir.VarDecl(v, "fixed", draw(st.floats(fx.REAL_MIN, fx.REAL_MAX)))
-                  for v in _ANGLE_VARS) + \
-        tuple(hir.VarDecl(v, "bit", 0) for v in _BIT_VARS)
-    choices = ["active_reset"]
+def _measurement(draw, n):
+    record = draw(st.sampled_from([None, _VARS["fixed"][:2]]))
+    return hir.Measure(draw(st.integers(0, n - 1)),
+                       draw(st.sampled_from(_VARS["bit"])), record)
+
+
+def _instruction(draw, n):
+    choices = ["active_reset", "classical", "output"]
     if n >= 1:
         choices += ["h", "x", "sx", "rz", "mz", "reset"]
     if n >= 2:
         choices += ["crz", "eswap", "cnot"]
-    instrs = []
-    for _ in range(draw(st.integers(0, 14))):
-        kind = draw(st.sampled_from(choices))
-        if kind == "active_reset":
-            instrs.append(hir.ActiveReset())
-            continue
-        q = draw(st.integers(0, n - 1))
-        if kind == "mz":
-            record = draw(st.sampled_from([None, _ANGLE_VARS]))
-            instrs.append(hir.Measure(q, draw(st.sampled_from(_BIT_VARS)), record))
-        elif kind == "reset":
-            instrs.append(hir.Reset(q))
-        elif hir.GATE_ARITY[kind] == 1:
-            instrs.append(hir.Gate(kind, (q,), draw(angle) if kind == "rz" else None))
+    kind = draw(st.sampled_from(choices))
+    if kind == "active_reset":
+        return hir.ActiveReset()
+    if kind == "classical":
+        return _classical(draw, _LOOP_SAFE_OPS)
+    if kind == "output":
+        return hir.Output(draw(st.sampled_from(_NAMES + ("k",))))
+    if kind == "mz":
+        return _measurement(draw, n)
+    q = draw(st.integers(0, n - 1))
+    if kind == "reset":
+        return hir.Reset(q)
+    if hir.GATE_ARITY[kind] == 1:
+        return hir.Gate(kind, (q,), draw(_ANGLE) if kind == "rz" else None)
+    qs = (q, draw(st.integers(0, n - 1).filter(lambda r: r != q)))
+    return hir.Gate(kind, qs, None if kind == "cnot" else draw(_ANGLE))
+
+
+@st.composite
+def _control_flow_programs(draw):
+    n = draw(st.integers(0, 4))
+    nblocks = draw(st.integers(1, 4))
+    labels = [f"b{j}" for j in range(nblocks)]
+    loop = None             # (head, latch, bound): latch jumps back to head
+    if nblocks >= 2 and draw(st.booleans()):
+        latch = draw(st.integers(0, nblocks - 2))
+        loop = (draw(st.integers(0, latch)), latch, draw(st.integers(1, 3)))
+    blocks = []
+    for j, label in enumerate(labels):
+        size = draw(st.integers(0, 14 // nblocks))
+        body = [_instruction(draw, n) for _ in range(size)]
+        later = st.sampled_from(labels[j + 1:])
+        if j == nblocks - 1:
+            term = hir.Ret(_NAMES + ("k",))
+        elif loop is not None and j == loop[1]:
+            body += [hir.Classical("add", "k", ("k", 1)),
+                     hir.Classical("cmp_lt", "more", ("k", loop[2]))]
+            term = hir.CondBr("more", labels[loop[0]], draw(later))
         else:
-            qs = (q, draw(st.integers(0, n - 1).filter(lambda r: r != q)))
-            instrs.append(hir.Gate(kind, qs, None if kind == "cnot" else draw(angle)))
-    proc = hir.Procedure("main", n, decls, (hir.BasicBlock(
-        "entry", tuple(instrs), hir.Ret(_BIT_VARS + _ANGLE_VARS)),))
-    return hir.make_program(proc)
+            branch = draw(st.sampled_from(["br", "measured", "compared"]))
+            if branch == "br":
+                term = hir.Br(draw(later))
+            else:
+                test = _measurement(draw, n) if branch == "measured" and n else \
+                    _classical(draw, ("cmp_eq", "cmp_lt"))
+                body.append(test)
+                term = hir.CondBr(test.dest, draw(later), draw(later))
+        blocks.append(hir.BasicBlock(label, tuple(body), term))
+    decls = _decls(draw) + (hir.VarDecl("k", "int18", 0),
+                            hir.VarDecl("more", "bit", 0))
+    return hir.make_program(hir.Procedure("main", n, decls, tuple(blocks)))
 
 
-def _replay(prog, cfg, shot_index):
-    """(record, amplitudes) of one shot, instruction by instruction."""
-    proc = prog.entry_procedure()
-    domain = sim.select_domain(cfg.classical_mode)
-    kinds = {d.name: d.kind for d in proc.decls}
-    regs = {d.name: domain.literal[d.kind](d.init) for d in proc.decls}
-
-    def boxed(name):
-        box = domain.box[kinds[name]]
-        return regs[name] if box is None else box(regs[name])
-
-    shot_seed = sim.derive_shot_seed(cfg.seed, shot_index)
-    rng = random.Random(shot_seed)
-    state = QuantumState(proc.qubits)
-    evidence = []
-    for ins in proc.blocks[0].instructions:
-        if isinstance(ins, hir.Gate):
-            angle = None
-            if ins.angle is not None:
-                word = regs[ins.angle] if isinstance(ins.angle, str) else \
-                    domain.literal["fixed"](ins.angle)
-                angle = domain.radians(word)
-            state.apply_gate(ins.name, ins.qubits, angle)
-            if cfg.noise is not None:
-                sim.apply_noise(state, ins.name, ins.qubits, rng, cfg.noise)
-        elif isinstance(ins, hir.Measure):
-            regs[ins.dest] = sim.measure(state, ins.qubit, rng, cfg.noise)
-            if ins.record is not None:
-                evidence.append((boxed(ins.record[0]), boxed(ins.record[1]),
-                                 regs[ins.dest]))
-        elif isinstance(ins, hir.Reset):
-            state.reset(ins.qubit, rng)
-        else:
-            for q in range(proc.qubits):
-                state.reset(q, rng)
-    outputs = tuple((v, boxed(v)) for v in proc.blocks[0].terminator.values)
-    return sim.ShotRecord(shot_index, shot_seed, outputs, tuple(evidence)), state.amps
-
-
-@settings(max_examples=300, deadline=None)
-@given(_quantum_programs(), st.sampled_from(list(ClassicalMode)),
+@_DIFFERENTIAL
+@given(_control_flow_programs(), st.sampled_from(list(ClassicalMode)),
        st.sampled_from([None, NoiseModel(), _HEAVY_NOISE]),
        st.integers(0, 2 ** 32 - 1))
-def test_engine_matches_quantum_state_replay(prog, mode, noise, seed):
+def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
     cfg = ExecConfig(classical_mode=mode, noise=noise, seed=seed)
+    compiled = sim.compile_program(prog, cfg)
     for i in range(3):
-        record, state = sim.run_shot_debug(prog, cfg, i)
-        want_record, want_amps = _replay(prog, cfg, i)
-        assert record == want_record
-        assert state.amps == want_amps
-        # repr also tells -0.0 from 0.0
-        assert repr(state.amps) == repr(want_amps)
+        want, want_amps, steps = _reference(prog, cfg, i)
+        record, amps = compiled.shot(cfg.seed, i, steps)
+        # repr tells 1 from 1.0 and -0.0 from 0.0
+        assert repr(record) == repr(want)
+        assert amps == want_amps
+        assert repr(amps) == repr(want_amps)
+        # the shot needs exactly `steps`: one fewer exhausts the budget
+        with pytest.raises(ShotError) as err:
+            compiled.shot(cfg.seed, i, steps - 1)
+        assert isinstance(err.value.cause, StepLimitExceeded)
+
+
+# The reference must not share code with the engine it checks: its module
+# docstring lists the few package names it may import, and this holds it to
+# that list.
+_ORACLE_IMPORTS = {
+    "hybridsim.hir": {"ActiveReset", "Br", "Classical", "CondBr", "Gate",
+                      "Measure", "Output", "Reset", "Ret"},
+    "hybridsim.fixedpoint": {"FixedQ216", "Int18", "div_raw", "recip_raw"},
+}
+
+
+def test_oracles_import_only_what_their_docstring_allows():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    doc = ast.get_docstring(tree)
+    seen = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] not in ("hybridsim", "importlib")
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module != "hybridsim"
+            if node.module.startswith("hybridsim."):
+                names = {alias.name for alias in node.names}
+                assert names <= _ORACLE_IMPORTS.get(node.module, set()), \
+                    f"oracles imports {sorted(names)} from {node.module}"
+                seen.setdefault(node.module, set()).update(names)
+        elif isinstance(node, ast.Name):
+            assert node.id != "__import__"
+    assert seen == _ORACLE_IMPORTS
+    for module, names in _ORACLE_IMPORTS.items():
+        assert f"`{module}`" in doc
+        assert all(f"`{name}`" in doc for name in names)
 
 
 # -- noise ---------------------------------------------------------------------
@@ -643,20 +645,20 @@ def test_noise_pauli_frequencies():
 def test_apply_noise_surface():
     rng = random.Random(0)
     s = QuantumState(1)
-    sim.apply_noise(s, "h", (0,), rng,
-                    NoiseModel(p_gate1=0.0, p_gate2=0.0, p_readout=0.0))
+    oracles.apply_noise(s, "h", (0,), rng,
+                        NoiseModel(p_gate1=0.0, p_gate2=0.0, p_readout=0.0))
     assert s.amps == [1 + 0j, 0j]          # p = 0 leaves the state alone
-    sim.apply_noise(s, "rz", (0,), rng, NoiseModel(p_gate1=1.0))
+    oracles.apply_noise(s, "rz", (0,), rng, NoiseModel(p_gate1=1.0))
     assert s.amps == [1 + 0j, 0j]          # rz exempt even at p = 1
     s2 = QuantumState(2)
-    sim.apply_noise(s2, "eswap", (0, 1), rng, NoiseModel(p_gate2=1.0))
+    oracles.apply_noise(s2, "eswap", (0, 1), rng, NoiseModel(p_gate2=1.0))
     assert s2.amps != QuantumState(2).amps  # some Pauli landed
 
 
 def test_measure_surface_readout_flip():
     s = QuantumState(1)
-    bit = sim.measure(s, 0, random.Random(1),
-                      NoiseModel(p_gate1=0, p_gate2=0, p_readout=1.0))
+    bit = oracles.measure(s, 0, random.Random(1),
+                          NoiseModel(p_gate1=0, p_gate2=0, p_readout=1.0))
     assert bit == 1                         # reported flip
     assert s.amps[0] == pytest.approx(1.0)  # collapse followed the truth
 
@@ -773,11 +775,11 @@ endproc
 
 def test_normalization_invariant_during_run():
     prog = build_rwpe()
-    _, state = sim.run_shot_debug(prog, ExecConfig(seed=2), 0)
-    assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
-    _, state = sim.run_shot_debug(
-        prog, ExecConfig(seed=2, classical_mode=FIXED, noise=NoiseModel()), 0)
-    assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
+    for cfg in (ExecConfig(seed=2),
+                ExecConfig(seed=2, classical_mode=FIXED, noise=NoiseModel())):
+        _, state = sim.run_shot_debug(prog, cfg, 0)
+        assert sum(abs(a) ** 2 for a in state.amps) == \
+            pytest.approx(1.0, abs=1e-10)
 
 
 def test_active_reset_instruction_resets_all():
