@@ -153,7 +153,7 @@ class Procedure:
     blocks: tuple[BasicBlock, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class HybridProgram:
     procedure: Procedure
 

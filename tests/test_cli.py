@@ -115,6 +115,19 @@ def test_run_step_limit_env(tmp_path, capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+def test_run_real_overflow_exits_2(tmp_path, capsys):
+    # 1/0.0001 squared seven times overflows to inf; cos(inf) then fails
+    # inside the shot, which is exit 2 with the shot, block and line.
+    prog = _write(tmp_path, "overflow.hir",
+                  "proc main qubits 1\n  var fixed a = 0.0001\n"
+                  "  var fixed b = 0.0\nentry:\n  recip b, a\n"
+                  + "  mul b, b, b\n" * 7 + "  rz(b) q0\n  ret b\nendproc\n")
+    assert main(["run", prog, "--shots", "1",
+                 "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert "shot 0, block entry, line 13: math domain error" in \
+        capsys.readouterr().err
+
+
 # -- rwpe -----------------------------------------------------------------------
 
 def test_rwpe_writes_records_hist_summary(tmp_path, capsys):

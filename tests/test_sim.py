@@ -3,9 +3,13 @@ determinism, and record serialization.  The engine is checked shot by shot
 against the reference interpreter `oracles.interpret`."""
 
 import ast
+import gc
 import io
+import linecache
 import math
 import random
+import sys
+import threading
 import traceback
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import oracles
-from hybridsim import hir, sim
+from hybridsim import codegen, hir, sim
 from hybridsim import fixedpoint as fx
 from hybridsim.algorithms import build_active_reset, build_rwpe, build_teleport
 from hybridsim.errors import DivideByZero, ShotError, StepLimitExceeded
@@ -473,12 +477,146 @@ def test_step_limit_shot_error_names_the_looping_block():
     assert "shot 3, block loop, line 5:" in str(e)
 
 
+# A real-mode angle that overflows to infinity makes `cos` raise inside the
+# generated code; like any failure inside a shot it names shot, block, line.
+_OVERFLOWS = """proc main qubits 1
+  var fixed a = 0.0001
+  var fixed b = 0.0
+entry:
+  recip b, a
+""" + "  mul b, b, b\n" * 7 + """  rz(b) q0
+  ret b
+endproc
+"""
+
+
+def test_real_overflow_raises_shot_error():
+    prog = hir.parse(_OVERFLOWS)
+    with pytest.raises(ShotError) as err:
+        sim.run_shots(prog, ExecConfig(), [4])
+    e = err.value
+    assert (e.shot_index, e.block, e.line) == (4, "entry", 13)
+    assert isinstance(e.cause, ValueError)
+    # Q2.16 words wrap instead, so the same program runs in fixed mode.
+    assert sim.run_shot(prog, ExecConfig(classical_mode=FIXED)).outputs
+
+
+# -- the compile cache ----------------------------------------------------------
+
+_MULTIPLIES = """proc main qubits 1
+  var fixed a = 0.75
+entry:
+  mul a, a, 0.5
+  rz(a) q0
+  ret a
+endproc
+"""
+
+
+def test_cached_compile_calls_the_current_fixedpoint_ops(monkeypatch):
+    prog = hir.parse(_MULTIPLIES)
+    cfg = ExecConfig(classical_mode=FIXED)
+    want = sim.run_shot(prog, cfg)
+    calls = []
+    mul_raw = fx.mul_raw
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul_raw(a, b)
+
+    monkeypatch.setattr(fx, "mul_raw", counted)
+    assert sim.run_shot(prog, cfg) == want
+    assert calls == [(fx.encode(0.75), fx.encode(0.5))]
+
+
+def test_equal_programs_report_their_own_lines():
+    text = _DIVIDES_IN_BLOCK_WORK
+    shifted = text.replace("work:\n", "work:\n  # a comment shifts the lines\n")
+    first, second = hir.parse(text), hir.parse(shifted)
+    assert first == second
+    for prog, line in ((first, 9), (second, 10), (first, 9)):
+        with pytest.raises(ShotError) as err:
+            sim.run_shot(prog, ExecConfig())
+        assert (err.value.block, err.value.line) == ("work", line)
+
+
+def test_compile_cache_is_bounded():
+    cfg = ExecConfig()
+    gc.collect()
+    before = len(sim._programs)
+    for _ in range(1000):
+        sim.compile_program(hir.parse(_MULTIPLIES), cfg)
+    gc.collect()
+    # each program died after its compile, and took its entry along
+    assert len(sim._programs) <= before
+    alive = [hir.parse(_MULTIPLIES) for _ in range(1000)]
+    for prog in alive:
+        sim.compile_program(prog, cfg)
+    assert len(sim._programs) == sim._CACHE_SIZE
+    del alive, prog
+    gc.collect()
+    assert all(entry[0]() is not None for entry in sim._programs.values())
+
+
+def test_compile_cache_is_thread_safe(monkeypatch):
+    # A small cache, so that threads evict each other's entries while they
+    # look theirs up.
+    monkeypatch.setattr(sim, "_CACHE_SIZE", 2)
+    text = hir.emit(build_teleport())
+    cfg = ExecConfig(seed=3, shots=5)
+    want = sim.run_shots(hir.parse(text), cfg)
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(25):
+                results.append(sim.run_shots(hir.parse(text), cfg) == want)
+        except Exception as e:      # reported by the assertion below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [True] * 100
+
+
+def _linecache_entries():
+    gc.collect()
+    return [name for name in linecache.cache if name.startswith("<hir ")]
+
+
+def test_linecache_is_bounded_and_keeps_live_programs():
+    live = sim.compile_program(hir.parse(_DIVIDES_IN_BLOCK_WORK), ExecConfig())
+    for i in range(300):
+        text = _MULTIPLIES.replace("proc main", f"proc p{i}")
+        sim.compile_program(hir.parse(text), ExecConfig())
+    # the code cache's sources, plus the one `live` still runs
+    assert len(_linecache_entries()) <= sim._CACHE_SIZE + 1
+    # The source of a compiled program that is still alive stays readable.
+    assert live.filename in linecache.cache
+    with pytest.raises(ShotError) as err:
+        live.shot(0, 0, 100)
+    assert "r1 = recip_fixed(r0)" in "".join(
+        traceback.format_exception(err.value.cause))
+
+
 # Differential test: the generated engine against the reference interpreter
 # on random programs with control flow.  Blocks form a chain; each ends in a
 # `br` or a `condbr` to later blocks, on a bit just measured or just
 # compared, and the last one returns, so a one-block program is a
 # straight-line one.  At most one back edge, bounded by the int18 counter
-# `k`, makes a loop.  Records, amplitudes and step counts must agree exactly.
+# `k`, makes a loop.  Qubit counts fall on both sides of
+# `codegen.UNROLL_QUBITS`, so both kernel forms are checked.  Records,
+# amplitudes and step counts must agree exactly.
 #
 # `mul`, `recip` and `div` stay in the straight-line classical test above:
 # repeated under a loop they could grow a real-mode int18 register without
@@ -522,7 +660,7 @@ def _instruction(draw, n):
 
 @st.composite
 def _control_flow_programs(draw):
-    n = draw(st.integers(0, 4))
+    n = draw(st.integers(0, codegen.UNROLL_QUBITS + 2))
     nblocks = draw(st.integers(1, 4))
     labels = [f"b{j}" for j in range(nblocks)]
     loop = None             # (head, latch, bound): latch jumps back to head
