@@ -42,12 +42,13 @@ _SX_B = 0.5 - 0.5j
 
 NOISELESS_GATES = frozenset({"rz"})  # virtual: a bookkeeping phase, zero cost
 
-# Largest qubit count whose amplitudes are unrolled into locals.  Measured
-# on a program with h, rz, sx on every qubit, cnot, crz, eswap on every
-# neighbour pair and a measurement of each qubit: unrolled shots are
-# 10-25% faster at 4 qubits and 15-25% at 5, but the first compile of the
-# 5-qubit source takes 11-38 ms against 3-7 ms for the loops, which a run
-# needs several hundred to a few thousand shots to earn back.
+# Largest qubit count whose amplitudes are unrolled into locals.
+# `tools/unroll_cutoff.py` times both forms on a synthetic program: unrolled
+# shots are 10-25% faster at every width, but the unrolled source of a new
+# program shape takes longer to compile first, and with noise the shots
+# needed to repay that grow from about 800-1400 at 4 qubits to about
+# 1800-2300 at 5.  The benchmark's programs have 2 qubits, so it does not
+# test this cut-off.
 UNROLL_QUBITS = 4
 
 
@@ -125,7 +126,9 @@ class _Kernel:
 def _rendered(template: _Kernel, unroll: bool, fields: tuple) -> tuple[str, int]:
     """A kernel's source, indented for a block body, and its line count.
     Programs of one shape render the same kernels, so a miss of the
-    program cache mostly finds its kernels here."""
+    program cache mostly finds its kernels here; without this cache such
+    a miss (a fresh parse of the lowered IPE program) took about 1.8 times
+    as long."""
     text = textwrap.indent(template.render(unroll, dict(fields)), " " * 12)
     return text, text.count("\n") + 1
 

@@ -153,7 +153,10 @@ class Procedure:
     blocks: tuple[BasicBlock, ...]
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+# Not slotted, unlike the nodes above: the engine's compile cache holds
+# programs by weak reference, and a slotted dataclass can be weakly
+# referenced only from Python 3.11 on (`weakref_slot`).
+@dataclass(frozen=True)
 class HybridProgram:
     procedure: Procedure
 

@@ -129,16 +129,10 @@ class Domain:
     ops: dict[tuple[str, str], Callable]      # (op, operand kind) -> word fn
     radians: Callable[[object], float]        # angle word -> radians
     box: dict[str, Callable | None]           # kind -> record value (None: bare)
-    # (op, operand kind) -> the same op as an expression over {0}, {1}, for
-    # the ops (and "radians") that are a plain Python operator; the rest
-    # are calls.
+    # (op, operand kind) -> the op as an expression over {0}, {1}, for the
+    # ops (and "radians") that are a plain Python operator; every other op
+    # is a call of its `ops` entry.
     forms: dict[tuple[str, str], str]
-
-
-_COMPARE = {
-    "cmp_eq": lambda a, b: 1 if a == b else 0,
-    "cmp_lt": lambda a, b: 1 if a < b else 0,
-}
 
 
 def _real_recip(a):
@@ -153,19 +147,18 @@ def _real_div(a, b):
     return a / b
 
 
-_OPERATORS = (("add", operator.add, "{0} + {1}"), ("sub", operator.sub, "{0} - {1}"),
-              ("mul", operator.mul, "{0} * {1}"), ("neg", operator.neg, "-{0}"))
+_OPERATORS = {"add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
+              "neg": "-{0}"}
 
 
 def _real_domain() -> Domain:
-    ops = {(op, k): fn for op, fn, _ in _OPERATORS for k in ("int18", "fixed")}
-    ops["recip", "fixed"] = _real_recip
-    ops["div", "fixed"] = _real_div
     return Domain(literal={"bit": int, "int18": int, "fixed": float},
-                  ops=ops, radians=math.pi.__mul__,
+                  ops={("recip", "fixed"): _real_recip,
+                       ("div", "fixed"): _real_div},
+                  radians=math.pi.__mul__,
                   box={"bit": None, "int18": None, "fixed": None},
                   forms={("radians", "fixed"): "PI * {0}",
-                         **{(op, k): form for op, _, form in _OPERATORS
+                         **{(op, k): form for op, form in _OPERATORS.items()
                             for k in ("int18", "fixed")}})
 
 

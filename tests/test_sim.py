@@ -8,6 +8,7 @@ import io
 import linecache
 import math
 import random
+import subprocess
 import sys
 import threading
 import traceback
@@ -982,3 +983,12 @@ def test_jsonl_fixed_values_carry_raw_and_decimal():
     assert mu["value"] == mu["raw"] / 65536
     ev = payload["evidence"][0]
     assert set(ev) == {"t", "phi_inv", "d"}
+
+
+def test_unroll_cutoff_script_runs():
+    """tools/unroll_cutoff.py still drives the engine's caches and cut-off."""
+    done = subprocess.run([sys.executable, "tools/unroll_cutoff.py", "3", "2"],
+                          cwd=Path(__file__).resolve().parent.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 1 + 2 * 2   # 2-3 qubits, 2 noise
