@@ -10,7 +10,7 @@ failure inside a shot.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import os
 import sys
@@ -62,12 +62,25 @@ def _load_program(path: str) -> hir.HybridProgram:
         return hir.parse(f.read())
 
 
-def _write_text(path: str | None, text: str):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at `path`, or stdout for `-` or no path."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            yield f
+
+
+def _write_text(path: str | None, text: str):
+    with _output(path) as f:
+        f.write(text)
+
+
+def _write_records(path: str | None, records):
+    """Stream the records' JSONL into `path` without building the text."""
+    with _output(path) as f:
+        sim.write_records(records, f)
 
 
 def _emit_diagnostics(diags):
@@ -81,10 +94,7 @@ def cmd_run(args) -> int:
     if diags:
         _emit_diagnostics(diags)
         return 1
-    records = sim.run_shots(program, _exec_config(args))
-    buf = io.StringIO()
-    sim.write_records(records, buf)
-    _write_text(args.out, buf.getvalue())
+    _write_records(args.out, sim.run_shots(program, _exec_config(args)))
     return 0
 
 
@@ -102,9 +112,7 @@ def cmd_rwpe(args) -> int:
         "shots": len(records),
     }
     prefix = args.out_prefix
-    buf = io.StringIO()
-    sim.write_records(records, buf)
-    _write_text(f"{prefix}.records.jsonl", buf.getvalue())
+    _write_records(f"{prefix}.records.jsonl", records)
     _write_text(f"{prefix}.hist.csv", hist.to_csv())
     _write_text(f"{prefix}.summary.json",
                 json.dumps(summary, separators=(",", ":")) + "\n")
@@ -134,7 +142,7 @@ def cmd_refit(args) -> int:
     try:
         with open(args.records, "r", encoding="utf-8") as f:
             records = sim.read_records(f)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: cannot read records: {e}", file=sys.stderr)
         return 1
     if not records:
@@ -173,9 +181,7 @@ def cmd_demo_reset(args) -> int:
     print(json.dumps({"shots": len(records),
                       "success_rate": successes / len(records)}))
     if args.out:
-        buf = io.StringIO()
-        sim.write_records(records, buf)
-        _write_text(args.out, buf.getvalue())
+        _write_records(args.out, records)
     return 0
 
 
@@ -188,9 +194,7 @@ def cmd_demo_teleport(args) -> int:
     print(json.dumps({"shots": len(records),
                       "branches": dict(sorted(branch_counts.items()))}))
     if args.out:
-        buf = io.StringIO()
-        sim.write_records(records, buf)
-        _write_text(args.out, buf.getvalue())
+        _write_records(args.out, records)
     return 0
 
 

@@ -50,7 +50,7 @@ from typing import IO, Callable, Iterable
 from . import fixedpoint as fx
 from . import hir
 from .codegen import Generator, namespace
-from .errors import DivideByZero, ShotError, StepLimitExceeded
+from .errors import DivideByZero, OutOfRange, ShotError, StepLimitExceeded
 
 DEFAULT_STEP_LIMIT = 10**6
 
@@ -109,12 +109,23 @@ class ExecConfig:
             raise ValueError("step_limit must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShotRecord:
     shot: int
     seed: int
     outputs: tuple[tuple[str, object], ...]
     evidence: tuple[tuple[object, object, int], ...]
+
+    def __init__(self, shot: int, seed: int,
+                 outputs: tuple[tuple[str, object], ...],
+                 evidence: tuple[tuple[object, object, int], ...]):
+        # Every shot builds one: filling `__dict__` directly skips the four
+        # `object.__setattr__` calls of the frozen dataclass `__init__`.
+        d = self.__dict__
+        d["shot"] = shot
+        d["seed"] = seed
+        d["outputs"] = outputs
+        d["evidence"] = evidence
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +371,31 @@ def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
 # Shot-record serialization: JSON lines, one object per shot.  Fixed-point
 # values carry both the raw word and its decoded decimal; 18-bit integers
 # carry the raw word alone, which keeps them apart from bare ints.
+#
+# `write_records` formats each line itself instead of building a dict for
+# `json.dumps`: every line is byte for byte what
+# `json.dumps(obj, separators=(",", ":"))` gives for the record's object
+# (NaN and +-Infinity included), and `tests/oracles.py` keeps that
+# dict-building encoder as the reference.  Within one call each distinct
+# nonzero float and each distinct Q2.16 word is rendered once: RWPE records
+# the same 24 evolution times `t` in every shot, and float `repr` is most
+# of the cost of a line.
 
-def _value_to_json(v):
-    if isinstance(v, fx.FixedQ216):
-        return {"raw": v.raw, "value": v.value}
-    if isinstance(v, fx.Int18):
-        return {"raw": v.raw}
-    return v
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+# Memo entries one `write_records` call keeps before it starts over, so a
+# long run cannot grow the memo without limit.
+_MEMO_SIZE = 4096
+
+
+def _float_text(v: float) -> str:
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
+def _plain(v) -> str:
+    """A value that is never boxed (shot, seed, `d`, a raw word)."""
+    return "%d" % v if type(v) is int else _dumps(v)
 
 
 def _value_from_json(v):
@@ -374,16 +403,6 @@ def _value_from_json(v):
         box = fx.FixedQ216 if "value" in v else fx.Int18
         return box(int(v["raw"]))
     return v
-
-
-def record_to_json(rec: ShotRecord) -> dict:
-    return {
-        "shot": rec.shot,
-        "seed": rec.seed,
-        "outputs": [[name, _value_to_json(v)] for name, v in rec.outputs],
-        "evidence": [{"t": _value_to_json(t), "phi_inv": _value_to_json(p),
-                      "d": d} for t, p, d in rec.evidence],
-    }
 
 
 def record_from_json(obj: dict) -> ShotRecord:
@@ -395,15 +414,62 @@ def record_from_json(obj: dict) -> ShotRecord:
 
 
 def write_records(records: Iterable[ShotRecord], fp: IO[str]):
+    """Write one JSON line per record, with one `fp.write` per line."""
+    floats: dict[float, str] = {}   # nonzero float -> its text
+    words: dict[int, str] = {}      # Q2.16 raw word -> its boxed text
+
+    def text(v) -> str:
+        # By exact type: `1 == 1.0 == True` and `0.0 == -0.0` hash alike,
+        # so ints, bools and zeros never reach the float memo.
+        t = type(v)
+        if t is float:
+            if not v:
+                return float.__repr__(v)
+            s = floats.get(v)
+            if s is None:
+                if len(floats) >= _MEMO_SIZE:
+                    floats.clear()
+                s = floats[v] = _float_text(v)
+            return s
+        if t is fx.FixedQ216:
+            raw = v.raw
+            if type(raw) is not int:    # True would share 1's entry
+                return '{"raw":%s,"value":%s}' % (_dumps(raw), text(v.value))
+            s = words.get(raw)
+            if s is None:
+                if len(words) >= _MEMO_SIZE:
+                    words.clear()
+                s = words[raw] = '{"raw":%d,"value":%s}' % (
+                    raw, _float_text(v.value))
+            return s
+        if t is int:
+            return "%d" % v
+        if t is fx.Int18:
+            return '{"raw":%s}' % _plain(v.raw)
+        return _dumps(v)
+
+    write = fp.write
     for rec in records:
-        fp.write(json.dumps(record_to_json(rec), separators=(",", ":")))
-        fp.write("\n")
+        outputs = ",".join(["[%s,%s]" % (_dumps(name), text(v))
+                            for name, v in rec.outputs])
+        evidence = ",".join(['{"t":%s,"phi_inv":%s,"d":%s}'
+                             % (text(t), text(p), _plain(d))
+                             for t, p, d in rec.evidence])
+        write('{"shot":%s,"seed":%s,"outputs":[%s],"evidence":[%s]}\n'
+              % (_plain(rec.shot), _plain(rec.seed), outputs, evidence))
 
 
 def read_records(fp: IO[str]) -> list[ShotRecord]:
+    """The records of a JSONL stream.  A malformed line raises ValueError
+    naming its 1-based line number."""
     records = []
-    for line in fp:
+    for n, line in enumerate(fp, 1):
         line = line.strip()
         if line:
-            records.append(record_from_json(json.loads(line)))
+            try:
+                records.append(record_from_json(json.loads(line)))
+            except KeyError as e:
+                raise ValueError(f"line {n}: missing field {e}") from e
+            except (TypeError, ValueError, OverflowError, OutOfRange) as e:
+                raise ValueError(f"line {n}: {e}") from e
     return records

@@ -24,6 +24,10 @@ From the package this module imports only:
   reciprocal and division are a hardware specification, not something a
   simpler formula reproduces bit for bit.
 
+`record_to_json` is the reference JSONL encoder: the object whose
+`json.dumps(obj, separators=(",", ":"))` is, byte for byte, the line
+`sim.write_records` writes for a record.
+
 Nothing else, and in particular nothing of `hybridsim.sim`, so the
 reference never runs the engine it checks.  A test in `test_sim.py`
 enforces this list.
@@ -625,3 +629,24 @@ def _classical(ins, kinds, word, ops):
         return word(a if word(c, "bit") else b, kinds[ins.dest])
     k = kinds[ins.dest]
     return ops[ins.op, k](*(word(s, k) for s in ins.srcs))
+
+
+# -- reference JSONL encoder ----------------------------------------------------
+
+def _value_to_json(v):
+    if isinstance(v, FixedQ216):
+        return {"raw": v.raw, "value": v.raw / (1 << FRAC)}
+    if isinstance(v, Int18):
+        return {"raw": v.raw}
+    return v
+
+
+def record_to_json(rec) -> dict:
+    """The JSON object of one shot record."""
+    return {
+        "shot": rec.shot,
+        "seed": rec.seed,
+        "outputs": [[name, _value_to_json(v)] for name, v in rec.outputs],
+        "evidence": [{"t": _value_to_json(t), "phi_inv": _value_to_json(p),
+                      "d": d} for t, p, d in rec.evidence],
+    }

@@ -74,6 +74,28 @@ def test_run_deterministic_bytes(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+@pytest.mark.parametrize("out", [None, "-"])
+def test_run_streams_records_to_stdout(tmp_path, capsys, out):
+    prog = _write(tmp_path, "teleport.hir", TELEPORT)
+    path = str(tmp_path / "records.jsonl")
+    main(["run", prog, "--shots", "30", "--seed", "3", "--out", path])
+    assert main(["run", prog, "--shots", "30", "--seed", "3"]
+                + (["--out", out] if out else [])) == 0
+    assert capsys.readouterr().out == open(path, encoding="utf-8").read()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "PROG", "--shots", "2", "--out"], ["rwpe", "--shots", "2",
+                                               "--out-prefix"],
+    ["demo-reset", "--shots", "2", "--out"],
+    ["demo-teleport", "--shots", "2", "--out"]], ids=lambda a: a[0])
+def test_unwritable_records_path_exits_1(tmp_path, capsys, argv):
+    prog = _write(tmp_path, "teleport.hir", TELEPORT)
+    argv = [prog if a == "PROG" else a for a in argv]
+    assert main(argv + [str(tmp_path / "absent" / "r")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_invalid_file_exits_1(tmp_path, capsys):
     prog = _write(tmp_path, "bad.hir", "proc main qubits 1\nentry:\n  br gone\nendproc\n")
     assert main(["run", prog]) == 1
@@ -246,6 +268,33 @@ def test_refit_empty_records_exits_1(tmp_path, capsys):
 def test_refit_malformed_records_exits_1(tmp_path, capsys):
     bad = _write(tmp_path, "bad.jsonl", "{not json}\n")
     assert main(["refit", bad]) == 1
+
+
+def _records_with_second_line(tmp_path, edit):
+    prefix = str(tmp_path / "walk")
+    main(["rwpe", "--shots", "3", "--seed", "9", "--mode", "fixed",
+          "--out-prefix", prefix])
+    lines = open(prefix + ".records.jsonl").read().splitlines(True)
+    obj = json.loads(lines[1])
+    edit(obj)
+    lines[1] = json.dumps(obj, separators=(",", ":")) + "\n"
+    return _write(tmp_path, "bad.jsonl", "".join(lines))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("evidence"), "missing field 'evidence'"),
+    (lambda obj: obj["evidence"][0]["t"].update(raw=999999),
+     "raw word 999999 is not an 18-bit value"),
+    (lambda obj: obj.update(shot=float("inf")),
+     "cannot convert float infinity to integer"),
+], ids=["missing-field", "raw-word-out-of-range", "infinite-shot"])
+def test_refit_names_the_bad_line(tmp_path, capsys, edit, message):
+    bad = _records_with_second_line(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["refit", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read records: line 2: {message}\n"
+    assert captured.out == ""
 
 
 # -- demos -------------------------------------------------------------------------

@@ -3,6 +3,7 @@ determinism, and record serialization.  The engine is checked shot by shot
 against the reference interpreter `oracles.interpret`."""
 
 import ast
+import json
 import gc
 import io
 import linecache
@@ -12,12 +13,12 @@ import subprocess
 import sys
 import threading
 import traceback
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -977,12 +978,100 @@ def test_jsonl_roundtrip_property(records):
 def test_jsonl_fixed_values_carry_raw_and_decimal():
     records = sim.run_shots(build_rwpe(),
                             ExecConfig(seed=6, shots=1, classical_mode=FIXED))
-    payload = sim.record_to_json(records[0])
+    buf = io.StringIO()
+    sim.write_records(records, buf)
+    line, = buf.getvalue().splitlines()
+    payload = json.loads(line)
     mu = payload["outputs"][0][1]
     assert set(mu) == {"raw", "value"}
     assert mu["value"] == mu["raw"] / 65536
     ev = payload["evidence"][0]
     assert set(ev) == {"t", "phi_inv", "d"}
+    assert set(ev["t"]) == {"raw", "value"}
+
+
+class _Float(float):
+    pass
+
+
+# Values the writer renders by exact type, the memo traps (0.0 == -0.0,
+# 1 == 1.0 == True), non-finite and subnormal floats, huge ints, the boxes
+# at their boundary words, and what falls back to the json module.
+_JSON_SPECIAL = [
+    0.0, -0.0, 1, 1.0, True, False, None, math.nan, math.inf, -math.inf,
+    5e-324, -2.2250738585072014e-308, 2 ** 200, -2 ** 70, _Float(0.1), "x",
+    *map(fx.FixedQ216, fx.BOUNDARY_RAWS), *map(fx.Int18, fx.BOUNDARY_RAWS),
+    fx.FixedQ216(True), fx.Int18(False)]
+_JSON_VALUES = st.one_of(
+    st.sampled_from(_JSON_SPECIAL), st.floats(), st.integers(),
+    st.integers(-2 ** 200, 2 ** 200), st.builds(fx.FixedQ216, _RAW),
+    st.builds(fx.Int18, _RAW), st.text(max_size=3))
+# Shot, seed and `d` are written as they are, never boxed.
+_JSON_BARE = _JSON_VALUES.filter(
+    lambda v: not isinstance(v, (fx.FixedQ216, fx.Int18)))
+_JSON_NAMES = st.one_of(
+    st.sampled_from(["mu", 'say "hi"', "\\", "\u00fcber", "\u03c6\u207b\u00b9",
+                     "tab\t", "\U0001f600"]),
+    st.text(max_size=4))
+
+
+def _oracle_jsonl(records) -> str:
+    return "".join(json.dumps(oracles.record_to_json(r), separators=(",", ":"))
+                   + "\n" for r in records)
+
+
+def _wide_records(n):
+    """Records with more distinct floats and Q2.16 words than the writer's
+    memo holds, each value repeated so that hits follow every restart."""
+    floats = [(i + 1) * 0.1 for i in range(n)]
+    words = [fx.FixedQ216(fx.RAW_MIN + 31 * i) for i in range(n)]
+    ev = tuple(zip(floats + floats, words + words, [0, 1] * n))
+    return [sim.ShotRecord(k, k, (("w", words[k]),), ev[k::3]) for k in range(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(
+    sim.ShotRecord, st.one_of(st.integers(0, 2 ** 64), _JSON_BARE),
+    st.integers(0, 2 ** 64 - 1),
+    st.lists(st.tuples(_JSON_NAMES, _JSON_VALUES), max_size=5).map(tuple),
+    st.lists(st.tuples(_JSON_VALUES, _JSON_VALUES, _JSON_BARE),
+             max_size=5).map(tuple)),
+    max_size=4))
+@example([sim.ShotRecord(0, 1, tuple(("v", v) for v in _JSON_SPECIAL),
+                         tuple((v, v, v) for v in _JSON_SPECIAL[:16])),
+          sim.ShotRecord(1, 2, (),
+                         tuple((v, v, 0) for v in _JSON_SPECIAL[::-1]))])
+@example(_wide_records(2 * sim._MEMO_SIZE + 5))
+def test_write_records_matches_reference_encoder(records):
+    buf = io.StringIO()
+    sim.write_records(records, buf)
+    assert buf.getvalue() == _oracle_jsonl(records)
+
+
+def test_write_records_calls_write_once_per_record():
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=6, shots=3))
+    lines = []
+
+    class Sink:
+        write = lines.append
+
+    sim.write_records(records, Sink())
+    assert lines == _oracle_jsonl(records).splitlines(True)
+
+
+def test_shot_record_is_a_frozen_value():
+    rec = sim.ShotRecord(3, 7, (("mu", 0.5),), ((1.5, 0.25, 1),))
+    same = sim.ShotRecord(shot=3, seed=7, outputs=(("mu", 0.5),),
+                          evidence=((1.5, 0.25, 1),))
+    assert rec == same and rec != replace(rec, shot=4)
+    assert hash(rec) == hash(same)
+    assert repr(rec) == ("ShotRecord(shot=3, seed=7, outputs=(('mu', 0.5),), "
+                         "evidence=((1.5, 0.25, 1),))")
+    with pytest.raises(FrozenInstanceError):
+        rec.shot = 4
+    with pytest.raises(FrozenInstanceError):
+        del rec.seed
+    assert rec.shot == 3 and rec.seed == 7
 
 
 def test_unroll_cutoff_script_runs():
