@@ -109,7 +109,7 @@ class ExecConfig:
             raise ValueError("step_limit must be >= 1")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class ShotRecord:
     shot: int
     seed: int
@@ -119,13 +119,19 @@ class ShotRecord:
     def __init__(self, shot: int, seed: int,
                  outputs: tuple[tuple[str, object], ...],
                  evidence: tuple[tuple[object, object, int], ...]):
-        # Every shot builds one: filling `__dict__` directly skips the four
-        # `object.__setattr__` calls of the frozen dataclass `__init__`.
-        d = self.__dict__
-        d["shot"] = shot
-        d["seed"] = seed
-        d["outputs"] = outputs
-        d["evidence"] = evidence
+        # Every shot builds one.  Setting the slots through their
+        # descriptors skips the attribute lookup of the four
+        # `object.__setattr__` calls a frozen dataclass `__init__` makes.
+        _set_shot(self, shot)
+        _set_seed(self, seed)
+        _set_outputs(self, outputs)
+        _set_evidence(self, evidence)
+
+
+_set_shot = ShotRecord.shot.__set__
+_set_seed = ShotRecord.seed.__set__
+_set_outputs = ShotRecord.outputs.__set__
+_set_evidence = ShotRecord.evidence.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +440,7 @@ def write_records(records: Iterable[ShotRecord], fp: IO[str]):
         if t is fx.FixedQ216:
             raw = v.raw
             if type(raw) is not int:    # True would share 1's entry
-                return '{"raw":%s,"value":%s}' % (_dumps(raw), text(v.value))
+                return '{"raw":%s,"value":%s}' % (_dumps(raw), _dumps(v.value))
             s = words.get(raw)
             if s is None:
                 if len(words) >= _MEMO_SIZE:

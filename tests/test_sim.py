@@ -1059,6 +1059,21 @@ def test_write_records_calls_write_once_per_record():
     assert lines == _oracle_jsonl(records).splitlines(True)
 
 
+def test_write_records_leaves_no_reference_cycle():
+    """Each call's memo is freed on return, not by a later cycle
+    collection: a cycle that kept it alive raised the benchmark's peak RSS
+    by 6 MB over 10k RWPE shots."""
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=6, shots=3,
+                                                     classical_mode=FIXED))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.write_records(records, io.StringIO())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_shot_record_is_a_frozen_value():
     rec = sim.ShotRecord(3, 7, (("mu", 0.5),), ((1.5, 0.25, 1),))
     same = sim.ShotRecord(shot=3, seed=7, outputs=(("mu", 0.5),),
