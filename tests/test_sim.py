@@ -3,9 +3,9 @@ determinism, and record serialization.  The engine is checked shot by shot
 against the reference interpreter `oracles.interpret`."""
 
 import ast
-import json
 import gc
 import io
+import json
 import linecache
 import math
 import random
