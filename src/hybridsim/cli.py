@@ -98,21 +98,32 @@ def cmd_run(args) -> int:
     return 0
 
 
+# Shot indices `rwpe` runs, writes and drops at a time, so that its memory
+# stays flat however many shots it runs.
+RWPE_SLICE = 1000
+
+
 def cmd_rwpe(args) -> int:
     params = algorithms.RwpeParams(
         mu0=args.mu0, sigma0=args.sigma0, n_iter=args.iters,
         refresh_period=args.refresh_period, oracle_coeff=args.oracle_coeff)
-    records = sim.run_shots(algorithms.build_rwpe(params), _exec_config(args))
-    estimates = [algorithms.runtime_estimate(r) for r in records]
+    program = algorithms.build_rwpe(params)
+    cfg = _exec_config(args)
+    prefix = args.out_prefix
+    estimates = []
+    with _output(f"{prefix}.records.jsonl") as f:
+        for start in range(0, cfg.shots, RWPE_SLICE):
+            records = sim.run_shots(
+                program, cfg, range(start, min(start + RWPE_SLICE, cfg.shots)))
+            sim.write_records(records, f)
+            estimates += [algorithms.runtime_estimate(r) for r in records]
     hist = histogram(estimates, args.bins)
     mode_bin = hist.mode_bin()
     summary = {
         "mode_bin_center": hist.bin_center(mode_bin),
         "peak_height": hist.counts[mode_bin],
-        "shots": len(records),
+        "shots": len(estimates),
     }
-    prefix = args.out_prefix
-    _write_records(f"{prefix}.records.jsonl", records)
     _write_text(f"{prefix}.hist.csv", hist.to_csv())
     _write_text(f"{prefix}.summary.json",
                 json.dumps(summary, separators=(",", ":")) + "\n")

@@ -27,7 +27,7 @@ import math
 import re
 import textwrap
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from . import hir
 from .errors import SemanticError, StepLimitExceeded
@@ -261,43 +261,22 @@ _BUILTINS = {"StepLimitExceeded": StepLimitExceeded, "PI": math.pi, "S": _SQRT_H
              "sqrt": math.sqrt}
 
 
-# Constants that depend on literals, computed per compile by the domain in
-# force: each returns the values of the names it was given.
-
-def _encoded(domain: Domain, kind: str, value):
-    return (domain.literal[kind](value),)
-
-
-def _rz_phases(domain: Domain, angle):
-    theta = domain.radians(domain.literal["fixed"](angle))
-    phase = complex(math.cos(0.5 * theta), math.sin(0.5 * theta))
-    return phase.conjugate(), phase
-
-
-def _eswap_terms(domain: Domain, angle):
-    half = 0.5 * domain.radians(domain.literal["fixed"](angle))
-    return (complex(math.cos(half), -math.sin(half)), math.cos(half),
-            -1j * math.sin(half))
-
-
 class Generator:
     """Builds the source of `run` for one procedure, a table from each
-    generated line to (block label, HIR line), and what its exec namespace
-    needs: `static` values that depend on the program's shape alone, and
-    `consts`, the (names, function, arguments) that compute the literal
-    constants from a domain."""
+    generated line to (block label, HIR line), and the `static` values its
+    exec namespace needs: pair tuples, the initial amplitudes and the
+    literal constants, encoded by `domain`.  Noise enters the source only
+    through whether it is on; its probabilities are namespace entries."""
 
-    def __init__(self, proc: hir.Procedure, domain: Domain,
-                 noise: NoiseModel | None):
+    def __init__(self, proc: hir.Procedure, domain: Domain, noisy: bool):
         self.domain = domain
-        self.noise = noise
+        self.noisy = noisy
         self.n = proc.qubits
         self.unroll = self.n <= UNROLL_QUBITS
         self.reg = {d.name: f"r{i}" for i, d in enumerate(proc.decls)}
         self.kinds = {d.name: d.kind for d in proc.decls}
         self.static: dict[str, object] = {
             "A0": [1 + 0j] + [0j] * ((1 << self.n) - 1)}
-        self.consts: list[tuple[tuple[str, ...], Callable, tuple]] = []
         self.nconsts = 0
         self.chunks: list[str] = []
         # (first generated line, (block label, HIR line)) of each chunk
@@ -309,8 +288,7 @@ class Generator:
             "A = A0[:]"
         self.emit(0, "def run(rng, out, ev, limit):")
         self.emit(1, "rand = rng.random\nrandrange = rng.randrange\n" + amps)
-        # Initializers are encoded on every compile: range errors are
-        # load-time errors.
+        # Initializers are encoded here: range errors are load-time errors.
         for d in proc.decls:
             self.emit(1, f"{self.reg[d.name]} = {self.literal(d.kind, d.init)}")
         self.emit(1, "steps = 0\nb = 0\nwhile True:")
@@ -341,17 +319,20 @@ class Generator:
     def kernel(self, template: _Kernel, **fields):
         self.chunk(*_rendered(template, self.unroll, tuple(fields.items())))
 
-    def const(self, count: int, fn: Callable, *args) -> tuple[str, ...]:
-        """Names of `count` new namespace entries, set to `fn(domain, *args)`
-        on every compile."""
+    def const(self, *values) -> tuple[str, ...]:
+        """Names of new namespace entries holding `values`."""
         first = self.nconsts
-        self.nconsts += count
+        self.nconsts += len(values)
         names = tuple([f"c{k}" for k in range(first, self.nconsts)])
-        self.consts.append((names, fn, args))
+        self.static.update(zip(names, values))
         return names
 
     def literal(self, kind: str, value) -> str:
-        return self.const(1, _encoded, kind, value)[0]
+        return self.const(self.domain.literal[kind](value))[0]
+
+    def half_angle(self, angle) -> float:
+        """Half the radians of a literal angle, as the domain rounds it."""
+        return 0.5 * self.domain.radians(self.domain.literal["fixed"](angle))
 
     def indices(self, name: str, tuples: tuple):
         """The index tuples a kernel loops over: themselves when unrolled,
@@ -399,7 +380,7 @@ class Generator:
         elif isinstance(instr, hir.Measure):
             dest = self.reg[instr.dest]
             self.kernel(_MEASURE, P=self.pairs(instr.qubit), dest=dest)
-            if self.noise is not None:
+            if self.noisy:
                 self.emit(3, _READOUT_FLIP.format(dest=dest))
             if instr.record is not None:
                 t, phi_inv = (self.boxed(v) for v in instr.record)
@@ -433,7 +414,9 @@ class Generator:
                     radians=self.expr("radians", "fixed", [self.reg[instr.angle]])))
                 p0, p1 = "p0", "p1"
             else:
-                p0, p1 = self.const(2, _rz_phases, instr.angle)
+                half = self.half_angle(instr.angle)
+                phase = complex(math.cos(half), math.sin(half))
+                p0, p1 = self.const(phase.conjugate(), phase)
             self.kernel(_PHASE, P=pairs, p0=p0, p1=p1)
         elif name == "eswap":
             if isinstance(instr.angle, str):
@@ -441,12 +424,14 @@ class Generator:
                     radians=self.expr("radians", "fixed", [self.reg[instr.angle]])))
                 terms = ("corner", "cc", "ss")
             else:
-                terms = self.const(3, _eswap_terms, instr.angle)
+                half = self.half_angle(instr.angle)
+                terms = self.const(complex(math.cos(half), -math.sin(half)),
+                                   math.cos(half), -1j * math.sin(half))
             self.kernel(_ESWAP, Q=self.quads(*qs),
                         **dict(zip(("corner", "cc", "ss"), terms)))
         else:
             raise SemanticError(f"unknown gate {name!r}")
-        if self.noise is None or name in NOISELESS_GATES:
+        if not self.noisy or name in NOISELESS_GATES:
             return
         if len(qs) == 1:
             self.kernel(_NOISE1, P=self.pairs(qs[0]))
@@ -482,8 +467,7 @@ class Generator:
             self.emit(3, f"return {self.amplitudes()}")
 
 
-def namespace(static: dict, consts: list, domain: Domain,
-              noise: NoiseModel | None) -> dict:
+def namespace(static: dict, domain: Domain, noise: NoiseModel | None) -> dict:
     """The exec namespace of one compile of a generated `run`."""
     ns = dict(_BUILTINS, radians_fixed=domain.radians, **static)
     for (op, kind), fn in domain.ops.items():
@@ -493,6 +477,4 @@ def namespace(static: dict, consts: list, domain: Domain,
     if noise is not None:
         ns.update(p_gate1=noise.p_gate1, p_gate2=noise.p_gate2,
                   p_readout=noise.p_readout)
-    for names, fn, args in consts:
-        ns.update(zip(names, fn(domain, *args)))
     return ns

@@ -139,6 +139,14 @@ def check_int_range(x: int) -> int:
     return x
 
 
+def _bad_raw(raw) -> Exception:
+    """Why `raw` cannot be a boxed register word: a box holds an `int`
+    (bools excluded) in the 18-bit range."""
+    if type(raw) is not int:
+        return TypeError(f"raw word {raw!r} is not an int")
+    return OutOfRange(f"raw word {raw} is not an 18-bit value")
+
+
 @dataclass(frozen=True, slots=True)
 class FixedQ216:
     """A Q2.16 register value.  `raw` is the 18-bit two's-complement word."""
@@ -146,8 +154,9 @@ class FixedQ216:
     raw: int
 
     def __post_init__(self):
-        if not (RAW_MIN <= self.raw <= RAW_MAX):
-            raise OutOfRange(f"raw word {self.raw} is not an 18-bit value")
+        raw = self.raw
+        if type(raw) is not int or not RAW_MIN <= raw <= RAW_MAX:
+            raise _bad_raw(raw)
 
     @property
     def value(self) -> float:
@@ -164,8 +173,9 @@ class Int18:
     raw: int
 
     def __post_init__(self):
-        if not (RAW_MIN <= self.raw <= RAW_MAX):
-            raise OutOfRange(f"raw word {self.raw} is not an 18-bit value")
+        raw = self.raw
+        if type(raw) is not int or not RAW_MIN <= raw <= RAW_MAX:
+            raise _bad_raw(raw)
 
     def __repr__(self) -> str:
         return f"Int18({self.raw})"

@@ -153,12 +153,13 @@ class Procedure:
     blocks: tuple[BasicBlock, ...]
 
 
-# Not slotted, unlike the nodes above: the engine's compile cache holds
-# programs by weak reference, and a slotted dataclass can be weakly
-# referenced only from Python 3.11 on (`weakref_slot`).
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HybridProgram:
     procedure: Procedure
+    # The engine's generated code for this program object, filled and read
+    # only by `sim`; it dies with the program.
+    generated: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def entry_procedure(self) -> Procedure:
         """The procedure (the name predates single-procedure programs)."""

@@ -13,12 +13,13 @@ for records; the code generator is the same for both modes.
 
 Each program is compiled into the source of one Python function, which
 runs once per shot: registers are its locals, and every gate, measurement,
-reset and noise draw is inlined (`codegen` writes the source).  The source
-is generated once per program object and configuration and then cached;
-only the namespace of encoded literals and domain ops is rebuilt on each
-compile.  This is the only engine: the independent reference that checks
-it, an interpreter that walks the same blocks one instruction at a time,
-lives in `tests/oracles.py`.
+reset and noise draw is inlined (`codegen` writes the source).  The source,
+its line table and its encoded literals are generated once per program
+object, mode and noise switch, and kept on the program; only the namespace
+of domain ops and noise probabilities is rebuilt on each compile.  This is
+the only engine: the independent reference that checks it, an interpreter
+that walks the same blocks one instruction at a time, lives in
+`tests/oracles.py`.
 
 Determinism contract: each shot draws from a generator seeded by a
 splitmix-style mix of (config seed, shot index), so shots may be evaluated
@@ -41,7 +42,6 @@ import operator
 import random
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from types import CodeType, FunctionType
@@ -221,52 +221,37 @@ def derive_shot_seed(seed: int, shot_index: int) -> int:
     return _mix64(_mix64(seed & _MASK64) ^ (shot_index & _MASK64))
 
 
-# Compile caches.  `_generated` keeps the generated source of each program
-# object (by identity, so that two equal programs keep their own HIR line
-# numbers) for each mode and noise model, until the program dies or drops
-# out of the most recent _CACHE_SIZE.  `_code` keeps the code object of
-# each source text; a source stays in `linecache`, so that tracebacks show
-# the generated lines, for as long as a code object compiled from it lives.
+# Compile caches.  Each program object keeps its generated source, file
+# name, line table and static values in `HybridProgram.generated`, per mode
+# and noise switch, so two equal programs keep their own HIR line numbers.
+# `_code` keeps the code object of each source text; a source stays in
+# `linecache`, so that tracebacks show the generated lines, for as long as
+# a code object compiled from it lives.
 
 _CACHE_SIZE = 128
-_programs: OrderedDict[tuple, tuple] = OrderedDict()
 _line_refs: dict[str, int] = {}
-# Guards both; reentrant, because a finalizer can run on the thread that
-# holds it.
-_cache_lock = threading.RLock()
-
-
-def _forget(key: tuple, ref: weakref.ref):
-    with _cache_lock:
-        entry = _programs.get(key)
-        if entry is not None and entry[0] is ref:
-            del _programs[key]
+# Reentrant, because a finalizer can run on the thread that holds it.
+_line_lock = threading.RLock()
 
 
 def _generated(program: hir.HybridProgram, cfg: ExecConfig, domain: Domain):
-    """(weak reference, source, file name, line table, static namespace,
-    literal constants) of `program` under `cfg`'s mode and noise."""
-    key = (id(program), cfg.classical_mode, cfg.noise)
-    with _cache_lock:
-        entry = _programs.get(key)
-        if entry is not None and entry[0]() is program:
-            _programs.move_to_end(key)
-            return entry
-    hir.check_semantics(program)
-    proc = program.procedure
-    gen = Generator(proc, domain, cfg.noise)
-    digest = hashlib.sha1(gen.source.encode()).hexdigest()[:10]
-    entry = (weakref.ref(program, lambda ref: _forget(key, ref)), gen.source,
-             f"<hir {proc.name}:{digest}>", gen.where, gen.static, gen.consts)
-    with _cache_lock:
-        _programs[key] = entry
-        if len(_programs) > _CACHE_SIZE:
-            _programs.popitem(last=False)
+    """(source, file name, line table, static namespace) of `program` under
+    `cfg`'s mode and noise switch.  Threads that miss at once generate equal
+    entries, and either may stay."""
+    key = (cfg.classical_mode, cfg.noise is not None)
+    entry = program.generated.get(key)
+    if entry is None:
+        hir.check_semantics(program)
+        proc = program.procedure
+        gen = Generator(proc, domain, key[1])
+        digest = hashlib.sha1(gen.source.encode()).hexdigest()[:10]
+        entry = program.generated[key] = (
+            gen.source, f"<hir {proc.name}:{digest}>", gen.where, gen.static)
     return entry
 
 
 def _release_lines(filename: str):
-    with _cache_lock:
+    with _line_lock:
         _line_refs[filename] -= 1
         if not _line_refs[filename]:
             del _line_refs[filename]
@@ -278,7 +263,7 @@ def _code(source: str, filename: str) -> CodeType:
     """The code object of the function `source` defines."""
     module = compile(source, filename, "exec")
     code = next(c for c in module.co_consts if isinstance(c, CodeType))
-    with _cache_lock:
+    with _line_lock:
         if filename not in _line_refs:
             _line_refs[filename] = 0
             linecache.cache[filename] = (len(source), None,
@@ -303,10 +288,10 @@ class CompiledProgram:
 
     def __init__(self, program: hir.HybridProgram, cfg: ExecConfig):
         domain = select_domain(cfg.classical_mode)
-        _, self.source, self.filename, self.where, static, consts = \
+        self.source, self.filename, self.where, static = \
             _generated(program, cfg, domain)
         self.run = FunctionType(_code(self.source, self.filename),
-                                namespace(static, consts, domain, cfg.noise))
+                                namespace(static, domain, cfg.noise))
         self.nqubits = program.procedure.qubits
         self._rng = random.Random(0)
         # The C generator's own seed: `Random.seed` adds only argument checks
@@ -400,21 +385,28 @@ def _float_text(v: float) -> str:
 
 
 def _plain(v) -> str:
-    """A value that is never boxed (shot, seed, `d`, a raw word)."""
+    """A value that is never boxed (shot, seed, `d`)."""
     return "%d" % v if type(v) is int else _dumps(v)
 
 
 def _value_from_json(v):
     if isinstance(v, dict):
         box = fx.FixedQ216 if "value" in v else fx.Int18
-        return box(int(v["raw"]))
+        return box(v["raw"])
     return v
+
+
+def _bit_from_json(d):
+    if type(d) is not int or not 0 <= d <= 1:
+        raise ValueError(f"evidence bit {d!r} is not 0 or 1")
+    return d
 
 
 def record_from_json(obj: dict) -> ShotRecord:
     outputs = tuple((name, _value_from_json(v)) for name, v in obj["outputs"])
     evidence = tuple(
-        (_value_from_json(e["t"]), _value_from_json(e["phi_inv"]), int(e["d"]))
+        (_value_from_json(e["t"]), _value_from_json(e["phi_inv"]),
+         _bit_from_json(e["d"]))
         for e in obj["evidence"])
     return ShotRecord(int(obj["shot"]), int(obj["seed"]), outputs, evidence)
 
@@ -439,8 +431,6 @@ def write_records(records: Iterable[ShotRecord], fp: IO[str]):
             return s
         if t is fx.FixedQ216:
             raw = v.raw
-            if type(raw) is not int:    # True would share 1's entry
-                return '{"raw":%s,"value":%s}' % (_dumps(raw), _dumps(v.value))
             s = words.get(raw)
             if s is None:
                 if len(words) >= _MEMO_SIZE:
@@ -451,7 +441,7 @@ def write_records(records: Iterable[ShotRecord], fp: IO[str]):
         if t is int:
             return "%d" % v
         if t is fx.Int18:
-            return '{"raw":%s}' % _plain(v.raw)
+            return '{"raw":%d}' % v.raw
         return _dumps(v)
 
     write = fp.write

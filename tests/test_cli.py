@@ -1,5 +1,6 @@
 """Command-line pipeline: files, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridsim import hir
+from hybridsim import cli, hir, sim
 from hybridsim.algorithms import build_rwpe, build_teleport
 from hybridsim.cli import main
 from hybridsim.hist import histogram
@@ -186,6 +187,34 @@ def test_rwpe_single_shot_single_bin(tmp_path):
     assert len(nonzero) == 1
 
 
+def test_rwpe_slices_match_one_run(tmp_path, monkeypatch):
+    # `rwpe` runs and writes slices of RWPE_SLICE shot indices; the files of
+    # a run in slices of 7 are byte for byte those of one `run_shots` call.
+    def files(tag):
+        prefix = str(tmp_path / tag)
+        assert main(["rwpe", "--shots", "20", "--seed", "8", "--mode", "fixed",
+                     "--out-prefix", prefix]) == 0
+        return [open(prefix + ext, "rb").read()
+                for ext in (".records.jsonl", ".hist.csv", ".summary.json")]
+
+    monkeypatch.setattr(cli, "RWPE_SLICE", 7)
+    sliced = files("sliced")
+    monkeypatch.setattr(cli, "RWPE_SLICE", 20)
+    assert sliced == files("whole")
+    records = sim.run_shots(build_rwpe(), sim.ExecConfig(
+        classical_mode=sim.ClassicalMode.FIXED_POINT, seed=8, shots=20))
+    buf = io.StringIO()
+    sim.write_records(records, buf)
+    assert sliced[0] == buf.getvalue().encode()
+
+
+def test_rwpe_shot_error_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HYBRIDSIM_STEP_LIMIT", "50")
+    assert main(["rwpe", "--shots", "3", "--out-prefix",
+                 str(tmp_path / "walk")]) == 2
+    assert "error: shot 0, block " in capsys.readouterr().err
+
+
 # -- validate / lower -------------------------------------------------------------
 
 def test_validate_lower_pipeline(tmp_path, capsys):
@@ -285,9 +314,17 @@ def _records_with_second_line(tmp_path, edit):
     (lambda obj: obj.pop("evidence"), "missing field 'evidence'"),
     (lambda obj: obj["evidence"][0]["t"].update(raw=999999),
      "raw word 999999 is not an 18-bit value"),
+    (lambda obj: obj["evidence"][0]["t"].update(raw=2.9),
+     "raw word 2.9 is not an int"),
     (lambda obj: obj.update(shot=float("inf")),
      "cannot convert float infinity to integer"),
-], ids=["missing-field", "raw-word-out-of-range", "infinite-shot"])
+    (lambda obj: obj["evidence"][0].update(d=2), "evidence bit 2 is not 0 or 1"),
+    (lambda obj: obj["evidence"][0].update(d=1.7),
+     "evidence bit 1.7 is not 0 or 1"),
+    (lambda obj: obj["evidence"][0].update(d=True),
+     "evidence bit True is not 0 or 1"),
+], ids=["missing-field", "raw-word-out-of-range", "raw-word-not-int",
+        "infinite-shot", "bit-two", "bit-float", "bit-bool"])
 def test_refit_names_the_bad_line(tmp_path, capsys, edit, message):
     bad = _records_with_second_line(tmp_path, edit)
     capsys.readouterr()

@@ -149,3 +149,12 @@ def test_typed_wrappers():
         fx.Int18(2 ** 17)
     with pytest.raises(OutOfRange):
         fx.FixedQ216(2 ** 17)
+
+
+@pytest.mark.parametrize("make", [lambda: fx.FixedQ216(True),
+                                  lambda: fx.Int18(False),
+                                  lambda: fx.FixedQ216(1.5)],
+                         ids=["fixed-bool", "int18-bool", "fixed-float"])
+def test_box_raw_word_must_be_an_int(make):
+    with pytest.raises(TypeError, match="is not an int"):
+        make()

@@ -543,28 +543,26 @@ def test_equal_programs_report_their_own_lines():
 
 
 def test_compile_cache_is_bounded():
-    cfg = ExecConfig()
-    gc.collect()
-    before = len(sim._programs)
-    for _ in range(1000):
-        sim.compile_program(hir.parse(_MULTIPLIES), cfg)
-    gc.collect()
-    # each program died after its compile, and took its entry along
-    assert len(sim._programs) <= before
-    alive = [hir.parse(_MULTIPLIES) for _ in range(1000)]
-    for prog in alive:
-        sim.compile_program(prog, cfg)
-    assert len(sim._programs) == sim._CACHE_SIZE
-    del alive, prog
-    gc.collect()
-    assert all(entry[0]() is not None for entry in sim._programs.values())
+    # The generated code lives on the program object, one entry per mode
+    # and noise switch: noise models differ only in namespace values.
+    prog = hir.parse(_MULTIPLIES)
+    for mode in ClassicalMode:
+        for noise in (None, NoiseModel(), NoiseModel(0.1, 0.2, 0.3),
+                      NoiseModel(0, 0, 0)):
+            for _ in range(3):
+                sim.compile_program(prog, ExecConfig(classical_mode=mode,
+                                                     noise=noise))
+    assert len(prog.generated) == 4
+    # An equal program object keeps its own, still empty, entries.
+    other = hir.parse(_MULTIPLIES)
+    assert other == prog and other.generated == {}
 
 
-def test_compile_cache_is_thread_safe(monkeypatch):
-    # A small cache, so that threads evict each other's entries while they
-    # look theirs up.
-    monkeypatch.setattr(sim, "_CACHE_SIZE", 2)
+def test_compile_cache_is_thread_safe():
+    # Threads compile fresh programs and one shared program object at once,
+    # so they fill and read the shared program's entries concurrently.
     text = hir.emit(build_teleport())
+    shared = hir.parse(text)
     cfg = ExecConfig(seed=3, shots=5)
     want = sim.run_shots(hir.parse(text), cfg)
     results, errors = [], []
@@ -573,6 +571,7 @@ def test_compile_cache_is_thread_safe(monkeypatch):
         try:
             for _ in range(25):
                 results.append(sim.run_shots(hir.parse(text), cfg) == want)
+                results.append(sim.run_shots(shared, cfg) == want)
         except Exception as e:      # reported by the assertion below
             errors.append(e)
 
@@ -588,7 +587,8 @@ def test_compile_cache_is_thread_safe(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert results == [True] * 100
+    assert results == [True] * 200
+    assert list(shared.generated) == [(ClassicalMode.EXACT_REAL, False)]
 
 
 def _linecache_entries():
@@ -1000,8 +1000,7 @@ class _Float(float):
 _JSON_SPECIAL = [
     0.0, -0.0, 1, 1.0, True, False, None, math.nan, math.inf, -math.inf,
     5e-324, -2.2250738585072014e-308, 2 ** 200, -2 ** 70, _Float(0.1), "x",
-    *map(fx.FixedQ216, fx.BOUNDARY_RAWS), *map(fx.Int18, fx.BOUNDARY_RAWS),
-    fx.FixedQ216(True), fx.Int18(False)]
+    *map(fx.FixedQ216, fx.BOUNDARY_RAWS), *map(fx.Int18, fx.BOUNDARY_RAWS)]
 _JSON_VALUES = st.one_of(
     st.sampled_from(_JSON_SPECIAL), st.floats(), st.integers(),
     st.integers(-2 ** 200, 2 ** 200), st.builds(fx.FixedQ216, _RAW),
@@ -1096,3 +1095,14 @@ def test_unroll_cutoff_script_runs():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 1 + 2 * 2   # 2-3 qubits, 2 noise
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml admits Python 3.10: no file may use newer grammar."""
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(p for d in ("src", "tests", "tools")
+                   for p in (root / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))

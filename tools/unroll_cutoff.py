@@ -40,7 +40,7 @@ def measure(prog, cfg, unroll: bool, shots: int):
     codegen._AMPS = tuple(f"a{i}" for i in range(1 << n))
     compile_ms = float("inf")
     for _ in range(3):
-        sim._programs.clear()
+        prog.generated.clear()
         sim._code.cache_clear()
         codegen._rendered.cache_clear()
         t0 = time.perf_counter()
