@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 from . import fixedpoint as fx
 from .hir import (BasicBlock, Br, Classical, CondBr, Gate, HybridProgram,
-                  Measure, Output, Procedure, Reset, Ret, VarDecl,
-                  make_program)
+                  Measure, Output, Reset, Ret, VarDecl)
 
 # Walk update factors (Gaussian-approximate Bayes update per measurement).
 SHIFT_FACTOR = 1.0 / math.sqrt(math.e)                  # mean step, in sigmas
@@ -117,9 +116,8 @@ def build_ipe_program(phi_inv: float, t: float,
     )
     body = (Gate("x", (1,)),) + build_ipe_step(oracle_coeff=oracle_coeff) + \
         (Output("d"),)
-    proc = Procedure("ipe_step", 2, decls,
-                     (BasicBlock("main", body, Ret()),))
-    return make_program(proc)
+    return HybridProgram("ipe_step", 2, decls,
+                         (BasicBlock("main", body, Ret()),))
 
 
 def build_rwpe(params: RwpeParams = RwpeParams()) -> HybridProgram:
@@ -189,8 +187,7 @@ def build_rwpe(params: RwpeParams = RwpeParams()) -> HybridProgram:
         ), Br("head")),
         BasicBlock("done", (Output("mu"),), Ret()),
     )
-    proc = Procedure("rwpe", 2, decls, blocks)
-    return make_program(proc)
+    return HybridProgram("rwpe", 2, decls, blocks)
 
 
 def build_active_reset(num_qubits: int = 1) -> HybridProgram:
@@ -227,8 +224,7 @@ def build_active_reset(num_qubits: int = 1) -> HybridProgram:
         BasicBlock("succeed", (Output("ok"),), Ret()),
         BasicBlock("give_up", (Output("ok"),), Ret()),
     )
-    proc = Procedure("active_reset", num_qubits, decls, blocks)
-    return make_program(proc)
+    return HybridProgram("active_reset", num_qubits, decls, blocks)
 
 
 def build_teleport() -> HybridProgram:
@@ -257,8 +253,7 @@ def build_teleport() -> HybridProgram:
         ), Br("done")),
         BasicBlock("done", (Output("mx"), Output("mzv")), Ret()),
     )
-    proc = Procedure("teleport", 3, decls, blocks)
-    return make_program(proc)
+    return HybridProgram("teleport", 3, decls, blocks)
 
 
 def runtime_estimate(record) -> float:

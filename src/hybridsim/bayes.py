@@ -155,7 +155,8 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
     """MMSE re-estimate per shot, plus a pooled estimate from all evidence.
 
     `true_value` and `raw_estimates` (both on the doubled scale) enable the
-    mse / raw_mse summary fields.  Raises ValueError when the grid has fewer
+    mse / raw_mse summary fields.  Raises ValueError when a record's
+    evidence holds a non-finite time or angle, or when the grid has fewer
     than MIN_NODES_PER_PERIOD nodes per likelihood period of some record.
     """
     if not records:
@@ -173,6 +174,10 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
         if not rec.evidence:
             raise ValueError(f"shot {rec.shot} has no evidence to refit")
         ev = evidence_from_record(rec)
+        for k, (t, phi_inv, _) in enumerate(ev.entries):
+            if not (math.isfinite(t) and math.isfinite(phi_inv)):
+                raise ValueError(
+                    f"shot {rec.shot}: evidence entry {k} is not finite")
         t = max(abs(e[0]) for e in ev.entries)
         # A factor of time t has period 2/|t| in units of pi.
         if 2.0 * (grid_size - 1) < MIN_NODES_PER_PERIOD * t * width:

@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+from typing import IO, Iterator
 
 from . import algorithms, bayes, hir, lowering, sim
 from .errors import HybridSimError, ShotError
@@ -77,15 +78,32 @@ def _write_text(path: str | None, text: str):
         f.write(text)
 
 
-def _write_records(path: str | None, records):
-    """Stream the records' JSONL into `path` without building the text."""
-    with _output(path) as f:
-        sim.write_records(records, f)
-
-
 def _emit_diagnostics(diags):
     for d in diags:
         print(json.dumps(d.to_json(), separators=(",", ":")), file=sys.stderr)
+
+
+# Shot indices a command runs, writes and drops at a time, so that its
+# memory stays flat however many shots it runs.
+RUN_SLICE = 1000
+
+
+def _run_sliced(program: hir.HybridProgram, cfg: sim.ExecConfig,
+                out: IO[str] | None) -> Iterator[sim.ShotRecord]:
+    """The records of `cfg`'s shots, run RUN_SLICE shot indices at a time.
+    Each slice is written to `out`, if there is one, before its records are
+    yielded; the output is byte for byte that of one run."""
+    for start in range(0, cfg.shots, RUN_SLICE):
+        records = sim.run_shots(
+            program, cfg, range(start, min(start + RUN_SLICE, cfg.shots)))
+        if out is not None:
+            sim.write_records(records, out)
+        yield from records
+
+
+def _records_output(path: str | None):
+    """The demos' records file: none without `--out`, stdout for `-`."""
+    return _output(path) if path else contextlib.nullcontext()
 
 
 def cmd_run(args) -> int:
@@ -94,13 +112,10 @@ def cmd_run(args) -> int:
     if diags:
         _emit_diagnostics(diags)
         return 1
-    _write_records(args.out, sim.run_shots(program, _exec_config(args)))
+    with _output(args.out) as f:
+        for _ in _run_sliced(program, _exec_config(args), f):
+            pass
     return 0
-
-
-# Shot indices `rwpe` runs, writes and drops at a time, so that its memory
-# stays flat however many shots it runs.
-RWPE_SLICE = 1000
 
 
 def cmd_rwpe(args) -> int:
@@ -110,13 +125,9 @@ def cmd_rwpe(args) -> int:
     program = algorithms.build_rwpe(params)
     cfg = _exec_config(args)
     prefix = args.out_prefix
-    estimates = []
     with _output(f"{prefix}.records.jsonl") as f:
-        for start in range(0, cfg.shots, RWPE_SLICE):
-            records = sim.run_shots(
-                program, cfg, range(start, min(start + RWPE_SLICE, cfg.shots)))
-            sim.write_records(records, f)
-            estimates += [algorithms.runtime_estimate(r) for r in records]
+        estimates = [algorithms.runtime_estimate(r)
+                     for r in _run_sliced(program, cfg, f)]
     hist = histogram(estimates, args.bins)
     mode_bin = hist.mode_bin()
     summary = {
@@ -187,25 +198,24 @@ def cmd_refit(args) -> int:
 
 
 def cmd_demo_reset(args) -> int:
-    records = sim.run_shots(algorithms.build_active_reset(), _exec_config(args))
-    successes = sum(v for r in records for name, v in r.outputs if name == "ok")
-    print(json.dumps({"shots": len(records),
-                      "success_rate": successes / len(records)}))
-    if args.out:
-        _write_records(args.out, records)
+    shots = successes = 0
+    with _records_output(args.out) as f:
+        for r in _run_sliced(algorithms.build_active_reset(),
+                             _exec_config(args), f):
+            shots += 1
+            successes += sum(v for name, v in r.outputs if name == "ok")
+    print(json.dumps({"shots": shots, "success_rate": successes / shots}))
     return 0
 
 
 def cmd_demo_teleport(args) -> int:
-    records = sim.run_shots(algorithms.build_teleport(), _exec_config(args))
     branch_counts: dict[str, int] = {}
-    for r in records:
-        key = "".join(str(v) for _, v in r.outputs)
-        branch_counts[key] = branch_counts.get(key, 0) + 1
-    print(json.dumps({"shots": len(records),
+    with _records_output(args.out) as f:
+        for r in _run_sliced(algorithms.build_teleport(), _exec_config(args), f):
+            key = "".join(str(v) for _, v in r.outputs)
+            branch_counts[key] = branch_counts.get(key, 0) + 1
+    print(json.dumps({"shots": sum(branch_counts.values()),
                       "branches": dict(sorted(branch_counts.items()))}))
-    if args.out:
-        _write_records(args.out, records)
     return 0
 
 

@@ -1,6 +1,6 @@
 """Source generation for the shot engine.
 
-A program's procedure becomes the source of one Python function,
+A program becomes the source of one Python function,
 `run(rng, out, ev, limit)`, which `sim.CompiledProgram` runs once per shot.
 Registers are the locals r0, r1, ... (one per declared variable), and each
 block is one branch of a `while` dispatch on the block index `b`.  Gates,
@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import hir
-from .errors import SemanticError, StepLimitExceeded
+from .errors import StepLimitExceeded
 
 if TYPE_CHECKING:
     from .sim import Domain, NoiseModel
@@ -262,19 +262,21 @@ _BUILTINS = {"StepLimitExceeded": StepLimitExceeded, "PI": math.pi, "S": _SQRT_H
 
 
 class Generator:
-    """Builds the source of `run` for one procedure, a table from each
+    """Builds the source of `run` for one program, a table from each
     generated line to (block label, HIR line), and the `static` values its
     exec namespace needs: pair tuples, the initial amplitudes and the
     literal constants, encoded by `domain`.  Noise enters the source only
-    through whether it is on; its probabilities are namespace entries."""
+    through whether it is on; its probabilities are namespace entries.
+    Programs are checked when they are built, so every instruction and
+    gate it meets is one it knows."""
 
-    def __init__(self, proc: hir.Procedure, domain: Domain, noisy: bool):
+    def __init__(self, prog: hir.HybridProgram, domain: Domain, noisy: bool):
         self.domain = domain
         self.noisy = noisy
-        self.n = proc.qubits
+        self.n = prog.qubits
         self.unroll = self.n <= UNROLL_QUBITS
-        self.reg = {d.name: f"r{i}" for i, d in enumerate(proc.decls)}
-        self.kinds = {d.name: d.kind for d in proc.decls}
+        self.reg = {d.name: f"r{i}" for i, d in enumerate(prog.decls)}
+        self.kinds = {d.name: d.kind for d in prog.decls}
         self.static: dict[str, object] = {
             "A0": [1 + 0j] + [0j] * ((1 << self.n) - 1)}
         self.nconsts = 0
@@ -289,11 +291,11 @@ class Generator:
         self.emit(0, "def run(rng, out, ev, limit):")
         self.emit(1, "rand = rng.random\nrandrange = rng.randrange\n" + amps)
         # Initializers are encoded here: range errors are load-time errors.
-        for d in proc.decls:
+        for d in prog.decls:
             self.emit(1, f"{self.reg[d.name]} = {self.literal(d.kind, d.init)}")
         self.emit(1, "steps = 0\nb = 0\nwhile True:")
-        index = {b.label: i for i, b in enumerate(proc.blocks)}
-        for i, block in enumerate(proc.blocks):
+        index = {b.label: i for i, b in enumerate(prog.blocks)}
+        for i, block in enumerate(prog.blocks):
             first = block.instructions[0] if block.instructions else block.terminator
             self.at = (block.label, first.line)
             self.emit(2, f"{'if' if i == 0 else 'elif'} b == {i}:")
@@ -392,10 +394,8 @@ class Generator:
                 self.kernel(_RESET, P=self.pairs(q))
         elif isinstance(instr, hir.Classical):
             self.classical(instr)
-        elif isinstance(instr, hir.Output):
+        else:   # hir.Output
             self.emit(3, f"out.append(({instr.name!r}, {self.boxed(instr.name)}))")
-        else:
-            raise SemanticError(f"cannot compile {instr!r}")
 
     def gate(self, instr: hir.Gate):
         name, qs = instr.name, instr.qubits
@@ -418,7 +418,7 @@ class Generator:
                 phase = complex(math.cos(half), math.sin(half))
                 p0, p1 = self.const(phase.conjugate(), phase)
             self.kernel(_PHASE, P=pairs, p0=p0, p1=p1)
-        elif name == "eswap":
+        else:   # eswap
             if isinstance(instr.angle, str):
                 self.emit(3, _ESWAP_OF_REGISTER.format(
                     radians=self.expr("radians", "fixed", [self.reg[instr.angle]])))
@@ -429,8 +429,6 @@ class Generator:
                                    math.cos(half), -1j * math.sin(half))
             self.kernel(_ESWAP, Q=self.quads(*qs),
                         **dict(zip(("corner", "cc", "ss"), terms)))
-        else:
-            raise SemanticError(f"unknown gate {name!r}")
         if not self.noisy or name in NOISELESS_GATES:
             return
         if len(qs) == 1:

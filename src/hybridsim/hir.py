@@ -22,7 +22,7 @@ Variable kinds are `bit`, `int18` and `fixed` (Q2.16).  Angles are written
 in units of pi and may be a `fixed` variable or a decimal literal.  Qubit
 operands are `q0`, `q1`, ... with static indices.  No instruction calls
 another procedure, so any text after `endproc` is a syntax error.  `parse`
-and `emit` are exact inverses on valid programs.
+and `emit` are exact inverses.
 """
 
 from __future__ import annotations
@@ -146,36 +146,31 @@ class BasicBlock:
 
 
 @dataclass(frozen=True, slots=True)
-class Procedure:
+class HybridProgram:
+    """A program: one procedure, checked by `check_semantics` when it is
+    built, so every program that exists is valid."""
+
     name: str
     qubits: int
     decls: tuple[VarDecl, ...]
     blocks: tuple[BasicBlock, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class HybridProgram:
-    procedure: Procedure
     # The engine's generated code for this program object, filled and read
     # only by `sim`; it dies with the program.
     generated: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
-    def entry_procedure(self) -> Procedure:
-        """The procedure (the name predates single-procedure programs)."""
-        return self.procedure
+    def __post_init__(self):
+        check_semantics(self)
 
-
-def make_program(procedure: Procedure) -> HybridProgram:
-    """Build the program of `procedure`, and check it."""
-    prog = HybridProgram(procedure)
-    check_semantics(prog)
-    return prog
+    def entry_procedure(self) -> HybridProgram:
+        """The program itself.  Kept only for the benchmark's
+        `perfbench/workloads.py`, which calls it; nothing else does."""
+        return self
 
 
 # ---------------------------------------------------------------------------
-# Semantic checking over the object model (used by parse and by the
-# compiler's load step, so builder-made programs get the same scrutiny).
+# Semantic checking over the object model, run by every `HybridProgram`
+# when it is built: parsed and builder-made programs get the same scrutiny.
 
 def _check_operand(kinds: dict[str, str], tok, want: str, line, what: str):
     if isinstance(tok, str):
@@ -280,26 +275,25 @@ def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
 
 
 def check_semantics(prog: HybridProgram):
-    proc = prog.procedure
-    if proc.qubits < 0:
-        raise SemanticError(f"procedure {proc.name!r}: negative qubit count")
+    if prog.qubits < 0:
+        raise SemanticError(f"procedure {prog.name!r}: negative qubit count")
     kinds: dict[str, str] = {}
-    for d in proc.decls:
+    for d in prog.decls:
         if d.kind not in KINDS:
             raise SemanticError(f"unknown kind {d.kind!r} for var {d.name!r}")
         if d.name in kinds:
             raise SemanticError(f"duplicate declaration of {d.name!r}")
         kinds[d.name] = d.kind
-    if not proc.blocks:
-        raise SemanticError(f"procedure {proc.name!r} has no blocks")
+    if not prog.blocks:
+        raise SemanticError(f"procedure {prog.name!r} has no blocks")
     labels = set()
-    for b in proc.blocks:
+    for b in prog.blocks:
         if b.label in labels:
             raise SemanticError(f"duplicate label {b.label!r}")
         labels.add(b.label)
-    for b in proc.blocks:
+    for b in prog.blocks:
         for instr in b.instructions:
-            _check_instruction(instr, kinds, proc.qubits)
+            _check_instruction(instr, kinds, prog.qubits)
         t = b.terminator
         if isinstance(t, Br):
             targets = (t.target,)
@@ -437,7 +431,7 @@ _DEFAULT_INIT = {"bit": 0, "int18": 0, "fixed": 0.0}
 
 def parse(text: str) -> HybridProgram:
     """Parse program text.  Raises IRSyntaxError / SemanticError."""
-    proc: Procedure | None = None    # the procedure, once closed
+    closed: tuple | None = None      # the procedure's fields, once closed
     cur: dict | None = None          # open procedure under construction
     blocks: list[BasicBlock] = []
     label: str | None = None
@@ -457,7 +451,7 @@ def parse(text: str) -> HybridProgram:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if proc is not None:
+        if closed is not None:
             raise IRSyntaxError("text after endproc (a program is one "
                                 "procedure)", ln)
         tokens = line.split()
@@ -476,8 +470,8 @@ def parse(text: str) -> HybridProgram:
             if len(tokens) != 1:
                 raise IRSyntaxError("endproc takes nothing", ln)
             close_block(ln)
-            proc = Procedure(cur["name"], cur["qubits"],
-                             tuple(cur["decls"]), tuple(blocks))
+            closed = (cur["name"], cur["qubits"], tuple(cur["decls"]),
+                      tuple(blocks))
             cur = None
             continue
         if tokens[0] == "var":
@@ -508,13 +502,15 @@ def parse(text: str) -> HybridProgram:
             instrs.append(item)
     if cur is not None:
         raise IRSyntaxError("missing endproc", len(text.splitlines()) or 1)
-    if proc is None:
+    if closed is None:
         raise IRSyntaxError("no procedure", 1)
-    return make_program(proc)
+    # Built, and so checked, only now: text after `endproc` is reported
+    # before any semantic error of the procedure.
+    return HybridProgram(*closed)
 
 
 # ---------------------------------------------------------------------------
-# Emitter.  Deterministic; parse(emit(p)) == p for valid programs.
+# Emitter.  Deterministic; parse(emit(p)) == p.
 
 def _fmt_operand(v: str | float | int) -> str:
     if isinstance(v, str):
@@ -554,11 +550,10 @@ def _fmt_instruction(instr: Instruction | Terminator) -> str:
 
 
 def emit(prog: HybridProgram) -> str:
-    p = prog.procedure
-    out = [f"proc {p.name} qubits {p.qubits}"]
-    for d in p.decls:
+    out = [f"proc {prog.name} qubits {prog.qubits}"]
+    for d in prog.decls:
         out.append(f"  var {d.kind} {d.name} = {_fmt_operand(d.init)}")
-    for b in p.blocks:
+    for b in prog.blocks:
         out.append(f"{b.label}:")
         for instr in b.instructions:
             out.append(f"  {_fmt_instruction(instr)}")
@@ -591,9 +586,8 @@ class Cfg:
 
 
 def cfg(prog: HybridProgram) -> Cfg:
-    proc = prog.procedure
     succ: dict[str, tuple[str, ...]] = {}
-    for b in proc.blocks:
+    for b in prog.blocks:
         t = b.terminator
         if isinstance(t, Br):
             succ[b.label] = (t.target,)
@@ -601,4 +595,4 @@ def cfg(prog: HybridProgram) -> Cfg:
             succ[b.label] = (t.then_target, t.else_target)
         else:
             succ[b.label] = ()
-    return Cfg(proc.blocks[0].label, succ)
+    return Cfg(prog.blocks[0].label, succ)

@@ -78,11 +78,10 @@ def _expand_crz(instr: hir.Gate, taken: set[str],
 def lower_to_native(prog: hir.HybridProgram, profile: Profile) -> hir.HybridProgram:
     """Rewrite every gate the profile rejects; raises UnloweredGate if some
     gate has no decomposition into the profile's set."""
-    p = prog.procedure
-    taken = {d.name for d in p.decls}
+    taken = {d.name for d in prog.decls}
     new_decls: list[hir.VarDecl] = []
     blocks = []
-    for b in p.blocks:
+    for b in prog.blocks:
         instrs: list[hir.Instruction] = list(b.instructions)
         changed = True
         while changed:
@@ -103,5 +102,5 @@ def lower_to_native(prog: hir.HybridProgram, profile: Profile) -> hir.HybridProg
                         f"{profile.name!r}")
             instrs = out
         blocks.append(hir.BasicBlock(b.label, tuple(instrs), b.terminator))
-    return hir.make_program(hir.Procedure(
-        p.name, p.qubits, p.decls + tuple(new_decls), tuple(blocks)))
+    return hir.HybridProgram(prog.name, prog.qubits,
+                             prog.decls + tuple(new_decls), tuple(blocks))

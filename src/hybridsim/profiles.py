@@ -72,11 +72,10 @@ def _check_int_literal(v: int) -> bool:
 
 def validate(prog: hir.HybridProgram, profile: Profile) -> list[Diagnostic]:
     """All reasons `prog` cannot run on `profile`; empty means admissible."""
-    p = prog.procedure
     diags: list[Diagnostic] = []
 
     def add(code, message, block=None, line=None):
-        diags.append(Diagnostic(code, message, p.name, block, line))
+        diags.append(Diagnostic(code, message, prog.name, block, line))
 
     def check_literal(v, kind, block, line):
         if kind == "fixed" and not _check_fixed_literal(v):
@@ -88,14 +87,14 @@ def validate(prog: hir.HybridProgram, profile: Profile) -> list[Diagnostic]:
                 f"literal {v!r} is outside the 18-bit signed range",
                 block, line)
 
-    if p.qubits > profile.max_qubits:
+    if prog.qubits > profile.max_qubits:
         add("too-many-qubits",
-            f"procedure {p.name!r} declares {p.qubits} qubits; "
+            f"procedure {prog.name!r} declares {prog.qubits} qubits; "
             f"profile {profile.name!r} allows {profile.max_qubits}")
-    kinds = {d.name: d.kind for d in p.decls}
-    for d in p.decls:
+    kinds = {d.name: d.kind for d in prog.decls}
+    for d in prog.decls:
         check_literal(d.init, d.kind, None, d.line)
-    for b in p.blocks:
+    for b in prog.blocks:
         for instr in b.instructions:
             if isinstance(instr, hir.Gate):
                 if instr.name not in profile.gates:
@@ -109,7 +108,7 @@ def validate(prog: hir.HybridProgram, profile: Profile) -> list[Diagnostic]:
                 if instr.op in ("cmp_eq", "cmp_lt"):
                     opk = hir._infer_cmp_kind(kinds, instr.srcs, instr.line)
                 else:
-                    opk = kinds.get(instr.dest, "fixed")
+                    opk = kinds[instr.dest]
                 for s in instr.srcs:
                     if isinstance(s, float):
                         check_literal(s, "fixed", b.label, instr.line)

@@ -1,8 +1,8 @@
 """Shot-based executor for hybrid programs.
 
-One shot = one pass over the program's procedure: a single statevector lives
-for the whole shot while classical instructions and control flow run
-between gates.  Three infidelity sources can be switched on independently:
+One shot = one pass over the program: a single statevector lives for the
+whole shot while classical instructions and control flow run between
+gates.  Three infidelity sources can be switched on independently:
 finite shot counts, depolarizing/readout noise, and fixed-point classical
 arithmetic instead of exact reals.
 
@@ -241,12 +241,10 @@ def _generated(program: hir.HybridProgram, cfg: ExecConfig, domain: Domain):
     key = (cfg.classical_mode, cfg.noise is not None)
     entry = program.generated.get(key)
     if entry is None:
-        hir.check_semantics(program)
-        proc = program.procedure
-        gen = Generator(proc, domain, key[1])
+        gen = Generator(program, domain, key[1])
         digest = hashlib.sha1(gen.source.encode()).hexdigest()[:10]
         entry = program.generated[key] = (
-            gen.source, f"<hir {proc.name}:{digest}>", gen.where, gen.static)
+            gen.source, f"<hir {program.name}:{digest}>", gen.where, gen.static)
     return entry
 
 
@@ -292,7 +290,7 @@ class CompiledProgram:
             _generated(program, cfg, domain)
         self.run = FunctionType(_code(self.source, self.filename),
                                 namespace(static, domain, cfg.noise))
-        self.nqubits = program.procedure.qubits
+        self.nqubits = program.qubits
         self._rng = random.Random(0)
         # The C generator's own seed: `Random.seed` adds only argument checks
         # and clears the cache of `gauss`, which `run` never calls.
@@ -402,13 +400,21 @@ def _bit_from_json(d):
     return d
 
 
+def _int_from_json(obj: dict, name: str) -> int:
+    v = obj[name]
+    if type(v) is not int:
+        raise ValueError(f"{name} {v!r} is not an int")
+    return v
+
+
 def record_from_json(obj: dict) -> ShotRecord:
     outputs = tuple((name, _value_from_json(v)) for name, v in obj["outputs"])
     evidence = tuple(
         (_value_from_json(e["t"]), _value_from_json(e["phi_inv"]),
          _bit_from_json(e["d"]))
         for e in obj["evidence"])
-    return ShotRecord(int(obj["shot"]), int(obj["seed"]), outputs, evidence)
+    return ShotRecord(_int_from_json(obj, "shot"), _int_from_json(obj, "seed"),
+                      outputs, evidence)
 
 
 def write_records(records: Iterable[ShotRecord], fp: IO[str]):
@@ -466,6 +472,6 @@ def read_records(fp: IO[str]) -> list[ShotRecord]:
                 records.append(record_from_json(json.loads(line)))
             except KeyError as e:
                 raise ValueError(f"line {n}: missing field {e}") from e
-            except (TypeError, ValueError, OverflowError, OutOfRange) as e:
+            except (TypeError, ValueError, OutOfRange) as e:
                 raise ValueError(f"line {n}: {e}") from e
     return records

@@ -542,10 +542,10 @@ def _bare(v):
     return v
 
 
-def interpret(proc, mode: str, noise, rng, step_limit: int):
-    """Run one shot of `proc` in classical mode "real" or "fixed", with
-    `noise` (an object with p_gate1, p_gate2 and p_readout, or None),
-    drawing from `rng`.  Returns (outputs, evidence, amplitudes, steps).
+def interpret(prog, mode: str, noise, rng, step_limit: int):
+    """Run one shot of the program `prog` in classical mode "real" or
+    "fixed", with `noise` (an object with p_gate1, p_gate2 and p_readout,
+    or None), drawing from `rng`.  Returns (outputs, evidence, amplitudes, steps).
 
     Raises ZeroDivisionError on a zero divisor and OutOfSteps once the
     steps charged exceed `step_limit`."""
@@ -555,7 +555,7 @@ def interpret(proc, mode: str, noise, rng, step_limit: int):
     ops = _FIXED_OPS if fixed else _REAL_OPS
     box = {"bit": _bare, "int18": Int18, "fixed": FixedQ216} if fixed else \
         {"bit": _bare, "int18": _bare, "fixed": _bare}
-    kinds = {d.name: d.kind for d in proc.decls}
+    kinds = {d.name: d.kind for d in prog.decls}
 
     def word(tok, kind):
         if isinstance(tok, str):
@@ -571,12 +571,12 @@ def interpret(proc, mode: str, noise, rng, step_limit: int):
     def boxed(name):
         return box[kinds[name]](regs[name])
 
-    regs = {d.name: word(d.init, d.kind) for d in proc.decls}
-    state = QuantumState(proc.qubits)
-    blocks = {b.label: b for b in proc.blocks}
+    regs = {d.name: word(d.init, d.kind) for d in prog.decls}
+    state = QuantumState(prog.qubits)
+    blocks = {b.label: b for b in prog.blocks}
     outputs, evidence = [], []
     steps = 0
-    block = proc.blocks[0]
+    block = prog.blocks[0]
     while True:
         steps += len(block.instructions) + 1
         if steps > step_limit:
@@ -595,7 +595,7 @@ def interpret(proc, mode: str, noise, rng, step_limit: int):
             elif isinstance(ins, Reset):
                 state.reset(ins.qubit, rng)
             elif isinstance(ins, ActiveReset):
-                for q in range(proc.qubits):
+                for q in range(prog.qubits):
                     state.reset(q, rng)
             elif isinstance(ins, Output):
                 outputs.append((ins.name, boxed(ins.name)))

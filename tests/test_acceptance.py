@@ -127,7 +127,7 @@ def test_criterion_6_lowering_soundness():
         cnot_prog = hir.parse(
             "proc main qubits 2\nentry:\n  cnot q0, q1\n  ret\nendproc\n")
         low = lower_to_native(cnot_prog, NATIVE)
-        gates = [i for i in low.entry_procedure().blocks[0].instructions
+        gates = [i for i in low.blocks[0].instructions
                  if isinstance(i, hir.Gate)]
         U = oracles.unitary_of_gates(gates, 2)
         assert oracles.phase_aligned_distance(oracles.CNOT, U) < 1e-10
@@ -137,7 +137,7 @@ def test_criterion_6_lowering_soundness():
             "  crz(a) q0, q1\n  ret\nendproc\n")
         low = lower_to_native(crz_prog, NATIVE)
         assert validate(low, NATIVE) == []
-        block = low.entry_procedure().blocks[0]
+        block = low.blocks[0]
         classical = [i for i in block.instructions
                      if isinstance(i, hir.Classical)]
         gates = [i for i in block.instructions if isinstance(i, hir.Gate)]

@@ -46,7 +46,7 @@ def test_analytic_pr0_matches_circuit_oracle():
         t = rng.uniform(0.1, 6.0)
         coeff = rng.uniform(-1.9, 1.9)
         prog = build_ipe_program(phi_inv, t, coeff)
-        instrs = prog.entry_procedure().blocks[0].instructions
+        instrs = prog.blocks[0].instructions
         env = {"phi_inv": phi_inv, "t": t}
         oracles.eval_classical_real(
             [i for i in instrs if isinstance(i, hir.Classical)], env)
@@ -173,4 +173,4 @@ def test_num_qubits_validation():
     with pytest.raises(ValueError):
         build_active_reset(0)
     prog = build_active_reset(3)
-    assert prog.entry_procedure().qubits == 3
+    assert prog.qubits == 3

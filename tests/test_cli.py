@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from hybridsim import cli, hir, sim
-from hybridsim.algorithms import build_rwpe, build_teleport
+from hybridsim.algorithms import (build_active_reset, build_rwpe,
+                                  build_teleport)
 from hybridsim.cli import main
 from hybridsim.hist import histogram
 
@@ -188,7 +189,7 @@ def test_rwpe_single_shot_single_bin(tmp_path):
 
 
 def test_rwpe_slices_match_one_run(tmp_path, monkeypatch):
-    # `rwpe` runs and writes slices of RWPE_SLICE shot indices; the files of
+    # `rwpe` runs and writes slices of RUN_SLICE shot indices; the files of
     # a run in slices of 7 are byte for byte those of one `run_shots` call.
     def files(tag):
         prefix = str(tmp_path / tag)
@@ -197,15 +198,46 @@ def test_rwpe_slices_match_one_run(tmp_path, monkeypatch):
         return [open(prefix + ext, "rb").read()
                 for ext in (".records.jsonl", ".hist.csv", ".summary.json")]
 
-    monkeypatch.setattr(cli, "RWPE_SLICE", 7)
+    monkeypatch.setattr(cli, "RUN_SLICE", 7)
     sliced = files("sliced")
-    monkeypatch.setattr(cli, "RWPE_SLICE", 20)
+    monkeypatch.setattr(cli, "RUN_SLICE", 20)
     assert sliced == files("whole")
     records = sim.run_shots(build_rwpe(), sim.ExecConfig(
         classical_mode=sim.ClassicalMode.FIXED_POINT, seed=8, shots=20))
     buf = io.StringIO()
     sim.write_records(records, buf)
     assert sliced[0] == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("command", ["run", "demo-reset", "demo-teleport"])
+def test_run_and_demos_slices_match_one_run(tmp_path, capsys, monkeypatch,
+                                            command):
+    # `run` and the demos share `rwpe`'s sliced run path: records in slices
+    # of 7 are byte for byte those of one `run_shots` call, and the summary
+    # comes after the records, so with `--out -` it is the last line.
+    program = {"run": build_teleport(), "demo-reset": build_active_reset(),
+               "demo-teleport": build_teleport()}[command]
+    argv = [command] + ([_write(tmp_path, "teleport.hir", TELEPORT)]
+                        if command == "run" else [])
+    argv += ["--shots", "20", "--seed", "8", "--mode", "fixed", "--noise"]
+
+    def outputs(tag):
+        path = str(tmp_path / f"{tag}.jsonl")
+        assert main(argv + ["--out", path]) == 0
+        return open(path, encoding="utf-8").read(), capsys.readouterr().out
+
+    monkeypatch.setattr(cli, "RUN_SLICE", 7)
+    records, summary = outputs("sliced")
+    monkeypatch.setattr(cli, "RUN_SLICE", 20)
+    assert outputs("whole") == (records, summary)
+    buf = io.StringIO()
+    sim.write_records(sim.run_shots(program, sim.ExecConfig(
+        classical_mode=sim.ClassicalMode.FIXED_POINT, noise=sim.NoiseModel(),
+        seed=8, shots=20)), buf)
+    assert records == buf.getvalue()
+    monkeypatch.setattr(cli, "RUN_SLICE", 7)
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == records + summary
 
 
 def test_rwpe_shot_error_exits_2(tmp_path, capsys, monkeypatch):
@@ -299,9 +331,9 @@ def test_refit_malformed_records_exits_1(tmp_path, capsys):
     assert main(["refit", bad]) == 1
 
 
-def _records_with_second_line(tmp_path, edit):
+def _records_with_second_line(tmp_path, edit, mode="fixed"):
     prefix = str(tmp_path / "walk")
-    main(["rwpe", "--shots", "3", "--seed", "9", "--mode", "fixed",
+    main(["rwpe", "--shots", "3", "--seed", "9", "--mode", mode,
           "--out-prefix", prefix])
     lines = open(prefix + ".records.jsonl").read().splitlines(True)
     obj = json.loads(lines[1])
@@ -316,21 +348,37 @@ def _records_with_second_line(tmp_path, edit):
      "raw word 999999 is not an 18-bit value"),
     (lambda obj: obj["evidence"][0]["t"].update(raw=2.9),
      "raw word 2.9 is not an int"),
-    (lambda obj: obj.update(shot=float("inf")),
-     "cannot convert float infinity to integer"),
+    (lambda obj: obj.update(shot=float("inf")), "shot inf is not an int"),
+    (lambda obj: obj.update(shot=2.9), "shot 2.9 is not an int"),
+    (lambda obj: obj.update(seed=True), "seed True is not an int"),
     (lambda obj: obj["evidence"][0].update(d=2), "evidence bit 2 is not 0 or 1"),
     (lambda obj: obj["evidence"][0].update(d=1.7),
      "evidence bit 1.7 is not 0 or 1"),
     (lambda obj: obj["evidence"][0].update(d=True),
      "evidence bit True is not 0 or 1"),
 ], ids=["missing-field", "raw-word-out-of-range", "raw-word-not-int",
-        "infinite-shot", "bit-two", "bit-float", "bit-bool"])
+        "infinite-shot", "shot-float", "seed-bool", "bit-two", "bit-float",
+        "bit-bool"])
 def test_refit_names_the_bad_line(tmp_path, capsys, edit, message):
     bad = _records_with_second_line(tmp_path, edit)
     capsys.readouterr()
     assert main(["refit", bad]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot read records: line 2: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t", float("inf")), ("t", float("nan")), ("phi_inv", float("nan")),
+], ids=["t-inf", "t-nan", "phi_inv-nan"])
+def test_refit_rejects_non_finite_evidence(tmp_path, capsys, field, value):
+    bad = _records_with_second_line(
+        tmp_path, lambda obj: obj["evidence"][3].update({field: value}),
+        mode="real")
+    capsys.readouterr()
+    assert main(["refit", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: shot 1: evidence entry 3 is not finite\n"
     assert captured.out == ""
 
 

@@ -18,10 +18,9 @@ endproc
 
 def test_empty_body_single_block_ret():
     prog = hir.parse(MINIMAL)
-    proc = prog.entry_procedure()
-    assert len(proc.blocks) == 1
-    assert proc.blocks[0].instructions == ()
-    assert isinstance(proc.blocks[0].terminator, hir.Ret)
+    assert len(prog.blocks) == 1
+    assert prog.blocks[0].instructions == ()
+    assert isinstance(prog.blocks[0].terminator, hir.Ret)
 
 
 def test_parse_basic_program():
@@ -44,11 +43,10 @@ zero:
   ret
 endproc
 """)
-    proc = prog.entry_procedure()
-    assert [b.label for b in proc.blocks] == ["entry", "one", "zero"]
-    gate = proc.blocks[0].instructions[1]
+    assert [b.label for b in prog.blocks] == ["entry", "one", "zero"]
+    gate = prog.blocks[0].instructions[1]
     assert gate == hir.Gate("rz", (0,), "theta")
-    lit = proc.blocks[0].instructions[2]
+    lit = prog.blocks[0].instructions[2]
     assert lit.angle == -0.25
 
 
@@ -89,6 +87,17 @@ def test_kind_mismatch():
 def test_qubit_out_of_range():
     with pytest.raises(SemanticError, match="out of range"):
         hir.parse("proc main qubits 1\na:\n  h q3\n  ret\nendproc\n")
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ((hir.BasicBlock("entry", (), hir.Br("nowhere")),),
+     "branch to unknown label 'nowhere'"),
+    ((), "procedure 'main' has no blocks"),
+], ids=["unknown-label", "no-blocks"])
+def test_invalid_program_cannot_be_built(blocks, message):
+    # A program is checked when it is built, not when it is compiled.
+    with pytest.raises(SemanticError, match=message):
+        hir.HybridProgram("main", 1, (), blocks)
 
 
 def test_second_procedure_is_a_syntax_error():
@@ -198,8 +207,7 @@ def programs(draw):
         else:
             term = hir.Ret(tuple(draw(st.sampled_from([[], [decls[0].name]]))))
         blocks.append(hir.BasicBlock(label, instrs, term))
-    proc = hir.Procedure("main", nqubits, tuple(decls), tuple(blocks))
-    return hir.make_program(proc)
+    return hir.HybridProgram("main", nqubits, tuple(decls), tuple(blocks))
 
 
 @settings(max_examples=150, deadline=None)

@@ -24,15 +24,14 @@ def _single_gate_program(line: str, nqubits: int = 2,
 
 def _lowered_unitary(prog: hir.HybridProgram, env=None) -> np.ndarray:
     low = lower_to_native(prog, NATIVE)
-    proc = low.entry_procedure()
     assert validate(low, NATIVE) == []
     env = dict(env or {})
     gates = []
-    for block in proc.blocks:
+    for block in low.blocks:
         oracles.eval_classical_real(
             [i for i in block.instructions if isinstance(i, hir.Classical)], env)
         gates.extend(i for i in block.instructions if isinstance(i, hir.Gate))
-    return oracles.unitary_of_gates(gates, proc.qubits, env)
+    return oracles.unitary_of_gates(gates, low.qubits, env)
 
 
 def test_cnot_lowering_matches_matrix():
@@ -60,7 +59,7 @@ def test_crz_variable_angle_stays_runtime():
     prog = _single_gate_program("crz(a) q0, q1",
                                 decls="  var fixed a = 0.3\n")
     low = lower_to_native(prog, NATIVE)
-    block = low.entry_procedure().blocks[0]
+    block = low.blocks[0]
     classical = [i for i in block.instructions if isinstance(i, hir.Classical)]
     # the half-angle and its negation are computed by real instructions
     assert [c.op for c in classical] == ["mul", "neg"]
@@ -125,7 +124,7 @@ def test_lowering_soundness_random_programs():
         prog = hir.parse(text)
         for _ in range(4):
             env = {f"ang{i}": rng.uniform(-2, 2) for i in range(nvars)}
-            gates = [i for i in prog.entry_procedure().blocks[0].instructions
+            gates = [i for i in prog.blocks[0].instructions
                      if isinstance(i, hir.Gate)]
             original = oracles.unitary_of_gates(
                 gates, n, env)

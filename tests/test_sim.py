@@ -202,7 +202,7 @@ def _reference(prog, cfg, shot_index):
     interpreter, drawing from the engine's per-shot generator."""
     shot_seed = sim.derive_shot_seed(cfg.seed, shot_index)
     outputs, evidence, amps, steps = oracles.interpret(
-        prog.procedure, cfg.classical_mode.value, cfg.noise,
+        prog, cfg.classical_mode.value, cfg.noise,
         random.Random(shot_seed), cfg.step_limit)
     return sim.ShotRecord(shot_index, shot_seed, outputs, evidence), amps, steps
 
@@ -255,9 +255,9 @@ def _classical(draw, ops):
 def _classical_programs(draw):
     instrs = [_classical(draw, sorted(hir.CLASSICAL_OPS))
               for _ in range(draw(st.integers(1, 12)))]
-    proc = hir.Procedure("main", 0, _decls(draw),
-                         (hir.BasicBlock("entry", tuple(instrs), hir.Ret(_NAMES)),))
-    return hir.make_program(proc)
+    return hir.HybridProgram(
+        "main", 0, _decls(draw),
+        (hir.BasicBlock("entry", tuple(instrs), hir.Ret(_NAMES)),))
 
 
 @_DIFFERENTIAL
@@ -282,11 +282,10 @@ def _prepend_entry(prog, instrs):
     """New first block running `instrs` once, then jumping to the old entry
     (prepending into the entry block itself would re-run the prep whenever
     the entry is also a loop head)."""
-    proc = prog.entry_procedure()
     prep = hir.BasicBlock("test_prep", tuple(instrs),
-                          hir.Br(proc.blocks[0].label))
-    return hir.HybridProgram(hir.Procedure(proc.name, proc.qubits, proc.decls,
-                                           (prep,) + proc.blocks))
+                          hir.Br(prog.blocks[0].label))
+    return hir.HybridProgram(prog.name, prog.qubits, prog.decls,
+                             (prep,) + prog.blocks)
 
 
 def _random_prep(rng):
@@ -333,17 +332,15 @@ def test_teleport_basis_inputs():
 def _instrumented_reset():
     """Active-reset program that also outputs the loop counter."""
     prog = build_active_reset()
-    proc = prog.entry_procedure()
     blocks = []
-    for b in proc.blocks:
+    for b in prog.blocks:
         if isinstance(b.terminator, hir.Ret):
             blocks.append(hir.BasicBlock(
                 b.label, b.instructions + (hir.Output("counter"),),
                 b.terminator))
         else:
             blocks.append(b)
-    return hir.HybridProgram(hir.Procedure(proc.name, proc.qubits, proc.decls,
-                                           tuple(blocks)))
+    return hir.HybridProgram(prog.name, prog.qubits, prog.decls, tuple(blocks))
 
 
 def test_active_reset_trace_from_zero():
@@ -531,6 +528,19 @@ def test_cached_compile_calls_the_current_fixedpoint_ops(monkeypatch):
     assert calls == [(fx.encode(0.75), fx.encode(0.5))]
 
 
+def test_compile_does_not_check_the_program_again(monkeypatch):
+    # Every program was checked when it was built, so compiling one never
+    # runs the semantic check.
+    prog = hir.parse(_MULTIPLIES)
+
+    def check(prog):
+        raise AssertionError("checked again")
+
+    monkeypatch.setattr(hir, "check_semantics", check)
+    for mode in ClassicalMode:
+        sim.compile_program(prog, ExecConfig(classical_mode=mode))
+
+
 def test_equal_programs_report_their_own_lines():
     text = _DIVIDES_IN_BLOCK_WORK
     shifted = text.replace("work:\n", "work:\n  # a comment shifts the lines\n")
@@ -692,7 +702,7 @@ def _control_flow_programs(draw):
         blocks.append(hir.BasicBlock(label, tuple(body), term))
     decls = _decls(draw) + (hir.VarDecl("k", "int18", 0),
                             hir.VarDecl("more", "bit", 0))
-    return hir.make_program(hir.Procedure("main", n, decls, tuple(blocks)))
+    return hir.HybridProgram("main", n, decls, tuple(blocks))
 
 
 @_DIFFERENTIAL
@@ -849,7 +859,7 @@ def _measure_all(name_lines, n):
 ])
 def test_measurement_statistics_chi2(lines, n):
     prog = _measure_all(lines, n)
-    gates = [i for i in prog.entry_procedure().blocks[0].instructions
+    gates = [i for i in prog.blocks[0].instructions
              if isinstance(i, hir.Gate)]
     U = oracles.unitary_of_gates(gates, n)
     probs = oracles.born_probs(U[:, 0])

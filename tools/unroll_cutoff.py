@@ -35,7 +35,7 @@ def program(n: int) -> hir.HybridProgram:
 def measure(prog, cfg, unroll: bool, shots: int):
     """(best cold compile ms over 3, best µs per shot over 5 runs) of one
     form."""
-    n = prog.procedure.qubits
+    n = prog.qubits
     codegen.UNROLL_QUBITS = n if unroll else n - 1
     codegen._AMPS = tuple(f"a{i}" for i in range(1 << n))
     compile_ms = float("inf")
