@@ -11,14 +11,30 @@ phases, gives a posterior whose mean is the minimum-mean-squared-error
 estimate.  Everything is computed in log space with max subtraction; each
 log factor is floored at -745 so contradictory evidence stays finite.
 
-A record's log likelihood is evaluated in one pass over an (entries, grid)
-buffer, using cos^2 x = sin^2(x + pi/2) so that every element costs one
-sine and one log.  The sine form keeps full relative accuracy next to a
-zero of the likelihood, where the one-cosine form (1 -+ cos(2x)) / 2
-cancels catastrophically.  `refit` evaluates each record once: the per-shot
+Both factors are one sine, since cos^2 x = sin^2(x + pi/2).  The direct
+form, which `posterior` and `log_likelihood` use, evaluates
+sin((phi - phi_inv) * t / 2 + s), with s = pi/2 for outcome 0, at every grid
+node: one sine and one log per element.  The sine keeps full relative
+accuracy next to a zero of the likelihood, where the one-cosine form
+(1 -+ cos(2x)) / 2 cancels catastrophically.
+
+`refit` would spend most of its time on those sines, so it forms each
+record's row by angle addition instead.  Its grid is uniform, so node
+j = 128h + l lies at phi_j = phi_128h + l * step.  For each distinct
+evolution time of a call (RWPE records the same 24 in every shot), the
+tables cos B_l and sin B_l, B_l = l * step * t / 2 for l < 128, are built
+once and kept under a row budget.  Each entry then costs a sine and a cosine
+of its coarse arguments A_h = (phi_128h - phi_inv) * t / 2 + s only (16 of
+them on the default 2001-node grid), and its whole row
+sin(A_h + B_l) = sin A_h cos B_l + cos A_h sin B_l is one batched matrix
+product.  Angle addition is accurate only in absolute terms, so every
+factor below 1e-6 (|sine| < 1e-3) is recomputed, floored and logged by the
+direct form.  Every other factor is at least 1e-6, so the record's factors
+at a node are multiplied, 32 at a time, before one log: a product of 32
+cannot underflow.  Each record's row is evaluated once: the per-shot
 posterior normalises log prior + row, and the pooled posterior normalises
-log prior + the sum of all rows.  Only one record's buffer is alive at a
-time, so memory does not grow with the number of records.
+log prior + the sum of all rows.  The buffers are sized by the longest
+record, so memory does not grow with the number of records.
 """
 
 from __future__ import annotations
@@ -38,6 +54,15 @@ LOG_FLOOR = -745.0
 # RWPE records (|t| up to 322) 4 nodes per period already moved per-shot
 # refits by 0.065 from a 16001-node refit, 6 by 0.016.
 MIN_NODES_PER_PERIOD = 6
+# `refit`'s angle-addition rows: grid nodes per coarse node; the factor
+# below which an element is recomputed by the direct form (|sine| < 1e-3);
+# the rows multiplied before one log (NEAR_ZERO ** 32 = 1e-192 is far from
+# underflow); and the most per-time tables (2 kB each) one call keeps
+# before it starts over.
+FINE_NODES = 128
+NEAR_ZERO = 1e-6
+PRODUCT_ROWS = 32
+ROW_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -88,11 +113,15 @@ def uniform_grid(size: int = 2001,
     return PosteriorGrid(nodes, np.full(size, 1.0 / size))
 
 
-def _log_factors(ev: EvidenceRecord, phis_rad: np.ndarray) -> np.ndarray:
-    """Sum of floored per-datum log likelihoods at each candidate phase."""
-    columns = np.array(ev.entries, dtype=float).reshape(-1, 3).T
-    t, phi_inv, d = columns[:, :, None]
-    buf = np.subtract(phis_rad, phi_inv)          # (entries, grid)
+def _columns(ev: EvidenceRecord) -> np.ndarray:
+    """Evidence as three rows: t, phi_inv and d."""
+    return np.array(ev.entries, dtype=float).reshape(-1, 3).T
+
+
+def _direct_log_factors(phi, t, phi_inv, d) -> np.ndarray:
+    """Floored log of each datum's factor at `phi`, elementwise with
+    broadcasting: one sine and one log per element."""
+    buf = np.subtract(phi, phi_inv)
     buf *= 0.5 * t
     buf += np.where(d == 0, 0.5 * math.pi, 0.0)   # cos^2 x = sin^2(x + pi/2)
     np.sin(buf, out=buf)
@@ -100,7 +129,13 @@ def _log_factors(ev: EvidenceRecord, phis_rad: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         np.log(buf, out=buf)
     np.maximum(buf, LOG_FLOOR, out=buf)
-    return buf.sum(axis=0)
+    return buf
+
+
+def _log_factors(ev: EvidenceRecord, phis_rad: np.ndarray) -> np.ndarray:
+    """Sum of floored per-datum log likelihoods at each candidate phase."""
+    t, phi_inv, d = _columns(ev)[:, :, None]
+    return _direct_log_factors(phis_rad, t, phi_inv, d).sum(axis=0)
 
 
 def log_likelihood(ev: EvidenceRecord, phi: float) -> float:
@@ -123,6 +158,69 @@ def _normalised(nodes: np.ndarray, logw: np.ndarray) -> PosteriorGrid:
     if total <= 0.0:
         raise DegeneratePosterior("posterior weights underflowed to zero")
     return PosteriorGrid(nodes, w / total)
+
+
+class _AngleSumRows:
+    """`_log_factors` on a uniform grid by angle addition (see the module
+    docstring).  One instance serves one `refit` call."""
+
+    def __init__(self, grid: PosteriorGrid):
+        nodes = grid.nodes
+        self.phis = nodes * math.pi
+        self.coarse = self.phis[::FINE_NODES]
+        step = (nodes[-1] - nodes[0]) / (len(nodes) - 1) * math.pi
+        self.fine = np.arange(FINE_NODES) * step
+        self.tables: dict[float, np.ndarray] = {}   # t -> [cos B, sin B]
+        self.entries = 0                            # rows the buffers hold
+
+    def _buffers(self, entries: int):
+        if entries > self.entries:
+            coarse = len(self.coarse)
+            self.sin_cos_a = np.empty((entries, coarse, 2))
+            self.cos_sin_b = np.empty((entries, 2, FINE_NODES))
+            self.buf = np.empty((entries, coarse * FINE_NODES))
+            self.near = np.empty(self.buf.shape, dtype=bool)
+            self.entries = entries
+        return (self.sin_cos_a[:entries], self.cos_sin_b[:entries],
+                self.buf[:entries], self.near[:entries])
+
+    def _fine_tables(self, times: list[float]) -> list[np.ndarray]:
+        tables = self.tables
+        new = [t for t in dict.fromkeys(times) if t not in tables]
+        if new:
+            if len(tables) + len(new) > ROW_BUDGET:
+                tables.clear()
+                new = list(dict.fromkeys(times))
+            b = np.multiply.outer(np.multiply(new, 0.5), self.fine)
+            tables.update(zip(new, np.stack((np.cos(b), np.sin(b)), axis=1)))
+        return [tables[t] for t in times]
+
+    def __call__(self, ev: EvidenceRecord) -> np.ndarray:
+        t, phi_inv, d = _columns(ev)
+        n = len(self.phis)
+        sin_cos_a, cos_sin_b, buf, near = self._buffers(len(t))
+        for k, table in enumerate(self._fine_tables(t.tolist())):
+            cos_sin_b[k] = table
+        a = np.subtract(self.coarse, phi_inv[:, None])
+        a *= (0.5 * t)[:, None]
+        a += np.where(d == 0, 0.5 * math.pi, 0.0)[:, None]
+        np.sin(a, out=sin_cos_a[:, :, 0])
+        np.cos(a, out=sin_cos_a[:, :, 1])
+        np.matmul(sin_cos_a, cos_sin_b,
+                  out=buf.reshape(len(t), len(self.coarse), FINE_NODES))
+        np.square(buf, out=buf)
+        buf[:, n:] = 1.0                  # nodes past the grid's end
+        k = np.flatnonzero(np.less(buf, NEAR_ZERO, out=near))
+        i, j = np.divmod(k, buf.shape[1])
+        repaired = _direct_log_factors(self.phis[j], t[i], phi_inv[i], d[i])
+        np.put(buf, k, 1.0)
+        # Every factor left is at least NEAR_ZERO, so a product of
+        # PRODUCT_ROWS of them cannot underflow: one log per node and block.
+        row = np.log(buf[:PRODUCT_ROWS].prod(axis=0)[:n])
+        for r in range(PRODUCT_ROWS, len(t), PRODUCT_ROWS):
+            row += np.log(buf[r:r + PRODUCT_ROWS].prod(axis=0)[:n])
+        row += np.bincount(j, repaired, n)
+        return row
 
 
 def posterior(ev: EvidenceRecord, grid: PosteriorGrid) -> PosteriorGrid:
@@ -166,9 +264,9 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
         raise ValueError(f"{len(raw)} raw estimates for {len(records)} records")
     prior = uniform_grid(grid_size, prior_interval)
     log_prior = _log_weights(prior)
-    phis = prior.nodes * math.pi
+    rows = _AngleSumRows(prior)
     width = abs(prior_interval[1] - prior_interval[0])
-    pooled_rows = np.zeros_like(phis)
+    pooled_rows = np.zeros_like(prior.nodes)
     per_shot = []
     for rec in records:
         if not rec.evidence:
@@ -186,7 +284,7 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
                 f"shot {rec.shot}: |t| = {t:.6g} needs a grid of at least "
                 f"{need} nodes ({MIN_NODES_PER_PERIOD} per likelihood period "
                 f"2/|t|), got {grid_size}")
-        row = _log_factors(ev, phis)
+        row = rows(ev)
         per_shot.append(2.0 * mmse_estimate(
             _normalised(prior.nodes, log_prior + row)))
         pooled_rows += row

@@ -70,6 +70,9 @@ class Gate:
     angle: str | float | None = None     # variable name or literal, units of pi
     line: int | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+
 
 @dataclass(frozen=True, slots=True)
 class Measure:
@@ -96,6 +99,9 @@ class Classical:
     dest: str
     srcs: tuple[str | float | int, ...]
     line: int | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "srcs", tuple(self.srcs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,6 +132,9 @@ class Ret:
     values: tuple[str, ...] = ()
     line: int | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+
 
 Terminator = Br | CondBr | Ret
 
@@ -144,11 +153,16 @@ class BasicBlock:
     instructions: tuple[Instruction, ...]
     terminator: Terminator
 
+    def __post_init__(self):
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+
 
 @dataclass(frozen=True, slots=True)
 class HybridProgram:
     """A program: one procedure, checked by `check_semantics` when it is
-    built, so every program that exists is valid."""
+    built, so every program that exists is valid.  Its sequences (and those
+    of its blocks and instructions) are stored as tuples, whatever sequence
+    they were built from, so no program can change after its check."""
 
     name: str
     qubits: int
@@ -160,6 +174,8 @@ class HybridProgram:
                             compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "decls", tuple(self.decls))
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         check_semantics(self)
 
     def entry_procedure(self) -> HybridProgram:

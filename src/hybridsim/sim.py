@@ -388,10 +388,14 @@ def _plain(v) -> str:
 
 
 def _value_from_json(v):
-    if isinstance(v, dict):
+    """A bare number (not a bool) or a boxed word."""
+    kind = type(v)
+    if kind is float or kind is int:
+        return v
+    if kind is dict:
         box = fx.FixedQ216 if "value" in v else fx.Int18
         return box(v["raw"])
-    return v
+    raise ValueError(f"value {v!r} is not a number or a box")
 
 
 def _bit_from_json(d):

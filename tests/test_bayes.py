@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,3 +258,87 @@ def test_refit_rejects_a_prior_interval_without_width(interval):
     records = sim.run_shots(build_rwpe(), ExecConfig(seed=1, shots=3))
     with pytest.raises(ValueError, match="prior interval needs lo < hi"):
         refit(records, prior_interval=interval)
+
+
+# -- refit's angle-addition rows ----------------------------------------------
+
+REFIT_GRID = uniform_grid(2001)
+REFIT_PHIS = REFIT_GRID.nodes * math.pi
+rwpe_times = st.floats(0.5, 400.0)
+grid_node = st.integers(0, 2000).map(lambda k: float(REFIT_PHIS[k]))
+gap = st.floats(-1e-9, 1e-9)
+
+
+@st.composite
+def rwpe_shaped_evidence(draw):
+    """Records that share a few evolution times, as RWPE's do, with entries
+    within 1e-9 of a sin^2 or cos^2 zero at a grid node, contradictory
+    pairs, and times that appear only once."""
+    shared = draw(st.lists(rwpe_times, min_size=1, max_size=6))
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        entries = []
+        for _ in range(draw(st.integers(1, 30))):
+            kind = draw(st.sampled_from(
+                ["plain", "sin-zero", "cos-zero", "contradiction", "fresh"]))
+            t = draw(rwpe_times if kind == "fresh" else st.sampled_from(shared))
+            if kind == "sin-zero":
+                entries.append((t, draw(grid_node) + draw(gap), 1))
+            elif kind == "cos-zero":
+                entries.append((t, draw(grid_node) - math.pi / t + draw(gap), 0))
+            else:
+                phi_inv = draw(st.floats(-2 * math.pi, 2 * math.pi))
+                for d in ((0, 1) if kind == "contradiction"
+                          else (draw(st.integers(0, 1)),)):
+                    entries.append((t, phi_inv, d))
+        records.append(_ev(entries))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(rwpe_shaped_evidence())
+def test_refit_rows_match_direct_log_factors(evs):
+    rows = bayes._AngleSumRows(REFIT_GRID)
+    for ev in evs:
+        assert np.max(np.abs(rows(ev) - bayes._log_factors(ev, REFIT_PHIS))) \
+            <= 1e-8
+
+
+def _peak_bytes(fn, *args) -> int:
+    """Peak traced allocation of `fn(*args)` above what was live before,
+    measured on a second call so that one-time set-up does not count."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _direct_refit(records):
+    """`refit`'s loop with the direct form's rows."""
+    log_prior = bayes._log_weights(REFIT_GRID)
+    pooled = np.zeros_like(REFIT_PHIS)
+    for rec in records:
+        row = bayes._log_factors(bayes.evidence_from_record(rec), REFIT_PHIS)
+        mmse_estimate(bayes._normalised(REFIT_GRID.nodes, log_prior + row))
+        pooled += row
+
+
+def test_refit_memory_is_bounded():
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=5, shots=300))
+    ten = _peak_bytes(refit, records[:10])
+    assert ten <= _peak_bytes(_direct_refit, records[:10]) + 1_000_000
+    # Memory does not grow with the number of records.
+    assert _peak_bytes(refit, records) <= 1.1 * ten
+    # Every record brings a time no other record has: the per-time tables
+    # stay within the row budget (2000 of them would take 4 MB).
+    last = records[0].evidence[-1]
+    fresh = [sim.ShotRecord(k, 0, (), records[0].evidence[:-1]
+                            + ((1.0 + k * 1e-3, last[1], last[2]),))
+             for k in range(2000)]
+    budget = bayes.ROW_BUDGET * 2 * bayes.FINE_NODES * 8
+    assert _peak_bytes(refit, fresh) <= _peak_bytes(refit, fresh[:10]) \
+        + 2 * budget

@@ -356,9 +356,17 @@ def _records_with_second_line(tmp_path, edit, mode="fixed"):
      "evidence bit 1.7 is not 0 or 1"),
     (lambda obj: obj["evidence"][0].update(d=True),
      "evidence bit True is not 0 or 1"),
+    (lambda obj: obj["evidence"][0].update(t="1.5"),
+     "value '1.5' is not a number or a box"),
+    (lambda obj: obj["evidence"][0].update(phi_inv=True),
+     "value True is not a number or a box"),
+    (lambda obj: obj["evidence"][0].update(t=None),
+     "value None is not a number or a box"),
+    (lambda obj: obj["outputs"][0].__setitem__(1, [0.5]),
+     "value [0.5] is not a number or a box"),
 ], ids=["missing-field", "raw-word-out-of-range", "raw-word-not-int",
         "infinite-shot", "shot-float", "seed-bool", "bit-two", "bit-float",
-        "bit-bool"])
+        "bit-bool", "value-string", "value-bool", "value-null", "value-list"])
 def test_refit_names_the_bad_line(tmp_path, capsys, edit, message):
     bad = _records_with_second_line(tmp_path, edit)
     capsys.readouterr()

@@ -100,6 +100,23 @@ def test_invalid_program_cannot_be_built(blocks, message):
         hir.HybridProgram("main", 1, (), blocks)
 
 
+def test_built_program_cannot_change():
+    # Lists are stored as tuples: appending an unchecked block, which once
+    # let a branch to an unknown label reach the engine, is impossible.
+    block = hir.BasicBlock("entry", [hir.Gate("h", [0]),
+                                     hir.Classical("add", "acc", ["acc", 1.0])],
+                           hir.Ret(["acc"]))
+    prog = hir.HybridProgram("main", 1, [hir.VarDecl("acc", "fixed", 0.0)],
+                             [block])
+    with pytest.raises(AttributeError):
+        prog.blocks.append(hir.BasicBlock("next", (), hir.Br("nowhere")))
+    for seq in (prog.decls, prog.blocks, block.instructions,
+                block.terminator.values, block.instructions[0].qubits,
+                block.instructions[1].srcs):
+        assert type(seq) is tuple
+    assert hash(prog) == hash(hir.parse(hir.emit(prog)))
+
+
 def test_second_procedure_is_a_syntax_error():
     with pytest.raises(IRSyntaxError) as e:
         hir.parse(MINIMAL + "\nproc other qubits 99\nentry:\n  ret\nendproc\n")
