@@ -61,8 +61,10 @@ class RwpeParams:
             raise ValueError("sigma0 must be positive")
         for name in ("mu0", "sigma0", "oracle_coeff"):
             v = getattr(self, name)
-            if not (fx.REAL_MIN <= v <= fx.REAL_MAX):
-                raise ValueError(f"{name}={v} is outside the Q2.16 range")
+            try:
+                fx.encode(v)
+            except fx.OutOfRange:
+                raise ValueError(f"{name}={v} is outside the Q2.16 range") from None
 
     @property
     def eigenphase(self) -> float:

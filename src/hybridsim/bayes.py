@@ -78,8 +78,6 @@ class EvidenceRecord:
 def _as_float(v) -> float:
     if isinstance(v, fx.FixedQ216):
         return v.value
-    if isinstance(v, fx.Int18):
-        return float(v.raw)
     return float(v)
 
 

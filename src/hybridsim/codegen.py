@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import hir
-from .errors import StepLimitExceeded
+from .errors import OutOfRange, StepLimitExceeded
 
 if TYPE_CHECKING:
     from .sim import Domain, NoiseModel
@@ -334,7 +334,10 @@ class Generator:
 
     def half_angle(self, angle) -> float:
         """Half the radians of a literal angle, as the domain rounds it."""
-        return 0.5 * self.domain.radians(self.domain.literal["fixed"](angle))
+        half = 0.5 * self.domain.radians(self.domain.literal["fixed"](angle))
+        if not math.isfinite(half):     # real mode: pi * angle overflows
+            raise OutOfRange(f"angle {angle!r} has no finite radians")
+        return half
 
     def indices(self, name: str, tuples: tuple):
         """The index tuples a kernel loops over: themselves when unrolled,
@@ -439,19 +442,15 @@ class Generator:
     def classical(self, instr: hir.Classical):
         op = instr.op
         dest = self.reg[instr.dest]
-        dkind = self.kinds[instr.dest]
+        args = [self.operand(s, k) for s, k in
+                zip(instr.srcs, hir.operand_kinds(instr, self.kinds))]
         if op in ("cmp_eq", "cmp_lt"):
-            k = hir._infer_cmp_kind(self.kinds, instr.srcs, instr.line)
-            a, b = (self.operand(s, k) for s in instr.srcs)
             rel = "==" if op == "cmp_eq" else "<"
-            self.emit(3, f"{dest} = 1 if {a} {rel} {b} else 0")
+            self.emit(3, f"{dest} = 1 if {args[0]} {rel} {args[1]} else 0")
         elif op == "select":
-            c, a, b = (self.operand(s, k)
-                       for s, k in zip(instr.srcs, ("bit", dkind, dkind)))
-            self.emit(3, f"{dest} = {a} if {c} else {b}")
+            self.emit(3, f"{dest} = {args[1]} if {args[0]} else {args[2]}")
         else:
-            args = [self.operand(s, dkind) for s in instr.srcs]
-            self.emit(3, f"{dest} = {self.expr(op, dkind, args)}")
+            self.emit(3, f"{dest} = {self.expr(op, self.kinds[instr.dest], args)}")
 
     def terminator(self, term: hir.Terminator, index: dict[str, int]):
         if isinstance(term, hir.Br):

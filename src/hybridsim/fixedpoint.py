@@ -51,10 +51,11 @@ def encode(x: float) -> int:
     """Real -> raw word, rounding half to even.  Raises OutOfRange."""
     if not math.isfinite(x):
         raise OutOfRange(f"{x!r} is not a finite value")
-    raw = round(x * SCALE)
-    if raw < RAW_MIN or raw > RAW_MAX:
-        raise OutOfRange(f"{x!r} is outside [-2, 2 - 2**-16]")
-    return raw
+    if abs(x) < 4.0:        # else no word is near, and x * SCALE may be inf
+        raw = round(x * SCALE)
+        if RAW_MIN <= raw <= RAW_MAX:
+            return raw
+    raise OutOfRange(f"{x!r} is outside [-2, 2 - 2**-16]")
 
 
 def decode(raw: int) -> float:

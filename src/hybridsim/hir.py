@@ -21,13 +21,23 @@ classical register arithmetic and IO, and end in exactly one terminator
 Variable kinds are `bit`, `int18` and `fixed` (Q2.16).  Angles are written
 in units of pi and may be a `fixed` variable or a decimal literal.  Qubit
 operands are `q0`, `q1`, ... with static indices.  No instruction calls
-another procedure, so any text after `endproc` is a syntax error.  `parse`
-and `emit` are exact inverses.
+another procedure, so any text after `endproc` is a syntax error.
+
+`check_semantics`, which every `HybridProgram` runs when it is built, states
+the IR's rules once; the parser checks syntax only.  The program, its
+variables and its labels have names (`is_name`), and keywords are names
+too.  A literal is a finite int or float, never a bool; an `int18` slot
+takes an int and a `bit` slot 0 or 1.  The `mz` destination and record, the
+`condbr` condition and what `output` and `ret` name are declared variables.
+`operand_kinds` gives each classical operand's kind.  Literal ranges are
+left to `profiles.validate`.  `parse` and `emit` are exact inverses for
+every program, parsed or built in code.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import IRSyntaxError, SemanticError
@@ -47,16 +57,17 @@ CLASSICAL_OPS = {
     "select": 3,
 }
 
-_KEYWORDS = frozenset(
-    ("proc", "qubits", "var", "endproc", "mz", "reset",
-     "active_reset", "output", "br", "condbr", "ret", "record")
-    + tuple(KINDS) + tuple(GATE_ARITY) + tuple(CLASSICAL_OPS)
-)
-
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*$")
+_NAME_RE = re.compile(r"(?!q\d+\Z)[A-Za-z_]\w*")
 _QUBIT_RE = re.compile(r"q(\d+)$")
 _INT_RE = re.compile(r"[+-]?\d+$")
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+(?:\.\d*)?[eE][+-]?\d+)$")
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_name(tok) -> bool:
+    """Whether `tok` can name the program, a variable or a label: an
+    identifier that is not shaped like a qubit (`q0`)."""
+    return isinstance(tok, str) and _NAME_RE.fullmatch(tok) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +83,8 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
+        if type(self.angle) is int and abs(self.angle) <= _FLOAT_MAX:
+            object.__setattr__(self, "angle", float(self.angle))
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +93,10 @@ class Measure:
     dest: str
     record: tuple[str, str] | None = None  # (t-var, phi_inv-var) evidence tag
     line: int | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.record is not None:
+            object.__setattr__(self, "record", tuple(self.record))
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,6 +163,12 @@ class VarDecl:
     init: float | int
     line: int | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        # An int too large for a float stays, and the check rejects it.
+        if self.kind == "fixed" and type(self.init) is int \
+                and abs(self.init) <= _FLOAT_MAX:
+            object.__setattr__(self, "init", float(self.init))
+
 
 @dataclass(frozen=True, slots=True)
 class BasicBlock:
@@ -188,35 +211,57 @@ class HybridProgram:
 # Semantic checking over the object model, run by every `HybridProgram`
 # when it is built: parsed and builder-made programs get the same scrutiny.
 
-def _check_operand(kinds: dict[str, str], tok, want: str, line, what: str):
+def _is_number(v) -> bool:
+    """A finite int or float, not a bool; an int must fit a float."""
+    return type(v) in (int, float) and abs(v) <= _FLOAT_MAX
+
+
+# kind -> (test of a literal of that kind, what the test asks)
+_LITERALS = {"fixed": (_is_number, "a finite int or float"),
+             "int18": (lambda v: type(v) is int and abs(v) <= _FLOAT_MAX, "an int"),
+             "bit": (lambda v: type(v) is int and v in (0, 1), "the int 0 or 1")}
+
+
+def _check_operand(kinds: dict[str, str], tok, want: str | None, line,
+                   what: str, register: bool = False):
+    """`tok` in a slot of kind `want` (None: any kind): a declared variable
+    of that kind or, unless the slot is `register`-only, a literal of it."""
     if isinstance(tok, str):
         got = kinds.get(tok)
         if got is None:
             raise SemanticError(f"undeclared variable {tok!r} in {what}", line)
-        if got != want:
+        if want is not None and got != want:
             raise SemanticError(
                 f"{what} expects {want}, got {got} variable {tok!r}", line)
-    elif want == "fixed":
-        if isinstance(tok, bool):
-            raise SemanticError(f"bad literal in {what}", line)
-        # int literals are accepted where a real is expected
-    elif want == "int18":
-        if not isinstance(tok, int):
+    elif register:
+        raise SemanticError(f"{what} must be a variable, got {tok!r}", line)
+    elif not _LITERALS[want][0](tok):
+        raise SemanticError(
+            f"{what} literal must be {_LITERALS[want][1]}, got {tok!r}", line)
+
+
+def _check_qubits(qubits: tuple, nqubits: int, line):
+    for q in qubits:
+        if type(q) is not int or not 0 <= q < nqubits:
             raise SemanticError(
-                f"{what} expects an integer literal, got {tok!r}", line)
-    elif want == "bit":
-        if tok not in (0, 1):
-            raise SemanticError(f"{what} expects a bit (0 or 1), got {tok!r}", line)
+                f"qubit q{q} out of range for {nqubits}-qubit procedure", line)
 
 
-def _infer_cmp_kind(kinds: dict[str, str], srcs, line) -> str:
-    for s in srcs:
-        if isinstance(s, str):
-            k = kinds.get(s)
-            if k is None:
-                raise SemanticError(f"undeclared variable {s!r} in compare", line)
-            return k
-    return "fixed" if any(isinstance(s, float) for s in srcs) else "int18"
+def operand_kinds(instr: Classical, kinds: dict[str, str]) -> tuple:
+    """The kind of each source operand of a classical instruction.  A
+    comparison's operands take the kind of its first declared variable, else
+    `fixed` if a literal is a float, else `int18`."""
+    op, n = instr.op, len(instr.srcs)
+    if op in ("cmp_eq", "cmp_lt"):
+        for s in instr.srcs:
+            if isinstance(s, str) and s in kinds:
+                return (kinds[s],) * n
+        return ("fixed" if any(isinstance(s, float) for s in instr.srcs)
+                else "int18",) * n
+    dkind = kinds.get(instr.dest)
+    if op == "select":
+        return ("bit", dkind, dkind)
+    return ("fixed" if op in ("recip", "div") else dkind,) * n
 
 
 def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
@@ -229,10 +274,7 @@ def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
             raise SemanticError(f"{instr.name} takes {arity} qubit(s)", line)
         if len(set(instr.qubits)) != len(instr.qubits):
             raise SemanticError(f"{instr.name} qubits must be distinct", line)
-        for q in instr.qubits:
-            if not (0 <= q < nqubits):
-                raise SemanticError(
-                    f"qubit q{q} out of range for {nqubits}-qubit procedure", line)
+        _check_qubits(instr.qubits, nqubits, line)
         wants_angle = instr.name in ANGLE_GATES
         if wants_angle and instr.angle is None:
             raise SemanticError(f"{instr.name} requires an angle", line)
@@ -241,15 +283,15 @@ def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
         if wants_angle:
             _check_operand(kinds, instr.angle, "fixed", line, f"{instr.name} angle")
     elif isinstance(instr, Measure):
-        if not (0 <= instr.qubit < nqubits):
-            raise SemanticError(f"qubit q{instr.qubit} out of range", line)
-        _check_operand(kinds, instr.dest, "bit", line, "mz destination")
+        _check_qubits((instr.qubit,), nqubits, line)
+        _check_operand(kinds, instr.dest, "bit", line, "mz destination", True)
         if instr.record is not None:
+            if len(instr.record) != 2:
+                raise SemanticError("mz record takes two variables", line)
             for v in instr.record:
-                _check_operand(kinds, v, "fixed", line, "mz record")
+                _check_operand(kinds, v, "fixed", line, "mz record", True)
     elif isinstance(instr, Reset):
-        if not (0 <= instr.qubit < nqubits):
-            raise SemanticError(f"qubit q{instr.qubit} out of range", line)
+        _check_qubits((instr.qubit,), nqubits, line)
     elif isinstance(instr, ActiveReset):
         pass  # always the full register
     elif isinstance(instr, Classical):
@@ -259,51 +301,46 @@ def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
         if len(instr.srcs) != CLASSICAL_OPS[op]:
             raise SemanticError(
                 f"{op} takes {CLASSICAL_OPS[op]} source operand(s)", line)
-        dkind = kinds.get(instr.dest)
-        if dkind is None:
-            raise SemanticError(f"undeclared variable {instr.dest!r}", line)
-        if op in ("add", "sub", "mul", "neg"):
-            if dkind == "bit":
-                raise SemanticError(f"{op} cannot target a bit variable", line)
-            for s in instr.srcs:
-                _check_operand(kinds, s, dkind, line, op)
-        elif op in ("recip", "div"):
-            if dkind != "fixed":
-                raise SemanticError(f"{op} targets a fixed variable", line)
-            for s in instr.srcs:
-                _check_operand(kinds, s, "fixed", line, op)
-        elif op in ("cmp_eq", "cmp_lt"):
-            if dkind != "bit":
-                raise SemanticError(f"{op} targets a bit variable", line)
-            k = _infer_cmp_kind(kinds, instr.srcs, line)
-            for s in instr.srcs:
-                _check_operand(kinds, s, k, line, op)
-        elif op == "select":
-            _check_operand(kinds, instr.srcs[0], "bit", line, "select condition")
-            for s in instr.srcs[1:]:
-                _check_operand(kinds, s, dkind, line, "select")
+        _check_operand(kinds, instr.dest, None, line, op, True)
+        dkind = kinds[instr.dest]
+        if op in ("add", "sub", "mul", "neg") and dkind == "bit":
+            raise SemanticError(f"{op} cannot target a bit variable", line)
+        if op in ("recip", "div") and dkind != "fixed":
+            raise SemanticError(f"{op} targets a fixed variable", line)
+        if op in ("cmp_eq", "cmp_lt") and dkind != "bit":
+            raise SemanticError(f"{op} targets a bit variable", line)
+        for s, k in zip(instr.srcs, operand_kinds(instr, kinds)):
+            _check_operand(kinds, s, k, line, op)
     elif isinstance(instr, Output):
-        if instr.name not in kinds:
-            raise SemanticError(f"undeclared variable {instr.name!r} in output",
-                                line)
+        _check_operand(kinds, instr.name, None, line, "output", True)
     else:
         raise SemanticError(f"unknown instruction {instr!r}")
 
 
 def check_semantics(prog: HybridProgram):
-    if prog.qubits < 0:
-        raise SemanticError(f"procedure {prog.name!r}: negative qubit count")
+    if not is_name(prog.name):
+        raise SemanticError(f"bad procedure name {prog.name!r}")
+    if type(prog.qubits) is not int or prog.qubits < 0:
+        raise SemanticError(
+            f"procedure {prog.name!r}: bad qubit count {prog.qubits!r}")
     kinds: dict[str, str] = {}
     for d in prog.decls:
         if d.kind not in KINDS:
             raise SemanticError(f"unknown kind {d.kind!r} for var {d.name!r}")
+        if not is_name(d.name):
+            raise SemanticError(f"bad variable name {d.name!r}", d.line)
         if d.name in kinds:
             raise SemanticError(f"duplicate declaration of {d.name!r}")
+        if not _LITERALS[d.kind][0](d.init):
+            raise SemanticError(f"initializer of {d.name!r} must be "
+                                f"{_LITERALS[d.kind][1]}, got {d.init!r}", d.line)
         kinds[d.name] = d.kind
     if not prog.blocks:
         raise SemanticError(f"procedure {prog.name!r} has no blocks")
     labels = set()
     for b in prog.blocks:
+        if not is_name(b.label):
+            raise SemanticError(f"bad label {b.label!r}")
         if b.label in labels:
             raise SemanticError(f"duplicate label {b.label!r}")
         labels.add(b.label)
@@ -314,12 +351,11 @@ def check_semantics(prog: HybridProgram):
         if isinstance(t, Br):
             targets = (t.target,)
         elif isinstance(t, CondBr):
-            _check_operand(kinds, t.cond, "bit", t.line, "condbr condition")
+            _check_operand(kinds, t.cond, "bit", t.line, "condbr condition", True)
             targets = (t.then_target, t.else_target)
         elif isinstance(t, Ret):
             for v in t.values:
-                if v not in kinds:
-                    raise SemanticError(f"undeclared variable {v!r} in ret", t.line)
+                _check_operand(kinds, v, None, t.line, "ret", True)
             targets = ()
         else:
             raise SemanticError(f"block {b.label!r} has no valid terminator")
@@ -329,7 +365,8 @@ def check_semantics(prog: HybridProgram):
 
 
 # ---------------------------------------------------------------------------
-# Parser.
+# Parser.  It checks syntax only: every rule of the IR is checked when
+# `parse` builds the program.
 
 def _classify_operand(tok: str, line: int) -> str | float | int:
     if _FLOAT_RE.match(tok):
@@ -338,7 +375,7 @@ def _classify_operand(tok: str, line: int) -> str | float | int:
         return int(tok)
     if _QUBIT_RE.match(tok):
         raise SemanticError(f"qubit {tok} cannot be a classical operand", line)
-    if _IDENT_RE.match(tok) and tok not in _KEYWORDS:
+    if is_name(tok):
         return tok
     raise IRSyntaxError(f"bad operand {tok!r}", line)
 
@@ -350,16 +387,9 @@ def _parse_qubit(tok: str, line: int) -> int:
     return int(m.group(1))
 
 
-def _parse_varname(tok: str, line: int) -> str:
-    if not _IDENT_RE.match(tok) or tok in _KEYWORDS or _QUBIT_RE.match(tok):
-        raise IRSyntaxError(f"bad variable name {tok!r}", line)
-    return tok
-
-
-def _parse_procname(tok: str, line: int) -> str:
-    # procedure names sit in an unambiguous position, so keywords are fine
-    if not _IDENT_RE.match(tok):
-        raise IRSyntaxError(f"bad procedure name {tok!r}", line)
+def _parse_name(tok: str, line: int, what: str = "variable") -> str:
+    if not is_name(tok):
+        raise IRSyntaxError(f"bad {what} name {tok!r}", line)
     return tok
 
 
@@ -367,7 +397,8 @@ def _split_args(rest: str) -> list[str]:
     return [a.strip() for a in rest.split(",")] if rest.strip() else []
 
 
-_GATE_ANGLE_RE = re.compile(r"(rz|crz|eswap)\s*\(\s*([^()\s]+)\s*\)\s*(.*)$")
+_GATE_ANGLE_RE = re.compile(
+    rf"({'|'.join(ANGLE_GATES)})\s*\(\s*([^()\s]+)\s*\)\s*(.*)$")
 _MZ_RE = re.compile(
     r"mz\s+(\S+)\s*->\s*(\w+)\s*"
     r"(?:record\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)\s*)?$")
@@ -378,25 +409,22 @@ def _parse_instruction(text: str, ln: int) -> Instruction | Terminator:
     m = _GATE_ANGLE_RE.match(text)
     if m:
         name, angle_tok, rest = m.groups()
-        angle = _classify_operand(angle_tok, ln)
-        if isinstance(angle, int):
-            angle = float(angle)
         qubits = tuple(_parse_qubit(a, ln) for a in _split_args(rest))
-        return Gate(name, qubits, angle, line=ln)
+        return Gate(name, qubits, _classify_operand(angle_tok, ln), line=ln)
     head, _, rest = text.partition(" ")
     rest = rest.strip()
-    if head in ("h", "x", "sx", "cnot"):
+    if head in GATE_ARITY:
+        if head in ANGLE_GATES:
+            raise IRSyntaxError(f"{head} requires a parenthesized angle", ln)
         qubits = tuple(_parse_qubit(a, ln) for a in _split_args(rest))
         return Gate(head, qubits, None, line=ln)
-    if head in ("rz", "crz", "eswap"):
-        raise IRSyntaxError(f"{head} requires a parenthesized angle", ln)
     if head == "mz":
         m = _MZ_RE.match(text)
         if not m:
             raise IRSyntaxError("expected: mz qN -> var [record(t, phi)]", ln)
         qtok, dest, rec_t, rec_p = m.groups()
         record = (rec_t, rec_p) if rec_t else None
-        return Measure(_parse_qubit(qtok, ln), _parse_varname(dest, ln),
+        return Measure(_parse_qubit(qtok, ln), _parse_name(dest, ln),
                        record, line=ln)
     if head == "reset":
         return Reset(_parse_qubit(rest, ln), line=ln)
@@ -409,40 +437,24 @@ def _parse_instruction(text: str, ln: int) -> Instruction | Terminator:
         if len(args) != CLASSICAL_OPS[head] + 1:
             raise IRSyntaxError(
                 f"{head} takes {CLASSICAL_OPS[head] + 1} operands", ln)
-        dest = _parse_varname(args[0], ln)
+        dest = _parse_name(args[0], ln)
         srcs = tuple(_classify_operand(a, ln) for a in args[1:])
         return Classical(head, dest, srcs, line=ln)
     if head == "output":
-        return Output(_parse_varname(rest, ln), line=ln)
+        return Output(_parse_name(rest, ln), line=ln)
     if head == "br":
-        return Br(_parse_varname(rest, ln), line=ln)
+        return Br(_parse_name(rest, ln, "label"), line=ln)
     if head == "condbr":
         args = _split_args(rest)
         if len(args) != 3:
             raise IRSyntaxError("condbr takes: cond, then_label, else_label", ln)
-        return CondBr(_parse_varname(args[0], ln), _parse_varname(args[1], ln),
-                      _parse_varname(args[2], ln), line=ln)
+        return CondBr(_parse_name(args[0], ln), _parse_name(args[1], ln, "label"),
+                      _parse_name(args[2], ln, "label"), line=ln)
     if head == "ret":
-        values = tuple(_parse_varname(a, ln) for a in _split_args(rest))
+        values = tuple(_parse_name(a, ln) for a in _split_args(rest))
         return Ret(values, line=ln)
     raise IRSyntaxError(f"unknown instruction {head!r}", ln,
                         col=text.find(head) + 1)
-
-
-def _parse_literal(tok: str, kind: str, ln: int) -> float | int:
-    v = _classify_operand(tok, ln)
-    if isinstance(v, str):
-        raise SemanticError(f"initializer must be a literal, got {tok!r}", ln)
-    if kind == "fixed":
-        return float(v)
-    if isinstance(v, float):
-        raise SemanticError(f"{kind} initializer must be an integer", ln)
-    if kind == "bit" and v not in (0, 1):
-        raise SemanticError("bit initializer must be 0 or 1", ln)
-    return v
-
-
-_DEFAULT_INIT = {"bit": 0, "int18": 0, "fixed": 0.0}
 
 
 def parse(text: str) -> HybridProgram:
@@ -476,7 +488,7 @@ def parse(text: str) -> HybridProgram:
                 raise IRSyntaxError("nested proc (missing endproc?)", ln)
             if len(tokens) != 4 or tokens[2] != "qubits" or not _INT_RE.match(tokens[3]):
                 raise IRSyntaxError("expected: proc NAME qubits N", ln)
-            cur = {"name": _parse_procname(tokens[1], ln),
+            cur = {"name": _parse_name(tokens[1], ln, "procedure"),
                    "qubits": int(tokens[3]), "decls": []}
             blocks = []
             continue
@@ -496,15 +508,14 @@ def parse(text: str) -> HybridProgram:
             m = re.match(r"var\s+(\w+)\s+(\w+)\s*(?:=\s*(\S+))?$", line)
             if not m or m.group(1) not in KINDS:
                 raise IRSyntaxError("expected: var KIND NAME [= LITERAL]", ln)
-            kind, name, init_tok = m.group(1), _parse_varname(m.group(2), ln), m.group(3)
-            init = (_parse_literal(init_tok, kind, ln) if init_tok is not None
-                    else _DEFAULT_INIT[kind])
+            kind, name, init_tok = m.group(1), _parse_name(m.group(2), ln), m.group(3)
+            init = 0 if init_tok is None else _classify_operand(init_tok, ln)
             cur["decls"].append(VarDecl(name, kind, init, line=ln))
             continue
         m = _LABEL_RE.match(line)
         if m:
             close_block(ln)
-            label = m.group(1)
+            label = _parse_name(m.group(1), ln, "label")
             continue
         if label is None:
             raise IRSyntaxError("instruction outside any block", ln)
@@ -528,19 +539,11 @@ def parse(text: str) -> HybridProgram:
 # ---------------------------------------------------------------------------
 # Emitter.  Deterministic; parse(emit(p)) == p.
 
-def _fmt_operand(v: str | float | int) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _fmt_instruction(instr: Instruction | Terminator) -> str:
     if isinstance(instr, Gate):
         qs = ", ".join(f"q{q}" for q in instr.qubits)
         if instr.angle is not None:
-            return f"{instr.name}({_fmt_operand(instr.angle)}) {qs}"
+            return f"{instr.name}({instr.angle}) {qs}"
         return f"{instr.name} {qs}"
     if isinstance(instr, Measure):
         s = f"mz q{instr.qubit} -> {instr.dest}"
@@ -552,7 +555,7 @@ def _fmt_instruction(instr: Instruction | Terminator) -> str:
     if isinstance(instr, ActiveReset):
         return "active_reset"
     if isinstance(instr, Classical):
-        ops = ", ".join([instr.dest] + [_fmt_operand(s) for s in instr.srcs])
+        ops = ", ".join([instr.dest, *map(str, instr.srcs)])
         return f"{instr.op} {ops}"
     if isinstance(instr, Output):
         return f"output {instr.name}"
@@ -568,7 +571,7 @@ def _fmt_instruction(instr: Instruction | Terminator) -> str:
 def emit(prog: HybridProgram) -> str:
     out = [f"proc {prog.name} qubits {prog.qubits}"]
     for d in prog.decls:
-        out.append(f"  var {d.kind} {d.name} = {_fmt_operand(d.init)}")
+        out.append(f"  var {d.kind} {d.name} = {d.init}")
     for b in prog.blocks:
         out.append(f"{b.label}:")
         for instr in b.instructions:

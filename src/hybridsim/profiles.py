@@ -58,16 +58,15 @@ class Diagnostic:
         }
 
 
-def _check_fixed_literal(v: float) -> bool:
-    try:
-        fx.encode(float(v))
-        return True
-    except fx.OutOfRange:
-        return False
-
-
-def _check_int_literal(v: int) -> bool:
-    return fx.RAW_MIN <= v <= fx.RAW_MAX
+# kind -> the encoder that loads a literal of that kind for fixed-point
+# execution, and the diagnostic for a literal it rejects (`bit` literals
+# are 0 or 1, so always in range).
+_RANGES = {
+    "fixed": (fx.encode,
+              "literal {!r} is outside the Q2.16 range [-2, 2 - 2**-16]"),
+    "int18": (fx.check_int_range,
+              "literal {!r} is outside the 18-bit signed range"),
+}
 
 
 def validate(prog: hir.HybridProgram, profile: Profile) -> list[Diagnostic]:
@@ -78,14 +77,12 @@ def validate(prog: hir.HybridProgram, profile: Profile) -> list[Diagnostic]:
         diags.append(Diagnostic(code, message, prog.name, block, line))
 
     def check_literal(v, kind, block, line):
-        if kind == "fixed" and not _check_fixed_literal(v):
-            add("literal-out-of-range",
-                f"literal {v!r} is outside the Q2.16 range [-2, 2 - 2**-16]",
-                block, line)
-        elif kind == "int18" and not _check_int_literal(v):
-            add("literal-out-of-range",
-                f"literal {v!r} is outside the 18-bit signed range",
-                block, line)
+        if kind in _RANGES and isinstance(v, (int, float)):
+            encode, message = _RANGES[kind]
+            try:
+                encode(v)
+            except fx.OutOfRange:
+                add("literal-out-of-range", message.format(v), block, line)
 
     if prog.qubits > profile.max_qubits:
         add("too-many-qubits",
@@ -102,17 +99,9 @@ def validate(prog: hir.HybridProgram, profile: Profile) -> list[Diagnostic]:
                         f"gate {instr.name!r} is not in profile "
                         f"{profile.name!r}; lowering required",
                         b.label, instr.line)
-                if isinstance(instr.angle, float):
+                if instr.angle is not None:
                     check_literal(instr.angle, "fixed", b.label, instr.line)
             elif isinstance(instr, hir.Classical):
-                if instr.op in ("cmp_eq", "cmp_lt"):
-                    opk = hir._infer_cmp_kind(kinds, instr.srcs, instr.line)
-                else:
-                    opk = kinds[instr.dest]
-                for s in instr.srcs:
-                    if isinstance(s, float):
-                        check_literal(s, "fixed", b.label, instr.line)
-                    elif isinstance(s, int) and opk != "bit":
-                        check_literal(s, "fixed" if opk == "fixed" else "int18",
-                                      b.label, instr.line)
+                for s, k in zip(instr.srcs, hir.operand_kinds(instr, kinds)):
+                    check_literal(s, k, b.label, instr.line)
     return diags

@@ -371,6 +371,7 @@ def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
 # of the cost of a line.
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+_SCALE = fx.SCALE
 # Memo entries one `write_records` call keeps before it starts over, so a
 # long run cannot grow the memo without limit.
 _MEMO_SIZE = 4096
@@ -387,15 +388,30 @@ def _plain(v) -> str:
     return "%d" % v if type(v) is int else _dumps(v)
 
 
-def _value_from_json(v):
-    """A bare number (not a bool) or a boxed word."""
+def _value_from_json(v, int18: bool = True):
+    """A bare number (not a bool), or a box with exactly the keys that
+    `write_records` writes: `{"raw", "value"}` for Q2.16, whose decimal must
+    be its word's exact value, and `{"raw"}` for int18 (unless `int18` is
+    false, as for evidence)."""
     kind = type(v)
     if kind is float or kind is int:
         return v
-    if kind is dict:
-        box = fx.FixedQ216 if "value" in v else fx.Int18
-        return box(v["raw"])
-    raise ValueError(f"value {v!r} is not a number or a box")
+    if kind is not dict:
+        raise ValueError(f"value {v!r} is not a number or a box")
+    n = len(v)
+    if n == 2 and "value" in v:
+        raw = v["raw"]
+        box = fx.FixedQ216(raw)
+        value = v["value"]
+        if type(value) is float and value * _SCALE == raw:
+            return box
+        raise ValueError(f"box value {value!r} is not raw word {raw} / 2**16")
+    if n == 1 and "raw" in v:
+        if int18:
+            return fx.Int18(v["raw"])
+        raise ValueError(f"evidence value {v!r} is an int18 box")
+    raise ValueError(f"box {v!r} does not hold raw (int18) or raw and value "
+                     "(Q2.16) alone")
 
 
 def _bit_from_json(d):
@@ -414,7 +430,7 @@ def _int_from_json(obj: dict, name: str) -> int:
 def record_from_json(obj: dict) -> ShotRecord:
     outputs = tuple((name, _value_from_json(v)) for name, v in obj["outputs"])
     evidence = tuple(
-        (_value_from_json(e["t"]), _value_from_json(e["phi_inv"]),
+        (_value_from_json(e["t"], False), _value_from_json(e["phi_inv"], False),
          _bit_from_json(e["d"]))
         for e in obj["evidence"])
     return ShotRecord(_int_from_json(obj, "shot"), _int_from_json(obj, "seed"),

@@ -364,9 +364,17 @@ def _records_with_second_line(tmp_path, edit, mode="fixed"):
      "value None is not a number or a box"),
     (lambda obj: obj["outputs"][0].__setitem__(1, [0.5]),
      "value [0.5] is not a number or a box"),
+    (lambda obj: obj["evidence"][0].update(t={"raw": 65536, "value": -3.5}),
+     "box value -3.5 is not raw word 65536 / 2**16"),
+    (lambda obj: obj["outputs"][0].__setitem__(1, {"raw": 5, "junk": 1}),
+     "box {'raw': 5, 'junk': 1} does not hold raw (int18) or raw and value "
+     "(Q2.16) alone"),
+    (lambda obj: obj["evidence"][0].update(t={"raw": 5}),
+     "evidence value {'raw': 5} is an int18 box"),
 ], ids=["missing-field", "raw-word-out-of-range", "raw-word-not-int",
         "infinite-shot", "shot-float", "seed-bool", "bit-two", "bit-float",
-        "bit-bool", "value-string", "value-bool", "value-null", "value-list"])
+        "bit-bool", "value-string", "value-bool", "value-null", "value-list",
+        "box-bad-value", "box-extra-key", "int18-evidence"])
 def test_refit_names_the_bad_line(tmp_path, capsys, edit, message):
     bad = _records_with_second_line(tmp_path, edit)
     capsys.readouterr()

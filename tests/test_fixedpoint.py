@@ -30,6 +30,9 @@ def test_encode_out_of_range():
         fx.encode(-2.0000153)
     with pytest.raises(OutOfRange):
         fx.encode(float("nan"))
+    for huge in (1e308, -1e308, 10 ** 300):   # x * SCALE overflows a float
+        with pytest.raises(OutOfRange):
+            fx.encode(huge)
     fx.encode(2.0 - 2.0 ** -16)  # top of range is representable
 
 

@@ -1116,3 +1116,38 @@ def test_sources_parse_as_python_3_10():
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path),
                   feature_version=(3, 10))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module under src/hybridsim uses only the public names of the
+    others, so each rule has one owner: `codegen` and `profiles` once read
+    `hir._infer_cmp_kind` and restated part of the IR's kind rules around
+    it.  tests/ and tools/ are exempt; `tools/unroll_cutoff.py` clears the
+    engine's private caches on purpose."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hybridsim"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()     # local names bound to a module of the package
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not node.level and \
+                    (node.module or "").partition(".")[0] != "hybridsim":
+                continue
+            if node.module in (None, "hybridsim"):
+                modules |= {a.asname or a.name for a in node.names}
+            else:
+                found += [f"{path.name}:{node.lineno}: {node.module}.{a.name}"
+                          for a in node.names if _private(a.name)]
+        found += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert found == []
