@@ -17,13 +17,20 @@ Semantics mirrored here:
   wrap range covers two full periods and wrap-around is harmless there.
 
 The module-level functions operate on raw integer words; :class:`FixedQ216`
-and :class:`Int18` box a word as a typed value in shot records.
+and :class:`Int18` box a word as a typed value in shot records.  Each op is
+one Python call that wraps its result inline.  The table reciprocal of a
+word is computed once and remembered (`recip_prewrap_raw` is a bounded
+memo), since a program divides by the same few words in every shot, and
+`fixed_box` hands out one shared, checked `FixedQ216` per word.  Both memos
+key on the argument's exact type, so a `bool` or `float` never finds an
+`int` entry; a call that raises remembers nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DivideByZero, OutOfRange
 
@@ -63,23 +70,27 @@ def decode(raw: int) -> float:
     return raw / SCALE
 
 
+# The ops below run once per classical instruction of every shot, so each
+# folds its result into the word inline, as `wrap_raw` does, rather than
+# making a second call.
+
 def add_raw(a: int, b: int) -> int:
-    return wrap_raw(a + b)
+    return ((a + b + _HALF_MOD) % _WORD_MOD) - _HALF_MOD
 
 
 def sub_raw(a: int, b: int) -> int:
-    return wrap_raw(a - b)
+    return ((a - b + _HALF_MOD) % _WORD_MOD) - _HALF_MOD
 
 
 def neg_raw(a: int) -> int:
-    return wrap_raw(-a)
+    return ((-a + _HALF_MOD) % _WORD_MOD) - _HALF_MOD
 
 
 def mul_raw(a: int, b: int) -> int:
     """Full-width product, rescale with truncation toward zero, then wrap."""
     prod = a * b
     scaled = -((-prod) >> FRAC_BITS) if prod < 0 else prod >> FRAC_BITS
-    return wrap_raw(scaled)
+    return ((scaled + _HALF_MOD) % _WORD_MOD) - _HALF_MOD
 
 
 # Reciprocal interpolation table: 65 knots of round(2**31 / m) for mantissas
@@ -90,10 +101,14 @@ _RECIP_TABLE = tuple(
 _FRAC_MASK = (1 << 25) - 1
 
 
+# A program divides by few distinct words (RWPE by the same 24 in every
+# shot), so 4096 of them (about 0.8 MB when full) is ample.
+@lru_cache(maxsize=4096, typed=True)
 def recip_prewrap_raw(raw: int) -> int:
     """Approximate round(2**32 / raw): the reciprocal in raw-word units
     *before* wrapping.  Table lookup + linear interpolation + one Newton
-    step, all in exact integer arithmetic."""
+    step, all in exact integer arithmetic, once per word: the result is
+    remembered (`__wrapped__` is the computation itself)."""
     if raw == 0:
         raise DivideByZero("reciprocal of zero")
     sign = -1 if raw < 0 else 1
@@ -114,7 +129,7 @@ def recip_prewrap_raw(raw: int) -> int:
 
 def recip_raw(a: int) -> int:
     """Reciprocal wrapped into the word, as the hardware delivers it."""
-    return wrap_raw(recip_prewrap_raw(a))
+    return ((recip_prewrap_raw(a) + _HALF_MOD) % _WORD_MOD) - _HALF_MOD
 
 
 def div_raw(a: int, b: int) -> int:
@@ -125,12 +140,12 @@ def div_raw(a: int, b: int) -> int:
     r = recip_prewrap_raw(b)          # ~ 2**32 / b
     prod = a * r                      # ~ (a/b) * 2**32
     scaled = -((-prod) >> FRAC_BITS) if prod < 0 else prod >> FRAC_BITS
-    return wrap_raw(scaled)
+    return ((scaled + _HALF_MOD) % _WORD_MOD) - _HALF_MOD
 
 
 def to_radians(raw: int) -> float:
     """Angle interpretation: value in units of pi over [-2pi, 2pi)."""
-    return decode(raw) * math.pi
+    return raw / SCALE * math.pi
 
 
 def check_int_range(x: int) -> int:
@@ -181,3 +196,10 @@ class Int18:
     def __repr__(self) -> str:
         return f"Int18({self.raw})"
 
+
+# The box of each Q2.16 word, built and checked the first time the word is
+# seen and shared after that (boxes are frozen).  RWPE records the same 24
+# times `t` in every shot, and its `phi_inv` words recur: 1024 boxes (about
+# 0.2 MB) serve three in four of its records' boxes, where 4096 would serve
+# four in five for 0.6 MB more.
+fixed_box = lru_cache(maxsize=1024, typed=True)(FixedQ216)

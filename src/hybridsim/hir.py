@@ -29,9 +29,10 @@ variables and its labels have names (`is_name`), and keywords are names
 too.  A literal is a finite int or float, never a bool; an `int18` slot
 takes an int and a `bit` slot 0 or 1.  The `mz` destination and record, the
 `condbr` condition and what `output` and `ret` name are declared variables.
-`operand_kinds` gives each classical operand's kind.  Literal ranges are
-left to `profiles.validate`.  `parse` and `emit` are exact inverses for
-every program, parsed or built in code.
+`operand_kinds` gives each classical operand's kind.  A mistyped field (a
+list for a name, a tuple for a `VarDecl`) is a `SemanticError` as well.
+Literal ranges are left to `profiles.validate`.  `parse` and `emit` are
+exact inverses for every program, parsed or built in code.
 """
 
 from __future__ import annotations
@@ -265,16 +266,19 @@ def operand_kinds(instr: Classical, kinds: dict[str, str]) -> tuple:
 
 
 def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
+    if not isinstance(instr, Instruction):
+        raise SemanticError(f"unknown instruction {instr!r}")
     line = instr.line
     if isinstance(instr, Gate):
-        arity = GATE_ARITY.get(instr.name)
+        arity = GATE_ARITY.get(instr.name) if isinstance(instr.name, str) \
+            else None
         if arity is None:
             raise SemanticError(f"unknown gate {instr.name!r}", line)
         if len(instr.qubits) != arity:
             raise SemanticError(f"{instr.name} takes {arity} qubit(s)", line)
+        _check_qubits(instr.qubits, nqubits, line)
         if len(set(instr.qubits)) != len(instr.qubits):
             raise SemanticError(f"{instr.name} qubits must be distinct", line)
-        _check_qubits(instr.qubits, nqubits, line)
         wants_angle = instr.name in ANGLE_GATES
         if wants_angle and instr.angle is None:
             raise SemanticError(f"{instr.name} requires an angle", line)
@@ -296,7 +300,7 @@ def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
         pass  # always the full register
     elif isinstance(instr, Classical):
         op = instr.op
-        if op not in CLASSICAL_OPS:
+        if not isinstance(op, str) or op not in CLASSICAL_OPS:
             raise SemanticError(f"unknown classical op {op!r}", line)
         if len(instr.srcs) != CLASSICAL_OPS[op]:
             raise SemanticError(
@@ -311,10 +315,8 @@ def _check_instruction(instr: Instruction, kinds: dict[str, str], nqubits: int):
             raise SemanticError(f"{op} targets a bit variable", line)
         for s, k in zip(instr.srcs, operand_kinds(instr, kinds)):
             _check_operand(kinds, s, k, line, op)
-    elif isinstance(instr, Output):
+    else:  # Output
         _check_operand(kinds, instr.name, None, line, "output", True)
-    else:
-        raise SemanticError(f"unknown instruction {instr!r}")
 
 
 def check_semantics(prog: HybridProgram):
@@ -325,6 +327,8 @@ def check_semantics(prog: HybridProgram):
             f"procedure {prog.name!r}: bad qubit count {prog.qubits!r}")
     kinds: dict[str, str] = {}
     for d in prog.decls:
+        if not isinstance(d, VarDecl):
+            raise SemanticError(f"declaration {d!r} is not a VarDecl")
         if d.kind not in KINDS:
             raise SemanticError(f"unknown kind {d.kind!r} for var {d.name!r}")
         if not is_name(d.name):
@@ -339,6 +343,8 @@ def check_semantics(prog: HybridProgram):
         raise SemanticError(f"procedure {prog.name!r} has no blocks")
     labels = set()
     for b in prog.blocks:
+        if not isinstance(b, BasicBlock):
+            raise SemanticError(f"block {b!r} is not a BasicBlock")
         if not is_name(b.label):
             raise SemanticError(f"bad label {b.label!r}")
         if b.label in labels:
@@ -360,7 +366,7 @@ def check_semantics(prog: HybridProgram):
         else:
             raise SemanticError(f"block {b.label!r} has no valid terminator")
         for tgt in targets:
-            if tgt not in labels:
+            if not isinstance(tgt, str) or tgt not in labels:
                 raise SemanticError(f"branch to unknown label {tgt!r}", t.line)
 
 

@@ -192,7 +192,7 @@ def _q216_domain() -> Domain:
                            "int18": lambda v: fx.check_int_range(int(v)),
                            "fixed": lambda v: fx.encode(float(v))},
                   ops=ops, radians=fx.to_radians,
-                  box={"bit": None, "int18": fx.Int18, "fixed": fx.FixedQ216},
+                  box={"bit": None, "int18": fx.Int18, "fixed": fx.fixed_box},
                   forms={})
 
 

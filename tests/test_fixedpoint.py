@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -161,3 +162,89 @@ def test_typed_wrappers():
 def test_box_raw_word_must_be_an_int(make):
     with pytest.raises(TypeError, match="is not an int"):
         make()
+
+
+# -- the reciprocal and box memos --------------------------------------------
+
+def _outcome(fn, *args):
+    """What `fn(*args)` gives: its value, or the type and text of what it
+    raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_recip_memo_matches_the_computation_for_every_word():
+    memo, compute = fx.recip_prewrap_raw, fx.recip_prewrap_raw.__wrapped__
+    memo.cache_clear()
+    for raw in range(fx.RAW_MIN, fx.RAW_MAX + 1):
+        if raw:
+            want = compute(raw)
+            assert memo(raw) == want      # cold
+            assert memo(raw) == want      # warm
+
+
+def test_division_by_zero_is_never_remembered():
+    for _ in range(3):
+        with pytest.raises(DivideByZero):
+            fx.recip_raw(0)
+        with pytest.raises(DivideByZero):
+            fx.div_raw(12345, 0)
+        with pytest.raises(DivideByZero):
+            fx.recip_prewrap_raw(0)
+
+
+# Words of the wrong type or outside the 18-bit range, each after its int
+# twin (if any) is already remembered.
+ODD_WORDS = [True, 1.0, 2.0, -3.0, 2 ** 17, fx.RAW_MIN - 1, 2 ** 40, -(2 ** 40)]
+
+
+@pytest.mark.parametrize("memo", [fx.recip_prewrap_raw, fx.fixed_box],
+                         ids=["recip", "box"])
+def test_memos_key_on_the_exact_type(memo):
+    for raw in ODD_WORDS:
+        twin = int(raw)
+        if twin:
+            _outcome(memo, twin)
+        for _ in range(2):
+            assert _outcome(memo, raw) == _outcome(memo.__wrapped__, raw)
+
+
+def test_box_memo_shares_one_checked_box_per_word():
+    box = fx.fixed_box(fx.encode(0.75))
+    assert box == fx.FixedQ216(fx.encode(0.75))
+    assert type(box) is fx.FixedQ216
+    assert fx.fixed_box(fx.encode(0.75)) is box
+
+
+def _held_bytes(memo, words) -> int:
+    """Traced bytes still allocated after `words` pass through `memo`,
+    starting empty, above what was live before."""
+    memo.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for raw in words:
+            memo(raw)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("memo", [fx.recip_prewrap_raw, fx.fixed_box],
+                         ids=["recip", "box"])
+def test_memo_memory_is_bounded(memo):
+    every = [raw for raw in range(fx.RAW_MIN, fx.RAW_MAX + 1) if raw]
+    memo.cache_clear()
+    for raw in every:
+        memo(raw)
+    size = memo.cache_info().maxsize
+    assert memo.cache_info().currsize == size
+    # Memory stops growing once the memo is full: eight times its size in
+    # words hold no more than twice its size do.  (Tracing all 2**18 table
+    # reciprocals would take seconds.)
+    eight = _held_bytes(memo, every[:8 * size])
+    two = _held_bytes(memo, every[:2 * size])
+    assert eight <= 1.25 * two
+    assert eight <= 250 * size

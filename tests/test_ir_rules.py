@@ -231,6 +231,27 @@ def test_register_slots_take_variables(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: _one_block((), (hir.Gate(["h"], (0,)),)), r"unknown gate \['h'\]"),
+    (lambda: _one_block((hir.VarDecl("a", "int18", 0),),
+                        (hir.Classical(["add"], "a", ("a", 1)),)),
+     r"unknown classical op \['add'\]"),
+    (lambda: hir.HybridProgram("main", 2, (), (
+        hir.BasicBlock("entry", (hir.Gate("cnot", ([0], 1)),), hir.Ret()),)),
+     r"qubit q\[0\] out of range"),
+    (lambda: _one_block((), (), hir.Br(["e"])),
+     r"branch to unknown label \['e'\]"),
+    (lambda: _one_block((("x", "bit", 0),), ()), "is not a VarDecl"),
+    (lambda: hir.HybridProgram("main", 0, (), (("entry", (), hir.Ret()),)),
+     "is not a BasicBlock"),
+    (lambda: _one_block((), ("h",)), "unknown instruction 'h'"),
+], ids=["gate-name-list", "classical-op-list", "gate-qubit-list",
+        "br-target-list", "decl-tuple", "block-tuple", "instruction-str"])
+def test_mistyped_fields_are_semantic_errors(make, message):
+    with pytest.raises(SemanticError, match=message):
+        make()
+
+
 def test_operand_kinds():
     kinds = {"f": "fixed", "i": "int18", "c": "bit"}
     cases = [(("select", "f", ("c", 0.5, 1)), ("bit", "fixed", "fixed")),

@@ -528,6 +528,31 @@ def test_cached_compile_calls_the_current_fixedpoint_ops(monkeypatch):
     assert calls == [(fx.encode(0.75), fx.encode(0.5))]
 
 
+def test_memo_sits_below_the_hooked_fixedpoint_ops(monkeypatch):
+    # A warm reciprocal memo answers every divisor of an RWPE shot, yet each
+    # `recip` and `div` still calls the module function by name.
+    prog = build_rwpe()
+    cfg = ExecConfig(classical_mode=FIXED)
+    want = sim.run_shot(prog, cfg)
+    calls = {"recip_raw": 0, "div_raw": 0}
+
+    def counted(name):
+        fn = getattr(fx, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fx, name, counted(name))
+    before = fx.recip_prewrap_raw.cache_info()
+    assert sim.run_shot(prog, cfg) == want
+    after = fx.recip_prewrap_raw.cache_info()
+    assert calls == {"recip_raw": 24, "div_raw": 48}
+    assert (after.hits - before.hits, after.misses - before.misses) == (72, 0)
+
+
 def test_compile_does_not_check_the_program_again(monkeypatch):
     # Every program was checked when it was built, so compiling one never
     # runs the semantic check.
