@@ -262,7 +262,5 @@ def runtime_estimate(record) -> float:
     """Reported eigenvalue estimate from one shot: 2 * final mu."""
     for name, value in record.outputs:
         if name == "mu":
-            if isinstance(value, fx.FixedQ216):
-                return 2.0 * value.value
             return 2.0 * float(value)
     raise KeyError("record has no 'mu' output")

@@ -45,7 +45,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import fixedpoint as fx
 from .errors import DegeneratePosterior
 from .sim import ShotRecord
 
@@ -75,17 +74,12 @@ class EvidenceRecord:
         return len(self.entries)
 
 
-def _as_float(v) -> float:
-    if isinstance(v, fx.FixedQ216):
-        return v.value
-    return float(v)
-
-
 def evidence_from_record(rec: ShotRecord) -> EvidenceRecord:
     """Convert a shot record's evidence to radians (angles were stored in
-    units of pi; evolution times are plain scalars)."""
+    units of pi; evolution times are plain scalars or Q2.16 boxes, which
+    `float` reads)."""
     return EvidenceRecord(tuple(
-        (_as_float(t), _as_float(p) * math.pi, int(d))
+        (float(t), float(p) * math.pi, int(d))
         for t, p, d in rec.evidence))
 
 
@@ -105,9 +99,14 @@ def uniform_grid(size: int = 2001,
                  interval: tuple[float, float] = (-1.0, 1.0)) -> PosteriorGrid:
     if size < 2:
         raise ValueError(f"grid needs >= 2 nodes, got {size}")
-    if not interval[0] < interval[1]:
+    lo, hi = interval
+    if not lo < hi:
         raise ValueError(f"prior interval needs lo < hi, got {tuple(interval)}")
-    nodes = np.linspace(interval[0], interval[1], size)
+    # Nodes are read in radians, so pi times each end and the width is finite.
+    if not all(math.isfinite(x * math.pi) for x in (lo, hi, hi - lo)):
+        raise ValueError("prior interval needs finite ends and width in "
+                         f"radians, got {tuple(interval)}")
+    nodes = np.linspace(lo, hi, size)
     return PosteriorGrid(nodes, np.full(size, 1.0 / size))
 
 
@@ -151,11 +150,8 @@ def _normalised(nodes: np.ndarray, logw: np.ndarray) -> PosteriorGrid:
     m = np.max(logw)
     if not np.isfinite(m):
         raise DegeneratePosterior("no grid node carries posterior weight")
-    w = np.exp(logw - m)
-    total = w.sum()
-    if total <= 0.0:
-        raise DegeneratePosterior("posterior weights underflowed to zero")
-    return PosteriorGrid(nodes, w / total)
+    w = np.exp(logw - m)                # 1 at the maximum, so the sum >= 1
+    return PosteriorGrid(nodes, w / w.sum())
 
 
 class _AngleSumRows:
@@ -193,8 +189,9 @@ class _AngleSumRows:
             tables.update(zip(new, np.stack((np.cos(b), np.sin(b)), axis=1)))
         return [tables[t] for t in times]
 
-    def __call__(self, ev: EvidenceRecord) -> np.ndarray:
-        t, phi_inv, d = _columns(ev)
+    def __call__(self, t: np.ndarray, phi_inv: np.ndarray,
+                 d: np.ndarray) -> np.ndarray:
+        """The row of one record's evidence columns (`_columns`)."""
         n = len(self.phis)
         sin_cos_a, cos_sin_b, buf, near = self._buffers(len(t))
         for k, table in enumerate(self._fine_tables(t.tolist())):
@@ -269,20 +266,21 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
     for rec in records:
         if not rec.evidence:
             raise ValueError(f"shot {rec.shot} has no evidence to refit")
-        ev = evidence_from_record(rec)
-        for k, (t, phi_inv, _) in enumerate(ev.entries):
-            if not (math.isfinite(t) and math.isfinite(phi_inv)):
-                raise ValueError(
-                    f"shot {rec.shot}: evidence entry {k} is not finite")
-        t = max(abs(e[0]) for e in ev.entries)
+        cols = _columns(evidence_from_record(rec))
+        finite = np.isfinite(cols[:2]).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"shot {rec.shot}: evidence entry "
+                             f"{finite.argmin()} is not finite")
+        t = float(np.abs(cols[0]).max())
         # A factor of time t has period 2/|t| in units of pi.
         if 2.0 * (grid_size - 1) < MIN_NODES_PER_PERIOD * t * width:
-            need = math.ceil(MIN_NODES_PER_PERIOD * t * width / 2.0) + 1
+            # inf if t * width overflows (np.ceil, unlike math.ceil, keeps it).
+            need = np.ceil(MIN_NODES_PER_PERIOD * t * width / 2.0) + 1
             raise ValueError(
                 f"shot {rec.shot}: |t| = {t:.6g} needs a grid of at least "
-                f"{need} nodes ({MIN_NODES_PER_PERIOD} per likelihood period "
+                f"{need:.0f} nodes ({MIN_NODES_PER_PERIOD} per likelihood period "
                 f"2/|t|), got {grid_size}")
-        row = rows(ev)
+        row = rows(*cols)
         per_shot.append(2.0 * mmse_estimate(
             _normalised(prior.nodes, log_prior + row)))
         pooled_rows += row

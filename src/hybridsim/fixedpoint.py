@@ -155,12 +155,13 @@ def check_int_range(x: int) -> int:
     return x
 
 
-def _bad_raw(raw) -> Exception:
-    """Why `raw` cannot be a boxed register word: a box holds an `int`
-    (bools excluded) in the 18-bit range."""
+def _check_word(box):
+    """A box holds an `int` (bools excluded) in the 18-bit range."""
+    raw = box.raw
     if type(raw) is not int:
-        return TypeError(f"raw word {raw!r} is not an int")
-    return OutOfRange(f"raw word {raw} is not an 18-bit value")
+        raise TypeError(f"raw word {raw!r} is not an int")
+    if not RAW_MIN <= raw <= RAW_MAX:
+        raise OutOfRange(f"raw word {raw} is not an 18-bit value")
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,14 +170,12 @@ class FixedQ216:
 
     raw: int
 
-    def __post_init__(self):
-        raw = self.raw
-        if type(raw) is not int or not RAW_MIN <= raw <= RAW_MAX:
-            raise _bad_raw(raw)
+    __post_init__ = _check_word
 
-    @property
-    def value(self) -> float:
+    def __float__(self) -> float:
         return decode(self.raw)
+
+    value = property(__float__)
 
     def __repr__(self) -> str:
         return f"FixedQ216(raw={self.raw}, value={self.value!r})"
@@ -188,10 +187,7 @@ class Int18:
 
     raw: int
 
-    def __post_init__(self):
-        raw = self.raw
-        if type(raw) is not int or not RAW_MIN <= raw <= RAW_MAX:
-            raise _bad_raw(raw)
+    __post_init__ = _check_word
 
     def __repr__(self) -> str:
         return f"Int18({self.raw})"

@@ -30,7 +30,8 @@ too.  A literal is a finite int or float, never a bool; an `int18` slot
 takes an int and a `bit` slot 0 or 1.  The `mz` destination and record, the
 `condbr` condition and what `output` and `ret` name are declared variables.
 `operand_kinds` gives each classical operand's kind.  A mistyped field (a
-list for a name, a tuple for a `VarDecl`) is a `SemanticError` as well.
+list for a name, a tuple for a `VarDecl`, a number for a sequence, a float
+for a qubit) is a `SemanticError` as well.
 Literal ranges are left to `profiles.validate`.  `parse` and `emit` are
 exact inverses for every program, parsed or built in code.
 """
@@ -75,6 +76,17 @@ def is_name(tok) -> bool:
 # Object model.  `line` fields are source positions and never take part in
 # structural equality, so parse(emit(p)) == p holds.
 
+def _store_tuple(node, name: str):
+    """Store the sequence field `name` of a node as a tuple; a value that is
+    not a sequence is a SemanticError."""
+    value = getattr(node, name)
+    try:
+        object.__setattr__(node, name, tuple(value))
+    except TypeError:
+        raise SemanticError(f"{type(node).__name__} {name} {value!r} is not a "
+                            "sequence", getattr(node, "line", None)) from None
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
     name: str
@@ -83,7 +95,7 @@ class Gate:
     line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+        _store_tuple(self, "qubits")
         if type(self.angle) is int and abs(self.angle) <= _FLOAT_MAX:
             object.__setattr__(self, "angle", float(self.angle))
 
@@ -97,7 +109,7 @@ class Measure:
 
     def __post_init__(self):
         if self.record is not None:
-            object.__setattr__(self, "record", tuple(self.record))
+            _store_tuple(self, "record")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +131,7 @@ class Classical:
     line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "srcs", tuple(self.srcs))
+        _store_tuple(self, "srcs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +163,7 @@ class Ret:
     line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        _store_tuple(self, "values")
 
 
 Terminator = Br | CondBr | Ret
@@ -178,7 +190,7 @@ class BasicBlock:
     terminator: Terminator
 
     def __post_init__(self):
-        object.__setattr__(self, "instructions", tuple(self.instructions))
+        _store_tuple(self, "instructions")
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,8 +210,8 @@ class HybridProgram:
                             compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "decls", tuple(self.decls))
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        _store_tuple(self, "decls")
+        _store_tuple(self, "blocks")
         check_semantics(self)
 
     def entry_procedure(self) -> HybridProgram:
@@ -243,7 +255,9 @@ def _check_operand(kinds: dict[str, str], tok, want: str | None, line,
 
 def _check_qubits(qubits: tuple, nqubits: int, line):
     for q in qubits:
-        if type(q) is not int or not 0 <= q < nqubits:
+        if type(q) is not int:
+            raise SemanticError(f"qubit {q!r} is not an int", line)
+        if not 0 <= q < nqubits:
             raise SemanticError(
                 f"qubit q{q} out of range for {nqubits}-qubit procedure", line)
 
@@ -330,11 +344,12 @@ def check_semantics(prog: HybridProgram):
         if not isinstance(d, VarDecl):
             raise SemanticError(f"declaration {d!r} is not a VarDecl")
         if d.kind not in KINDS:
-            raise SemanticError(f"unknown kind {d.kind!r} for var {d.name!r}")
+            raise SemanticError(f"unknown kind {d.kind!r} for var {d.name!r}",
+                                d.line)
         if not is_name(d.name):
             raise SemanticError(f"bad variable name {d.name!r}", d.line)
         if d.name in kinds:
-            raise SemanticError(f"duplicate declaration of {d.name!r}")
+            raise SemanticError(f"duplicate declaration of {d.name!r}", d.line)
         if not _LITERALS[d.kind][0](d.init):
             raise SemanticError(f"initializer of {d.name!r} must be "
                                 f"{_LITERALS[d.kind][1]}, got {d.init!r}", d.line)
@@ -569,9 +584,8 @@ def _fmt_instruction(instr: Instruction | Terminator) -> str:
         return f"br {instr.target}"
     if isinstance(instr, CondBr):
         return f"condbr {instr.cond}, {instr.then_target}, {instr.else_target}"
-    if isinstance(instr, Ret):
-        return "ret" + (" " + ", ".join(instr.values) if instr.values else "")
-    raise TypeError(f"cannot emit {instr!r}")
+    # A Ret: every program was checked when it was built.
+    return "ret" + (" " + ", ".join(instr.values) if instr.values else "")
 
 
 def emit(prog: HybridProgram) -> str:

@@ -14,6 +14,10 @@ Angles are in units of pi.  When a crz angle is a run-time variable the pass
 materializes a/2 and -a/2 into fresh scratch registers with real classical
 instructions, so the lowered program still accepts variable arguments; rz
 itself stays native and keeps whatever operand it had.
+
+The pass is one recursive `lower(instr)`: a rejected cnot or crz becomes
+its expansion, whose gates are lowered in turn (a crz's cnots too).  Scratch
+registers take the first free names `_lo0`, `_lo1`, ... in program order.
 """
 
 from __future__ import annotations
@@ -22,57 +26,38 @@ from . import hir
 from .errors import UnloweredGate
 from .profiles import Profile
 
-# cnot lowering template: (gate, qubit-slots, angle) with c/t placeholders.
-_CNOT_SEQ = (
-    ("h", ("t",), None),
-    ("rz", ("c",), 0.5),
-    ("rz", ("t",), -0.5),
-    ("eswap", ("c", "t"), 0.5),
-    ("rz", ("c",), 1.0),
-    ("eswap", ("c", "t"), 0.5),
-    ("h", ("t",), None),
-)
-
 
 def _expand_cnot(c: int, t: int) -> list[hir.Gate]:
-    env = {"c": c, "t": t}
-    return [hir.Gate(name, tuple(env[s] for s in slots), angle)
-            for name, slots, angle in _CNOT_SEQ]
+    return [hir.Gate("h", (t,)), hir.Gate("rz", (c,), 0.5),
+            hir.Gate("rz", (t,), -0.5), hir.Gate("eswap", (c, t), 0.5),
+            hir.Gate("rz", (c,), 1.0), hir.Gate("eswap", (c, t), 0.5),
+            hir.Gate("h", (t,))]
 
 
-def _fresh_names(taken: set[str], count: int) -> list[str]:
-    names = []
+def _fresh_name(taken: set[str]) -> str:
+    """The first of `_lo0`, `_lo1`, ... not in `taken`, which it joins."""
     i = 0
-    while len(names) < count:
-        cand = f"_lo{i}"
-        if cand not in taken:
-            taken.add(cand)
-            names.append(cand)
+    while f"_lo{i}" in taken:
         i += 1
-    return names
+    taken.add(f"_lo{i}")
+    return f"_lo{i}"
 
 
 def _expand_crz(instr: hir.Gate, taken: set[str],
                 new_decls: list[hir.VarDecl]) -> list[hir.Instruction]:
     c, t = instr.qubits
-    angle = instr.angle
     out: list[hir.Instruction] = []
-    if isinstance(angle, str):
-        half, neg_half = _fresh_names(taken, 2)
-        new_decls.append(hir.VarDecl(half, "fixed", 0.0))
-        new_decls.append(hir.VarDecl(neg_half, "fixed", 0.0))
-        out.append(hir.Classical("mul", half, (angle, 0.5)))
-        out.append(hir.Classical("neg", neg_half, (half,)))
-        a_half: str | float = half
-        a_neg: str | float = neg_half
+    if isinstance(instr.angle, str):
+        half, neg_half = _fresh_name(taken), _fresh_name(taken)
+        new_decls += (hir.VarDecl(half, "fixed", 0.0),
+                      hir.VarDecl(neg_half, "fixed", 0.0))
+        out += (hir.Classical("mul", half, (instr.angle, 0.5)),
+                hir.Classical("neg", neg_half, (half,)))
     else:
-        a_half = angle / 2.0
-        a_neg = -a_half
-    out.append(hir.Gate("cnot", (c, t), None))
-    out.append(hir.Gate("rz", (t,), a_neg))
-    out.append(hir.Gate("cnot", (c, t), None))
-    out.append(hir.Gate("rz", (t,), a_half))
-    return out
+        half = instr.angle / 2.0
+        neg_half = -half
+    return out + [hir.Gate("cnot", (c, t)), hir.Gate("rz", (t,), neg_half),
+                  hir.Gate("cnot", (c, t)), hir.Gate("rz", (t,), half)]
 
 
 def lower_to_native(prog: hir.HybridProgram, profile: Profile) -> hir.HybridProgram:
@@ -80,27 +65,22 @@ def lower_to_native(prog: hir.HybridProgram, profile: Profile) -> hir.HybridProg
     gate has no decomposition into the profile's set."""
     taken = {d.name for d in prog.decls}
     new_decls: list[hir.VarDecl] = []
-    blocks = []
-    for b in prog.blocks:
-        instrs: list[hir.Instruction] = list(b.instructions)
-        changed = True
-        while changed:
-            changed = False
-            out: list[hir.Instruction] = []
-            for instr in instrs:
-                if not isinstance(instr, hir.Gate) or instr.name in profile.gates:
-                    out.append(instr)
-                elif instr.name == "cnot":
-                    out.extend(_expand_cnot(*instr.qubits))
-                    changed = True
-                elif instr.name == "crz":
-                    out.extend(_expand_crz(instr, taken, new_decls))
-                    changed = True
-                else:
-                    raise UnloweredGate(
-                        f"no decomposition of {instr.name!r} into profile "
-                        f"{profile.name!r}")
-            instrs = out
-        blocks.append(hir.BasicBlock(b.label, tuple(instrs), b.terminator))
+
+    def lower(instr: hir.Instruction) -> list[hir.Instruction]:
+        if not isinstance(instr, hir.Gate) or instr.name in profile.gates:
+            return [instr]
+        if instr.name == "cnot":
+            expansion = _expand_cnot(*instr.qubits)
+        elif instr.name == "crz":
+            expansion = _expand_crz(instr, taken, new_decls)
+        else:
+            raise UnloweredGate(f"no decomposition of {instr.name!r} into "
+                                f"profile {profile.name!r}")
+        return [out for gate in expansion for out in lower(gate)]
+
+    blocks = tuple(
+        hir.BasicBlock(b.label, tuple(out for instr in b.instructions
+                                      for out in lower(instr)), b.terminator)
+        for b in prog.blocks)
     return hir.HybridProgram(prog.name, prog.qubits,
-                             prog.decls + tuple(new_decls), tuple(blocks))
+                             prog.decls + tuple(new_decls), blocks)

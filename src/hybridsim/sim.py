@@ -427,8 +427,17 @@ def _int_from_json(obj: dict, name: str) -> int:
     return v
 
 
+def _output_from_json(pair) -> tuple:
+    if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str:
+        raise ValueError(f"output {pair!r} is not a [name, value] pair")
+    return pair[0], _value_from_json(pair[1])
+
+
 def record_from_json(obj: dict) -> ShotRecord:
-    outputs = tuple((name, _value_from_json(v)) for name, v in obj["outputs"])
+    outputs = obj["outputs"]
+    if type(outputs) is not list:
+        raise ValueError(f"outputs {outputs!r} is not a list")
+    outputs = tuple(map(_output_from_json, outputs))
     evidence = tuple(
         (_value_from_json(e["t"], False), _value_from_json(e["phi_inv"], False),
          _bit_from_json(e["d"]))

@@ -260,6 +260,26 @@ def test_refit_rejects_a_prior_interval_without_width(interval):
         refit(records, prior_interval=interval)
 
 
+@pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 0.0),
+                                      (-1e308, 1e308), (0.0, 1e308)],
+                         ids=["infinite-hi", "infinite-lo", "width-overflows",
+                              "radians-overflow"])
+def test_uniform_grid_rejects_a_prior_interval_it_cannot_grid(interval):
+    # Such an interval gave nodes like [nan inf inf inf inf], or nodes
+    # whose radians overflow.
+    with pytest.raises(ValueError, match=r"prior interval needs finite ends "
+                                         r"and width in radians, got \("):
+        uniform_grid(5, interval)
+
+
+def test_refit_rejects_a_prior_interval_too_wide_for_any_grid():
+    # The width is finite but t * width is not; the nodes-per-period message
+    # raised OverflowError from math.ceil.
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=1, shots=1))
+    with pytest.raises(ValueError, match="needs a grid of at least inf nodes"):
+        refit(records, prior_interval=(0.0, 1e307))
+
+
 # -- refit's angle-addition rows ----------------------------------------------
 
 REFIT_GRID = uniform_grid(2001)
@@ -300,7 +320,8 @@ def rwpe_shaped_evidence(draw):
 def test_refit_rows_match_direct_log_factors(evs):
     rows = bayes._AngleSumRows(REFIT_GRID)
     for ev in evs:
-        assert np.max(np.abs(rows(ev) - bayes._log_factors(ev, REFIT_PHIS))) \
+        assert np.max(np.abs(rows(*bayes._columns(ev))
+                             - bayes._log_factors(ev, REFIT_PHIS))) \
             <= 1e-8
 
 

@@ -310,6 +310,25 @@ def test_refit_rejects_an_empty_prior_interval(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("hi, message", [
+    ("inf", "prior interval needs finite ends and width in radians, got "
+     "(0.0, inf)"),
+    ("1e308", "prior interval needs finite ends and width in radians, got "
+     "(0.0, 1e+308)"),
+    ("1e307", "shot 0: |t| = 322.085 needs a grid of at least inf nodes"),
+], ids=["infinite", "radians-overflow", "grid-size-overflows"])
+def test_refit_rejects_a_prior_interval_it_cannot_grid(tmp_path, capsys, hi,
+                                                       message):
+    prefix = str(tmp_path / "walk")
+    main(["rwpe", "--shots", "3", "--seed", "9", "--out-prefix", prefix])
+    capsys.readouterr()
+    code = main(["refit", prefix + ".records.jsonl", "--interval", "0", hi])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
 def test_refit_deterministic(tmp_path, capsys):
     prefix = str(tmp_path / "walk")
     main(["rwpe", "--shots", "20", "--seed", "2", "--out-prefix", prefix])
@@ -371,10 +390,15 @@ def _records_with_second_line(tmp_path, edit, mode="fixed"):
      "(Q2.16) alone"),
     (lambda obj: obj["evidence"][0].update(t={"raw": 5}),
      "evidence value {'raw': 5} is an int18 box"),
+    (lambda obj: obj["outputs"].__setitem__(0, [1, 2]),
+     "output [1, 2] is not a [name, value] pair"),
+    (lambda obj: obj.update(outputs={"mu": 2.0}),
+     "outputs {'mu': 2.0} is not a list"),
 ], ids=["missing-field", "raw-word-out-of-range", "raw-word-not-int",
         "infinite-shot", "shot-float", "seed-bool", "bit-two", "bit-float",
         "bit-bool", "value-string", "value-bool", "value-null", "value-list",
-        "box-bad-value", "box-extra-key", "int18-evidence"])
+        "box-bad-value", "box-extra-key", "int18-evidence",
+        "output-name-not-string", "outputs-not-a-list"])
 def test_refit_names_the_bad_line(tmp_path, capsys, edit, message):
     bad = _records_with_second_line(tmp_path, edit)
     capsys.readouterr()

@@ -296,3 +296,78 @@ def test_param_is_a_syntax_error():
     with pytest.raises(IRSyntaxError):
         hir.parse("proc main qubits 0\n  param fixed w\na:\n  output w\n"
                   "  ret\nendproc\n")
+
+
+# -- every error the parser and the program check raise names its line -------
+
+def _prog(body: str, decls: str = "  var bit d = 0") -> str:
+    """A 2-qubit program: `decls` from line 2, then `entry:` and `body`
+    (from line 4 when `decls` is one line)."""
+    return f"proc main qubits 2\n{decls}\nentry:\n{body}\n  ret\nendproc\n"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("proc a qubits 1\nproc b qubits 1\n", "nested proc (missing endproc?)", 2),
+    ("proc main qubit 1\n", "expected: proc NAME qubits N", 1),
+    ("entry:\n  ret\n", "text outside any procedure", 1),
+    ("proc main qubits 0\nentry:\n  ret\nendproc main\n",
+     "endproc takes nothing", 4),
+    (_prog("  var bit e = 0"), "var declaration after first block", 4),
+    (_prog("", "  var float x = 0"), "expected: var KIND NAME [= LITERAL]", 2),
+    ("proc main qubits 0\nentry:\n  ret\n", "missing endproc", 3),
+    ("# nothing here\n", "no procedure", 1),
+    (_prog("  rz q0"), "rz requires a parenthesized angle", 4),
+    (_prog("  mz q0 d"), "expected: mz qN -> var [record(t, phi)]", 4),
+    (_prog("  active_reset q0"), "active_reset takes no operands", 4),
+    (_prog("  add d, d"), "add takes 3 operands", 4),
+    (_prog("  condbr d, entry"), "condbr takes: cond, then_label, else_label", 4),
+    (_prog("  add d, d, 1x"), "bad operand '1x'", 4),
+    (_prog("  h x0"), "expected a qubit (q0, q1, ...), got 'x0'", 4),
+], ids=["nested-proc", "proc-header", "outside-procedure", "endproc-operand",
+        "late-var", "var-syntax", "missing-endproc", "no-procedure",
+        "angle-unparenthesized", "mz-syntax", "active-reset-operand",
+        "operand-count", "condbr-operands", "bad-operand", "bad-qubit"])
+def test_syntax_errors_name_their_line(text, message, line):
+    with pytest.raises(IRSyntaxError) as e:
+        hir.parse(text)
+    assert type(e.value) is IRSyntaxError
+    assert str(e.value) == f"line {line}, col 1: {message}"
+    assert e.value.line == line
+
+
+def _built(instrs=(), decls=(hir.VarDecl("d", "bit", 0, line=2),),
+           qubits=2, term=hir.Ret()):
+    return lambda: hir.HybridProgram(
+        "main", qubits, decls, (hir.BasicBlock("entry", instrs, term),))
+
+
+@pytest.mark.parametrize("make, message, line", [
+    (lambda: hir.parse(_prog("  add a, a, q0",
+                             "  var bit d = 0\n  var int18 a = 0")),
+     "qubit q0 cannot be a classical operand", 5),
+    (lambda: hir.parse(_prog("  h q0, q1")), "h takes 1 qubit(s)", 4),
+    (_built((hir.Gate("rz", (0,), line=7),)), "rz requires an angle", 7),
+    (_built((hir.Gate("x", (0,), 0.5, line=7),)), "x takes no angle", 7),
+    (_built((hir.Measure(0, "d", ("d",), line=7),)),
+     "mz record takes two variables", 7),
+    (_built((hir.Classical("neg", "d", ("d", "d"), line=7),)),
+     "neg takes 1 source operand(s)", 7),
+    (lambda: hir.parse(_prog("  add d, d, d")),
+     "add cannot target a bit variable", 4),
+    (_built(qubits=-1), "procedure 'main': bad qubit count -1", None),
+    (_built(decls=(hir.VarDecl("x", "float", 0, line=2),)),
+     "unknown kind 'float' for var 'x'", 2),
+    (lambda: hir.parse(_prog("", "  var bit d = 0\n  var bit d = 1")),
+     "duplicate declaration of 'd'", 3),
+    (_built(term=hir.Output("d")), "block 'entry' has no valid terminator",
+     None),
+], ids=["qubit-operand", "gate-arity", "angle-missing", "angle-extra",
+        "record-arity", "source-count", "bit-target", "qubit-count",
+        "unknown-kind", "duplicate-declaration", "no-terminator"])
+def test_semantic_errors_name_their_line(make, message, line):
+    with pytest.raises(SemanticError) as e:
+        make()
+    assert type(e.value) is SemanticError
+    assert str(e.value) == (message if line is None
+                            else f"line {line}: {message}")
+    assert e.value.line == line

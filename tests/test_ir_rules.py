@@ -238,15 +238,34 @@ def test_register_slots_take_variables(make, message):
      r"unknown classical op \['add'\]"),
     (lambda: hir.HybridProgram("main", 2, (), (
         hir.BasicBlock("entry", (hir.Gate("cnot", ([0], 1)),), hir.Ret()),)),
-     r"qubit q\[0\] out of range"),
+     r"qubit \[0\] is not an int"),
+    (lambda: _one_block((), (hir.Gate("h", (True,)),)),
+     "qubit True is not an int"),
     (lambda: _one_block((), (), hir.Br(["e"])),
      r"branch to unknown label \['e'\]"),
     (lambda: _one_block((("x", "bit", 0),), ()), "is not a VarDecl"),
     (lambda: hir.HybridProgram("main", 0, (), (("entry", (), hir.Ret()),)),
      "is not a BasicBlock"),
     (lambda: _one_block((), ("h",)), "unknown instruction 'h'"),
+    (lambda: _one_block((), (hir.Gate("h", 0),)),
+     "Gate qubits 0 is not a sequence"),
+    (lambda: hir.HybridProgram("main", 1, (), (
+        hir.BasicBlock("e", 5, hir.Ret()),)),
+     "BasicBlock instructions 5 is not a sequence"),
+    (lambda: _one_block((), (), hir.Ret(5)), "Ret values 5 is not a sequence"),
+    (lambda: _one_block((hir.VarDecl("d", "bit", 0),),
+                        (hir.Measure(0, "d", 5),)),
+     "Measure record 5 is not a sequence"),
+    (lambda: _one_block((hir.VarDecl("a", "fixed", 0.0),),
+                        (hir.Classical("add", "a", 5),)),
+     "Classical srcs 5 is not a sequence"),
+    (lambda: hir.HybridProgram("main", 1, 5, ()),
+     "HybridProgram decls 5 is not a sequence"),
 ], ids=["gate-name-list", "classical-op-list", "gate-qubit-list",
-        "br-target-list", "decl-tuple", "block-tuple", "instruction-str"])
+        "gate-qubit-bool", "br-target-list", "decl-tuple", "block-tuple",
+        "instruction-str", "gate-qubits-int", "block-instructions-int",
+        "ret-values-int", "mz-record-int", "classical-srcs-int",
+        "program-decls-int"])
 def test_mistyped_fields_are_semantic_errors(make, message):
     with pytest.raises(SemanticError, match=message):
         make()
