@@ -23,9 +23,11 @@ record's row by angle addition instead.  Its grid is uniform, so node
 j = 128h + l lies at phi_j = phi_128h + l * step.  For each distinct
 evolution time of a call (RWPE records the same 24 in every shot), the
 tables cos B_l and sin B_l, B_l = l * step * t / 2 for l < 128, are built
-once and kept under a row budget.  Each entry then costs a sine and a cosine
-of its coarse arguments A_h = (phi_128h - phi_inv) * t / 2 + s only (16 of
-them on the default 2001-node grid), and its whole row
+once and kept under a row budget; a record whose times equal the previous
+record's, entry for entry, reuses the tables already in place.  Each entry
+then costs a sine and a cosine of its coarse arguments
+A_h = (phi_128h - phi_inv) * t / 2 + s only (16 of them on the default
+2001-node grid), and its whole row
 sin(A_h + B_l) = sin A_h cos B_l + cos A_h sin B_l is one batched matrix
 product.  Angle addition is accurate only in absolute terms, so every
 factor below 1e-6 (|sine| < 1e-3) is recomputed, floored and logged by the
@@ -33,15 +35,26 @@ direct form.  Every other factor is at least 1e-6, so the record's factors
 at a node are multiplied, 32 at a time, before one log: a product of 32
 cannot underflow.  Each record's row is evaluated once: the per-shot
 posterior normalises log prior + row, and the pooled posterior normalises
-log prior + the sum of all rows.  The buffers are sized by the longest
-record, so memory does not grow with the number of records.
+log prior + the sum of all rows.
+
+`refit` takes the records in blocks of at most BLOCK_ENTRIES evidence
+entries (ten RWPE records; a longer record is a block of its own).  Each
+block's evidence is converted to arrays by one `np.array` call, checked by
+one vectorised pass (a block that fails is gone through again record by
+record, so the error is the first failing record's), and given the sines
+and cosines of all its coarse arguments at once.  The matrix product,
+repair, products and normalisation stay per record.  What is alive at a
+time is one block's columns and coarse sines and cosines (3 x 256 and
+256 x 16 x 2 doubles on the default grid, 72 kB) and one record's buffers,
+sized by the longest record so far (24 x 2048 doubles for RWPE, 393 kB):
+memory does not grow with the number of records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +75,9 @@ FINE_NODES = 128
 NEAR_ZERO = 1e-6
 PRODUCT_ROWS = 32
 ROW_BUDGET = 256
+# `refit` converts, checks and takes the coarse sines of this many evidence
+# entries at a time (ten RWPE records), and of a longer record alone.
+BLOCK_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -166,17 +182,18 @@ class _AngleSumRows:
         self.fine = np.arange(FINE_NODES) * step
         self.tables: dict[float, np.ndarray] = {}   # t -> [cos B, sin B]
         self.entries = 0                            # rows the buffers hold
+        self.filled = None              # the times cos_sin_b holds tables of
 
     def _buffers(self, entries: int):
         if entries > self.entries:
             coarse = len(self.coarse)
-            self.sin_cos_a = np.empty((entries, coarse, 2))
             self.cos_sin_b = np.empty((entries, 2, FINE_NODES))
             self.buf = np.empty((entries, coarse * FINE_NODES))
             self.near = np.empty(self.buf.shape, dtype=bool)
             self.entries = entries
-        return (self.sin_cos_a[:entries], self.cos_sin_b[:entries],
-                self.buf[:entries], self.near[:entries])
+            self.filled = None
+        return (self.cos_sin_b[:entries], self.buf[:entries],
+                self.near[:entries])
 
     def _fine_tables(self, times: list[float]) -> list[np.ndarray]:
         tables = self.tables
@@ -189,18 +206,35 @@ class _AngleSumRows:
             tables.update(zip(new, np.stack((np.cos(b), np.sin(b)), axis=1)))
         return [tables[t] for t in times]
 
-    def __call__(self, t: np.ndarray, phi_inv: np.ndarray,
-                 d: np.ndarray) -> np.ndarray:
-        """The row of one record's evidence columns (`_columns`)."""
-        n = len(self.phis)
-        sin_cos_a, cos_sin_b, buf, near = self._buffers(len(t))
-        for k, table in enumerate(self._fine_tables(t.tolist())):
-            cos_sin_b[k] = table
+    def __call__(self, cols: np.ndarray,
+                 lengths: list[int]) -> Iterator[np.ndarray]:
+        """The row of each record of a block, in order: `cols` holds the
+        block's evidence columns (`_columns`), record after record, and
+        `lengths` each record's number of entries."""
+        t, phi_inv, d = cols
         a = np.subtract(self.coarse, phi_inv[:, None])
         a *= (0.5 * t)[:, None]
         a += np.where(d == 0, 0.5 * math.pi, 0.0)[:, None]
+        sin_cos_a = np.empty(a.shape + (2,))
         np.sin(a, out=sin_cos_a[:, :, 0])
         np.cos(a, out=sin_cos_a[:, :, 1])
+        del a                   # not kept while the rows are formed
+        times = t.tolist()
+        end = 0
+        for m in lengths:
+            start, end = end, end + m
+            yield self._row(sin_cos_a[start:end], times[start:end],
+                            t[start:end], phi_inv[start:end], d[start:end])
+
+    def _row(self, sin_cos_a, times, t, phi_inv, d) -> np.ndarray:
+        n = len(self.phis)
+        cos_sin_b, buf, near = self._buffers(len(t))
+        # RWPE records share their times, entry for entry: the tables the
+        # last record put in place are often the ones this record needs.
+        if times != self.filled:
+            for k, table in enumerate(self._fine_tables(times)):
+                cos_sin_b[k] = table
+            self.filled = times
         np.matmul(sin_cos_a, cos_sin_b,
                   out=buf.reshape(len(t), len(self.coarse), FINE_NODES))
         np.square(buf, out=buf)
@@ -227,6 +261,65 @@ def posterior(ev: EvidenceRecord, grid: PosteriorGrid) -> PosteriorGrid:
 def mmse_estimate(grid: PosteriorGrid) -> float:
     """Posterior mean (units of pi)."""
     return float(np.dot(grid.weights, grid.nodes))
+
+
+def _blocks(records: Sequence[ShotRecord]) -> Iterator[list[ShotRecord]]:
+    """`records` in runs of at most BLOCK_ENTRIES evidence entries; a
+    longer record is a block of its own."""
+    block, entries = [], 0
+    for rec in records:
+        if block and entries + len(rec.evidence) > BLOCK_ENTRIES:
+            yield block
+            block, entries = [], 0
+        block.append(rec)
+        entries += len(rec.evidence)
+    yield block
+
+
+def _record_columns(rec: ShotRecord, grid_size: int,
+                    width: float) -> np.ndarray:
+    """One record's evidence columns (`_columns`), after `refit`'s checks:
+    the record has evidence, every time and angle is finite, and the grid
+    has MIN_NODES_PER_PERIOD nodes per likelihood period."""
+    if not rec.evidence:
+        raise ValueError(f"shot {rec.shot} has no evidence to refit")
+    cols = _columns(evidence_from_record(rec))
+    finite = np.isfinite(cols[:2]).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"shot {rec.shot}: evidence entry "
+                         f"{finite.argmin()} is not finite")
+    t = float(np.abs(cols[0]).max())
+    # A factor of time t has period 2/|t| in units of pi.
+    if 2.0 * (grid_size - 1) < MIN_NODES_PER_PERIOD * t * width:
+        # inf if t * width overflows (np.ceil, unlike math.ceil, keeps it).
+        need = np.ceil(MIN_NODES_PER_PERIOD * t * width / 2.0) + 1
+        raise ValueError(
+            f"shot {rec.shot}: |t| = {t:.6g} needs a grid of at least "
+            f"{need:.0f} nodes ({MIN_NODES_PER_PERIOD} per likelihood period "
+            f"2/|t|), got {grid_size}")
+    return cols
+
+
+def _block_columns(block: list[ShotRecord], lengths: list[int],
+                   grid_size: int, width: float) -> np.ndarray:
+    """The block's evidence columns, record after record: those of
+    `_record_columns`, converted and checked for the whole block at once.
+    When the block fails a check, `_record_columns` goes through it record
+    by record and so raises the first failing record's first error."""
+    try:
+        cols = np.array([(float(t), float(p) * math.pi, int(d))
+                         for rec in block for t, p, d in rec.evidence],
+                        dtype=float).reshape(-1, 3).T
+    except Exception:       # raised again, in record order, below
+        cols = None
+    # (6 |t|) * width rounds monotonically in |t|, so the largest |t| of
+    # the block fails the nodes-per-period check when any record does.
+    if (cols is None or 0 in lengths or not np.isfinite(cols[:2]).all()
+            or 2.0 * (grid_size - 1)
+            < MIN_NODES_PER_PERIOD * float(np.abs(cols[0]).max()) * width):
+        cols = np.concatenate([_record_columns(rec, grid_size, width)
+                               for rec in block], axis=1)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -263,27 +356,13 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
     width = abs(prior_interval[1] - prior_interval[0])
     pooled_rows = np.zeros_like(prior.nodes)
     per_shot = []
-    for rec in records:
-        if not rec.evidence:
-            raise ValueError(f"shot {rec.shot} has no evidence to refit")
-        cols = _columns(evidence_from_record(rec))
-        finite = np.isfinite(cols[:2]).all(axis=0)
-        if not finite.all():
-            raise ValueError(f"shot {rec.shot}: evidence entry "
-                             f"{finite.argmin()} is not finite")
-        t = float(np.abs(cols[0]).max())
-        # A factor of time t has period 2/|t| in units of pi.
-        if 2.0 * (grid_size - 1) < MIN_NODES_PER_PERIOD * t * width:
-            # inf if t * width overflows (np.ceil, unlike math.ceil, keeps it).
-            need = np.ceil(MIN_NODES_PER_PERIOD * t * width / 2.0) + 1
-            raise ValueError(
-                f"shot {rec.shot}: |t| = {t:.6g} needs a grid of at least "
-                f"{need:.0f} nodes ({MIN_NODES_PER_PERIOD} per likelihood period "
-                f"2/|t|), got {grid_size}")
-        row = rows(*cols)
-        per_shot.append(2.0 * mmse_estimate(
-            _normalised(prior.nodes, log_prior + row)))
-        pooled_rows += row
+    for block in _blocks(records):
+        lengths = [len(rec.evidence) for rec in block]
+        cols = _block_columns(block, lengths, grid_size, width)
+        for row in rows(cols, lengths):
+            per_shot.append(2.0 * mmse_estimate(
+                _normalised(prior.nodes, log_prior + row)))
+            pooled_rows += row
     pooled = 2.0 * mmse_estimate(_normalised(prior.nodes,
                                              log_prior + pooled_rows))
     arr = np.asarray(per_shot)

@@ -284,7 +284,3 @@ def main(argv=None) -> int:
         # bad parameters, unreadable or invalid input files
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -433,15 +433,24 @@ def _output_from_json(pair) -> tuple:
     return pair[0], _value_from_json(pair[1])
 
 
+def _evidence_from_json(e) -> tuple:
+    if type(e) is not dict:
+        raise ValueError(f"evidence entry {e!r} is not an object")
+    return (_value_from_json(e["t"], False),
+            _value_from_json(e["phi_inv"], False), _bit_from_json(e["d"]))
+
+
 def record_from_json(obj: dict) -> ShotRecord:
+    if type(obj) is not dict:
+        raise ValueError(f"record {obj!r} is not an object")
     outputs = obj["outputs"]
     if type(outputs) is not list:
         raise ValueError(f"outputs {outputs!r} is not a list")
     outputs = tuple(map(_output_from_json, outputs))
-    evidence = tuple(
-        (_value_from_json(e["t"], False), _value_from_json(e["phi_inv"], False),
-         _bit_from_json(e["d"]))
-        for e in obj["evidence"])
+    evidence = obj["evidence"]
+    if type(evidence) is not list:
+        raise ValueError(f"evidence {evidence!r} is not a list")
+    evidence = tuple(map(_evidence_from_json, evidence))
     return ShotRecord(_int_from_json(obj, "shot"), _int_from_json(obj, "seed"),
                       outputs, evidence)
 

@@ -115,6 +115,15 @@ def test_mmse_examples():
             sum(wi * ni for wi, ni in zip(w, nodes)), abs=1e-12)
 
 
+@pytest.mark.parametrize("nodes, weights", [([0.0], [1.0]),
+                                            ([0.0, 1.0], [1.0])],
+                         ids=["one-node", "weights-mismatched"])
+def test_posterior_grid_needs_two_nodes_with_matching_weights(nodes, weights):
+    with pytest.raises(ValueError, match="grid needs >= 2 nodes with "
+                                         "matching weights"):
+        PosteriorGrid(np.array(nodes), np.array(weights))
+
+
 def test_degenerate_posterior_raises():
     grid = PosteriorGrid(np.linspace(-1, 1, 11), np.zeros(11))
     with pytest.raises(DegeneratePosterior):
@@ -318,10 +327,15 @@ def rwpe_shaped_evidence(draw):
 @settings(max_examples=150, deadline=None)
 @given(rwpe_shaped_evidence())
 def test_refit_rows_match_direct_log_factors(evs):
+    # Each record is followed by one with the same times and other angles
+    # and outcomes, which reuses the tables the first put in place.
+    evs = [e for ev in evs for e in (ev, _ev(
+        (t, phi_inv + 0.1, 1 - d) for t, phi_inv, d in ev.entries))]
     rows = bayes._AngleSumRows(REFIT_GRID)
-    for ev in evs:
-        assert np.max(np.abs(rows(*bayes._columns(ev))
-                             - bayes._log_factors(ev, REFIT_PHIS))) \
+    block = np.concatenate([bayes._columns(ev) for ev in evs], axis=1)
+    for ev, row in zip(evs, rows(block, [len(ev) for ev in evs]),
+                       strict=True):
+        assert np.max(np.abs(row - bayes._log_factors(ev, REFIT_PHIS))) \
             <= 1e-8
 
 
@@ -346,6 +360,75 @@ def _direct_refit(records):
         row = bayes._log_factors(bayes.evidence_from_record(rec), REFIT_PHIS)
         mmse_estimate(bayes._normalised(REFIT_GRID.nodes, log_prior + row))
         pooled += row
+
+
+def _first_refit_error(records, grid_size, width=2.0):
+    """The message `refit` raises on `records`: the first record, in order,
+    to fail one of its checks, taken in order; None if none fails."""
+    for rec in records:
+        if not rec.evidence:
+            return f"shot {rec.shot} has no evidence to refit"
+        try:
+            entries = bayes.evidence_from_record(rec).entries
+        except ValueError as e:
+            return str(e)
+        for k, (t, phi_inv, _) in enumerate(entries):
+            if not (math.isfinite(t) and math.isfinite(phi_inv)):
+                return f"shot {rec.shot}: evidence entry {k} is not finite"
+        t = max(abs(e[0]) for e in entries)
+        if 2.0 * (grid_size - 1) < bayes.MIN_NODES_PER_PERIOD * t * width:
+            need = math.ceil(bayes.MIN_NODES_PER_PERIOD * t * width / 2.0) + 1
+            return (f"shot {rec.shot}: |t| = {t:.6g} needs a grid of at least "
+                    f"{need} nodes ({bayes.MIN_NODES_PER_PERIOD} per likelihood "
+                    f"period 2/|t|), got {grid_size}")
+    return None
+
+
+CHECK_GRID = 201        # |t| up to 33.3 has 6 nodes per period
+faults = st.sampled_from(["empty", "t-nan", "t-inf", "phi_inv-nan",
+                          "phi_inv-inf", "t-too-large", "t-not-a-number"])
+
+
+@st.composite
+def records_with_faults(draw):
+    """Up to 40 records, several blocks' worth, with an empty record, a
+    non-finite time or angle, a time too large for the grid, or a time that
+    `float` cannot read injected at random records and entries."""
+    evs = draw(st.lists(st.lists(
+        st.tuples(st.floats(-30.0, 30.0), st.floats(-1.0, 1.0),
+                  st.integers(0, 1)), min_size=1, max_size=24),
+        min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(evs) - 1))
+        kind = draw(faults)
+        if kind == "empty":
+            evs[r] = []
+            continue
+        if not evs[r]:
+            continue
+        k = draw(st.integers(0, len(evs[r]) - 1))
+        t, phi_inv, d = evs[r][k]
+        if kind == "t-too-large":
+            t = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(34.0, 1e6))
+        elif kind == "t-not-a-number":
+            t = "?"
+        else:
+            value = float(kind.split("-")[1]) * draw(st.sampled_from([-1, 1]))
+            t, phi_inv = (value, phi_inv) if kind[0] == "t" else (t, value)
+        evs[r][k] = (t, phi_inv, d)
+    return _records(evs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records_with_faults())
+def test_refit_raises_the_first_failing_records_error(records):
+    expected = _first_refit_error(records, CHECK_GRID)
+    if expected is None:
+        refit(records, grid_size=CHECK_GRID)
+    else:
+        with pytest.raises(ValueError) as raised:
+            refit(records, grid_size=CHECK_GRID)
+        assert str(raised.value) == expected
 
 
 def test_refit_memory_is_bounded():

@@ -50,6 +50,11 @@ def test_histogram_conservation_random():
     assert sum(h.counts) + h.overflow == len(vals)
 
 
+def test_histogram_needs_a_bin():
+    with pytest.raises(ValueError, match="bin_count must be >= 1"):
+        histogram([0.5], bin_count=0)
+
+
 def test_histogram_csv_header():
     text = histogram([0.0]).to_csv()
     assert text.splitlines()[0] == "bin_left,bin_right,count"
@@ -129,6 +134,13 @@ def test_run_range_diagnostic_exits_1(tmp_path, capsys):
                   "  rz(a) q0\n  ret\nendproc\n")
     assert main(["run", prog]) == 1
     assert "literal-out-of-range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["0.1,0.2", "0.1,0.2,0.3,0.4"])
+def test_noise_needs_three_numbers(tmp_path, capsys, spec):
+    prog = _write(tmp_path, "teleport.hir", TELEPORT)
+    assert main(["run", prog, "--noise", spec]) == 1
+    assert capsys.readouterr().err == "error: --noise takes p1,p2,pr\n"
 
 
 def test_run_step_limit_env(tmp_path, capsys, monkeypatch):
@@ -262,6 +274,20 @@ def test_validate_lower_pipeline(tmp_path, capsys):
     assert main(["validate", rwpe_path, "--profile", "permissive"]) == 0
 
 
+def test_lower_reports_what_lowering_leaves(tmp_path, capsys):
+    # Lowering rewrites the cnot; the out-of-range angle stays.
+    prog = _write(tmp_path, "angle.hir", "proc main qubits 2\nentry:\n"
+                  "  cnot q0, q1\n  rz(3.5) q0\n  ret\nendproc\n")
+    lowered = tmp_path / "lowered.hir"
+    assert main(["lower", prog, "--out", str(lowered)]) == 1
+    captured = capsys.readouterr()
+    diags = [json.loads(line) for line in captured.err.splitlines()]
+    assert [(d["code"], d["location"]["line"]) for d in diags] == \
+        [("literal-out-of-range", 4)]
+    assert captured.out == ""
+    assert not lowered.exists()
+
+
 # -- refit -----------------------------------------------------------------------
 
 def test_refit_pipeline(tmp_path, capsys):
@@ -278,6 +304,17 @@ def test_refit_pipeline(tmp_path, capsys):
     assert len(csv_lines) == 61
     blob = json.loads(open(prefix + ".refit.json").read())
     assert blob == payload
+
+
+def test_refit_true_value_without_runtime_estimates(tmp_path, capsys):
+    # Records without a `mu` output give no run-time estimates: mse alone.
+    records = _write(tmp_path, "plain.jsonl",
+                     '{"shot":0,"seed":0,"outputs":[],"evidence":'
+                     '[{"t":1.0,"phi_inv":0.25,"d":0}]}\n')
+    assert main(["refit", records, "--true-value", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mse"] is not None
+    assert payload["raw_mse"] is None
 
 
 def test_refit_rejects_grid_too_coarse_for_recorded_times(tmp_path, capsys):
@@ -355,9 +392,12 @@ def _records_with_second_line(tmp_path, edit, mode="fixed"):
     main(["rwpe", "--shots", "3", "--seed", "9", "--mode", mode,
           "--out-prefix", prefix])
     lines = open(prefix + ".records.jsonl").read().splitlines(True)
-    obj = json.loads(lines[1])
-    edit(obj)
-    lines[1] = json.dumps(obj, separators=(",", ":")) + "\n"
+    if isinstance(edit, str):       # the whole line
+        lines[1] = edit + "\n"
+    else:
+        obj = json.loads(lines[1])
+        edit(obj)
+        lines[1] = json.dumps(obj, separators=(",", ":")) + "\n"
     return _write(tmp_path, "bad.jsonl", "".join(lines))
 
 
@@ -394,11 +434,19 @@ def _records_with_second_line(tmp_path, edit, mode="fixed"):
      "output [1, 2] is not a [name, value] pair"),
     (lambda obj: obj.update(outputs={"mu": 2.0}),
      "outputs {'mu': 2.0} is not a list"),
+    ("[1,2]", "record [1, 2] is not an object"),
+    ('{"shot":0,"seed":0,"outputs":[],"evidence":[[1.0,2.0,0]]}',
+     "evidence entry [1.0, 2.0, 0] is not an object"),
+    (lambda obj: obj.update(evidence={"t": 1.0}),
+     "evidence {'t': 1.0} is not a list"),
+    (lambda obj: obj.update(evidence=5), "evidence 5 is not a list"),
 ], ids=["missing-field", "raw-word-out-of-range", "raw-word-not-int",
         "infinite-shot", "shot-float", "seed-bool", "bit-two", "bit-float",
         "bit-bool", "value-string", "value-bool", "value-null", "value-list",
         "box-bad-value", "box-extra-key", "int18-evidence",
-        "output-name-not-string", "outputs-not-a-list"])
+        "output-name-not-string", "outputs-not-a-list", "record-not-an-object",
+        "evidence-entry-not-an-object", "evidence-an-object",
+        "evidence-a-number"])
 def test_refit_names_the_bad_line(tmp_path, capsys, edit, message):
     bad = _records_with_second_line(tmp_path, edit)
     capsys.readouterr()

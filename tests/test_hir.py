@@ -354,6 +354,9 @@ def _built(instrs=(), decls=(hir.VarDecl("d", "bit", 0, line=2),),
      "neg takes 1 source operand(s)", 7),
     (lambda: hir.parse(_prog("  add d, d, d")),
      "add cannot target a bit variable", 4),
+    (lambda: hir.parse(_prog("  cmp_eq a, a, a",
+                             "  var bit d = 0\n  var int18 a = 0")),
+     "cmp_eq targets a bit variable", 5),
     (_built(qubits=-1), "procedure 'main': bad qubit count -1", None),
     (_built(decls=(hir.VarDecl("x", "float", 0, line=2),)),
      "unknown kind 'float' for var 'x'", 2),
@@ -362,7 +365,8 @@ def _built(instrs=(), decls=(hir.VarDecl("d", "bit", 0, line=2),),
     (_built(term=hir.Output("d")), "block 'entry' has no valid terminator",
      None),
 ], ids=["qubit-operand", "gate-arity", "angle-missing", "angle-extra",
-        "record-arity", "source-count", "bit-target", "qubit-count",
+        "record-arity", "source-count", "bit-target", "compare-target",
+        "qubit-count",
         "unknown-kind", "duplicate-declaration", "no-terminator"])
 def test_semantic_errors_name_their_line(make, message, line):
     with pytest.raises(SemanticError) as e:

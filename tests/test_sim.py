@@ -865,6 +865,11 @@ def test_noise_model_validation():
         ExecConfig(shots=0)
 
 
+def test_exec_config_needs_a_step():
+    with pytest.raises(ValueError, match="step_limit must be >= 1"):
+        ExecConfig(step_limit=0)
+
+
 # -- aggregate statistics --------------------------------------------------------
 
 def _measure_all(name_lines, n):

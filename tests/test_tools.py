@@ -1,5 +1,7 @@
 """The scripts under tools/ still run."""
 
+import ast
+import importlib.util
 import re
 import subprocess
 import sys
@@ -29,3 +31,25 @@ def test_untested_lists_statements_that_never_ran():
     assert any(line.startswith("src/hybridsim/hist.py:") for line in listed)
     # The exit status is pytest's: 5 when no test was selected.
     assert _untested("-k", "no_such_test").returncode == 5
+
+
+def test_untested_skips_what_runs_only_as_a_script():
+    spec = importlib.util.spec_from_file_location(
+        "untested", ROOT / "tools" / "untested.py")
+    untested = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(untested)
+
+    def listed(source):
+        return sorted(s.lineno for s in untested._statements(ast.parse(source)))
+
+    assert listed("x = 1\n"
+                  "if __name__ == '__main__':\n"
+                  "    main()\n"
+                  "    if x:\n"
+                  "        y = 2\n"
+                  "if x:\n"
+                  "    y = 3\n"
+                  "else:\n"
+                  "    y = 4\n") == [1, 6, 7, 9]
+    main_py = (ROOT / "src" / "hybridsim" / "__main__.py").read_text()
+    assert listed(main_py) == []

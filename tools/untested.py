@@ -9,7 +9,9 @@ by line.  Then prints `path:line: statement` for every statement of the
 package's source that never ran, in file and line order, and exits with
 pytest's status.  Function and class definitions, imports, `global` and
 `nonlocal` declarations and docstrings are not listed: they run at import
-time or compile to nothing.  A statement counts as run when any of its
+time or compile to nothing.  Neither is an `if __name__ == "__main__":`
+guard with its body, which runs only when a file is run as a script, in a
+process of its own that the tracer does not see.  A statement counts as run when any of its
 lines ran, so a compound statement (`if`, `for`, `try`, ...) whose body ran
 counts as run, and statements that share a line share its fate.  Code the
 engine generates at run time has no file under `src/`, so it is not traced.
@@ -38,9 +40,18 @@ _HAS_DOCSTRING = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
                   ast.ClassDef)
 
 
+def _is_main_guard(node: ast.AST) -> bool:
+    return (isinstance(node, ast.If)
+            and ast.unparse(node.test) == "__name__ == '__main__'")
+
+
 def _statements(tree: ast.Module):
     """Every statement to list."""
-    for node in ast.walk(tree):
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        nodes += [child for child in ast.iter_child_nodes(node)
+                  if not _is_main_guard(child)]
         for field in ("body", "orelse", "finalbody"):
             block = getattr(node, field, None)
             if not isinstance(block, list):
@@ -51,7 +62,8 @@ def _statements(tree: ast.Module):
                              and isinstance(stmt, ast.Expr)
                              and isinstance(stmt.value, ast.Constant)
                              and isinstance(stmt.value.value, str))
-                if not (docstring or isinstance(stmt, _NOT_LISTED)):
+                if not (docstring or isinstance(stmt, _NOT_LISTED)
+                        or _is_main_guard(stmt)):
                     yield stmt
 
 
