@@ -24,7 +24,15 @@ from .profiles import PROFILES, validate
 
 def _step_limit() -> int:
     env = os.environ.get("HYBRIDSIM_STEP_LIMIT")
-    return int(env) if env else sim.DEFAULT_STEP_LIMIT
+    if not env:
+        return sim.DEFAULT_STEP_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"HYBRIDSIM_STEP_LIMIT={env!r} is not a positive integer")
+    return limit
 
 
 def _parse_noise(spec: str | None) -> sim.NoiseModel | None:

@@ -16,9 +16,23 @@ interpreter give the same record, amplitudes and step count.
 Every value the source refers to (encoded literals, the phases of literal
 angles, noise probabilities, pair tuples, the domain's ops and boxes) is a
 name bound in the exec namespace, never a literal in the text.  Programs
-that differ only in literals therefore share one source.  `sim` owns
-everything around the source: the number domains, the caches, the
-generator each shot draws from, and the records.
+that differ only in literals therefore share one source, unless the fold
+below decides differently for them.  `sim` owns everything around the
+source: the number domains, the caches, the generator each shot draws
+from, and the records.
+
+The start of a shot that no measurement outcome can change runs once, here.
+When no branch enters the entry block, its instructions run at generation
+time, in order, on the initial amplitudes and registers, through the same
+text a shot would run.  The fold stops at the first instruction that draws
+noise, flips a readout or appends to `out`/`ev`, that raises, or whose
+draws matter: run with every draw returning the smallest and then the
+largest value `random()` gives, it must leave the same repr of amplitudes
+and registers.  Each folded draw stays in the shot as a bare `rand()`, and
+the folded state becomes the initial values, so draws, records, step
+counts and amplitudes are unchanged.  Since the fold depends on literal
+values, two programs of one shape get different sources when their fold
+decisions differ.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ import math
 import re
 import textwrap
 from functools import lru_cache
+from types import CodeType, FunctionType
 from typing import TYPE_CHECKING
 
 from . import hir
@@ -44,11 +59,13 @@ NOISELESS_GATES = frozenset({"rz"})  # virtual: a bookkeeping phase, zero cost
 
 # Largest qubit count whose amplitudes are unrolled into locals.
 # `tools/unroll_cutoff.py` times both forms on a synthetic program: unrolled
-# shots are 10-25% faster at every width, but the unrolled source of a new
-# program shape takes longer to compile first, and with noise the shots
-# needed to repay that grow from about 800-1400 at 4 qubits to about
-# 1800-2300 at 5.  The benchmark's programs have 2 qubits, so it does not
-# test this cut-off.
+# shots are 10-40% faster from 3 qubits up, but the first compile of an
+# unrolled program shape roughly doubles with each qubit (about 20, 30-57
+# and 100-140 ms at 4, 5 and 6 qubits, against 5-16 ms looped).  The shots
+# needed to repay that overlap at 4 and 5 qubits (300-1900 and 360-1600,
+# noisy or not, over four runs on a shared 2-core host), so unrolling 5
+# would double the first compile for no clear gain.  The benchmark's
+# programs have 2 qubits, so it does not test this cut-off.
 UNROLL_QUBITS = 4
 
 
@@ -123,14 +140,12 @@ class _Kernel:
 
 
 @lru_cache(maxsize=1024)
-def _rendered(template: _Kernel, unroll: bool, fields: tuple) -> tuple[str, int]:
-    """A kernel's source, indented for a block body, and its line count.
-    Programs of one shape render the same kernels, so a miss of the
-    program cache mostly finds its kernels here; without this cache such
-    a miss (a fresh parse of the lowered IPE program) took about 1.8 times
-    as long."""
-    text = textwrap.indent(template.render(unroll, dict(fields)), " " * 12)
-    return text, text.count("\n") + 1
+def _rendered(template: _Kernel, unroll: bool, fields: tuple) -> str:
+    """A kernel's source, indented for a block body.  Programs of one shape
+    render the same kernels, so a miss of the program cache mostly finds
+    its kernels here; without this cache such a miss (a fresh parse of the
+    lowered IPE program) took about 1.8 times as long."""
+    return textwrap.indent(template.render(unroll, dict(fields)), " " * 12)
 
 
 # Kernel templates.  {P} names a pair tuple (i0, i1), {Q} a quad tuple;
@@ -250,6 +265,20 @@ if rand() < p_gate2:
     if w:
 """ + textwrap.indent(_PAULI.replace("{P}", "{Pb}"), " " * 8))
 
+# The smallest and the largest value `random()` returns.
+_DRAW_ENDS = (0.0, 1.0 - 2.0 ** -53)
+
+
+@lru_cache(maxsize=256)
+def _fold_code(text: str) -> CodeType:
+    """The code object of the function `text` defines.  Programs of one
+    shape fold the same text, and compiling it costs far more than running
+    it: about 2.5 ms for the 168 lines of the lowered IPE step's fold,
+    whose two runs take about 0.1 ms."""
+    module = compile(text, "<fold>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
 _STEP_CHECK = """\
 steps += {n}
 if steps > limit:
@@ -264,9 +293,9 @@ _BUILTINS = {"StepLimitExceeded": StepLimitExceeded, "PI": math.pi, "S": _SQRT_H
 class Generator:
     """Builds the source of `run` for one program, a table from each
     generated line to (block label, HIR line), and the `static` values its
-    exec namespace needs: pair tuples, the initial amplitudes and the
-    literal constants, encoded by `domain`.  Noise enters the source only
-    through whether it is on; its probabilities are namespace entries.
+    exec namespace needs: pair tuples, the initial amplitudes and registers
+    and the literal constants, encoded by `domain`.  Noise enters the source
+    only through whether it is on; its probabilities are namespace entries.
     Programs are checked when they are built, so every instruction and
     gate it meets is one it knows."""
 
@@ -280,46 +309,127 @@ class Generator:
         self.static: dict[str, object] = {
             "A0": [1 + 0j] + [0j] * ((1 << self.n) - 1)}
         self.nconsts = 0
-        self.chunks: list[str] = []
-        # (first generated line, (block label, HIR line)) of each chunk
-        self.where: list[tuple[int, tuple[str | None, int | None]]] = []
-        self.nlines = 0
+        # (text, (block label, HIR line)) of each generated piece
+        self.chunks: list[tuple[str, tuple[str | None, int | None]]] = []
         self.at: tuple[str | None, int | None] = (None, None)
 
-        amps = ", ".join(_AMPS[:1 << self.n]) + ", = A0" if self.unroll else \
-            "A = A0[:]"
+        self.unpack = ", ".join(_AMPS[:1 << self.n]) + ", = A0" \
+            if self.unroll else "A = A0[:]"
         self.emit(0, "def run(rng, out, ev, limit):")
-        self.emit(1, "rand = rng.random\nrandrange = rng.randrange\n" + amps)
+        self.emit(1, "rand = rng.random\nrandrange = rng.randrange\n" + self.unpack)
         # Initializers are encoded here: range errors are load-time errors.
+        inits = []
         for d in prog.decls:
-            self.emit(1, f"{self.reg[d.name]} = {self.literal(d.kind, d.init)}")
+            inits.append(self.literal(d.kind, d.init))
+            self.emit(1, f"{self.reg[d.name]} = {inits[-1]}")
         self.emit(1, "steps = 0\nb = 0\nwhile True:")
         index = {b.label: i for i, b in enumerate(prog.blocks)}
+        entered = {dst for _, dst in hir.cfg(prog).edges()}
         for i, block in enumerate(prog.blocks):
             first = block.instructions[0] if block.instructions else block.terminator
             self.at = (block.label, first.line)
             self.emit(2, f"{'if' if i == 0 else 'elif'} b == {i}:")
             self.emit(3, _STEP_CHECK.format(n=len(block.instructions) + 1))
+            marks = []
             for instr in block.instructions:
+                marks.append(len(self.chunks))
                 self.at = (block.label, instr.line)
                 self.instruction(instr)
+            if i == 0 and block.label not in entered:
+                self.fold(block.instructions, marks, inits)
             self.at = (block.label, block.terminator.line)
             self.terminator(block.terminator, index)
-        self.source = "\n".join(self.chunks) + "\n"
+        # (first generated line, (block label, HIR line)) of each chunk
+        self.where: list[tuple[int, tuple[str | None, int | None]]] = []
+        line = 1
+        for text, at in self.chunks:
+            self.where.append((line, at))
+            line += text.count("\n") + 1
+        self.source = "\n".join([text for text, _ in self.chunks]) + "\n"
+
+    # -- the entry block's deterministic prefix -----------------------------
+
+    def fold(self, instrs: tuple, marks: list[int], inits: list[str]):
+        """Run the leading instructions of the entry block now, once, on the
+        initial state, instead of in every shot.  No branch enters the
+        block, so they are the first thing every shot runs.  `marks[k]` is
+        the index of the first chunk of `instrs[k]`, and `inits` name the
+        registers' initial values.
+
+        Instructions fold in order up to the first that draws noise, flips
+        a readout or appends to `out` or `ev`, that raises, or whose draws
+        matter: its text runs twice, with every draw returning the smallest
+        and the largest value `random()` gives, and folds only if both runs
+        leave the same repr of amplitudes and registers.  `rand() < p` takes
+        the same branch for every draw exactly when it does for both ends,
+        so this decides p <= 0, p >= 1 and NaN as a shot would.  The folded
+        chunks give way to one bare `rand()` per draw they made, which keeps
+        every later draw of the shot where it was, and the state they leave
+        becomes the initial amplitudes and registers."""
+        regs = list(self.reg.values())
+        amps = self.amplitudes() if self.unroll else "A[:]"
+        snapshot = f"{' ' * 12}yield {amps}, [{', '.join(regs)}]"
+        ends = marks + [len(self.chunks)]
+        parts = [f"def fold({', '.join(['rand', 'A0', *regs])}):",
+                 " " * 12 + self.unpack]
+        for k, instr in enumerate(instrs):
+            if self.shot_only(instr):
+                break
+            parts += [text for text, _ in self.chunks[ends[k]:ends[k + 1]]]
+            parts.append(snapshot)
+        if len(parts) == 2:
+            return
+        code = _fold_code("\n".join(parts))
+        ns = namespace(self.static, self.domain, None)
+        drawn = 0
+
+        def lowest():
+            nonlocal drawn
+            drawn += 1
+            return _DRAW_ENDS[0]
+
+        args = [self.static["A0"]] + [self.static[c] for c in inits]
+        low = FunctionType(code, ns)(lowest, *args)
+        high = FunctionType(code, ns)(lambda: _DRAW_ENDS[1], *args)
+        folded = draws = 0
+        try:
+            for state, other in zip(low, high):
+                # Runs that have drawn nothing more ran the same text alike.
+                if drawn != draws and repr(state) != repr(other):
+                    break
+                folded += 1
+                draws = drawn
+                kept = state
+        except Exception:
+            pass    # whatever an instruction raises, its shot raises it again
+        if not folded:
+            return
+        self.static["A0"] = kept[0]
+        self.static.update(zip(inits, kept[1]))
+        self.chunks[ends[0]:ends[folded]] = [
+            ("\n".join([" " * 12 + "rand()"] * draws), self.chunks[ends[0]][1])
+        ] if draws else []
+
+    def shot_only(self, instr: hir.Instruction) -> bool:
+        """Whether `instr` draws noise, flips a readout or appends to `out`
+        or `ev`: what a fold never runs ahead of the shot (noise
+        probabilities are not part of the generated code's key)."""
+        if isinstance(instr, hir.Output):
+            return True
+        if isinstance(instr, hir.Measure):
+            return self.noisy or instr.record is not None
+        return isinstance(instr, hir.Gate) and self.noisy and \
+            instr.name not in NOISELESS_GATES
 
     # -- helpers ------------------------------------------------------------
 
     def emit(self, depth: int, text: str):
         pad = "    " * depth
-        self.chunk(pad + text.replace("\n", "\n" + pad), text.count("\n") + 1)
-
-    def chunk(self, text: str, nlines: int):
-        self.chunks.append(text)
-        self.where.append((self.nlines + 1, self.at))
-        self.nlines += nlines
+        self.chunks.append((pad + text.replace("\n", "\n" + pad), self.at))
 
     def kernel(self, template: _Kernel, **fields):
-        self.chunk(*_rendered(template, self.unroll, tuple(fields.items())))
+        self.chunks.append((_rendered(template, self.unroll, tuple(fields.items())),
+                            self.at))
 
     def const(self, *values) -> tuple[str, ...]:
         """Names of new namespace entries holding `values`."""

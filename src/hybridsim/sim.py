@@ -13,12 +13,13 @@ for records; the code generator is the same for both modes.
 
 Each program is compiled into the source of one Python function, which
 runs once per shot: registers are its locals, and every gate, measurement,
-reset and noise draw is inlined (`codegen` writes the source).  The source,
-its line table and its encoded literals are generated once per program
-object, mode and noise switch, and kept on the program; only the namespace
-of domain ops and noise probabilities is rebuilt on each compile.  This is
-the only engine: the independent reference that checks it, an interpreter
-that walks the same blocks one instruction at a time, lives in
+reset and noise draw is inlined (`codegen` writes the source, and runs the
+entry block's measurement-independent start once, while writing it).  The
+source, its line table and its encoded literals are generated once per
+program object, mode and noise switch, and kept on the program; only the
+namespace of domain ops and noise probabilities is rebuilt on each compile.
+This is the only engine: the independent reference that checks it, an
+interpreter that walks the same blocks one instruction at a time, lives in
 `tests/oracles.py`.
 
 Determinism contract: each shot draws from a generator seeded by a
@@ -401,7 +402,8 @@ def _value_from_json(v, int18: bool = True):
     n = len(v)
     if n == 2 and "value" in v:
         raw = v["raw"]
-        box = fx.FixedQ216(raw)
+        # The shared box of an int word; any other raw fails the word check.
+        box = (fx.fixed_box if type(raw) is int else fx.FixedQ216)(raw)
         value = v["value"]
         if type(value) is float and value * _SCALE == raw:
             return box

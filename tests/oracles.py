@@ -507,6 +507,15 @@ class OutOfSteps(Exception):
     """`interpret` ran past its step limit."""
 
 
+class DividedByZero(ZeroDivisionError):
+    """A classical op of `interpret` divided by zero at `line` of `block`."""
+
+    def __init__(self, block: str, line: int | None):
+        super().__init__(f"division by zero at block {block}, line {line}")
+        self.block = block
+        self.line = line
+
+
 def _fx_recip(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("reciprocal of zero")
@@ -547,8 +556,9 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
     "fixed", with `noise` (an object with p_gate1, p_gate2 and p_readout,
     or None), drawing from `rng`.  Returns (outputs, evidence, amplitudes, steps).
 
-    Raises ZeroDivisionError on a zero divisor and OutOfSteps once the
-    steps charged exceed `step_limit`."""
+    Raises DividedByZero, a ZeroDivisionError naming the block and line, on
+    a zero divisor and OutOfSteps once the steps charged exceed
+    `step_limit`."""
     if mode not in ("real", "fixed"):
         raise ValueError(f"unknown classical mode {mode!r}")
     fixed = mode == "fixed"
@@ -600,7 +610,10 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
             elif isinstance(ins, Output):
                 outputs.append((ins.name, boxed(ins.name)))
             elif isinstance(ins, Classical):
-                regs[ins.dest] = _classical(ins, kinds, word, ops)
+                try:
+                    regs[ins.dest] = _classical(ins, kinds, word, ops)
+                except ZeroDivisionError as e:
+                    raise DividedByZero(block.label, ins.line) from e
             else:
                 raise ValueError(f"cannot interpret {ins!r}")
         term = block.terminator

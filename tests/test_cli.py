@@ -151,6 +151,17 @@ def test_run_step_limit_env(tmp_path, capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", " "])
+def test_run_rejects_a_step_limit_that_is_not_a_positive_integer(
+        tmp_path, capsys, monkeypatch, value):
+    prog = _write(tmp_path, "loop.hir",
+                  "proc main qubits 0\nloop:\n  br loop\nendproc\n")
+    monkeypatch.setenv("HYBRIDSIM_STEP_LIMIT", value)
+    assert main(["run", prog, "--shots", "1"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: HYBRIDSIM_STEP_LIMIT={value!r} is not a positive integer\n"
+
+
 def test_run_real_overflow_exits_2(tmp_path, capsys):
     # 1/0.0001 squared seven times overflows to inf; cos(inf) then fails
     # inside the shot, which is exit 2 with the shot, block and line.
@@ -407,6 +418,8 @@ def _records_with_second_line(tmp_path, edit, mode="fixed"):
      "raw word 999999 is not an 18-bit value"),
     (lambda obj: obj["evidence"][0]["t"].update(raw=2.9),
      "raw word 2.9 is not an int"),
+    (lambda obj: obj["evidence"][0]["t"].update(raw=[1]),
+     "raw word [1] is not an int"),
     (lambda obj: obj.update(shot=float("inf")), "shot inf is not an int"),
     (lambda obj: obj.update(shot=2.9), "shot 2.9 is not an int"),
     (lambda obj: obj.update(seed=True), "seed True is not an int"),
@@ -441,7 +454,7 @@ def _records_with_second_line(tmp_path, edit, mode="fixed"):
      "evidence {'t': 1.0} is not a list"),
     (lambda obj: obj.update(evidence=5), "evidence 5 is not a list"),
 ], ids=["missing-field", "raw-word-out-of-range", "raw-word-not-int",
-        "infinite-shot", "shot-float", "seed-bool", "bit-two", "bit-float",
+        "raw-word-a-list", "infinite-shot", "shot-float", "seed-bool", "bit-two", "bit-float",
         "bit-bool", "value-string", "value-bool", "value-null", "value-list",
         "box-bad-value", "box-extra-key", "int18-evidence",
         "output-name-not-string", "outputs-not-a-list", "record-not-an-object",

@@ -23,10 +23,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import oracles
-from hybridsim import codegen, hir, sim
+from hybridsim import codegen, hir, profiles, sim
 from hybridsim import fixedpoint as fx
-from hybridsim.algorithms import build_active_reset, build_rwpe, build_teleport
+from hybridsim.algorithms import (build_active_reset, build_ipe_program,
+                                  build_rwpe, build_teleport)
 from hybridsim.errors import DivideByZero, ShotError, StepLimitExceeded
+from hybridsim.lowering import lower_to_native
 from hybridsim.sim import ClassicalMode, ExecConfig, NoiseModel
 from oracles import QuantumState
 
@@ -253,11 +255,20 @@ def _classical(draw, ops):
 
 @st.composite
 def _classical_programs(draw):
+    """A straight-line entry block of ops, which the engine folds into its
+    initial registers, or the same ops after `h q0; mz q0 -> m`: that draw
+    stops the fold, so the ops run in the shot as generated text."""
     instrs = [_classical(draw, sorted(hir.CLASSICAL_OPS))
               for _ in range(draw(st.integers(1, 12)))]
+    decls = _decls(draw)
+    if draw(st.booleans()):
+        return hir.HybridProgram(
+            "main", 0, decls,
+            (hir.BasicBlock("entry", tuple(instrs), hir.Ret(_NAMES)),))
+    prefix = (hir.Gate("h", (0,)), hir.Measure(0, "m", None))
     return hir.HybridProgram(
-        "main", 0, _decls(draw),
-        (hir.BasicBlock("entry", tuple(instrs), hir.Ret(_NAMES)),))
+        "main", 1, decls + (hir.VarDecl("m", "bit", 0),),
+        (hir.BasicBlock("entry", prefix + tuple(instrs), hir.Ret(_NAMES)),))
 
 
 @_DIFFERENTIAL
@@ -502,9 +513,14 @@ def test_real_overflow_raises_shot_error():
 
 # -- the compile cache ----------------------------------------------------------
 
+# The random measurement keeps the `mul` in the shot: an entry block's
+# deterministic prefix is evaluated once, when the source is generated.
 _MULTIPLIES = """proc main qubits 1
   var fixed a = 0.75
+  var bit m = 0
 entry:
+  h q0
+  mz q0 -> m
   mul a, a, 0.5
   rz(a) q0
   ret a
@@ -730,16 +746,101 @@ def _control_flow_programs(draw):
     return hir.HybridProgram("main", n, decls, tuple(blocks))
 
 
+# Edges of the entry-block fold (`codegen.Generator.fold`), as programs.
+_FOLD_EDGES = {
+    # The entry block is also the loop head, so none of it may fold.
+    "entry-is-loop-head": """proc main qubits 1
+  var int18 k = 0
+  var bit more = 0
+  var fixed f0 = 0.25
+b0:
+  x q0
+  rz(f0) q0
+  add k, k, 1
+  cmp_lt more, k, 3
+  condbr more, b0, b1
+b1:
+  ret f0, k
+endproc
+""",
+    # p = 0: both draws fold into bare draws, and the fold stops at `mz q0`.
+    "fresh-qubit-p0": """proc main qubits 2
+  var bit b0 = 0
+  var fixed f0 = 0.5
+entry:
+  reset q1
+  mz q1 -> b0
+  h q0
+  rz(f0) q0
+  mz q0 -> b0
+  ret b0
+endproc
+""",
+    # p = 1: the whole block folds.
+    "x-then-mz-p1": """proc main qubits 1
+  var bit b0 = 0
+entry:
+  x q0
+  mz q0 -> b0
+  h q0
+  ret b0
+endproc
+""",
+    # The loop form: the folded amplitudes are copied into each shot, which
+    # the measurement then collapses in place.
+    "six-qubits": """proc main qubits 6
+  var bit b0 = 0
+entry:
+  h q0
+  x q5
+  cnot q0, q5
+  h q2
+  mz q2 -> b0
+  h q0
+  ret b0
+endproc
+""",
+    # A constant division by zero stops the fold; the shot still raises it.
+    "div-by-zero": """proc main qubits 1
+  var fixed a = 0.5
+  var fixed b = 0.0
+entry:
+  x q0
+  div a, 1.0, b
+  ret a
+endproc
+""",
+}
+
+
 @_DIFFERENTIAL
 @given(_control_flow_programs(), st.sampled_from(list(ClassicalMode)),
        st.sampled_from([None, NoiseModel(), _HEAVY_NOISE]),
        st.integers(0, 2 ** 32 - 1))
+@example(hir.parse(_FOLD_EDGES["entry-is-loop-head"]), ClassicalMode.EXACT_REAL,
+         None, 0)
+@example(hir.parse(_FOLD_EDGES["fresh-qubit-p0"]), FIXED, None, 1)
+@example(hir.parse(_FOLD_EDGES["x-then-mz-p1"]), ClassicalMode.EXACT_REAL,
+         None, 2)
+@example(hir.parse(_FOLD_EDGES["six-qubits"]), ClassicalMode.EXACT_REAL, None, 3)
+@example(hir.parse(_FOLD_EDGES["div-by-zero"]), FIXED, None, 4)
+@example(hir.parse(_FOLD_EDGES["div-by-zero"]), ClassicalMode.EXACT_REAL,
+         None, 5)
 def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
     cfg = ExecConfig(classical_mode=mode, noise=noise, seed=seed)
     compiled = sim.compile_program(prog, cfg)
+    returned = []
     for i in range(3):
-        want, want_amps, steps = _reference(prog, cfg, i)
+        try:
+            want, want_amps, steps = _reference(prog, cfg, i)
+        except oracles.DividedByZero as e:
+            with pytest.raises(ShotError) as err:
+                compiled.shot(cfg.seed, i, cfg.step_limit)
+            assert isinstance(err.value.cause, DivideByZero)
+            assert (err.value.block, err.value.line) == (e.block, e.line)
+            continue
         record, amps = compiled.shot(cfg.seed, i, steps)
+        returned.append(amps)
         # repr tells 1 from 1.0 and -0.0 from 0.0
         assert repr(record) == repr(want)
         assert amps == want_amps
@@ -748,6 +849,16 @@ def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
         with pytest.raises(ShotError) as err:
             compiled.shot(cfg.seed, i, steps - 1)
         assert isinstance(err.value.cause, StepLimitExceeded)
+    # Each shot returns its own list, never the initial amplitudes themselves.
+    assert len({id(amps) for amps in returned}) == len(returned)
+
+
+def test_native_ipe_step_computes_no_phase_in_the_shot():
+    # Every gate of the lowered IPE step acts before its one random
+    # measurement, so the fold computes all its phases at generation time.
+    prog = lower_to_native(build_ipe_program(-0.4, 1.7, 0.9), profiles.NATIVE)
+    source = sim.compile_program(prog, ExecConfig()).source
+    assert "cos(" not in source and "sin(" not in source
 
 
 # The reference must not share code with the engine it checks: its module
