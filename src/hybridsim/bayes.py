@@ -21,11 +21,11 @@ accuracy next to a zero of the likelihood, where the one-cosine form
 `refit` would spend most of its time on those sines, so it forms each
 record's row by angle addition instead.  Its grid is uniform, so node
 j = 128h + l lies at phi_j = phi_128h + l * step.  For each distinct
-evolution time of a call (RWPE records the same 24 in every shot), the
-tables cos B_l and sin B_l, B_l = l * step * t / 2 for l < 128, are built
-once and kept under a row budget; a record whose times equal the previous
-record's, entry for entry, reuses the tables already in place.  Each entry
-then costs a sine and a cosine of its coarse arguments
+evolution time (RWPE records the same 24 in every shot), the tables
+cos B_l and sin B_l, B_l = l * step * t / 2 for l < 128, are built once per
+process and grid and kept under a row budget; a record whose times equal
+the previous record's, entry for entry, reuses the tables already in
+place.  Each entry then costs a sine and a cosine of its coarse arguments
 A_h = (phi_128h - phi_inv) * t / 2 + s only (16 of them on the default
 2001-node grid), and its whole row
 sin(A_h + B_l) = sin A_h cos B_l + cos A_h sin B_l is one batched matrix
@@ -37,23 +37,41 @@ cannot underflow.  Each record's row is evaluated once: the per-shot
 posterior normalises log prior + row, and the pooled posterior normalises
 log prior + the sum of all rows.
 
-`refit` takes the records in blocks of at most BLOCK_ENTRIES evidence
-entries (ten RWPE records; a longer record is a block of its own).  Each
-block's evidence is converted to arrays by one `np.array` call, checked by
-one vectorised pass (a block that fails is gone through again record by
-record, so the error is the first failing record's), and given the sines
-and cosines of all its coarse arguments at once.  The matrix product,
-repair, products and normalisation stay per record.  What is alive at a
-time is one block's columns and coarse sines and cosines (3 x 256 and
-256 x 16 x 2 doubles on the default grid, 72 kB) and one record's buffers,
-sized by the longest record so far (24 x 2048 doubles for RWPE, 393 kB):
-memory does not grow with the number of records.
+What `refit` keeps, and for how long:
+
+- Per process, for each of the last 8 (grid size, prior interval) pairs:
+  the grid's nodes, log prior, nodes in radians, coarse nodes and fine
+  offsets, and the per-time tables (at most ROW_BUDGET of 2 kB; a call
+  that needs more clears them first).  All are read-only and shared by
+  every call, in any thread, so a one-record call pays for its record,
+  not for its grid.
+- Per call: one record's buffers, sized by the longest record so far
+  (24 x 2048 doubles for RWPE, 393 kB), and the pooled row.
+- Per block of at most BLOCK_ENTRIES evidence entries (ten RWPE records;
+  a longer record is a block of its own): the evidence columns, built by
+  one `np.fromiter` pass and checked by one vectorised pass (a block that
+  fails is gone through again record by record, so the error is the first
+  failing record's); the sines and cosines of all its coarse arguments;
+  and its rows (10 x 2001 doubles, 160 kB).  Per record there remain the
+  matrix product, the search for near-zero factors and the products and
+  logs.  The block's near-zero factors are recomputed by one direct-form
+  call and added to their rows by one `bincount`, and every per-shot
+  posterior of the block is normalised in one pass over its rows.
+
+Every floating-point reduction keeps the order of a record-at-a-time
+refit (each row's sum and log, the pooled sum in record order, and the
+per-shot `np.dot` with the nodes), so no estimate depends on the blocking
+or on what earlier calls left in the tables.  Memory does not grow with
+the number of records.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -162,31 +180,80 @@ def _log_weights(grid: PosteriorGrid) -> np.ndarray:
                         np.log(np.maximum(grid.weights, 1e-300)), -np.inf)
 
 
-def _normalised(nodes: np.ndarray, logw: np.ndarray) -> PosteriorGrid:
-    m = np.max(logw)
-    if not np.isfinite(m):
+def _normalise(logw: np.ndarray) -> np.ndarray:
+    """Each posterior of `logw` (log weights, one posterior per row of a
+    2-D array) made to sum to 1, in place."""
+    m = logw.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise DegeneratePosterior("no grid node carries posterior weight")
-    w = np.exp(logw - m)                # 1 at the maximum, so the sum >= 1
-    return PosteriorGrid(nodes, w / w.sum())
+    logw -= m
+    w = np.exp(logw, out=logw)          # 1 at the maximum, so the sum >= 1
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
+class _Grid:
+    """What `refit` keeps per process for one grid: the prior's nodes and
+    log weights, the nodes in radians, the coarse nodes and the fine
+    offsets, all read-only, and the per-time fine tables, which every call
+    on the grid shares."""
+
+    def __init__(self, size: int, interval: tuple[float, float]):
+        prior = uniform_grid(size, interval)
+        self.nodes = prior.nodes
+        self.log_prior = _log_weights(prior)
+        self.phis = self.nodes * math.pi
+        self.coarse = self.phis[::FINE_NODES]
+        step = (self.nodes[-1] - self.nodes[0]) / (size - 1) * math.pi
+        self.fine = np.arange(FINE_NODES) * step
+        for a in (self.nodes, self.log_prior, self.phis, self.coarse,
+                  self.fine):
+            a.flags.writeable = False
+        self.tables: dict[float, np.ndarray] = {}   # t -> [cos B, sin B]
+        self.lock = threading.Lock()                # held to change tables
+
+    def fine_tables(self, times: list[float]) -> list[np.ndarray]:
+        """The table of each time, made where `tables` has none.  Another
+        thread may clear `tables` at any time, so what this call finds or
+        makes is what it returns."""
+        tables = self.tables
+        found = [tables.get(t) for t in times]
+        new = list(dict.fromkeys(
+            t for t, table in zip(times, found) if table is None))
+        if not new:
+            return found
+        b = np.multiply.outer(np.multiply(new, 0.5), self.fine)
+        made = np.stack((np.cos(b), np.sin(b)), axis=1)
+        made.flags.writeable = False
+        made = dict(zip(new, made))
+        with self.lock:
+            if len(tables) + len(made) > ROW_BUDGET:
+                tables.clear()
+                tables.update((t, table) for t, table in zip(times, found)
+                              if table is not None)
+            tables.update(made)
+        return [made[t] if table is None else table
+                for t, table in zip(times, found)]
+
+
+# The grids of the last few (grid size, prior interval) pairs refit was
+# called with; uniform_grid's errors are raised, not kept.
+_grid = lru_cache(maxsize=8)(_Grid)
 
 
 class _AngleSumRows:
     """`_log_factors` on a uniform grid by angle addition (see the module
-    docstring).  One instance serves one `refit` call."""
+    docstring).  One instance serves one `refit` call and holds its scratch
+    buffers; the grid is shared."""
 
-    def __init__(self, grid: PosteriorGrid):
-        nodes = grid.nodes
-        self.phis = nodes * math.pi
-        self.coarse = self.phis[::FINE_NODES]
-        step = (nodes[-1] - nodes[0]) / (len(nodes) - 1) * math.pi
-        self.fine = np.arange(FINE_NODES) * step
-        self.tables: dict[float, np.ndarray] = {}   # t -> [cos B, sin B]
+    def __init__(self, grid: _Grid):
+        self.grid = grid
         self.entries = 0                            # rows the buffers hold
         self.filled = None              # the times cos_sin_b holds tables of
 
     def _buffers(self, entries: int):
         if entries > self.entries:
-            coarse = len(self.coarse)
+            coarse = len(self.grid.coarse)
             self.cos_sin_b = np.empty((entries, 2, FINE_NODES))
             self.buf = np.empty((entries, coarse * FINE_NODES))
             self.near = np.empty(self.buf.shape, dtype=bool)
@@ -195,24 +262,14 @@ class _AngleSumRows:
         return (self.cos_sin_b[:entries], self.buf[:entries],
                 self.near[:entries])
 
-    def _fine_tables(self, times: list[float]) -> list[np.ndarray]:
-        tables = self.tables
-        new = [t for t in dict.fromkeys(times) if t not in tables]
-        if new:
-            if len(tables) + len(new) > ROW_BUDGET:
-                tables.clear()
-                new = list(dict.fromkeys(times))
-            b = np.multiply.outer(np.multiply(new, 0.5), self.fine)
-            tables.update(zip(new, np.stack((np.cos(b), np.sin(b)), axis=1)))
-        return [tables[t] for t in times]
-
-    def __call__(self, cols: np.ndarray,
-                 lengths: list[int]) -> Iterator[np.ndarray]:
-        """The row of each record of a block, in order: `cols` holds the
+    def __call__(self, cols: np.ndarray, lengths: list[int]) -> np.ndarray:
+        """The rows of a block's records, one per record: `cols` holds the
         block's evidence columns (`_columns`), record after record, and
         `lengths` each record's number of entries."""
+        grid = self.grid
+        n = len(grid.phis)
         t, phi_inv, d = cols
-        a = np.subtract(self.coarse, phi_inv[:, None])
+        a = np.subtract(grid.coarse, phi_inv[:, None])
         a *= (0.5 * t)[:, None]
         a += np.where(d == 0, 0.5 * math.pi, 0.0)[:, None]
         sin_cos_a = np.empty(a.shape + (2,))
@@ -220,42 +277,55 @@ class _AngleSumRows:
         np.cos(a, out=sin_cos_a[:, :, 1])
         del a                   # not kept while the rows are formed
         times = t.tolist()
+        width = len(grid.coarse) * FINE_NODES
+        rows = np.empty((len(lengths), n))
+        near = []               # flat indices into the block's entries x width
         end = 0
-        for m in lengths:
+        for row, m in zip(rows, lengths):
             start, end = end, end + m
-            yield self._row(sin_cos_a[start:end], times[start:end],
-                            t[start:end], phi_inv[start:end], d[start:end])
+            k = self._row(row, sin_cos_a[start:end], times[start:end])
+            near.append(k + start * width)
+        # Every near-zero factor of the block, by the direct form, added to
+        # its record's row at its node: sums in the order of `near`, which
+        # within a record is the order of its entries and nodes.  The bins
+        # are the positions repaired, not all of `rows`: a rows-sized
+        # temporary would add a block's rows to the peak memory.
+        i, j = np.divmod(np.concatenate(near), width)
+        repaired = _direct_log_factors(grid.phis[j], t[i], phi_inv[i], d[i])
+        owner = np.repeat(np.arange(len(lengths)), lengths)[i]
+        at, slot = np.unique(owner * n + j, return_inverse=True)
+        rows.reshape(-1)[at] += np.bincount(slot, repaired, len(at))
+        return rows
 
-    def _row(self, sin_cos_a, times, t, phi_inv, d) -> np.ndarray:
-        n = len(self.phis)
-        cos_sin_b, buf, near = self._buffers(len(t))
+    def _row(self, row, sin_cos_a, times) -> np.ndarray:
+        """Fill `row` with the record's row but for its near-zero factors,
+        and return where those lie in its entries x width buffer, flat."""
+        n = len(row)
+        cos_sin_b, buf, near = self._buffers(len(times))
         # RWPE records share their times, entry for entry: the tables the
         # last record put in place are often the ones this record needs.
         if times != self.filled:
-            for k, table in enumerate(self._fine_tables(times)):
+            for k, table in enumerate(self.grid.fine_tables(times)):
                 cos_sin_b[k] = table
             self.filled = times
         np.matmul(sin_cos_a, cos_sin_b,
-                  out=buf.reshape(len(t), len(self.coarse), FINE_NODES))
+                  out=buf.reshape(len(times), -1, FINE_NODES))
         np.square(buf, out=buf)
         buf[:, n:] = 1.0                  # nodes past the grid's end
         k = np.flatnonzero(np.less(buf, NEAR_ZERO, out=near))
-        i, j = np.divmod(k, buf.shape[1])
-        repaired = _direct_log_factors(self.phis[j], t[i], phi_inv[i], d[i])
         np.put(buf, k, 1.0)
         # Every factor left is at least NEAR_ZERO, so a product of
         # PRODUCT_ROWS of them cannot underflow: one log per node and block.
-        row = np.log(buf[:PRODUCT_ROWS].prod(axis=0)[:n])
-        for r in range(PRODUCT_ROWS, len(t), PRODUCT_ROWS):
+        np.log(buf[:PRODUCT_ROWS].prod(axis=0)[:n], out=row)
+        for r in range(PRODUCT_ROWS, len(times), PRODUCT_ROWS):
             row += np.log(buf[r:r + PRODUCT_ROWS].prod(axis=0)[:n])
-        row += np.bincount(j, repaired, n)
-        return row
+        return k
 
 
 def posterior(ev: EvidenceRecord, grid: PosteriorGrid) -> PosteriorGrid:
     """Bayes update of `grid` by the whole evidence record."""
-    return _normalised(grid.nodes, _log_weights(grid)
-                       + _log_factors(ev, grid.nodes * math.pi))
+    return PosteriorGrid(grid.nodes, _normalise(
+        _log_weights(grid) + _log_factors(ev, grid.nodes * math.pi)))
 
 
 def mmse_estimate(grid: PosteriorGrid) -> float:
@@ -307,9 +377,10 @@ def _block_columns(block: list[ShotRecord], lengths: list[int],
     When the block fails a check, `_record_columns` goes through it record
     by record and so raises the first failing record's first error."""
     try:
-        cols = np.array([(float(t), float(p) * math.pi, int(d))
-                         for rec in block for t, p, d in rec.evidence],
-                        dtype=float).reshape(-1, 3).T
+        cols = np.fromiter(chain.from_iterable([
+            (float(t), float(p) * math.pi, int(d))
+            for rec in block for t, p, d in rec.evidence]),
+            float, 3 * sum(lengths)).reshape(-1, 3).T
     except Exception:       # raised again, in record order, below
         cols = None
     # (6 |t|) * width rounds monotonically in |t|, so the largest |t| of
@@ -350,21 +421,23 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
     raw = None if raw_estimates is None else np.asarray(list(raw_estimates))
     if raw is not None and len(raw) != len(records):
         raise ValueError(f"{len(raw)} raw estimates for {len(records)} records")
-    prior = uniform_grid(grid_size, prior_interval)
-    log_prior = _log_weights(prior)
-    rows = _AngleSumRows(prior)
+    grid = _grid(grid_size, tuple(prior_interval))
+    rows = _AngleSumRows(grid)
     width = abs(prior_interval[1] - prior_interval[0])
-    pooled_rows = np.zeros_like(prior.nodes)
+    pooled_rows = np.zeros_like(grid.nodes)
     per_shot = []
     for block in _blocks(records):
         lengths = [len(rec.evidence) for rec in block]
-        cols = _block_columns(block, lengths, grid_size, width)
-        for row in rows(cols, lengths):
-            per_shot.append(2.0 * mmse_estimate(
-                _normalised(prior.nodes, log_prior + row)))
+        block_rows = rows(_block_columns(block, lengths, grid_size, width),
+                          lengths)
+        for row in block_rows:                  # in record order
             pooled_rows += row
-    pooled = 2.0 * mmse_estimate(_normalised(prior.nodes,
-                                             log_prior + pooled_rows))
+        block_rows += grid.log_prior
+        per_shot += [2.0 * float(np.dot(w, grid.nodes))
+                     for w in _normalise(block_rows)]
+        del block_rows, row     # not kept while the next block's are formed
+    pooled_rows += grid.log_prior
+    pooled = 2.0 * float(np.dot(_normalise(pooled_rows), grid.nodes))
     arr = np.asarray(per_shot)
     mse = raw_mse = None
     if true_value is not None:

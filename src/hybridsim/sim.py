@@ -416,12 +416,6 @@ def _value_from_json(v, int18: bool = True):
                      "(Q2.16) alone")
 
 
-def _bit_from_json(d):
-    if type(d) is not int or not 0 <= d <= 1:
-        raise ValueError(f"evidence bit {d!r} is not 0 or 1")
-    return d
-
-
 def _int_from_json(obj: dict, name: str) -> int:
     v = obj[name]
     if type(v) is not int:
@@ -435,13 +429,6 @@ def _output_from_json(pair) -> tuple:
     return pair[0], _value_from_json(pair[1])
 
 
-def _evidence_from_json(e) -> tuple:
-    if type(e) is not dict:
-        raise ValueError(f"evidence entry {e!r} is not an object")
-    return (_value_from_json(e["t"], False),
-            _value_from_json(e["phi_inv"], False), _bit_from_json(e["d"]))
-
-
 def record_from_json(obj: dict) -> ShotRecord:
     if type(obj) is not dict:
         raise ValueError(f"record {obj!r} is not an object")
@@ -452,9 +439,24 @@ def record_from_json(obj: dict) -> ShotRecord:
     evidence = obj["evidence"]
     if type(evidence) is not list:
         raise ValueError(f"evidence {evidence!r} is not a list")
-    evidence = tuple(map(_evidence_from_json, evidence))
+    entries = []
+    for e in evidence:      # one loop: RWPE records 24 entries a shot
+        if type(e) is not dict:
+            raise ValueError(f"evidence entry {e!r} is not an object")
+        t = e["t"]
+        kind = type(t)
+        if kind is not float and kind is not int:
+            t = _value_from_json(t, False)
+        p = e["phi_inv"]
+        kind = type(p)
+        if kind is not float and kind is not int:
+            p = _value_from_json(p, False)
+        d = e["d"]
+        if type(d) is not int or not 0 <= d <= 1:
+            raise ValueError(f"evidence bit {d!r} is not 0 or 1")
+        entries.append((t, p, d))
     return ShotRecord(_int_from_json(obj, "shot"), _int_from_json(obj, "seed"),
-                      outputs, evidence)
+                      outputs, tuple(entries))
 
 
 def write_records(records: Iterable[ShotRecord], fp: IO[str]):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -331,7 +333,7 @@ def test_refit_rows_match_direct_log_factors(evs):
     # and outcomes, which reuses the tables the first put in place.
     evs = [e for ev in evs for e in (ev, _ev(
         (t, phi_inv + 0.1, 1 - d) for t, phi_inv, d in ev.entries))]
-    rows = bayes._AngleSumRows(REFIT_GRID)
+    rows = bayes._AngleSumRows(bayes._grid(2001, (-1.0, 1.0)))
     block = np.concatenate([bayes._columns(ev) for ev in evs], axis=1)
     for ev, row in zip(evs, rows(block, [len(ev) for ev in evs]),
                        strict=True):
@@ -358,7 +360,8 @@ def _direct_refit(records):
     pooled = np.zeros_like(REFIT_PHIS)
     for rec in records:
         row = bayes._log_factors(bayes.evidence_from_record(rec), REFIT_PHIS)
-        mmse_estimate(bayes._normalised(REFIT_GRID.nodes, log_prior + row))
+        mmse_estimate(PosteriorGrid(REFIT_GRID.nodes,
+                                    bayes._normalise(log_prior + row)))
         pooled += row
 
 
@@ -446,3 +449,102 @@ def test_refit_memory_is_bounded():
     budget = bayes.ROW_BUDGET * 2 * bayes.FINE_NODES * 8
     assert _peak_bytes(refit, fresh) <= _peak_bytes(refit, fresh[:10]) \
         + 2 * budget
+
+
+# -- what refit keeps per process, per call and per block ---------------------
+
+def _fresh_times(records, count):
+    """`count` records like records[0], each with a last time no other
+    record has."""
+    last = records[0].evidence[-1]
+    return [sim.ShotRecord(k, 0, (), records[0].evidence[:-1]
+                           + ((1.0 + k * 1e-3, last[1], last[2]),))
+            for k in range(count)]
+
+
+def _sliced(records, size):
+    return tuple(e for k in range(0, len(records), size)
+                 for e in refit(records[k:k + size]).per_shot)
+
+
+def test_refit_estimates_do_not_depend_on_blocking_or_cache_state():
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=18, shots=300))
+    whole = refit(records).per_shot
+    for size in (1, 7, 10):
+        assert _sliced(records, size) == whole
+    # A refit on another grid keeps its own tables ...
+    refit(records[:3], grid_size=4001, prior_interval=(0.0, 1.0))
+    assert refit(records).per_shot == whole
+    # ... and a call whose fresh times overflow the row budget clears the
+    # default grid's tables, some of them in the middle of a block.
+    refit(_fresh_times(records, bayes.ROW_BUDGET + 20))
+    assert refit(records).per_shot == whole
+    assert _sliced(records, 7) == whole
+
+
+def test_refit_is_reentrant():
+    real = sim.run_shots(build_rwpe(), ExecConfig(seed=19, shots=40))
+    fixed = sim.run_shots(build_rwpe(), ExecConfig(
+        classical_mode=ClassicalMode.FIXED_POINT, seed=19, shots=40))
+    # Two of the four threads bring fresh times, which clear the shared
+    # tables while the others read them.
+    fresh = _fresh_times(real, 300)
+    work = [[real[k:k + 10] for k in (0, 10, 20, 30)] * 5,
+            [fixed[k:k + 10] for k in (0, 10, 20, 30)] * 2
+            + [fresh[k:k + 25] for k in range(0, 300, 25)],
+            [fixed[k:k + 10] for k in (30, 20, 10, 0)] * 5,
+            [fresh[k:k + 15] for k in range(0, 300, 15)]]
+    serial = [[refit(records).per_shot for records in sets] for sets in work]
+    got = [None] * len(work)
+    start = threading.Barrier(len(work))
+
+    def run(i):
+        start.wait()
+        got[i] = [refit(records).per_shot for records in work[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(work))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == serial
+    assert len(bayes._grid(2001, (-1.0, 1.0)).tables) <= bayes.ROW_BUDGET
+
+
+def test_refit_shares_its_grid_read_only():
+    refit(sim.run_shots(build_rwpe(), ExecConfig(seed=20, shots=1)))
+    grid = bayes._grid(2001, (-1.0, 1.0))
+    assert len(grid.tables) >= 24
+    assert bayes._grid(2001, (-1.0, 1.0)) is grid
+    for a in (grid.nodes, grid.log_prior, grid.phis, grid.coarse, grid.fine,
+              *grid.tables.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_refit_raises_the_first_failing_records_error_within_a_block():
+    good = ((2.0, 0.25, 0), (3.0, -0.5, 1))
+    records = _records([good, good, good + (("?", 0.1, 1),),
+                        good + ((math.nan, 0.0, 0),), good])
+    with pytest.raises(ValueError, match="could not convert string"):
+        refit(records)
+    records[2] = sim.ShotRecord(2, 0, (), good)
+    with pytest.raises(ValueError, match="shot 3: evidence entry 2 is not "
+                                         "finite"):
+        refit(records)
+
+
+def test_refit_raises_degenerate_posterior_within_a_block():
+    # phi_inv * t overflows to inf: every factor of the record is nan.
+    good = sim.ShotRecord(0, 0, (), ((1.0, 0.25, 0), (2.0, 0.5, 1)))
+    bad = sim.ShotRecord(1, 0, (), ((10.0, 5e307, 0),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegeneratePosterior):
+            refit([good, bad, good])

@@ -9,7 +9,6 @@ import json
 import linecache
 import math
 import random
-import subprocess
 import sys
 import threading
 import traceback
@@ -1237,15 +1236,6 @@ def test_shot_record_is_a_frozen_value():
     with pytest.raises(FrozenInstanceError):
         del rec.seed
     assert rec.shot == 3 and rec.seed == 7
-
-
-def test_unroll_cutoff_script_runs():
-    """tools/unroll_cutoff.py still drives the engine's caches and cut-off."""
-    done = subprocess.run([sys.executable, "tools/unroll_cutoff.py", "3", "2"],
-                          cwd=Path(__file__).resolve().parent.parent,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert len(done.stdout.splitlines()) == 1 + 2 * 2   # 2-3 qubits, 2 noise
 
 
 def test_sources_parse_as_python_3_10():

@@ -53,3 +53,19 @@ def test_untested_skips_what_runs_only_as_a_script():
                   "    y = 4\n") == [1, 6, 7, 9]
     main_py = (ROOT / "src" / "hybridsim" / "__main__.py").read_text()
     assert listed(main_py) == []
+
+
+def test_unroll_cutoff_script_runs():
+    """tools/unroll_cutoff.py still drives the engine's caches and cut-off,
+    and prints one row per width and noise setting."""
+    done = subprocess.run([sys.executable, "tools/unroll_cutoff.py", "2", "5"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert "range over 5 pairs" in header
+    assert [row.split()[:2] for row in rows] == [["2", "ideal"],
+                                                 ["2", "noise"]]
+    for row in rows:
+        # A median figure and the range over the pairs, or "never".
+        assert re.search(r"(\d+|never) \((\d+|never)-(\d+|never)\)$", row), row

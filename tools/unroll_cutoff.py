@@ -10,17 +10,31 @@ extra compile time.  Records are the same in both forms.  The leading
 random measurement keeps the gates in the shot: the engine evaluates an
 entry block's deterministic prefix once, when it generates the source.
 
+On a shared host other tenants slow a process by up to 2x for seconds at
+a time, so the two forms are timed in PAIRS interleaved pairs (the order
+alternating), and each timing is divided by the slowdown a fixed
+reference loop measured just before it, as `perfbench/run.py` does.  Each
+figure is the median over the pairs; the break-even column also gives
+the lowest and highest pair's figure.
+
     python3 tools/unroll_cutoff.py [max_qubits] [shots]
 
 Run it from the repository root; it changes no file.
 """
 
+import statistics
 import sys
 import time
 
 sys.path.insert(0, "src")
 
 from hybridsim import codegen, hir, sim  # noqa: E402
+
+PAIRS = 5
+# reference() takes about REF_SECONDS on an unloaded host; the constant
+# only fixes the scale of the reported times.
+REF_LOOPS = 10_000
+REF_SECONDS = 1.5e-3
 
 
 def program(n: int) -> hir.HybridProgram:
@@ -35,44 +49,72 @@ def program(n: int) -> hir.HybridProgram:
     return hir.parse("\n".join(lines) + "\n")
 
 
+def reference() -> int:
+    """Interpreter-bound work that never touches hybridsim."""
+    acc, z, table = 0, 1 + 0j, {}
+    for i in range(REF_LOOPS):
+        acc = (acc + i * i) % 1000003
+        table[i & 255] = acc
+        z *= 0.6 + 0.8j
+    return acc
+
+
+def slowdown() -> float:
+    t0 = time.perf_counter()
+    reference()
+    return (time.perf_counter() - t0) / REF_SECONDS
+
+
 def measure(prog, cfg, unroll: bool, shots: int):
-    """(best cold compile ms over 3, best µs per shot over 5 runs) of one
-    form."""
+    """(cold compile ms, µs per shot) of one form, at reference speed."""
     n = prog.qubits
     codegen.UNROLL_QUBITS = n if unroll else n - 1
     codegen._AMPS = tuple(f"a{i}" for i in range(1 << n))
-    compile_ms = float("inf")
-    for _ in range(3):
-        prog.generated.clear()
-        sim._code.cache_clear()
-        codegen._rendered.cache_clear()
-        codegen._fold_code.cache_clear()
-        t0 = time.perf_counter()
-        sim.compile_program(prog, cfg)
-        compile_ms = min(compile_ms, (time.perf_counter() - t0) * 1e3)
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        sim.run_shots(prog, cfg, range(shots))
-        best = min(best, time.perf_counter() - t0)
-    return compile_ms, best / shots * 1e6
+    prog.generated.clear()
+    sim._code.cache_clear()
+    codegen._rendered.cache_clear()
+    codegen._fold_code.cache_clear()
+    slow = slowdown()
+    t0 = time.perf_counter()
+    sim.compile_program(prog, cfg)
+    t1 = time.perf_counter()
+    sim.run_shots(prog, cfg, range(shots))
+    t2 = time.perf_counter()
+    return (t1 - t0) / slow * 1e3, (t2 - t1) / slow / shots * 1e6
+
+
+def break_even(cu: float, cl: float, su: float, sl: float) -> float:
+    """Shots after which the unrolled form has repaid its extra compile
+    time; inf when its shots are no cheaper."""
+    gain = sl - su
+    return max(cu - cl, 0) * 1e3 / gain if gain > 0 else float("inf")
+
+
+def shots_text(x: float) -> str:
+    return f"{x:.0f}" if x < float("inf") else "never"
 
 
 def main():
     top = int(sys.argv[1]) if len(sys.argv) > 1 else 6
     shots = int(sys.argv[2]) if len(sys.argv) > 2 else 300
-    print("qubits noise   compile ms (unrolled/loop)  us/shot (unrolled/loop)"
-          "  break-even shots")
+    print(f"qubits noise   compile ms (unrolled/loop)  us/shot (unrolled/loop)"
+          f"  break-even shots (range over {PAIRS} pairs)")
     for noise in (None, sim.NoiseModel()):
         cfg = sim.ExecConfig(noise=noise)
         for n in range(2, top + 1):
             prog = program(n)
-            cu, su = measure(prog, cfg, True, shots)
-            cl, sl = measure(prog, cfg, False, shots)
-            gain = sl - su
-            even = f"{max(cu - cl, 0) * 1e3 / gain:.0f}" if gain > 0 else "never"
+            pairs = []
+            for p in range(PAIRS):
+                forms = (True, False) if p % 2 == 0 else (False, True)
+                timed = {u: measure(prog, cfg, u, shots) for u in forms}
+                pairs.append((*timed[True], *timed[False]))
+            cu, su, cl, sl = (statistics.median(x) for x in zip(*pairs))
+            evens = sorted(break_even(cu_, cl_, su_, sl_)
+                           for cu_, su_, cl_, sl_ in pairs)
             print(f"{n:6} {'noise' if noise else 'ideal':5}   {cu:8.2f} / {cl:6.2f}"
-                  f"          {su:8.1f} / {sl:8.1f}     {even}")
+                  f"          {su:8.1f} / {sl:8.1f}     "
+                  f"{shots_text(statistics.median(evens))} "
+                  f"({shots_text(evens[0])}-{shots_text(evens[-1])})")
 
 
 if __name__ == "__main__":
