@@ -346,10 +346,18 @@ def _blocks(records: Sequence[ShotRecord]) -> Iterator[list[ShotRecord]]:
     yield block
 
 
+def _finite_products(cols: np.ndarray) -> np.ndarray:
+    """Whether each entry's t * phi_inv (radians) is finite, for finite
+    columns: where it overflows, so does the likelihood's argument."""
+    with np.errstate(over="ignore"):
+        return np.isfinite(cols[0] * cols[1])
+
+
 def _record_columns(rec: ShotRecord, grid_size: int,
                     width: float) -> np.ndarray:
     """One record's evidence columns (`_columns`), after `refit`'s checks:
-    the record has evidence, every time and angle is finite, and the grid
+    the record has evidence, every time and angle is finite, so is every
+    likelihood argument's product t * phi_inv (in radians), and the grid
     has MIN_NODES_PER_PERIOD nodes per likelihood period."""
     if not rec.evidence:
         raise ValueError(f"shot {rec.shot} has no evidence to refit")
@@ -358,6 +366,10 @@ def _record_columns(rec: ShotRecord, grid_size: int,
     if not finite.all():
         raise ValueError(f"shot {rec.shot}: evidence entry "
                          f"{finite.argmin()} is not finite")
+    finite = _finite_products(cols)
+    if not finite.all():
+        raise ValueError(f"shot {rec.shot}: evidence entry {finite.argmin()} "
+                         "has t * phi_inv * pi beyond the float range")
     t = float(np.abs(cols[0]).max())
     # A factor of time t has period 2/|t| in units of pi.
     if 2.0 * (grid_size - 1) < MIN_NODES_PER_PERIOD * t * width:
@@ -386,7 +398,7 @@ def _block_columns(block: list[ShotRecord], lengths: list[int],
     # (6 |t|) * width rounds monotonically in |t|, so the largest |t| of
     # the block fails the nodes-per-period check when any record does.
     if (cols is None or 0 in lengths or not np.isfinite(cols[:2]).all()
-            or 2.0 * (grid_size - 1)
+            or not _finite_products(cols).all() or 2.0 * (grid_size - 1)
             < MIN_NODES_PER_PERIOD * float(np.abs(cols[0]).max()) * width):
         cols = np.concatenate([_record_columns(rec, grid_size, width)
                                for rec in block], axis=1)
@@ -413,8 +425,9 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
 
     `true_value` and `raw_estimates` (both on the doubled scale) enable the
     mse / raw_mse summary fields.  Raises ValueError when a record's
-    evidence holds a non-finite time or angle, or when the grid has fewer
-    than MIN_NODES_PER_PERIOD nodes per likelihood period of some record.
+    evidence holds a non-finite time or angle, or a time and angle whose
+    product overflows, or when the grid has fewer than
+    MIN_NODES_PER_PERIOD nodes per likelihood period of some record.
     """
     if not records:
         raise ValueError("no records to refit")

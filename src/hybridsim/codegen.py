@@ -17,7 +17,7 @@ Every value the source refers to (encoded literals, the phases of literal
 angles, noise probabilities, pair tuples, the domain's ops and boxes) is a
 name bound in the exec namespace, never a literal in the text.  Programs
 that differ only in literals therefore share one source, unless the fold
-below decides differently for them.  `sim` owns everything around the
+or the known-value walk below decides differently for them.  `sim` owns everything around the
 source: the number domains, the caches, the generator each shot draws
 from, and the records.
 
@@ -33,6 +33,24 @@ the folded state becomes the initial values, so draws, records, step
 counts and amplitudes are unchanged.  Since the fold depends on literal
 values, two programs of one shape get different sources when their fold
 decisions differ.
+
+Classical work that no measurement can change leaves the shot too, for
+every block but an entry block that no branch enters (the fold's).  The
+known registers K are the largest set such that every write to one of them
+is a classical instruction reading only literals and registers of K, in a
+steady block: one that reaches a `ret` and is not control-dependent
+(through post-dominators, directly or through other branches) on a
+`condbr` whose condition is outside K.  No measurement destination is in
+K.  A walk at generation time follows the known branches from the entry,
+jumps from any other branch to its immediate post-dominator, and runs each
+steady block's known instructions, and the phase terms of each `rz`, `crz`
+or `eswap` whose angle is known, through the text a shot would run; the
+k-th visit to a block gives row k of its table.  In the shot each known
+instruction assigns its register (or phase terms) from its block's next
+row, at its own position, so every register holds the same value after
+every instruction, and draws, records, step counts and amplitudes are
+unchanged.  When the walk raises, or makes more than `WALK_VISITS` visits,
+the program gets no tables and its source is the one without them.
 """
 
 from __future__ import annotations
@@ -271,12 +289,110 @@ _DRAW_ENDS = (0.0, 1.0 - 2.0 ** -53)
 
 @lru_cache(maxsize=256)
 def _fold_code(text: str) -> CodeType:
-    """The code object of the function `text` defines.  Programs of one
-    shape fold the same text, and compiling it costs far more than running
-    it: about 2.5 ms for the 168 lines of the lowered IPE step's fold,
-    whose two runs take about 0.1 ms."""
+    """The code object of the function `text` defines: a fold, or a
+    known-value walk.  Programs of one shape fold and walk the same text,
+    and compiling it costs far more than running it: about 2.5 ms for the
+    168 lines of the lowered IPE step's fold, whose two runs take about
+    0.1 ms."""
     module = compile(text, "<fold>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+# Visits the known-value walk (`Generator.walk`) may make.  Each visit to a
+# steady block adds a row to its table, so the bound caps both the memory
+# the tables hold for the life of the program and the time the walk takes
+# when the source is generated.  RWPE's walk makes 127 visits; a program
+# whose known loops run longer gets no tables and today's per-shot code.
+WALK_VISITS = 4096
+
+
+def _post_dominators(succ: list[tuple[int, ...]]) -> tuple[set[int], list]:
+    """(the blocks from which a `ret` can be reached, the immediate
+    post-dominator of each block: None for a `ret`, where paths end in
+    different `ret`s, or for a block that never reaches one).  Paths into
+    blocks that never reach a `ret` are left out."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for i, targets in enumerate(succ):
+        for t in targets:
+            pred[t].append(i)
+    reach = {i for i, targets in enumerate(succ) if not targets}
+    todo = list(reach)
+    while todo:
+        for p in pred[todo.pop()]:
+            if p not in reach:
+                reach.add(p)
+                todo.append(p)
+    pdom = {i: {i} if not succ[i] else set(reach) for i in reach}
+    order = sorted(reach, reverse=True)     # branches mostly go forward
+    changed = True
+    while changed:
+        changed = False
+        for i in order:
+            if succ[i]:
+                new = set.intersection(*[pdom[t] for t in succ[i] if t in reach])
+                new.add(i)
+                if new != pdom[i]:
+                    pdom[i] = new
+                    changed = True
+    ipdom = [None] * len(succ)
+    for i in reach:     # post-dominators form a chain: the next is one smaller
+        ipdom[i] = next((d for d in pdom[i] if d != i
+                         and len(pdom[d]) == len(pdom[i]) - 1), None)
+    return reach, ipdom
+
+
+def _known(prog: hir.HybridProgram, succ: list[tuple[int, ...]]) \
+        -> tuple[frozenset[str], list[bool], list]:
+    """(K, whether each block is steady, each block's immediate
+    post-dominator), given each block's successors `succ`.  K is the
+    largest set of registers such that every write to one of them is a
+    classical instruction that reads only literals and registers of K, in
+    a steady block; a block is steady when it reaches a `ret` and is not
+    control-dependent, directly or through other branches, on a `condbr`
+    whose condition is outside K.  Measurement destinations are never in
+    K.  Steadiness and K depend on each other, so both are narrowed
+    together until neither changes."""
+    blocks = prog.blocks
+    reach, ipdom = _post_dominators(succ)
+    # Ferrante, Ottenstein and Warren: the blocks control-dependent on the
+    # branch of x lie on the post-dominator tree from each successor up to,
+    # not including, x's immediate post-dominator.
+    deps: dict[int, set[int]] = {}
+    for x in reach:
+        term = blocks[x].terminator
+        if isinstance(term, hir.CondBr) and term.then_target != term.else_target:
+            deps[x] = set()
+            for s in succ[x]:
+                while s in reach and s != ipdom[x]:
+                    deps[x].add(s)
+                    s = ipdom[s]
+    reads: dict[str, set[str]] = {}     # register -> registers its writes read
+    writers: dict[str, set[int]] = {}   # register -> blocks that write it
+    known = {d.name for d in prog.decls}
+    for i, block in enumerate(blocks):
+        for instr in block.instructions:
+            if isinstance(instr, hir.Measure):
+                known.discard(instr.dest)
+            elif isinstance(instr, hir.Classical):
+                reads.setdefault(instr.dest, set()).update(
+                    [s for s in instr.srcs if isinstance(s, str)])
+                writers.setdefault(instr.dest, set()).add(i)
+    while True:
+        unsteady = set(range(len(blocks))) - reach
+        grown = True
+        while grown:
+            grown = False
+            for x, dep in deps.items():
+                if (blocks[x].terminator.cond not in known or x in unsteady) \
+                        and not dep <= unsteady:
+                    unsteady |= dep
+                    grown = True
+        narrowed = {r for r in known if reads.get(r, set()) <= known
+                    and unsteady.isdisjoint(writers.get(r, ()))}
+        if narrowed == known:
+            return (frozenset(known),
+                    [i not in unsteady for i in range(len(blocks))], ipdom)
+        known = narrowed
 
 
 _STEP_CHECK = """\
@@ -293,8 +409,8 @@ _BUILTINS = {"StepLimitExceeded": StepLimitExceeded, "PI": math.pi, "S": _SQRT_H
 class Generator:
     """Builds the source of `run` for one program, a table from each
     generated line to (block label, HIR line), and the `static` values its
-    exec namespace needs: pair tuples, the initial amplitudes and registers
-    and the literal constants, encoded by `domain`.  Noise enters the source
+    exec namespace needs: pair tuples, the initial amplitudes and registers,
+    the literal constants, encoded by `domain`, and the known-value tables.  Noise enters the source
     only through whether it is on; its probabilities are namespace entries.
     Programs are checked when they are built, so every instruction and
     gate it meets is one it knows."""
@@ -317,28 +433,55 @@ class Generator:
             if self.unroll else "A = A0[:]"
         self.emit(0, "def run(rng, out, ev, limit):")
         self.emit(1, "rand = rng.random\nrandrange = rng.randrange\n" + self.unpack)
+        prologue = len(self.chunks)
         # Initializers are encoded here: range errors are load-time errors.
         inits = []
         for d in prog.decls:
             inits.append(self.literal(d.kind, d.init))
             self.emit(1, f"{self.reg[d.name]} = {inits[-1]}")
+        start = [self.static[c] for c in inits]
         self.emit(1, "steps = 0\nb = 0\nwhile True:")
         index = {b.label: i for i, b in enumerate(prog.blocks)}
-        entered = {dst for _, dst in hir.cfg(prog).edges()}
+        succ = [tuple([index[t] for t in targets])
+                for targets in hir.cfg(prog).successors.values()]
+        folds = not any(0 in targets for targets in succ)
+        # An entry block that no branch enters runs once a shot: the fold
+        # runs its start, and the rest keeps its known work, which a table
+        # read through a per-shot iterator would not make cheaper.  So
+        # tables start at block `tabled`; without a register computed from
+        # there on, there is nothing to analyse.
+        tabled = int(folds)
+        if any(isinstance(instr, hir.Classical) or isinstance(instr, hir.Gate)
+               and isinstance(instr.angle, str)
+               for block in prog.blocks[tabled:] for instr in block.instructions):
+            known, steady, ipdom = _known(prog, succ)
+        else:
+            known, steady, ipdom = frozenset(), [False] * len(succ), []
+        # (first chunk, text, locals it sets) of each known instruction,
+        # per block
+        items: list[list[tuple[int, str, str]]] = []
         for i, block in enumerate(prog.blocks):
             first = block.instructions[0] if block.instructions else block.terminator
             self.at = (block.label, first.line)
             self.emit(2, f"{'if' if i == 0 else 'elif'} b == {i}:")
             self.emit(3, _STEP_CHECK.format(n=len(block.instructions) + 1))
             marks = []
+            items.append([])
             for instr in block.instructions:
                 marks.append(len(self.chunks))
                 self.at = (block.label, instr.line)
                 self.instruction(instr)
-            if i == 0 and block.label not in entered:
+                names = self.known_locals(instr, known) if steady[i] else None
+                if names:
+                    items[i].append((marks[-1], self.chunks[marks[-1]][0], names))
+            if i == 0 and folds:
                 self.fold(block.instructions, marks, inits)
             self.at = (block.label, block.terminator.line)
             self.terminator(block.terminator, index)
+        if any(items[tabled:]):
+            rows = self.walk(prog, succ, known, steady, ipdom, items, start)
+            if rows is not None:
+                self.tabulate(rows, items, tabled, prologue)
         # (first generated line, (block label, HIR line)) of each chunk
         self.where: list[tuple[int, tuple[str | None, int | None]]] = []
         line = 1
@@ -420,6 +563,95 @@ class Generator:
             return self.noisy or instr.record is not None
         return isinstance(instr, hir.Gate) and self.noisy and \
             instr.name not in NOISELESS_GATES
+
+    # -- known values: per-block tables -------------------------------------
+
+    def known_locals(self, instr: hir.Instruction,
+                     known: frozenset[str]) -> str | None:
+        """The locals a known instruction of a steady block sets: its
+        register, or the phase terms of a gate whose angle is known."""
+        if isinstance(instr, hir.Classical):
+            return self.reg[instr.dest] if instr.dest in known else None
+        if isinstance(instr, hir.Gate) and instr.angle in known:
+            return "corner, cc, ss" if instr.name == "eswap" else "p0, p1"
+        return None
+
+    def walk(self, prog: hir.HybridProgram, succ: list[tuple[int, ...]],
+             known: frozenset[str], steady: list[bool], ipdom: list,
+             items: list, start: list) -> dict[int, list[tuple]] | None:
+        """The rows of each steady block that has known work or a known
+        branch condition, in the order a shot visits it; None when the walk
+        raises or makes more than WALK_VISITS visits.
+
+        The walk starts at the entry, on the registers' initial values
+        `start`, and runs each visited steady block's known instructions
+        through the text a shot would run.  It follows a branch whose
+        condition is known, jumps from any other branch (and from a block
+        that is not steady) to its immediate post-dominator, and stops at a
+        `ret` or where there is none.  A shot visits the steady blocks in
+        the same order, with the same known values, because no register of
+        K changes anywhere else; it may stop sooner."""
+        cond = {i: self.reg[b.terminator.cond] for i, b in enumerate(prog.blocks)
+                if steady[i] and isinstance(b.terminator, hir.CondBr)
+                and b.terminator.cond in known}
+        parts = [f"def walk({', '.join(self.reg.values())}):",
+                 "    b = yield", "    while True:"]
+        rows: dict[int, list[tuple]] = {}
+        for i in range(len(prog.blocks)):
+            if items[i] or i in cond:
+                parts.append(f"        {'elif' if rows else 'if'} b == {i}:")
+                # each value as it stands right after its instruction
+                for j, (_, text, names) in enumerate(items[i]):
+                    parts += [text, f"            v{j} = {names}"]
+                row = "".join(f"v{j}, " for j in range(len(items[i])))
+                parts.append(f"            b = yield ({row}), {cond.get(i)}")
+                rows[i] = []
+        walk = FunctionType(_fold_code("\n".join(parts)),
+                            namespace(self.static, self.domain, None))(*start)
+        # Where the walk goes from each block: the target of a `br`, the
+        # (then, else) blocks of a known condition, or else the immediate
+        # post-dominator (None after a `ret`, or where there is none).
+        after = [t[0] if steady[i] and len(t) == 1
+                 else t if steady[i] and i in cond else ipdom[i]
+                 for i, t in enumerate(succ)]
+        b = visits = 0
+        try:
+            next(walk)
+            while b is not None:
+                visits += 1
+                if visits > WALK_VISITS:
+                    return None
+                if b in rows:
+                    row, value = walk.send(b)
+                    rows[b].append(row)
+                b = after[b]
+                if type(b) is tuple:
+                    b = b[0] if value else b[1]
+        except Exception:
+            return None     # the shot raises it at its own block and line
+        finally:
+            walk.close()
+        return rows
+
+    def tabulate(self, rows: dict[int, list[tuple]], items: list, first: int,
+                 prologue: int):
+        """Make each known instruction of the blocks from `first` on read
+        its block's next row, at its own position, and bind each table's
+        iterator at the start of the shot (before chunk `prologue`)."""
+        binds = []
+        for i in range(first, len(items)):
+            if not items[i] or not rows[i]:
+                continue
+            binds.append(f"next{i} = iter(T{i}).__next__")
+            one = len(items[i]) == 1
+            self.static[f"T{i}"] = tuple([r[0] if one else r for r in rows[i]])
+            for j, (k, _, names) in enumerate(items[i]):
+                text = f"{names} = next{i}()" if one else \
+                    f"R = next{i}()\n" * (j == 0) + f"{names} = R[{j}]"
+                self.chunks[k] = ("    " * 3 + text.replace("\n", "\n" + "    " * 3),
+                                  self.chunks[k][1])
+        if binds:
+            self.chunks.insert(prologue, ("    " + "\n    ".join(binds), (None, None)))
 
     # -- helpers ------------------------------------------------------------
 

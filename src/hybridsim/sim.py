@@ -14,7 +14,8 @@ for records; the code generator is the same for both modes.
 Each program is compiled into the source of one Python function, which
 runs once per shot: registers are its locals, and every gate, measurement,
 reset and noise draw is inlined (`codegen` writes the source, and runs the
-entry block's measurement-independent start once, while writing it).  The
+measurement-independent classical work once, while writing it: the entry
+block's start, and per-block tables of every value no measurement decides).  The
 source, its line table and its encoded literals are generated once per
 program object, mode and noise switch, and kept on the program; only the
 namespace of domain ops and noise probabilities is rebuilt on each compile.
@@ -199,7 +200,10 @@ def _q216_domain() -> Domain:
 
 def select_domain(mode: ClassicalMode) -> Domain:
     """The domain for `mode`.  Built afresh on every call, so the fixed-point
-    ops are whatever `fixedpoint` holds when a program is compiled."""
+    ops a shot calls are whatever `fixedpoint` holds when a program is
+    compiled.  The ops of known values (`codegen`'s tables and fold) run
+    once, when the program's source is generated, with the domain of that
+    compile; later compiles reuse their results."""
     return _q216_domain() if mode is ClassicalMode.FIXED_POINT else _real_domain()
 
 

@@ -508,12 +508,14 @@ class OutOfSteps(Exception):
 
 
 class DividedByZero(ZeroDivisionError):
-    """A classical op of `interpret` divided by zero at `line` of `block`."""
+    """A classical op of `interpret` divided by zero at `line` of `block`,
+    after `steps` steps had been charged (its block's included)."""
 
-    def __init__(self, block: str, line: int | None):
+    def __init__(self, block: str, line: int | None, steps: int):
         super().__init__(f"division by zero at block {block}, line {line}")
         self.block = block
         self.line = line
+        self.steps = steps
 
 
 def _fx_recip(a: int) -> int:
@@ -556,8 +558,8 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
     "fixed", with `noise` (an object with p_gate1, p_gate2 and p_readout,
     or None), drawing from `rng`.  Returns (outputs, evidence, amplitudes, steps).
 
-    Raises DividedByZero, a ZeroDivisionError naming the block and line, on
-    a zero divisor and OutOfSteps once the steps charged exceed
+    Raises DividedByZero, a ZeroDivisionError naming the block, the line
+    and the steps charged, on a zero divisor and OutOfSteps once the steps charged exceed
     `step_limit`."""
     if mode not in ("real", "fixed"):
         raise ValueError(f"unknown classical mode {mode!r}")
@@ -613,7 +615,7 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
                 try:
                     regs[ins.dest] = _classical(ins, kinds, word, ops)
                 except ZeroDivisionError as e:
-                    raise DividedByZero(block.label, ins.line) from e
+                    raise DividedByZero(block.label, ins.line, steps) from e
             else:
                 raise ValueError(f"cannot interpret {ins!r}")
         term = block.terminator

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,10 @@ def _first_refit_error(records, grid_size, width=2.0):
         for k, (t, phi_inv, _) in enumerate(entries):
             if not (math.isfinite(t) and math.isfinite(phi_inv)):
                 return f"shot {rec.shot}: evidence entry {k} is not finite"
+        for k, (t, phi_inv, _) in enumerate(entries):
+            if not math.isfinite(t * phi_inv):
+                return (f"shot {rec.shot}: evidence entry {k} has "
+                        "t * phi_inv * pi beyond the float range")
         t = max(abs(e[0]) for e in entries)
         if 2.0 * (grid_size - 1) < bayes.MIN_NODES_PER_PERIOD * t * width:
             need = math.ceil(bayes.MIN_NODES_PER_PERIOD * t * width / 2.0) + 1
@@ -389,14 +394,16 @@ def _first_refit_error(records, grid_size, width=2.0):
 
 CHECK_GRID = 201        # |t| up to 33.3 has 6 nodes per period
 faults = st.sampled_from(["empty", "t-nan", "t-inf", "phi_inv-nan",
-                          "phi_inv-inf", "t-too-large", "t-not-a-number"])
+                          "phi_inv-inf", "t-too-large", "t-not-a-number",
+                          "product-overflow"])
 
 
 @st.composite
 def records_with_faults(draw):
     """Up to 40 records, several blocks' worth, with an empty record, a
-    non-finite time or angle, a time too large for the grid, or a time that
-    `float` cannot read injected at random records and entries."""
+    non-finite time or angle, a time too large for the grid, a time that
+    `float` cannot read, or a time and angle whose product overflows
+    injected at random records and entries."""
     evs = draw(st.lists(st.lists(
         st.tuples(st.floats(-30.0, 30.0), st.floats(-1.0, 1.0),
                   st.integers(0, 1)), min_size=1, max_size=24),
@@ -415,6 +422,9 @@ def records_with_faults(draw):
             t = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(34.0, 1e6))
         elif kind == "t-not-a-number":
             t = "?"
+        elif kind == "product-overflow":     # each finite, in radians too
+            t = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(10.0, 30.0))
+            phi_inv = draw(st.sampled_from([-1.0, 1.0])) * 1e307
         else:
             value = float(kind.split("-")[1]) * draw(st.sampled_from([-1, 1]))
             t, phi_inv = (value, phi_inv) if kind[0] == "t" else (t, value)
@@ -541,10 +551,15 @@ def test_refit_raises_the_first_failing_records_error_within_a_block():
         refit(records)
 
 
-def test_refit_raises_degenerate_posterior_within_a_block():
-    # phi_inv * t overflows to inf: every factor of the record is nan.
+def test_refit_names_the_entry_whose_likelihood_argument_overflows():
+    # Each number is finite, but t * phi_inv * pi is not, so every factor
+    # of the record would be nan: refit names the entry, within a block as
+    # alone, and numpy warns of nothing.
     good = sim.ShotRecord(0, 0, (), ((1.0, 0.25, 0), (2.0, 0.5, 1)))
     bad = sim.ShotRecord(1, 0, (), ((10.0, 5e307, 0),))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DegeneratePosterior):
-            refit([good, bad, good])
+    for records in ([good, bad, good], [bad]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^shot 1: evidence entry 0 "
+                               r"has t \* phi_inv \* pi beyond the float range$"):
+                refit(records)

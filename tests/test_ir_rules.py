@@ -205,6 +205,13 @@ def test_literals_must_be_of_their_kind(make, message):
         make()
 
 
+def test_variables_must_be_of_their_kind():
+    with pytest.raises(SemanticError, match="add expects fixed, got bit "
+                                            "variable 'b'"):
+        _one_block((hir.VarDecl("a", "fixed", 0.0), hir.VarDecl("b", "bit", 0)),
+                   (hir.Classical("add", "a", ("a", "b")),))
+
+
 def test_fixed_initialisers_and_literal_angles_are_stored_as_floats():
     prog = _one_block((hir.VarDecl("f", "fixed", 1),),
                       (hir.Gate("rz", (0,), -1),))

@@ -512,15 +512,18 @@ def test_real_overflow_raises_shot_error():
 
 # -- the compile cache ----------------------------------------------------------
 
-# The random measurement keeps the `mul` in the shot: an entry block's
-# deterministic prefix is evaluated once, when the source is generated.
+# The `mul` reads `h`, which a random measurement decides, so it runs in
+# the shot: values that no measurement decides may be computed once, when
+# the source is generated.
 _MULTIPLIES = """proc main qubits 1
   var fixed a = 0.75
+  var fixed h = 0.0
   var bit m = 0
 entry:
   h q0
   mz q0 -> m
-  mul a, a, 0.5
+  select h, m, 0.5, 0.5
+  mul a, a, h
   rz(a) q0
   ret a
 endproc
@@ -545,7 +548,9 @@ def test_cached_compile_calls_the_current_fixedpoint_ops(monkeypatch):
 
 def test_memo_sits_below_the_hooked_fixedpoint_ops(monkeypatch):
     # A warm reciprocal memo answers every divisor of an RWPE shot, yet each
-    # `recip` and `div` still calls the module function by name.
+    # `div` the shot still runs calls the module function by name.  The
+    # known `recip t, sigma` and `div a_orc, -0.5, sigma` run when the
+    # source is generated, through the same module functions.
     prog = build_rwpe()
     cfg = ExecConfig(classical_mode=FIXED)
     want = sim.run_shot(prog, cfg)
@@ -564,8 +569,11 @@ def test_memo_sits_below_the_hooked_fixedpoint_ops(monkeypatch):
     before = fx.recip_prewrap_raw.cache_info()
     assert sim.run_shot(prog, cfg) == want
     after = fx.recip_prewrap_raw.cache_info()
-    assert calls == {"recip_raw": 24, "div_raw": 48}
-    assert (after.hits - before.hits, after.misses - before.misses) == (72, 0)
+    assert calls == {"recip_raw": 0, "div_raw": 24}
+    assert (after.hits - before.hits, after.misses - before.misses) == (24, 0)
+    calls.update(recip_raw=0, div_raw=0)
+    sim.compile_program(build_rwpe(), cfg)
+    assert calls == {"recip_raw": 24, "div_raw": 24}
 
 
 def test_compile_does_not_check_the_program_again(monkeypatch):
@@ -811,6 +819,151 @@ endproc
 """,
 }
 
+# Edges of the known-value tables (`codegen.Generator.walk`), as programs.
+_TABLE_EDGES = {
+    # RWPE's shape: a loop that no measurement ends, around a diamond that
+    # a measurement picks.  `s`, `k` and `more` are known; `mu` is not.
+    "known-loop-dynamic-diamond": """proc main qubits 1
+  var int18 k = 0
+  var bit more = 0
+  var bit m = 0
+  var fixed s = 0.5
+  var fixed mu = 0.0
+prep:
+  h q0
+  br head
+head:
+  cmp_lt more, k, 3
+  condbr more, body, done
+body:
+  mul s, s, 0.75
+  rz(s) q0
+  h q0
+  mz q0 -> m
+  condbr m, up, down
+up:
+  add mu, mu, s
+  br tail
+down:
+  sub mu, mu, s
+  br tail
+tail:
+  add k, k, 1
+  br head
+done:
+  ret mu, s, k
+endproc
+""",
+    # 2N + 3 visits: (WALK_VISITS - 3) // 2 + 1 trips is one too many.
+    "known-loop-past-the-bound": """proc main qubits 1
+  var int18 k = 0
+  var bit more = 0
+entry:
+  x q0
+  br head
+head:
+  cmp_lt more, k, {trips}
+  condbr more, body, done
+body:
+  add k, k, 1
+  br head
+done:
+  ret k
+endproc
+""".format(trips=(codegen.WALK_VISITS - 3) // 2 + 1),
+    # The second trip divides by zero: the walk raises, so nothing is
+    # tabled and the shot raises it at its own block and line.
+    "late-recip-of-zero": """proc main qubits 1
+  var int18 k = 0
+  var bit more = 0
+  var fixed f = 0.5
+  var fixed g = 0.0
+entry:
+  h q0
+  br head
+head:
+  cmp_lt more, k, 3
+  condbr more, body, done
+body:
+  sub f, f, 0.25
+  recip g, f
+  add k, k, 1
+  br head
+done:
+  ret g, k
+endproc
+""",
+    # The walk stops at a branch one of whose arms returns; `rest` runs in
+    # some shots only, so its phase of the known `f` stays in the shot.
+    "dynamic-ret-then-known": """proc main qubits 1
+  var fixed f = 0.25
+  var bit m = 0
+prep:
+  h q0
+  br work
+work:
+  add f, f, 0.25
+  rz(f) q0
+  h q0
+  mz q0 -> m
+  condbr m, stop, rest
+stop:
+  ret f
+rest:
+  rz(f) q0
+  ret f
+endproc
+""",
+    # `add c, c, 1` reads only itself and a literal, but a measurement
+    # decides whether it runs, so `c` is not known and stays in the shot.
+    "dynamic-known-looking": """proc main qubits 1
+  var int18 c = 0
+  var int18 k = 0
+  var bit more = 0
+  var bit m = 0
+prep:
+  h q0
+  br head
+head:
+  mz q0 -> m
+  h q0
+  condbr m, extra, join
+extra:
+  add c, c, 1
+  br join
+join:
+  add k, k, 1
+  cmp_lt more, k, 3
+  condbr more, head, done
+done:
+  ret c, k
+endproc
+""",
+    # `spin` never returns, so it has no post-dominator and `body`'s branch
+    # makes nothing control-dependent: `head`'s counter is still tabled.
+    "branch-into-endless-loop": """proc main qubits 1
+  var int18 k = 0
+  var bit more = 0
+  var bit m = 0
+prep:
+  h q0
+  br head
+head:
+  add k, k, 1
+  cmp_lt more, k, 4
+  condbr more, body, done
+body:
+  mz q0 -> m
+  h q0
+  condbr m, spin, head
+spin:
+  br spin
+done:
+  ret k
+endproc
+""",
+}
+
 
 @_DIFFERENTIAL
 @given(_control_flow_programs(), st.sampled_from(list(ClassicalMode)),
@@ -825,6 +978,19 @@ endproc
 @example(hir.parse(_FOLD_EDGES["div-by-zero"]), FIXED, None, 4)
 @example(hir.parse(_FOLD_EDGES["div-by-zero"]), ClassicalMode.EXACT_REAL,
          None, 5)
+@example(hir.parse(_TABLE_EDGES["known-loop-dynamic-diamond"]), FIXED,
+         _HEAVY_NOISE, 6)
+@example(hir.parse(_TABLE_EDGES["known-loop-dynamic-diamond"]),
+         ClassicalMode.EXACT_REAL, None, 7)
+@example(hir.parse(_TABLE_EDGES["known-loop-past-the-bound"]),
+         ClassicalMode.EXACT_REAL, None, 8)
+@example(hir.parse(_TABLE_EDGES["late-recip-of-zero"]), FIXED, None, 9)
+@example(hir.parse(_TABLE_EDGES["late-recip-of-zero"]), ClassicalMode.EXACT_REAL,
+         NoiseModel(), 10)
+@example(hir.parse(_TABLE_EDGES["dynamic-ret-then-known"]), FIXED,
+         _HEAVY_NOISE, 11)
+@example(hir.parse(_TABLE_EDGES["dynamic-known-looking"]),
+         ClassicalMode.EXACT_REAL, NoiseModel(), 12)
 def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
     cfg = ExecConfig(classical_mode=mode, noise=noise, seed=seed)
     compiled = sim.compile_program(prog, cfg)
@@ -834,9 +1000,13 @@ def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
             want, want_amps, steps = _reference(prog, cfg, i)
         except oracles.DividedByZero as e:
             with pytest.raises(ShotError) as err:
-                compiled.shot(cfg.seed, i, cfg.step_limit)
+                compiled.shot(cfg.seed, i, e.steps)
             assert isinstance(err.value.cause, DivideByZero)
             assert (err.value.block, err.value.line) == (e.block, e.line)
+            # the failing block charged its steps before it raised
+            with pytest.raises(ShotError) as err:
+                compiled.shot(cfg.seed, i, e.steps - 1)
+            assert isinstance(err.value.cause, StepLimitExceeded)
             continue
         record, amps = compiled.shot(cfg.seed, i, steps)
         returned.append(amps)
@@ -850,6 +1020,76 @@ def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
         assert isinstance(err.value.cause, StepLimitExceeded)
     # Each shot returns its own list, never the initial amplitudes themselves.
     assert len({id(amps) for amps in returned}) == len(returned)
+
+
+def _source(text, mode=ClassicalMode.EXACT_REAL):
+    return sim.compile_program(hir.parse(text), ExecConfig(classical_mode=mode)).source
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("noise", [None, NoiseModel()], ids=["ideal", "noise"])
+def test_rwpe_computes_no_known_value_in_the_shot(mode, noise):
+    # sigma's schedule is the same in every shot: `recip t, sigma` and the
+    # crz phase of `a_orc` are table reads; only rz(a_inv)'s phase remains.
+    source = sim.compile_program(build_rwpe(), ExecConfig(
+        classical_mode=mode, noise=noise)).source
+    assert "recip_fixed(" not in source
+    assert source.count("cos(") == 1
+    assert "p0, p1 = R[" in source
+
+
+def test_tables_follow_the_walk_and_leave_the_rest_in_the_shot():
+    diamond = _source(_TABLE_EDGES["known-loop-dynamic-diamond"])
+    assert "r3 = R[0]" in diamond and "p0, p1 = R[1]" in diamond    # s, rz(s)
+    assert "r4 = r4 + r3" in diamond and "r4 = r4 - r3" in diamond  # mu
+    ret = _source(_TABLE_EDGES["dynamic-ret-then-known"], FIXED)
+    assert "r0 = R[0]" in ret and "p0, p1 = R[1]" in ret
+    assert ret.count("cos(") == 1
+    looking = _source(_TABLE_EDGES["dynamic-known-looking"])
+    assert "r0 = r0 + c" in looking and "r1 = R[0]" in looking
+
+
+def test_a_branch_into_an_endless_loop_keeps_the_tables():
+    text = _TABLE_EDGES["branch-into-endless-loop"]
+    prog = hir.parse(text)
+    assert "R = next1()" in _source(text)
+    cfg = ExecConfig(seed=13, step_limit=40)
+    compiled = sim.compile_program(prog, cfg)
+    spun = 0
+    for i in range(40):
+        try:
+            want, want_amps, steps = _reference(prog, cfg, i)
+        except oracles.OutOfSteps:
+            spun += 1
+            with pytest.raises(ShotError) as err:
+                compiled.shot(cfg.seed, i, cfg.step_limit)
+            assert isinstance(err.value.cause, StepLimitExceeded)
+            assert err.value.block == "spin"
+            continue
+        record, amps = compiled.shot(cfg.seed, i, steps)
+        assert (repr(record), repr(amps)) == (repr(want), repr(want_amps))
+    assert 0 < spun < 40
+
+
+def test_a_walk_that_fails_leaves_the_source_without_tables(monkeypatch):
+    # Past the visit bound, or raising, the walk gives no tables: the
+    # source is the one a program with no known register gets.
+    def source_without_known(text, mode):
+        with monkeypatch.context() as m:
+            m.setattr(codegen, "_known", lambda prog, succ: (
+                frozenset(), [False] * len(prog.blocks), [None] * len(prog.blocks)))
+            return _source(text, mode)
+
+    for name, mode in (("known-loop-past-the-bound", ClassicalMode.EXACT_REAL),
+                       ("late-recip-of-zero", FIXED)):
+        source = _source(_TABLE_EDGES[name], mode)
+        assert "iter(" not in source
+        assert source == source_without_known(_TABLE_EDGES[name], mode)
+    # One trip fewer stays within the bound and is tabled.
+    fewer = (codegen.WALK_VISITS - 3) // 2
+    text = _TABLE_EDGES["known-loop-past-the-bound"].replace(
+        f"k, {fewer + 1}", f"k, {fewer}")
+    assert "next1 = iter(T1).__next__" in _source(text)
 
 
 def test_native_ipe_step_computes_no_phase_in_the_shot():
