@@ -23,11 +23,11 @@ record's row by angle addition instead.  Its grid is uniform, so node
 j = 128h + l lies at phi_j = phi_128h + l * step.  For each distinct
 evolution time (RWPE records the same 24 in every shot), the tables
 cos B_l and sin B_l, B_l = l * step * t / 2 for l < 128, are built once per
-process and grid and kept under a row budget; a record whose times equal
-the previous record's, entry for entry, reuses the tables already in
-place.  Each entry then costs a sine and a cosine of its coarse arguments
-A_h = (phi_128h - phi_inv) * t / 2 + s only (16 of them on the default
-2001-node grid), and its whole row
+process and node spacing, and the last ROW_BUDGET are kept; a record whose
+times equal the previous record's, entry for entry, reuses the tables
+already in place.  Each entry then costs a sine and a cosine of its coarse
+arguments A_h = (phi_128h - phi_inv) * t / 2 + s only (16 of them on the
+default 2001-node grid), and its whole row
 sin(A_h + B_l) = sin A_h cos B_l + cos A_h sin B_l is one batched matrix
 product.  Angle addition is accurate only in absolute terms, so every
 factor below 1e-6 (|sine| < 1e-3) is recomputed, floored and logged by the
@@ -39,12 +39,11 @@ log prior + the sum of all rows.
 
 What `refit` keeps, and for how long:
 
-- Per process, for each of the last 8 (grid size, prior interval) pairs:
-  the grid's nodes, log prior, nodes in radians, coarse nodes and fine
-  offsets, and the per-time tables (at most ROW_BUDGET of 2 kB; a call
-  that needs more clears them first).  All are read-only and shared by
-  every call, in any thread, so a one-record call pays for its record,
-  not for its grid.
+- Per process: for each of the last 8 (grid size, prior interval) pairs,
+  the grid's nodes, log prior, nodes in radians and coarse nodes; and the
+  last ROW_BUDGET per-time tables (2 kB each), shared by every grid of the
+  same node spacing.  All are read-only and shared by every call, in any
+  thread, so a one-record call pays for its record, not for its grid.
 - Per call: one record's buffers, sized by the longest record so far
   (24 x 2048 doubles for RWPE, 393 kB), and the pooled row.
 - Per block of at most BLOCK_ENTRIES evidence entries (ten RWPE records;
@@ -68,7 +67,6 @@ the number of records.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -87,8 +85,7 @@ MIN_NODES_PER_PERIOD = 6
 # `refit`'s angle-addition rows: grid nodes per coarse node; the factor
 # below which an element is recomputed by the direct form (|sine| < 1e-3);
 # the rows multiplied before one log (NEAR_ZERO ** 32 = 1e-192 is far from
-# underflow); and the most per-time tables (2 kB each) one call keeps
-# before it starts over.
+# underflow); and the most per-time tables (2 kB each) the process keeps.
 FINE_NODES = 128
 NEAR_ZERO = 1e-6
 PRODUCT_ROWS = 32
@@ -193,10 +190,9 @@ def _normalise(logw: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """What `refit` keeps per process for one grid: the prior's nodes and
-    log weights, the nodes in radians, the coarse nodes and the fine
-    offsets, all read-only, and the per-time fine tables, which every call
-    on the grid shares."""
+    """What `refit` keeps per process for one grid, all read-only: the
+    prior's nodes and log weights, the nodes in radians, the coarse nodes,
+    and `step`, the node spacing in radians."""
 
     def __init__(self, size: int, interval: tuple[float, float]):
         prior = uniform_grid(size, interval)
@@ -204,41 +200,24 @@ class _Grid:
         self.log_prior = _log_weights(prior)
         self.phis = self.nodes * math.pi
         self.coarse = self.phis[::FINE_NODES]
-        step = (self.nodes[-1] - self.nodes[0]) / (size - 1) * math.pi
-        self.fine = np.arange(FINE_NODES) * step
-        for a in (self.nodes, self.log_prior, self.phis, self.coarse,
-                  self.fine):
+        self.step = (self.nodes[-1] - self.nodes[0]) / (size - 1) * math.pi
+        for a in (self.nodes, self.log_prior, self.phis, self.coarse):
             a.flags.writeable = False
-        self.tables: dict[float, np.ndarray] = {}   # t -> [cos B, sin B]
-        self.lock = threading.Lock()                # held to change tables
-
-    def fine_tables(self, times: list[float]) -> list[np.ndarray]:
-        """The table of each time, made where `tables` has none.  Another
-        thread may clear `tables` at any time, so what this call finds or
-        makes is what it returns."""
-        tables = self.tables
-        found = [tables.get(t) for t in times]
-        new = list(dict.fromkeys(
-            t for t, table in zip(times, found) if table is None))
-        if not new:
-            return found
-        b = np.multiply.outer(np.multiply(new, 0.5), self.fine)
-        made = np.stack((np.cos(b), np.sin(b)), axis=1)
-        made.flags.writeable = False
-        made = dict(zip(new, made))
-        with self.lock:
-            if len(tables) + len(made) > ROW_BUDGET:
-                tables.clear()
-                tables.update((t, table) for t, table in zip(times, found)
-                              if table is not None)
-            tables.update(made)
-        return [made[t] if table is None else table
-                for t, table in zip(times, found)]
 
 
 # The grids of the last few (grid size, prior interval) pairs refit was
 # called with; uniform_grid's errors are raised, not kept.
 _grid = lru_cache(maxsize=8)(_Grid)
+
+
+@lru_cache(maxsize=ROW_BUDGET)
+def _fine_table(step: float, t: float) -> np.ndarray:
+    """The read-only table [cos B, sin B] of time `t` on every grid of node
+    spacing `step` (radians): B_l = (t / 2) * (l * step) for l < FINE_NODES."""
+    b = (0.5 * t) * (np.arange(FINE_NODES) * step)
+    table = np.stack((np.cos(b), np.sin(b)))
+    table.flags.writeable = False
+    return table
 
 
 class _AngleSumRows:
@@ -305,8 +284,9 @@ class _AngleSumRows:
         # RWPE records share their times, entry for entry: the tables the
         # last record put in place are often the ones this record needs.
         if times != self.filled:
-            for k, table in enumerate(self.grid.fine_tables(times)):
-                cos_sin_b[k] = table
+            step = self.grid.step
+            for k, t in enumerate(times):
+                cos_sin_b[k] = _fine_table(step, t)
             self.filled = times
         np.matmul(sin_cos_a, cos_sin_b,
                   out=buf.reshape(len(times), -1, FINE_NODES))
@@ -346,48 +326,38 @@ def _blocks(records: Sequence[ShotRecord]) -> Iterator[list[ShotRecord]]:
     yield block
 
 
-def _finite_products(cols: np.ndarray) -> np.ndarray:
-    """Whether each entry's t * phi_inv (radians) is finite, for finite
-    columns: where it overflows, so does the likelihood's argument."""
-    with np.errstate(over="ignore"):
-        return np.isfinite(cols[0] * cols[1])
-
-
-def _record_columns(rec: ShotRecord, grid_size: int,
-                    width: float) -> np.ndarray:
-    """One record's evidence columns (`_columns`), after `refit`'s checks:
-    the record has evidence, every time and angle is finite, so is every
-    likelihood argument's product t * phi_inv (in radians), and the grid
-    has MIN_NODES_PER_PERIOD nodes per likelihood period."""
-    if not rec.evidence:
-        raise ValueError(f"shot {rec.shot} has no evidence to refit")
-    cols = _columns(evidence_from_record(rec))
+def _fault(cols: np.ndarray, grid_size: int, width: float) -> str | None:
+    """What keeps evidence columns (`_columns`) from a refit on a grid of
+    `grid_size` nodes over an interval `width` wide (units of pi), as the
+    text that follows `shot N: `, or None: the first entry whose time or
+    angle is not finite, else the first whose likelihood argument's product
+    t * phi_inv (in radians) overflows, else a grid with fewer than
+    MIN_NODES_PER_PERIOD nodes per likelihood period of the largest |t|."""
     finite = np.isfinite(cols[:2]).all(axis=0)
     if not finite.all():
-        raise ValueError(f"shot {rec.shot}: evidence entry "
-                         f"{finite.argmin()} is not finite")
-    finite = _finite_products(cols)
+        return f"evidence entry {finite.argmin()} is not finite"
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(cols[0] * cols[1])
     if not finite.all():
-        raise ValueError(f"shot {rec.shot}: evidence entry {finite.argmin()} "
-                         "has t * phi_inv * pi beyond the float range")
+        return (f"evidence entry {finite.argmin()} has t * phi_inv * pi "
+                "beyond the float range")
     t = float(np.abs(cols[0]).max())
     # A factor of time t has period 2/|t| in units of pi.
     if 2.0 * (grid_size - 1) < MIN_NODES_PER_PERIOD * t * width:
         # inf if t * width overflows (np.ceil, unlike math.ceil, keeps it).
         need = np.ceil(MIN_NODES_PER_PERIOD * t * width / 2.0) + 1
-        raise ValueError(
-            f"shot {rec.shot}: |t| = {t:.6g} needs a grid of at least "
-            f"{need:.0f} nodes ({MIN_NODES_PER_PERIOD} per likelihood period "
-            f"2/|t|), got {grid_size}")
-    return cols
+        return (f"|t| = {t:.6g} needs a grid of at least {need:.0f} nodes "
+                f"({MIN_NODES_PER_PERIOD} per likelihood period 2/|t|), "
+                f"got {grid_size}")
+    return None
 
 
 def _block_columns(block: list[ShotRecord], lengths: list[int],
                    grid_size: int, width: float) -> np.ndarray:
-    """The block's evidence columns, record after record: those of
-    `_record_columns`, converted and checked for the whole block at once.
-    When the block fails a check, `_record_columns` goes through it record
-    by record and so raises the first failing record's first error."""
+    """The block's evidence columns (`_columns`), record after record,
+    converted and checked for the whole block at once.  When the block
+    fails, its records are converted and checked one by one, so the error
+    raised is the first failing record's first one."""
     try:
         cols = np.fromiter(chain.from_iterable([
             (float(t), float(p) * math.pi, int(d))
@@ -397,11 +367,15 @@ def _block_columns(block: list[ShotRecord], lengths: list[int],
         cols = None
     # (6 |t|) * width rounds monotonically in |t|, so the largest |t| of
     # the block fails the nodes-per-period check when any record does.
-    if (cols is None or 0 in lengths or not np.isfinite(cols[:2]).all()
-            or not _finite_products(cols).all() or 2.0 * (grid_size - 1)
-            < MIN_NODES_PER_PERIOD * float(np.abs(cols[0]).max()) * width):
-        cols = np.concatenate([_record_columns(rec, grid_size, width)
-                               for rec in block], axis=1)
+    if (cols is None or 0 in lengths
+            or _fault(cols, grid_size, width) is not None):
+        for rec in block:
+            if not rec.evidence:
+                raise ValueError(f"shot {rec.shot} has no evidence to refit")
+            fault = _fault(_columns(evidence_from_record(rec)), grid_size,
+                           width)
+            if fault is not None:
+                raise ValueError(f"shot {rec.shot}: {fault}")
     return cols
 
 

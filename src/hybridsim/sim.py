@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import bisect
 import enum
-import hashlib
+import itertools
 import json
 import linecache
 import math
 import operator
 import random
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -226,53 +225,41 @@ def derive_shot_seed(seed: int, shot_index: int) -> int:
     return _mix64(_mix64(seed & _MASK64) ^ (shot_index & _MASK64))
 
 
-# Compile caches.  Each program object keeps its generated source, file
-# name, line table and static values in `HybridProgram.generated`, per mode
-# and noise switch, so two equal programs keep their own HIR line numbers.
-# `_code` keeps the code object of each source text; a source stays in
-# `linecache`, so that tracebacks show the generated lines, for as long as
-# a code object compiled from it lives.
+# Compile caches.  Each program object keeps its generated source, line
+# table and static values in `HybridProgram.generated`, per mode and noise
+# switch, so two equal programs keep their own HIR line numbers.  `_code`
+# keeps the code object of each source text and program name.  Each code
+# object it compiles has a file name of its own, `<hir NAME:N>`, under which
+# its source stays in `linecache`, so that tracebacks show the generated
+# lines, for as long as the code object lives.
 
 _CACHE_SIZE = 128
-_line_refs: dict[str, int] = {}
-# Reentrant, because a finalizer can run on the thread that holds it.
-_line_lock = threading.RLock()
+_file_numbers = itertools.count()
 
 
 def _generated(program: hir.HybridProgram, cfg: ExecConfig, domain: Domain):
-    """(source, file name, line table, static namespace) of `program` under
-    `cfg`'s mode and noise switch.  Threads that miss at once generate equal
+    """(source, line table, static namespace) of `program` under `cfg`'s
+    mode and noise switch.  Threads that miss at once generate equal
     entries, and either may stay."""
     key = (cfg.classical_mode, cfg.noise is not None)
     entry = program.generated.get(key)
     if entry is None:
         gen = Generator(program, domain, key[1])
-        digest = hashlib.sha1(gen.source.encode()).hexdigest()[:10]
-        entry = program.generated[key] = (
-            gen.source, f"<hir {program.name}:{digest}>", gen.where, gen.static)
+        entry = program.generated[key] = (gen.source, gen.where, gen.static)
     return entry
 
 
-def _release_lines(filename: str):
-    with _line_lock:
-        _line_refs[filename] -= 1
-        if not _line_refs[filename]:
-            del _line_refs[filename]
-            linecache.cache.pop(filename, None)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def _code(source: str, filename: str) -> CodeType:
-    """The code object of the function `source` defines."""
+def _code(source: str, name: str) -> CodeType:
+    """The code object of the function `source` defines, compiled under the
+    file name `<hir NAME:N>`, which no other code object has: its
+    `linecache` entry goes when it does."""
+    filename = f"<hir {name}:{next(_file_numbers)}>"
     module = compile(source, filename, "exec")
     code = next(c for c in module.co_consts if isinstance(c, CodeType))
-    with _line_lock:
-        if filename not in _line_refs:
-            _line_refs[filename] = 0
-            linecache.cache[filename] = (len(source), None,
-                                         source.splitlines(True), filename)
-        _line_refs[filename] += 1
-    weakref.finalize(code, _release_lines, filename)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    weakref.finalize(code, linecache.cache.pop, filename, None)
     return code
 
 
@@ -284,17 +271,18 @@ _SHOT_FAILURES = (DivideByZero, StepLimitExceeded, ArithmeticError, ValueError)
 
 class CompiledProgram:
     """A program compiled for one configuration.  `shot` runs one shot of
-    the generated function `run`; `source` is its text, registered in
-    `linecache` under `filename` so tracebacks show the generated lines.
-    The generator the shots draw from is reseeded by every shot, so a
-    compiled program runs one shot at a time."""
+    the generated function `run`; `source` is its text, kept in `linecache`
+    under `filename` (its code object's own, `<hir NAME:N>`) while `run`
+    lives, so tracebacks show the generated lines.  The generator the shots
+    draw from is reseeded by every shot, so a compiled program runs one
+    shot at a time."""
 
     def __init__(self, program: hir.HybridProgram, cfg: ExecConfig):
         domain = select_domain(cfg.classical_mode)
-        self.source, self.filename, self.where, static = \
-            _generated(program, cfg, domain)
-        self.run = FunctionType(_code(self.source, self.filename),
+        self.source, self.where, static = _generated(program, cfg, domain)
+        self.run = FunctionType(_code(self.source, program.name),
                                 namespace(static, domain, cfg.noise))
+        self.filename = self.run.__code__.co_filename
         self.nqubits = program.qubits
         self._rng = random.Random(0)
         # The C generator's own seed: `Random.seed` adds only argument checks

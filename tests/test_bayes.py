@@ -1,11 +1,13 @@
 """Grid posterior and offline refit."""
 
+import gc
 import math
 import random
 import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -482,10 +484,10 @@ def test_refit_estimates_do_not_depend_on_blocking_or_cache_state():
     whole = refit(records).per_shot
     for size in (1, 7, 10):
         assert _sliced(records, size) == whole
-    # A refit on another grid keeps its own tables ...
+    # A refit on a grid of another node spacing adds tables of its own ...
     refit(records[:3], grid_size=4001, prior_interval=(0.0, 1.0))
     assert refit(records).per_shot == whole
-    # ... and a call whose fresh times overflow the row budget clears the
+    # ... and a call whose fresh times overflow the row budget evicts the
     # default grid's tables, some of them in the middle of a block.
     refit(_fresh_times(records, bayes.ROW_BUDGET + 20))
     assert refit(records).per_shot == whole
@@ -525,18 +527,41 @@ def test_refit_is_reentrant():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == serial
-    assert len(bayes._grid(2001, (-1.0, 1.0)).tables) <= bayes.ROW_BUDGET
+    assert bayes._fine_table.cache_info().currsize <= bayes.ROW_BUDGET
 
 
 def test_refit_shares_its_grid_read_only():
-    refit(sim.run_shots(build_rwpe(), ExecConfig(seed=20, shots=1)))
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=20, shots=1))
+    refit(records)
     grid = bayes._grid(2001, (-1.0, 1.0))
-    assert len(grid.tables) >= 24
     assert bayes._grid(2001, (-1.0, 1.0)) is grid
-    for a in (grid.nodes, grid.log_prior, grid.phis, grid.coarse, grid.fine,
-              *grid.tables.values()):
+    hits = bayes._fine_table.cache_info().hits
+    table = bayes._fine_table(grid.step, float(records[0].evidence[-1][0]))
+    assert bayes._fine_table.cache_info().hits == hits + 1
+    for a in (grid.nodes, grid.log_prior, grid.phis, grid.coarse, table):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+def test_refit_tables_pin_no_grid():
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=20, shots=1))
+    refit(records)
+    grid = weakref.ref(bayes._grid(2001, (-1.0, 1.0)))
+    for size in range(2002, 2010):
+        refit(records, grid_size=size)
+    gc.collect()
+    assert grid() is None
+
+
+def test_grids_of_equal_node_spacing_share_their_tables():
+    records = sim.run_shots(build_rwpe(), ExecConfig(seed=21, shots=2))
+    refit(records, prior_interval=(-1.0, 1.0))
+    before = bayes._fine_table.cache_info()
+    shared = refit(records, prior_interval=(0.0, 2.0))
+    after = bayes._fine_table.cache_info()
+    assert after.hits >= before.hits + 24 and after.misses == before.misses
+    bayes._fine_table.cache_clear()
+    assert refit(records, prior_interval=(0.0, 2.0)) == shared
 
 
 def test_refit_raises_the_first_failing_records_error_within_a_block():

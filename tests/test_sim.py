@@ -669,6 +669,20 @@ def test_linecache_is_bounded_and_keeps_live_programs():
         traceback.format_exception(err.value.cause))
 
 
+def test_each_code_object_keeps_its_own_linecache_entry():
+    prog = hir.parse(_DIVIDES_IN_BLOCK_WORK)
+    first = sim.compile_program(prog, ExecConfig())
+    sim._code.cache_clear()
+    second = sim.compile_program(prog, ExecConfig())
+    assert first.run.__code__ is not second.run.__code__
+    assert first.filename != second.filename
+    both = set(_linecache_entries())
+    assert {first.filename, second.filename} <= both
+    dropped = first.filename
+    del first
+    assert both - set(_linecache_entries()) == {dropped}
+
+
 # Differential test: the generated engine against the reference interpreter
 # on random programs with control flow.  Blocks form a chain; each ends in a
 # `br` or a `condbr` to later blocks, on a bit just measured or just

@@ -10,10 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _untested(*args):
+def _untested(*args, tests="tests/test_profiles.py"):
     return subprocess.run(
-        [sys.executable, "tools/untested.py", "-q", "tests/test_profiles.py",
-         *args], cwd=ROOT, capture_output=True, text=True, timeout=120)
+        [sys.executable, "tools/untested.py", "-q", tests, *args], cwd=ROOT,
+        capture_output=True, text=True, timeout=120)
 
 
 def test_untested_lists_statements_that_never_ran():
@@ -31,6 +31,34 @@ def test_untested_lists_statements_that_never_ran():
     assert any(line.startswith("src/hybridsim/hist.py:") for line in listed)
     # The exit status is pytest's: 5 when no test was selected.
     assert _untested("-k", "no_such_test").returncode == 5
+
+
+# Each example calls one of several fixed-point functions, so the
+# statements of the package that run depend on what hypothesis draws.
+_DRAWN = """
+from hypothesis import given, settings, strategies as st
+from hybridsim import fixedpoint as fx
+
+OPS = [fx.wrap_raw, fx.decode, fx.neg_raw, fx.to_radians, fx.check_int_range,
+       fx.recip_raw, lambda x: fx.mul_raw(x, x), lambda x: fx.add_raw(x, x),
+       lambda x: fx.sub_raw(x, 1), lambda x: fx.div_raw(1, x)]
+
+
+@settings(max_examples=3)
+@given(st.sampled_from(OPS), st.integers(1, 2 ** 16))
+def test_drawn(op, x):
+    op(x)
+"""
+
+
+def test_untested_lists_the_same_statements_on_every_run(tmp_path):
+    drawn = tmp_path / "test_drawn.py"
+    drawn.write_text(_DRAWN, encoding="utf-8")
+    first, second = (_untested(tests=str(drawn)) for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stdout
+    listed = [[line for line in done.stdout.splitlines()
+               if line.startswith("src/")] for done in (first, second)]
+    assert listed[0] and listed[0] == listed[1]
 
 
 def test_untested_skips_what_runs_only_as_a_script():

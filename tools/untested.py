@@ -17,9 +17,10 @@ counts as run, and statements that share a line share its fate.  Code the
 engine generates at run time has no file under `src/`, so it is not traced.
 
 The run writes nothing into the repository: pytest's cache provider is off,
-no bytecode is written, and hypothesis keeps no example database.  The
-`coverage` package gives the same answer with more options; this needs
-nothing beyond pytest.
+no bytecode is written, and hypothesis keeps no example database.
+Hypothesis runs derandomized, so two runs of the same tests draw the same
+examples and list the same statements.  The `coverage` package gives the
+same answer with more options; this needs nothing beyond pytest.
 """
 
 from __future__ import annotations
@@ -83,14 +84,14 @@ def untested(ran: dict[str, set[int]]) -> list[str]:
     return out
 
 
-class _NoExampleDatabase:
+class _HypothesisProfile:
     """A pytest plugin: hypothesis keeps no examples under the directory the
-    run starts in."""
+    run starts in, and draws the same examples on every run."""
 
     @staticmethod
     def pytest_configure(config):
         from hypothesis import settings
-        settings.register_profile("untested", database=None)
+        settings.register_profile("untested", database=None, derandomize=True)
         settings.load_profile("untested")
 
 
@@ -117,7 +118,7 @@ def main(args: list[str]) -> int:
     sys.settrace(trace)
     try:
         status = pytest.main([*args, "-p", "no:cacheprovider"],
-                             plugins=[_NoExampleDatabase])
+                             plugins=[_HypothesisProfile])
     finally:
         sys.settrace(None)
         threading.settrace(None)
