@@ -21,40 +21,51 @@ accuracy next to a zero of the likelihood, where the one-cosine form
 `refit` would spend most of its time on those sines, so it forms each
 record's row by angle addition instead.  Its grid is uniform, so node
 j = 128h + l lies at phi_j = phi_128h + l * step.  For each distinct
-evolution time (RWPE records the same 24 in every shot), the tables
-cos B_l and sin B_l, B_l = l * step * t / 2 for l < 128, are built once per
-process and node spacing, and the last ROW_BUDGET are kept; a record whose
-times equal the previous record's, entry for entry, reuses the tables
-already in place.  Each entry then costs a sine and a cosine of its coarse
-arguments A_h = (phi_128h - phi_inv) * t / 2 + s only (16 of them on the
-default 2001-node grid), and its whole row
+evolution time (RWPE records the same 24 in every shot) it builds two
+tables once per process: cos B_l and sin B_l, B_l = l * step * t / 2 for
+l < 128, shared by every grid of the same node spacing; and, per grid, the
+sine and cosine of C_h = phi_128h * t / 2 at each coarse node (16 of them
+on the default 2001-node grid).  An entry's coarse arguments
+A_h = (phi_128h - phi_inv) * t / 2 + s = C_h - q, with
+q = phi_inv * t / 2 - s, then take one sine and one cosine of q and an
+angle subtraction against the coarse table, and its whole row
 sin(A_h + B_l) = sin A_h cos B_l + cos A_h sin B_l is one batched matrix
-product.  Angle addition is accurate only in absolute terms, so every
-factor below 1e-6 (|sine| < 1e-3) is recomputed, floored and logged by the
-direct form.  Every other factor is at least 1e-6, so the record's factors
-at a node are multiplied, 32 at a time, before one log: a product of 32
-cannot underflow.  Each record's row is evaluated once: the per-shot
-posterior normalises log prior + row, and the pooled posterior normalises
+product with the fine tables.  Records of a block whose times equal the
+previous record's, entry for entry (as RWPE's do), share one gather of
+each kind of table and one product over the coarse ones.  Angle addition
+and subtraction are accurate only in absolute terms, so every factor below
+1e-6 (|sine| < 1e-3) is recomputed, floored and logged by the direct form.
+Every other factor is at least 1e-6, so the record's factors at a node are
+multiplied, 32 at a time, before one log: a product of 32 cannot
+underflow.  Each record's row is evaluated once: the per-shot posterior
+normalises log prior + row, and the pooled posterior normalises
 log prior + the sum of all rows.
 
 What `refit` keeps, and for how long:
 
 - Per process: for each of the last 8 (grid size, prior interval) pairs,
-  the grid's nodes, log prior, nodes in radians and coarse nodes; and the
-  last ROW_BUDGET per-time tables (2 kB each), shared by every grid of the
-  same node spacing.  All are read-only and shared by every call, in any
-  thread, so a one-record call pays for its record, not for its grid.
+  the grid's nodes, log prior, nodes in radians and coarse nodes; the last
+  ROW_BUDGET fine tables (2 kB each), shared by every grid of the same
+  node spacing (512 kB in all); and the last ROW_BUDGET coarse tables, one
+  per grid and time, of 4 doubles (32 B) per coarse node: 512 B each on
+  the default grid (128 kB in all), 4 kB on a 16001-node grid (1 MB in
+  all), so their bound grows with the grid.  All are read-only and shared
+  by every call, in any thread, so a one-record call pays for its record,
+  not for its grid.
 - Per call: one record's buffers, sized by the longest record so far
-  (24 x 2048 doubles for RWPE, 393 kB), and the pooled row.
+  (for RWPE 24 x 2048 doubles, 393 kB, and as many near-zero flags), and
+  the pooled row.
 - Per block of at most BLOCK_ENTRIES evidence entries (ten RWPE records;
-  a longer record is a block of its own): the evidence columns, built by
-  one `np.fromiter` pass and checked by one vectorised pass (a block that
-  fails is gone through again record by record, so the error is the first
-  failing record's); the sines and cosines of all its coarse arguments;
-  and its rows (10 x 2001 doubles, 160 kB).  Per record there remain the
-  matrix product, the search for near-zero factors and the products and
-  logs.  The block's near-zero factors are recomputed by one direct-form
-  call and added to their rows by one `bincount`, and every per-shot
+  a longer record is a block of its own): the evidence columns, each built
+  in one vectorised step (floats as they are, Q2.16 boxes from their raw
+  words; any other column one `float` or `int` call per value) and checked
+  by one vectorised pass (a block that fails is gone through again record
+  by record, so the error is the first failing record's); the tables of
+  its times and the sines and cosines of all its coarse arguments; and its
+  rows (10 x 2001 doubles, 160 kB).  Per record there remain the matrix
+  product, the search for near-zero factors and the products and logs.
+  The block's near-zero factors are recomputed by one direct-form call and
+  added to their rows by one sort and one `bincount`, and every per-shot
   posterior of the block is normalised in one pass over its rows.
 
 Every floating-point reduction keeps the order of a record-at-a-time
@@ -70,11 +81,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegeneratePosterior
+from .fixedpoint import FixedQ216, decode
 from .sim import ShotRecord
 
 LOG_FLOOR = -745.0
@@ -85,7 +98,8 @@ MIN_NODES_PER_PERIOD = 6
 # `refit`'s angle-addition rows: grid nodes per coarse node; the factor
 # below which an element is recomputed by the direct form (|sine| < 1e-3);
 # the rows multiplied before one log (NEAR_ZERO ** 32 = 1e-192 is far from
-# underflow); and the most per-time tables (2 kB each) the process keeps.
+# underflow); and the most per-time tables of each kind the process keeps
+# (fine ones take 2 kB each, coarse ones 32 B per coarse node).
 FINE_NODES = 128
 NEAR_ZERO = 1e-6
 PRODUCT_ROWS = 32
@@ -201,6 +215,7 @@ class _Grid:
         self.phis = self.nodes * math.pi
         self.coarse = self.phis[::FINE_NODES]
         self.step = (self.nodes[-1] - self.nodes[0]) / (size - 1) * math.pi
+        self.size, self.interval = size, interval
         for a in (self.nodes, self.log_prior, self.phis, self.coarse):
             a.flags.writeable = False
 
@@ -220,6 +235,37 @@ def _fine_table(step: float, t: float) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=ROW_BUDGET)
+def _coarse_table(size: int, interval: tuple[float, float],
+                  t: float) -> np.ndarray:
+    """The read-only table of time `t` on the grid `_grid(size, interval)`
+    that gives an entry's [sin A_h, cos A_h] as table[0] * cos q +
+    table[1] * sin q: table[0] = [sin C_h, cos C_h] and table[1] =
+    [-cos C_h, sin C_h], C_h = coarse_h * (t / 2), one row per coarse node."""
+    c = _grid(size, interval).coarse * (0.5 * t)
+    sin_c, cos_c = np.sin(c), np.cos(c)
+    table = np.stack((np.stack((sin_c, cos_c), axis=-1),
+                      np.stack((-cos_c, sin_c), axis=-1)))
+    table.flags.writeable = False
+    return table
+
+
+def _runs(times: list[float], lengths: list[int]) -> list[list[int]]:
+    """[first entry, entries per record, records] of each run of records
+    in a block whose times equal the run's first record's, entry for
+    entry; `lengths` gives each record's entries, `times` all of them."""
+    runs, end = [], 0
+    for m in lengths:
+        start, end = end, end + m
+        run = runs[-1] if runs else None
+        if (run and run[1] == m
+                and times[start:end] == times[run[0]:run[0] + m]):
+            run[2] += 1
+        else:
+            runs.append([start, m, 1])
+    return runs
+
+
 class _AngleSumRows:
     """`_log_factors` on a uniform grid by angle addition (see the module
     docstring).  One instance serves one `refit` call and holds its scratch
@@ -228,68 +274,69 @@ class _AngleSumRows:
     def __init__(self, grid: _Grid):
         self.grid = grid
         self.entries = 0                            # rows the buffers hold
-        self.filled = None              # the times cos_sin_b holds tables of
 
     def _buffers(self, entries: int):
         if entries > self.entries:
-            coarse = len(self.grid.coarse)
-            self.cos_sin_b = np.empty((entries, 2, FINE_NODES))
-            self.buf = np.empty((entries, coarse * FINE_NODES))
+            width = len(self.grid.coarse) * FINE_NODES
+            self.buf = np.empty((entries, width))
             self.near = np.empty(self.buf.shape, dtype=bool)
             self.entries = entries
-            self.filled = None
-        return (self.cos_sin_b[:entries], self.buf[:entries],
-                self.near[:entries])
+        return self.buf[:entries], self.near[:entries]
 
     def __call__(self, cols: np.ndarray, lengths: list[int]) -> np.ndarray:
         """The rows of a block's records, one per record: `cols` holds the
         block's evidence columns (`_columns`), record after record, and
         `lengths` each record's number of entries."""
         grid = self.grid
-        n = len(grid.phis)
-        t, phi_inv, d = cols
-        a = np.subtract(grid.coarse, phi_inv[:, None])
-        a *= (0.5 * t)[:, None]
-        a += np.where(d == 0, 0.5 * math.pi, 0.0)[:, None]
-        sin_cos_a = np.empty(a.shape + (2,))
-        np.sin(a, out=sin_cos_a[:, :, 0])
-        np.cos(a, out=sin_cos_a[:, :, 1])
-        del a                   # not kept while the rows are formed
-        times = t.tolist()
-        width = len(grid.coarse) * FINE_NODES
-        rows = np.empty((len(lengths), n))
-        near = []               # flat indices into the block's entries x width
-        end = 0
-        for row, m in zip(rows, lengths):
-            start, end = end, end + m
-            k = self._row(row, sin_cos_a[start:end], times[start:end])
-            near.append(k + start * width)
-        # Every near-zero factor of the block, by the direct form, added to
-        # its record's row at its node: sums in the order of `near`, which
-        # within a record is the order of its entries and nodes.  The bins
-        # are the positions repaired, not all of `rows`: a rows-sized
-        # temporary would add a block's rows to the peak memory.
-        i, j = np.divmod(np.concatenate(near), width)
-        repaired = _direct_log_factors(grid.phis[j], t[i], phi_inv[i], d[i])
-        owner = np.repeat(np.arange(len(lengths)), lengths)[i]
-        at, slot = np.unique(owner * n + j, return_inverse=True)
-        rows.reshape(-1)[at] += np.bincount(slot, repaired, len(at))
+        times = cols[0].tolist()
+        runs = _runs(times, lengths)
+        sin_cos_a = self._setup(cols, times, runs)
+        width = sin_cos_a.shape[1] * FINE_NODES
+        rows = np.empty((len(lengths), len(grid.phis)))
+        near = []       # each record's flat indices into its entries x width
+        records = iter(rows)
+        for start, m, count in runs:
+            # The fine tables of the run's times, shared by its records.
+            cos_sin_b = np.array([_fine_table(grid.step, x)
+                                  for x in times[start:start + m]])
+            for e in range(start, start + m * count, m):
+                k = self._row(next(records), sin_cos_a[e:e + m], cos_sin_b)
+                near.append(k + e * width)
+        self._repair(rows, cols, lengths,
+                     np.divmod(np.concatenate(near), width))
         return rows
 
-    def _row(self, row, sin_cos_a, times) -> np.ndarray:
+    def _setup(self, cols: np.ndarray, times: list[float],
+               runs: list[list[int]]) -> np.ndarray:
+        """[sin A_h, cos A_h] of each entry's coarse arguments, by angle
+        subtraction: A_h = C_h - q, q = phi_inv * (t / 2) - s, from the
+        tables of its time (`_coarse_table`) and the cosine and sine of q;
+        the records of a run (`_runs`) share one gather of tables and one
+        product over all of them."""
+        grid = self.grid
+        t, phi_inv, d = cols
+        q = phi_inv * (0.5 * t)
+        q -= np.where(d == 0, 0.5 * math.pi, 0.0)
+        cos_q, sin_q = np.cos(q), np.sin(q)
+        coarse = len(grid.coarse)
+        sin_cos_a = np.empty((len(q), coarse, 2))
+        for start, m, count in runs:
+            end = start + m * count
+            tables = np.array([_coarse_table(grid.size, grid.interval, x)
+                               for x in times[start:start + m]])
+            a = sin_cos_a[start:end].reshape(count, m, coarse, 2)
+            np.multiply(tables[:, 0], cos_q[start:end].reshape(count, m, 1, 1),
+                        out=a)
+            a += tables[:, 1] * sin_q[start:end].reshape(count, m, 1, 1)
+        return sin_cos_a
+
+    def _row(self, row, sin_cos_a, cos_sin_b):
         """Fill `row` with the record's row but for its near-zero factors,
         and return where those lie in its entries x width buffer, flat."""
         n = len(row)
-        cos_sin_b, buf, near = self._buffers(len(times))
-        # RWPE records share their times, entry for entry: the tables the
-        # last record put in place are often the ones this record needs.
-        if times != self.filled:
-            step = self.grid.step
-            for k, t in enumerate(times):
-                cos_sin_b[k] = _fine_table(step, t)
-            self.filled = times
-        np.matmul(sin_cos_a, cos_sin_b,
-                  out=buf.reshape(len(times), -1, FINE_NODES))
+        m = len(sin_cos_a)
+        buf, near = self._buffers(m)
+        np.matmul(sin_cos_a, cos_sin_b, out=buf.reshape(m, -1, FINE_NODES))
         np.square(buf, out=buf)
         buf[:, n:] = 1.0                  # nodes past the grid's end
         k = np.flatnonzero(np.less(buf, NEAR_ZERO, out=near))
@@ -297,9 +344,29 @@ class _AngleSumRows:
         # Every factor left is at least NEAR_ZERO, so a product of
         # PRODUCT_ROWS of them cannot underflow: one log per node and block.
         np.log(buf[:PRODUCT_ROWS].prod(axis=0)[:n], out=row)
-        for r in range(PRODUCT_ROWS, len(times), PRODUCT_ROWS):
+        for r in range(PRODUCT_ROWS, m, PRODUCT_ROWS):
             row += np.log(buf[r:r + PRODUCT_ROWS].prod(axis=0)[:n])
         return k
+
+    def _repair(self, rows, cols, lengths, near):
+        """Every near-zero factor of the block (`near`: their entries in the
+        block and their nodes), by the direct form, added to its record's
+        row at its node: sums in the order of `near`, which within a record
+        is the order of its entries and nodes.  The bins are the positions
+        repaired, found by a sort, not all of `rows`: a rows-sized
+        temporary would add a block's rows to the peak memory."""
+        i, j = near
+        t, phi_inv, d = cols[:, i]
+        repaired = _direct_log_factors(self.grid.phis[j], t, phi_inv, d)
+        owner = np.repeat(np.arange(len(lengths)), lengths)[i]
+        at = owner * rows.shape[1] + j
+        ordered = np.sort(at)
+        first = np.empty(len(ordered), dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        bins = ordered[first]
+        rows.reshape(-1)[bins] += np.bincount(np.searchsorted(bins, at),
+                                              repaired, len(bins))
 
 
 def posterior(ev: EvidenceRecord, grid: PosteriorGrid) -> PosteriorGrid:
@@ -333,15 +400,22 @@ def _fault(cols: np.ndarray, grid_size: int, width: float) -> str | None:
     angle is not finite, else the first whose likelihood argument's product
     t * phi_inv (in radians) overflows, else a grid with fewer than
     MIN_NODES_PER_PERIOD nodes per likelihood period of the largest |t|."""
-    finite = np.isfinite(cols[:2]).all(axis=0)
-    if not finite.all():
-        return f"evidence entry {finite.argmin()} is not finite"
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(cols[0] * cols[1])
-    if not finite.all():
-        return (f"evidence entry {finite.argmin()} has t * phi_inv * pi "
-                "beyond the float range")
-    t = float(np.abs(cols[0]).max())
+    # The largest |t| and |phi_inv| (nan when a column holds one).  No
+    # entry's product exceeds theirs, so only when theirs is not finite are
+    # the entries gone through.
+    (t_lo, phi_lo), (t_hi, phi_hi) = (cols[:2].min(axis=1).tolist(),
+                                      cols[:2].max(axis=1).tolist())
+    t = max(-t_lo, t_hi)
+    if not math.isfinite(t * max(-phi_lo, phi_hi)):
+        finite = np.isfinite(cols[:2])
+        if not finite.all():
+            return (f"evidence entry {finite.all(axis=0).argmin()} is not "
+                    "finite")
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(cols[0] * cols[1])
+        if not finite.all():
+            return (f"evidence entry {finite.argmin()} has t * phi_inv * pi "
+                    "beyond the float range")
     # A factor of time t has period 2/|t| in units of pi.
     if 2.0 * (grid_size - 1) < MIN_NODES_PER_PERIOD * t * width:
         # inf if t * width overflows (np.ceil, unlike math.ceil, keeps it).
@@ -352,17 +426,38 @@ def _fault(cols: np.ndarray, grid_size: int, width: float) -> str | None:
     return None
 
 
+_evidence = attrgetter("evidence")
+_raw = attrgetter("raw")
+
+
+def _column(values: tuple, kind: type = float) -> np.ndarray:
+    """`kind` of each value, as a float: a column of `kind` as it is, a
+    column of Q2.16 boxes from their words in one step (`decode`, as
+    `FixedQ216.__float__` does it), and any other column one `kind` call
+    per value."""
+    n, kinds = len(values), set(map(type, values))
+    if kinds == {FixedQ216} and kind is float:
+        return decode(np.fromiter(map(_raw, values), float, n))
+    return np.fromiter(values if kinds == {kind} else map(kind, values),
+                       float, n)
+
+
 def _block_columns(block: list[ShotRecord], lengths: list[int],
                    grid_size: int, width: float) -> np.ndarray:
     """The block's evidence columns (`_columns`), record after record,
-    converted and checked for the whole block at once.  When the block
-    fails, its records are converted and checked one by one, so the error
-    raised is the first failing record's first one."""
+    converted and checked for the whole block at once: a column of floats
+    or of Q2.16 boxes in one vectorised step, any other one value at a
+    time.  When the block fails, its records are converted and checked one
+    by one, so the error raised is the first failing record's first one."""
     try:
-        cols = np.fromiter(chain.from_iterable([
-            (float(t), float(p) * math.pi, int(d))
-            for rec in block for t, p, d in rec.evidence]),
-            float, 3 * sum(lengths)).reshape(-1, 3).T
+        # strict: every entry as long as the first, which must be 3.
+        t, p, d = zip(*chain.from_iterable(map(_evidence, block)),
+                      strict=True)
+        cols = np.empty((3, len(t)))
+        cols[0] = _column(t)
+        with np.errstate(over="ignore"):    # inf, as Python's product is
+            np.multiply(_column(p), math.pi, out=cols[1])
+        cols[2] = _column(d, int)
     except Exception:       # raised again, in record order, below
         cols = None
     # (6 |t|) * width rounds monotonically in |t|, so the largest |t| of
@@ -428,7 +523,13 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
     arr = np.asarray(per_shot)
     mse = raw_mse = None
     if true_value is not None:
-        mse = float(np.mean((arr - true_value) ** 2))
+        mse = _mean((arr - true_value) ** 2)
         if raw is not None:
-            raw_mse = float(np.mean((raw - true_value) ** 2))
-    return RefitResult(tuple(per_shot), pooled, float(arr.mean()), mse, raw_mse)
+            raw_mse = _mean((raw - true_value) ** 2)
+    return RefitResult(tuple(per_shot), pooled, _mean(arr), mse, raw_mse)
+
+
+def _mean(x: np.ndarray) -> float:
+    """`np.mean(x)`, the same sum over the same count, without its Python
+    wrapper: refit is often called on a few records at a time."""
+    return float(np.add.reduce(x, dtype=float) / len(x))

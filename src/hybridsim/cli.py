@@ -4,7 +4,8 @@ Subcommands: run, rwpe, validate, lower, refit, demo-reset, demo-teleport.
 Shared flags: --shots, --seed, --mode {real|fixed}, --noise [p1,p2,pr],
 --bins, --out.  HYBRIDSIM_STEP_LIMIT overrides the per-shot instruction
 budget.  Exit codes: 0 success, 1 parse/validate/input failure, 2 runtime
-failure inside a shot.
+failure inside a shot, or a command line argparse rejects (such as
+`--bins 0`), before any shot runs.
 """
 
 from __future__ import annotations
@@ -45,6 +46,18 @@ def _parse_noise(spec: str | None) -> sim.NoiseModel | None:
         raise ValueError("--noise takes p1,p2,pr")
     return sim.NoiseModel(p_gate1=parts[0], p_gate2=parts[1],
                           p_readout=parts[2])
+
+
+def _bin_count(text: str) -> int:
+    """A histogram's bin count, checked when the arguments are parsed,
+    before any shot runs or any file is written."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return count
 
 
 def _exec_config(args) -> sim.ExecConfig:
@@ -241,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rwpe", help="run the random-walk estimator")
     _add_exec_flags(p, shots=10000)
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", type=_bin_count, default=100)
     p.add_argument("--mu0", type=float, default=0.7951)
     p.add_argument("--sigma0", type=float, default=0.6065)
     p.add_argument("--iters", type=int, default=24)

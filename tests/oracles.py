@@ -556,7 +556,10 @@ def _bare(v):
 def interpret(prog, mode: str, noise, rng, step_limit: int):
     """Run one shot of the program `prog` in classical mode "real" or
     "fixed", with `noise` (an object with p_gate1, p_gate2 and p_readout,
-    or None), drawing from `rng`.  Returns (outputs, evidence, amplitudes, steps).
+    or None), drawing from `rng`.  Returns (outputs, evidence, amplitudes,
+    steps, born): `born` holds, for each evidence entry, the Born
+    probability of outcome 1 just before its measurement's draw (a readout
+    flip comes after it), computed without drawing.
 
     Raises DividedByZero, a ZeroDivisionError naming the block, the line
     and the steps charged, on a zero divisor and OutOfSteps once the steps charged exceed
@@ -586,7 +589,7 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
     regs = {d.name: word(d.init, d.kind) for d in prog.decls}
     state = QuantumState(prog.qubits)
     blocks = {b.label: b for b in prog.blocks}
-    outputs, evidence = [], []
+    outputs, evidence, born = [], [], []
     steps = 0
     block = prog.blocks[0]
     while True:
@@ -600,6 +603,8 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
                 if noise is not None:
                     apply_noise(state, ins.name, ins.qubits, rng, noise)
             elif isinstance(ins, Measure):
+                if ins.record is not None:
+                    born.append(state.born_p1(ins.qubit))
                 regs[ins.dest] = measure(state, ins.qubit, rng, noise)
                 if ins.record is not None:
                     t, phi_inv = ins.record
@@ -626,7 +631,8 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
                            else term.else_target]
         elif isinstance(term, Ret):
             outputs += [(v, boxed(v)) for v in term.values]
-            return tuple(outputs), tuple(evidence), state.amps, steps
+            return (tuple(outputs), tuple(evidence), state.amps, steps,
+                    tuple(born))
         else:
             raise ValueError(f"cannot interpret {term!r}")
 

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hybridsim import bayes, sim
+from hybridsim import fixedpoint as fx
 from hybridsim.algorithms import build_rwpe, runtime_estimate
 from hybridsim.bayes import (EvidenceRecord, PosteriorGrid, log_likelihood,
                              mmse_estimate, posterior, refit, uniform_grid)
@@ -444,6 +446,94 @@ def test_refit_raises_the_first_failing_records_error(records):
         with pytest.raises(ValueError) as raised:
             refit(records, grid_size=CHECK_GRID)
         assert str(raised.value) == expected
+
+
+def _block_columns_per_value(block, lengths, grid_size, width):
+    """`bayes._block_columns` with every value converted by its own `float`
+    or `int` call: the path the vectorised columns must agree with."""
+    try:
+        cols = np.fromiter(chain.from_iterable([
+            (float(t), float(p) * math.pi, int(d))
+            for rec in block for t, p, d in rec.evidence]),
+            float, 3 * sum(lengths)).reshape(-1, 3).T
+    except Exception:
+        cols = None
+    if (cols is None or 0 in lengths
+            or bayes._fault(cols, grid_size, width) is not None):
+        for rec in block:
+            if not rec.evidence:
+                raise ValueError(f"shot {rec.shot} has no evidence to refit")
+            fault = bayes._fault(bayes._columns(
+                bayes.evidence_from_record(rec)), grid_size, width)
+            if fault is not None:
+                raise ValueError(f"shot {rec.shot}: {fault}")
+    return cols
+
+
+def _columns_outcome(fn, block):
+    """The columns `fn` gives for `block` as bytes, or the type and text of
+    what it raises, and the warnings it gave."""
+    lengths = [len(rec.evidence) for rec in block]
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        try:
+            cols = fn(block, lengths, CHECK_GRID, 2.0)
+            got = cols.shape, cols.tobytes()
+        except Exception as e:
+            got = type(e), str(e)
+    return got, [str(w.message) for w in warned]
+
+
+_WORD = st.integers(fx.RAW_MIN, fx.RAW_MAX)
+_NUMBERS = {
+    "float": st.floats(-40.0, 40.0),
+    "odd float": st.floats(),             # non-finite and huge
+    "int": st.integers(-40, 40),
+    "big int": st.integers(),
+    "bool": st.booleans(),
+    "Q2.16": st.builds(fx.FixedQ216, _WORD),
+    "shared Q2.16": _WORD.map(fx.fixed_box),
+    "int18": st.builds(fx.Int18, _WORD),
+    "text": st.sampled_from(["?", "1.5", ""]),
+}
+_BITS = {"int": st.sampled_from([0, 1]), "bool": st.booleans(),
+         "float": st.floats(0.0, 1.0), "big int": st.integers(),
+         "Q2.16": st.builds(fx.FixedQ216, _WORD)}
+
+
+@st.composite
+def evidence_blocks(draw):
+    """A block of up to 12 records whose t, phi_inv and d columns are each
+    of one kind of value more often than not, with now and then a value
+    of another kind or an entry of two or four items."""
+    kinds = [draw(st.sampled_from(sorted(table)))
+             for table in (_NUMBERS, _NUMBERS, _BITS)]
+    mixed = draw(st.booleans())
+
+    def value(table, kind):
+        if mixed and draw(st.integers(0, 5)) == 0:
+            kind = draw(st.sampled_from(sorted(table)))
+        return draw(table[kind])
+
+    records = []
+    for shot in range(draw(st.integers(1, 12))):
+        entries = []
+        for _ in range(draw(st.integers(0 if mixed else 1, 6))):
+            entry = (value(_NUMBERS, kinds[0]), value(_NUMBERS, kinds[1]),
+                     value(_BITS, kinds[2]))
+            if mixed and draw(st.integers(0, 20)) == 0:
+                entry = entry[:2] if draw(st.booleans()) else entry + (0,)
+            entries.append(entry)
+        records.append(sim.ShotRecord(shot, 0, (), tuple(entries)))
+    return records
+
+
+@settings(max_examples=400, deadline=None)
+@given(evidence_blocks())
+def test_vectorised_columns_match_the_per_value_path(block):
+    got, warned = _columns_outcome(bayes._block_columns, block)
+    assert got == _columns_outcome(_block_columns_per_value, block)[0]
+    assert warned == []
 
 
 def test_refit_memory_is_bounded():

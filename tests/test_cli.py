@@ -201,6 +201,24 @@ def test_rwpe_bad_params_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bins", ["0", "-3", "two"])
+def test_rwpe_rejects_bins_below_one_before_running(tmp_path, capsys, bins):
+    prefix = str(tmp_path / "walk")
+    with pytest.raises(SystemExit) as exited:
+        main(["rwpe", "--shots", "5", "--bins", bins, "--out-prefix", prefix])
+    assert exited.value.code == 2
+    assert f"argument --bins: {bins!r} is not an integer >= 1" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rwpe_bins_sets_the_histogram_bins(tmp_path):
+    prefix = str(tmp_path / "walk")
+    assert main(["rwpe", "--shots", "3", "--bins", "7",
+                 "--out-prefix", prefix]) == 0
+    assert len(open(prefix + ".hist.csv").read().splitlines()) == 1 + 7
+
+
 def test_rwpe_single_shot_single_bin(tmp_path):
     prefix = str(tmp_path / "one")
     assert main(["rwpe", "--shots", "1", "--seed", "4",

@@ -202,7 +202,7 @@ def _reference(prog, cfg, shot_index):
     """(record, amplitudes, steps) of one shot through the reference
     interpreter, drawing from the engine's per-shot generator."""
     shot_seed = sim.derive_shot_seed(cfg.seed, shot_index)
-    outputs, evidence, amps, steps = oracles.interpret(
+    outputs, evidence, amps, steps, _ = oracles.interpret(
         prog, cfg.classical_mode.value, cfg.noise,
         random.Random(shot_seed), cfg.step_limit)
     return sim.ShotRecord(shot_index, shot_seed, outputs, evidence), amps, steps

@@ -97,3 +97,20 @@ def test_unroll_cutoff_script_runs():
     for row in rows:
         # A median figure and the range over the pairs, or "never".
         assert re.search(r"(\d+|never) \((\d+|never)-(\d+|never)\)$", row), row
+
+
+def test_refit_sections_script_runs():
+    """tools/refit_sections.py still finds the refit sections it wraps and
+    prints one row per section, the whole refit and the chunk."""
+    done = subprocess.run(
+        [sys.executable, "tools/refit_sections.py", "3", "20"], cwd=ROOT,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.startswith("3 chunks of 20 records, seed 11:")
+    labels = [row[:10].strip() for row in rows]
+    assert labels == ["read real", "read fixed", "columns", "set-up", "rows",
+                      "repair", "normalise", "other", "refit", "chunk"]
+    for row in rows:
+        assert re.fullmatch(r".{10} +-?\d+\.\d +-?\d+\.\d%", row), row
+    assert rows[-1].endswith("100.0%")
