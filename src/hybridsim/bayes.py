@@ -21,58 +21,55 @@ accuracy next to a zero of the likelihood, where the one-cosine form
 `refit` would spend most of its time on those sines, so it forms each
 record's row by angle addition instead.  Its grid is uniform, so node
 j = 128h + l lies at phi_j = phi_128h + l * step.  For each distinct
-evolution time (RWPE records the same 24 in every shot) it builds two
-tables once per process: cos B_l and sin B_l, B_l = l * step * t / 2 for
-l < 128, shared by every grid of the same node spacing; and, per grid, the
-sine and cosine of C_h = phi_128h * t / 2 at each coarse node (16 of them
-on the default 2001-node grid).  An entry's coarse arguments
+evolution time (RWPE records the same 24 in every shot) it keeps, once per
+process, the table cos B_l and sin B_l, B_l = l * step * t / 2 for l < 128,
+shared by every grid of the same node spacing.  A run of records in a block
+whose times equal its first record's, entry for entry (as RWPE's do), takes
+the sine and cosine of C_h = phi_128h * t / 2 at each coarse node (16 of
+them on the default 2001-node grid) once for each of its times, and gathers
+their fine tables once.  An entry's coarse arguments
 A_h = (phi_128h - phi_inv) * t / 2 + s = C_h - q, with
 q = phi_inv * t / 2 - s, then take one sine and one cosine of q and an
-angle subtraction against the coarse table, and its whole row
+angle subtraction, and its whole row
 sin(A_h + B_l) = sin A_h cos B_l + cos A_h sin B_l is one batched matrix
-product with the fine tables.  Records of a block whose times equal the
-previous record's, entry for entry (as RWPE's do), share one gather of
-each kind of table and one product over the coarse ones.  Angle addition
-and subtraction are accurate only in absolute terms, so every factor below
-1e-6 (|sine| < 1e-3) is recomputed, floored and logged by the direct form.
-Every other factor is at least 1e-6, so the record's factors at a node are
-multiplied, 32 at a time, before one log: a product of 32 cannot
-underflow.  Each record's row is evaluated once: the per-shot posterior
-normalises log prior + row, and the pooled posterior normalises
-log prior + the sum of all rows.
+product with the fine tables.  Angle addition and subtraction are accurate
+only in absolute terms, so every factor below 1e-6 (|sine| < 1e-3) is
+recomputed, floored and logged by the direct form.  Every other factor is
+at least 1e-6, so the record's factors at a node are multiplied, 32 at a
+time, before one log: a product of 32 cannot underflow.  Each record's row
+is evaluated once: the per-shot posterior normalises log prior + row, and
+the pooled posterior normalises log prior + the sum of all rows.
 
 What `refit` keeps, and for how long:
 
 - Per process: for each of the last 8 (grid size, prior interval) pairs,
-  the grid's nodes, log prior, nodes in radians and coarse nodes; the last
-  ROW_BUDGET fine tables (2 kB each), shared by every grid of the same
-  node spacing (512 kB in all); and the last ROW_BUDGET coarse tables, one
-  per grid and time, of 4 doubles (32 B) per coarse node: 512 B each on
-  the default grid (128 kB in all), 4 kB on a 16001-node grid (1 MB in
-  all), so their bound grows with the grid.  All are read-only and shared
-  by every call, in any thread, so a one-record call pays for its record,
-  not for its grid.
-- Per call: one record's buffers, sized by the longest record so far
-  (for RWPE 24 x 2048 doubles, 393 kB, and as many near-zero flags), and
-  the pooled row.
+  the grid's nodes, log prior, nodes in radians and coarse nodes; and the
+  last ROW_BUDGET fine tables (2 kB each, 512 kB in all, whatever the
+  grid), shared by every grid of the same node spacing.  All are read-only
+  and shared by every call, in any thread, so a one-record call pays for
+  its record, not for its grid.
+- Per call: the pooled row.
 - Per block of at most BLOCK_ENTRIES evidence entries (ten RWPE records;
   a longer record is a block of its own): the evidence columns, each built
   in one vectorised step (floats as they are, Q2.16 boxes from their raw
   words; any other column one `float` or `int` call per value) and checked
   by one vectorised pass (a block that fails is gone through again record
-  by record, so the error is the first failing record's); the tables of
-  its times and the sines and cosines of all its coarse arguments; and its
-  rows (10 x 2001 doubles, 160 kB).  Per record there remain the matrix
-  product, the search for near-zero factors and the products and logs.
-  The block's near-zero factors are recomputed by one direct-form call and
-  added to their rows by one sort and one `bincount`, and every per-shot
-  posterior of the block is normalised in one pass over its rows.
+  by record, so the error is the first failing record's); the coarse sines
+  and gathered tables of one run at a time; one record's scratch buffers,
+  sized by the block's longest record (for RWPE 24 x 2048 doubles, 393 kB,
+  and as many near-zero flags); and its rows (10 x 2001 doubles, 160 kB).
+  Per record there remain the matrix product, the search for near-zero
+  factors and the products and logs.  The block's near-zero factors are
+  recomputed by one direct-form call and added to their rows by one
+  `np.add.at`, and every per-shot posterior of the block is normalised in
+  one pass over its rows.
 
 Every floating-point reduction keeps the order of a record-at-a-time
-refit (each row's sum and log, the pooled sum in record order, and the
-per-shot `np.dot` with the nodes), so no estimate depends on the blocking
-or on what earlier calls left in the tables.  Memory does not grow with
-the number of records.
+refit (each row's products and logs, its near-zero factors added by
+`np.add.at` one after another in the order of its entries, the pooled sum
+in record order, and the per-shot `np.dot` with the nodes), so no estimate
+depends on the blocking or on what earlier calls left in the tables.
+Memory does not grow with the number of records.
 """
 
 from __future__ import annotations
@@ -98,14 +95,13 @@ MIN_NODES_PER_PERIOD = 6
 # `refit`'s angle-addition rows: grid nodes per coarse node; the factor
 # below which an element is recomputed by the direct form (|sine| < 1e-3);
 # the rows multiplied before one log (NEAR_ZERO ** 32 = 1e-192 is far from
-# underflow); and the most per-time tables of each kind the process keeps
-# (fine ones take 2 kB each, coarse ones 32 B per coarse node).
+# underflow); and the most fine tables (2 kB each) the process keeps.
 FINE_NODES = 128
 NEAR_ZERO = 1e-6
 PRODUCT_ROWS = 32
 ROW_BUDGET = 256
-# `refit` converts, checks and takes the coarse sines of this many evidence
-# entries at a time (ten RWPE records), and of a longer record alone.
+# `refit` converts, checks and forms the rows of this many evidence entries
+# at a time (ten RWPE records), and of a longer record alone.
 BLOCK_ENTRIES = 256
 
 
@@ -215,7 +211,6 @@ class _Grid:
         self.phis = self.nodes * math.pi
         self.coarse = self.phis[::FINE_NODES]
         self.step = (self.nodes[-1] - self.nodes[0]) / (size - 1) * math.pi
-        self.size, self.interval = size, interval
         for a in (self.nodes, self.log_prior, self.phis, self.coarse):
             a.flags.writeable = False
 
@@ -231,21 +226,6 @@ def _fine_table(step: float, t: float) -> np.ndarray:
     spacing `step` (radians): B_l = (t / 2) * (l * step) for l < FINE_NODES."""
     b = (0.5 * t) * (np.arange(FINE_NODES) * step)
     table = np.stack((np.cos(b), np.sin(b)))
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=ROW_BUDGET)
-def _coarse_table(size: int, interval: tuple[float, float],
-                  t: float) -> np.ndarray:
-    """The read-only table of time `t` on the grid `_grid(size, interval)`
-    that gives an entry's [sin A_h, cos A_h] as table[0] * cos q +
-    table[1] * sin q: table[0] = [sin C_h, cos C_h] and table[1] =
-    [-cos C_h, sin C_h], C_h = coarse_h * (t / 2), one row per coarse node."""
-    c = _grid(size, interval).coarse * (0.5 * t)
-    sin_c, cos_c = np.sin(c), np.cos(c)
-    table = np.stack((np.stack((sin_c, cos_c), axis=-1),
-                      np.stack((-cos_c, sin_c), axis=-1)))
     table.flags.writeable = False
     return table
 
@@ -266,107 +246,68 @@ def _runs(times: list[float], lengths: list[int]) -> list[list[int]]:
     return runs
 
 
-class _AngleSumRows:
-    """`_log_factors` on a uniform grid by angle addition (see the module
-    docstring).  One instance serves one `refit` call and holds its scratch
-    buffers; the grid is shared."""
+def _block_rows(grid: _Grid, cols: np.ndarray,
+                lengths: list[int]) -> np.ndarray:
+    """`_log_factors` of a block's records on `grid`, one row per record, by
+    angle addition (see the module docstring): `cols` holds the block's
+    evidence columns (`_columns`), record after record, and `lengths` each
+    record's number of entries."""
+    t, phi_inv, d = cols
+    times = t.tolist()
+    q = phi_inv * (0.5 * t)
+    q -= np.where(d == 0, 0.5 * math.pi, 0.0)
+    cos_q, sin_q = np.cos(q), np.sin(q)
+    coarse = len(grid.coarse)
+    width = coarse * FINE_NODES
+    rows = np.empty((len(lengths), len(grid.phis)))
+    buf = np.empty((max(lengths), width))
+    near = np.empty(buf.shape, dtype=bool)
+    repairs = []        # near-zero factors, flat into block entries x width
+    records = iter(rows)
+    for start, m, count in _runs(times, lengths):
+        end = start + m * count
+        # The run's coarse sines, C_h = coarse_h * (t / 2), and its fine
+        # tables, shared by its records.
+        c = grid.coarse * (0.5 * t[start:start + m, None])
+        sin_c, cos_c = np.sin(c), np.cos(c)
+        cos_sin_b = np.array([_fine_table(grid.step, x)
+                              for x in times[start:start + m]])
+        # [sin A_h, cos A_h] of each entry, A_h = C_h - q.
+        sin_cos_a = np.empty((count, m, coarse, 2))
+        cq = cos_q[start:end].reshape(count, m, 1)
+        sq = sin_q[start:end].reshape(count, m, 1)
+        np.multiply(sin_c, cq, out=sin_cos_a[..., 0])
+        sin_cos_a[..., 0] -= cos_c * sq
+        np.multiply(cos_c, cq, out=sin_cos_a[..., 1])
+        sin_cos_a[..., 1] += sin_c * sq
+        for e, a in zip(range(start, end, m), sin_cos_a):
+            k = _row(next(records), a, cos_sin_b, buf[:m], near[:m])
+            repairs.append(k + e * width)
+    # Every near-zero factor by the direct form, added to its record's row
+    # at its node, in the order of the block's entries and nodes.
+    i, j = np.divmod(np.concatenate(repairs), width)
+    owner = np.repeat(np.arange(len(lengths)), lengths)[i]
+    np.add.at(rows, (owner, j), _direct_log_factors(grid.phis[j], *cols[:, i]))
+    return rows
 
-    def __init__(self, grid: _Grid):
-        self.grid = grid
-        self.entries = 0                            # rows the buffers hold
 
-    def _buffers(self, entries: int):
-        if entries > self.entries:
-            width = len(self.grid.coarse) * FINE_NODES
-            self.buf = np.empty((entries, width))
-            self.near = np.empty(self.buf.shape, dtype=bool)
-            self.entries = entries
-        return self.buf[:entries], self.near[:entries]
-
-    def __call__(self, cols: np.ndarray, lengths: list[int]) -> np.ndarray:
-        """The rows of a block's records, one per record: `cols` holds the
-        block's evidence columns (`_columns`), record after record, and
-        `lengths` each record's number of entries."""
-        grid = self.grid
-        times = cols[0].tolist()
-        runs = _runs(times, lengths)
-        sin_cos_a = self._setup(cols, times, runs)
-        width = sin_cos_a.shape[1] * FINE_NODES
-        rows = np.empty((len(lengths), len(grid.phis)))
-        near = []       # each record's flat indices into its entries x width
-        records = iter(rows)
-        for start, m, count in runs:
-            # The fine tables of the run's times, shared by its records.
-            cos_sin_b = np.array([_fine_table(grid.step, x)
-                                  for x in times[start:start + m]])
-            for e in range(start, start + m * count, m):
-                k = self._row(next(records), sin_cos_a[e:e + m], cos_sin_b)
-                near.append(k + e * width)
-        self._repair(rows, cols, lengths,
-                     np.divmod(np.concatenate(near), width))
-        return rows
-
-    def _setup(self, cols: np.ndarray, times: list[float],
-               runs: list[list[int]]) -> np.ndarray:
-        """[sin A_h, cos A_h] of each entry's coarse arguments, by angle
-        subtraction: A_h = C_h - q, q = phi_inv * (t / 2) - s, from the
-        tables of its time (`_coarse_table`) and the cosine and sine of q;
-        the records of a run (`_runs`) share one gather of tables and one
-        product over all of them."""
-        grid = self.grid
-        t, phi_inv, d = cols
-        q = phi_inv * (0.5 * t)
-        q -= np.where(d == 0, 0.5 * math.pi, 0.0)
-        cos_q, sin_q = np.cos(q), np.sin(q)
-        coarse = len(grid.coarse)
-        sin_cos_a = np.empty((len(q), coarse, 2))
-        for start, m, count in runs:
-            end = start + m * count
-            tables = np.array([_coarse_table(grid.size, grid.interval, x)
-                               for x in times[start:start + m]])
-            a = sin_cos_a[start:end].reshape(count, m, coarse, 2)
-            np.multiply(tables[:, 0], cos_q[start:end].reshape(count, m, 1, 1),
-                        out=a)
-            a += tables[:, 1] * sin_q[start:end].reshape(count, m, 1, 1)
-        return sin_cos_a
-
-    def _row(self, row, sin_cos_a, cos_sin_b):
-        """Fill `row` with the record's row but for its near-zero factors,
-        and return where those lie in its entries x width buffer, flat."""
-        n = len(row)
-        m = len(sin_cos_a)
-        buf, near = self._buffers(m)
-        np.matmul(sin_cos_a, cos_sin_b, out=buf.reshape(m, -1, FINE_NODES))
-        np.square(buf, out=buf)
-        buf[:, n:] = 1.0                  # nodes past the grid's end
-        k = np.flatnonzero(np.less(buf, NEAR_ZERO, out=near))
-        np.put(buf, k, 1.0)
-        # Every factor left is at least NEAR_ZERO, so a product of
-        # PRODUCT_ROWS of them cannot underflow: one log per node and block.
-        np.log(buf[:PRODUCT_ROWS].prod(axis=0)[:n], out=row)
-        for r in range(PRODUCT_ROWS, m, PRODUCT_ROWS):
-            row += np.log(buf[r:r + PRODUCT_ROWS].prod(axis=0)[:n])
-        return k
-
-    def _repair(self, rows, cols, lengths, near):
-        """Every near-zero factor of the block (`near`: their entries in the
-        block and their nodes), by the direct form, added to its record's
-        row at its node: sums in the order of `near`, which within a record
-        is the order of its entries and nodes.  The bins are the positions
-        repaired, found by a sort, not all of `rows`: a rows-sized
-        temporary would add a block's rows to the peak memory."""
-        i, j = near
-        t, phi_inv, d = cols[:, i]
-        repaired = _direct_log_factors(self.grid.phis[j], t, phi_inv, d)
-        owner = np.repeat(np.arange(len(lengths)), lengths)[i]
-        at = owner * rows.shape[1] + j
-        ordered = np.sort(at)
-        first = np.empty(len(ordered), dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        bins = ordered[first]
-        rows.reshape(-1)[bins] += np.bincount(np.searchsorted(bins, at),
-                                              repaired, len(bins))
+def _row(row, sin_cos_a, cos_sin_b, buf, near):
+    """Fill `row` with a record's row but for its near-zero factors, on the
+    scratch `buf` and `near` (one row per entry), and return where those lie
+    in `buf`, flat."""
+    n = len(row)
+    m = len(sin_cos_a)
+    np.matmul(sin_cos_a, cos_sin_b, out=buf.reshape(m, -1, FINE_NODES))
+    np.square(buf, out=buf)
+    buf[:, n:] = 1.0                      # nodes past the grid's end
+    k = np.flatnonzero(np.less(buf, NEAR_ZERO, out=near))
+    np.put(buf, k, 1.0)
+    # Every factor left is at least NEAR_ZERO, so a product of
+    # PRODUCT_ROWS of them cannot underflow: one log per node and block.
+    np.log(buf[:PRODUCT_ROWS].prod(axis=0)[:n], out=row)
+    for r in range(PRODUCT_ROWS, m, PRODUCT_ROWS):
+        row += np.log(buf[r:r + PRODUCT_ROWS].prod(axis=0)[:n])
+    return k
 
 
 def posterior(ev: EvidenceRecord, grid: PosteriorGrid) -> PosteriorGrid:
@@ -504,14 +445,13 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
     if raw is not None and len(raw) != len(records):
         raise ValueError(f"{len(raw)} raw estimates for {len(records)} records")
     grid = _grid(grid_size, tuple(prior_interval))
-    rows = _AngleSumRows(grid)
     width = abs(prior_interval[1] - prior_interval[0])
     pooled_rows = np.zeros_like(grid.nodes)
     per_shot = []
     for block in _blocks(records):
         lengths = [len(rec.evidence) for rec in block]
-        block_rows = rows(_block_columns(block, lengths, grid_size, width),
-                          lengths)
+        block_rows = _block_rows(
+            grid, _block_columns(block, lengths, grid_size, width), lengths)
         for row in block_rows:                  # in record order
             pooled_rows += row
         block_rows += grid.log_prior

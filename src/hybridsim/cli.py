@@ -71,12 +71,14 @@ def _exec_config(args) -> sim.ExecConfig:
 
 
 def _add_exec_flags(p: argparse.ArgumentParser, shots: int):
+    noise = sim.NoiseModel()
     p.add_argument("--shots", type=int, default=shots)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["real", "fixed"], default="real")
     p.add_argument("--noise", nargs="?", const="default", default=None,
                    metavar="p1,p2,pr",
-                   help="enable gate/readout noise (defaults 0.002,0.02,0.02)")
+                   help="enable gate/readout noise (defaults "
+                        f"{noise.p_gate1},{noise.p_gate2},{noise.p_readout})")
 
 
 def _load_program(path: str) -> hir.HybridProgram:
@@ -86,7 +88,8 @@ def _load_program(path: str) -> hir.HybridProgram:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The file at `path`, or stdout for `-` or no path."""
+    """The file at `path`, or stdout for `-` or no path.  Opening a path
+    empties its file, so check the arguments (`_exec_config`) first."""
     if path is None or path == "-":
         yield sys.stdout
     else:
@@ -133,8 +136,9 @@ def cmd_run(args) -> int:
     if diags:
         _emit_diagnostics(diags)
         return 1
+    cfg = _exec_config(args)
     with _output(args.out) as f:
-        for _ in _run_sliced(program, _exec_config(args), f):
+        for _ in _run_sliced(program, cfg, f):
             pass
     return 0
 
@@ -220,9 +224,9 @@ def cmd_refit(args) -> int:
 
 def cmd_demo_reset(args) -> int:
     shots = successes = 0
+    cfg = _exec_config(args)
     with _records_output(args.out) as f:
-        for r in _run_sliced(algorithms.build_active_reset(),
-                             _exec_config(args), f):
+        for r in _run_sliced(algorithms.build_active_reset(), cfg, f):
             shots += 1
             successes += sum(v for name, v in r.outputs if name == "ok")
     print(json.dumps({"shots": shots, "success_rate": successes / shots}))
@@ -231,8 +235,9 @@ def cmd_demo_reset(args) -> int:
 
 def cmd_demo_teleport(args) -> int:
     branch_counts: dict[str, int] = {}
+    cfg = _exec_config(args)
     with _records_output(args.out) as f:
-        for r in _run_sliced(algorithms.build_teleport(), _exec_config(args), f):
+        for r in _run_sliced(algorithms.build_teleport(), cfg, f):
             key = "".join(str(v) for _, v in r.outputs)
             branch_counts[key] = branch_counts.get(key, 0) + 1
     print(json.dumps({"shots": sum(branch_counts.values()),
@@ -254,12 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rwpe", help="run the random-walk estimator")
     _add_exec_flags(p, shots=10000)
+    walk = algorithms.RwpeParams()
     p.add_argument("--bins", type=_bin_count, default=100)
-    p.add_argument("--mu0", type=float, default=0.7951)
-    p.add_argument("--sigma0", type=float, default=0.6065)
-    p.add_argument("--iters", type=int, default=24)
-    p.add_argument("--refresh-period", type=int, default=2)
-    p.add_argument("--oracle-coeff", type=float, default=-0.5)
+    p.add_argument("--mu0", type=float, default=walk.mu0)
+    p.add_argument("--sigma0", type=float, default=walk.sigma0)
+    p.add_argument("--iters", type=int, default=walk.n_iter)
+    p.add_argument("--refresh-period", type=int, default=walk.refresh_period)
+    p.add_argument("--oracle-coeff", type=float, default=walk.oracle_coeff)
     p.add_argument("--out-prefix", default="rwpe")
     p.set_defaults(fn=cmd_rwpe)
 

@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -333,15 +333,17 @@ def rwpe_shaped_evidence(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rwpe_shaped_evidence())
+# Two near-zero factors of one record at one node, both repaired there.
+@example([_ev([(3.0, float(REFIT_PHIS[1200]) + 1e-10, 1)] * 2)])
 def test_refit_rows_match_direct_log_factors(evs):
     # Each record is followed by one with the same times and other angles
     # and outcomes, which reuses the tables the first put in place.
     evs = [e for ev in evs for e in (ev, _ev(
         (t, phi_inv + 0.1, 1 - d) for t, phi_inv, d in ev.entries))]
-    rows = bayes._AngleSumRows(bayes._grid(2001, (-1.0, 1.0)))
     block = np.concatenate([bayes._columns(ev) for ev in evs], axis=1)
-    for ev, row in zip(evs, rows(block, [len(ev) for ev in evs]),
-                       strict=True):
+    rows = bayes._block_rows(bayes._grid(2001, (-1.0, 1.0)), block,
+                             [len(ev) for ev in evs])
+    for ev, row in zip(evs, rows, strict=True):
         assert np.max(np.abs(row - bayes._log_factors(ev, REFIT_PHIS))) \
             <= 1e-8
 
@@ -550,6 +552,12 @@ def test_refit_memory_is_bounded():
              for k in range(2000)]
     budget = bayes.ROW_BUDGET * 2 * bayes.FINE_NODES * 8
     assert _peak_bytes(refit, fresh) <= _peak_bytes(refit, fresh[:10]) \
+        + 2 * budget
+    # No per-time table grows with the grid: on a 16001-node grid (126
+    # coarse nodes) the same budget holds.
+    def large(records):
+        return refit(records, grid_size=16001)
+    assert _peak_bytes(large, fresh[:300]) <= _peak_bytes(large, fresh[:10]) \
         + 2 * budget
 
 

@@ -1,5 +1,6 @@
 """Command-line pipeline: files, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import os
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from hybridsim import cli, hir, sim
-from hybridsim.algorithms import (build_active_reset, build_rwpe,
-                                  build_teleport)
+from hybridsim.algorithms import (RwpeParams, build_active_reset,
+                                  build_rwpe, build_teleport)
 from hybridsim.cli import main
 from hybridsim.hist import histogram
 
@@ -103,6 +104,23 @@ def test_unwritable_records_path_exits_1(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags, step_limit", [
+    (["--shots", "0"], None), (["--noise", "2,0,0"], None), ([], "abc")],
+    ids=["shots-0", "noise-2", "step-limit-abc"])
+@pytest.mark.parametrize("command", ["run", "demo-reset", "demo-teleport"])
+def test_a_configuration_error_keeps_the_records_file(
+        tmp_path, capsys, monkeypatch, command, flags, step_limit):
+    prog = _write(tmp_path, "teleport.hir", TELEPORT)
+    out = tmp_path / "records.jsonl"
+    out.write_bytes(b"earlier records\n")
+    if step_limit is not None:
+        monkeypatch.setenv("HYBRIDSIM_STEP_LIMIT", step_limit)
+    argv = [command] + ([prog] if command == "run" else [])
+    assert main(argv + flags + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"earlier records\n"
+
+
 def test_run_invalid_file_exits_1(tmp_path, capsys):
     prog = _write(tmp_path, "bad.hir", "proc main qubits 1\nentry:\n  br gone\nendproc\n")
     assert main(["run", prog]) == 1
@@ -190,6 +208,12 @@ def test_rwpe_writes_records_hist_summary(tmp_path, capsys):
     assert len(hist_lines) == 101
     records = open(prefix + ".records.jsonl").read().splitlines()
     assert len(records) == 300
+
+
+def test_rwpe_defaults_are_the_walks():
+    args = cli.build_parser().parse_args(["rwpe"])
+    assert (args.mu0, args.sigma0, args.iters, args.refresh_period,
+            args.oracle_coeff) == dataclasses.astuple(RwpeParams())
 
 
 def test_rwpe_bad_params_exit_1(tmp_path, capsys):

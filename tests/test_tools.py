@@ -110,7 +110,7 @@ def test_refit_sections_script_runs():
     assert header.startswith("3 chunks of 20 records, seed 11:")
     labels = [row[:10].strip() for row in rows]
     assert labels == ["read real", "read fixed", "columns", "set-up", "rows",
-                      "repair", "normalise", "other", "refit", "chunk"]
+                      "normalise", "other", "refit", "chunk"]
     for row in rows:
         assert re.fullmatch(r".{10} +-?\d+\.\d +-?\d+\.\d%", row), row
     assert rows[-1].endswith("100.0%")

@@ -9,9 +9,10 @@ wrappers around the functions that do them:
 
     read       sim.read_records, per mode
     columns    bayes._block_columns: evidence columns and their checks
-    set-up     _AngleSumRows._setup: the coarse arguments' sines and cosines
-    rows       _AngleSumRows._row: products, squares, near-zero search, logs
-    repair     _AngleSumRows._repair: near-zero factors by the direct form
+    set-up     bayes._block_rows less its calls of bayes._row: the coarse
+               arguments' sines and cosines, table gathers and the repair
+               of near-zero factors by the direct form
+    rows       bayes._row: products, squares, near-zero search, logs
     normalise  bayes._normalise
     other      the rest of bayes.refit (prologue, pooled row, per-shot means)
 
@@ -40,12 +41,11 @@ SLICE = 10
 # only fixes the scale of the reported times.
 REF_LOOPS = 10_000
 REF_SECONDS = 1.5e-3
-# (label, owner, attribute) of each wrapped section, in report order.
-SECTIONS = (("columns", bayes, "_block_columns"),
-            ("set-up", bayes._AngleSumRows, "_setup"),
-            ("rows", bayes._AngleSumRows, "_row"),
-            ("repair", bayes._AngleSumRows, "_repair"),
-            ("normalise", bayes, "_normalise"))
+# (label, name) of each wrapped function of bayes; "block rows" includes
+# "rows".
+WRAPPED = (("columns", "_block_columns"), ("block rows", "_block_rows"),
+           ("rows", "_row"), ("normalise", "_normalise"))
+SECTIONS = ("columns", "set-up", "rows", "normalise")
 
 
 def reference() -> int:
@@ -90,8 +90,8 @@ def main():
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 11
     files = {mode: slices(mode, shots, seed) for mode in ("real", "fixed")}
     spent, total, records = Counter(), Counter(), 0
-    for label, owner, name in SECTIONS:
-        setattr(owner, name, timed(spent, label, getattr(owner, name)))
+    for label, name in WRAPPED:
+        setattr(bayes, name, timed(spent, label, getattr(bayes, name)))
     for j in range(chunks):
         spent.clear()
         slow = slowdown()
@@ -107,14 +107,15 @@ def main():
             spent["refit"] += time.perf_counter() - t3
             records += len(recs)
         spent["chunk"] += time.perf_counter() - t0
+        spent["set-up"] = spent["block rows"] - spent["rows"]
         spent["other"] = spent["refit"] - sum(
-            spent[label] for label, _, _ in SECTIONS)
+            spent[label] for label in SECTIONS)
         for label, t in spent.items():
             total[label] += t / slow
     print(f"{chunks} chunks of {2 * SLICE} records, seed {seed}: "
           "µs per record of a chunk, at reference speed")
-    for label in ("read real", "read fixed", *(s[0] for s in SECTIONS),
-                  "other", "refit", "chunk"):
+    for label in ("read real", "read fixed", *SECTIONS, "other", "refit",
+                  "chunk"):
         us = total[label] / records * 1e6
         share = 100 * total[label] / total["chunk"]
         print(f"{label:10} {us:8.1f}  {share:5.1f}%")
