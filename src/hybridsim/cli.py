@@ -41,11 +41,11 @@ def _parse_noise(spec: str | None) -> sim.NoiseModel | None:
         return None
     if spec == "default":
         return sim.NoiseModel()
-    parts = [float(x) for x in spec.split(",")]
-    if len(parts) != 3:
-        raise ValueError("--noise takes p1,p2,pr")
-    return sim.NoiseModel(p_gate1=parts[0], p_gate2=parts[1],
-                          p_readout=parts[2])
+    try:
+        p1, p2, pr = (float(x) for x in spec.split(","))
+    except ValueError:
+        raise ValueError(f"--noise takes p1,p2,pr, not {spec!r}") from None
+    return sim.NoiseModel(p_gate1=p1, p_gate2=p2, p_readout=pr)
 
 
 def _bin_count(text: str) -> int:

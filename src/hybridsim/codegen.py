@@ -5,27 +5,30 @@ A program becomes the source of one Python function,
 Registers are the locals r0, r1, ... (one per declared variable), and each
 block is one branch of a `while` dispatch on the block index `b`.  Gates,
 measurements, resets and noise draws are inlined from the kernel templates
-below, which loop over pair tuples.  Up to `UNROLL_QUBITS` qubits every such
-loop is unrolled at compile time onto the amplitude locals a0, a1, ...;
-above it the amplitudes are the list `A` and the loops stay.  Each kernel's
-floating-point operations and draws from the shot's generator follow a
-fixed order, the same in both forms, which the reference interpreter in
-`tests/oracles.py` repeats, so a shot and its replay through that
-interpreter give the same record, amplitudes and step count.
+below: plain strings of Python that loop over pair tuples.  Up to
+`UNROLL_QUBITS` qubits every such loop is unrolled onto the amplitude
+locals a0, a1, ..., when a template is first rendered with its index
+tuples (`_rendered`); above it the amplitudes are the list `A` and the
+loops stay.  Each kernel's floating-point operations and draws from the
+shot's generator follow a fixed order, the same in both forms, which the
+reference interpreter in `tests/oracles.py` repeats, so a shot and its
+replay through that interpreter give the same record, amplitudes and step
+count.
 
 Every value the source refers to (encoded literals, the phases of literal
 angles, noise probabilities, pair tuples, the domain's ops and boxes) is a
 name bound in the exec namespace, never a literal in the text.  Programs
 that differ only in literals therefore share one source, unless the fold
-or the known-value walk below decides differently for them.  `sim` owns everything around the
-source: the number domains, the caches, the generator each shot draws
-from, and the records.
+or the known-value walk below decides differently for them.  `sim` owns
+everything around the source: the number domains, the caches, the
+generator each shot draws from, and the records.
 
 The start of a shot that no measurement outcome can change runs once, here.
 When no branch enters the entry block, its instructions run at generation
 time, in order, on the initial amplitudes and registers, through the same
-text a shot would run.  The fold stops at the first instruction that draws
-noise, flips a readout or appends to `out`/`ev`, that raises, or whose
+text a shot would run.  The fold stops at the first instruction whose
+emitted text draws noise, flips a readout or appends to `out`/`ev` (the
+emitter reports this as it writes the instruction), that raises, or whose
 draws matter: run with every draw returning the smallest and then the
 largest value `random()` gives, it must leave the same repr of amplitudes
 and registers.  Each folded draw stays in the shot as a bare `rand()`, and
@@ -103,108 +106,85 @@ def _quads(n: int, a: int, b: int) -> tuple[tuple[int, int, int, int], ...]:
                  for i in range(1 << n) if not i & (ma | mb))
 
 
-_LOOP = re.compile(r"( *)for ([\w, ]+) in \{(\w+)\}:")
+# A `for` line of a kernel template, and the lines of its body.
+_LOOP = re.compile(r"^( *)for ([\w, ]+) in \{(\w+)\}:((?:\n\1    .*)+)", re.M)
 _AMPS = tuple(f"a{i}" for i in range(1 << UNROLL_QUBITS))
 
 
-class _Kernel:
-    """A kernel template.  Its text is the loop form: each `for` line loops
-    over the index tuples that a format field such as {P} names.  The
-    unrolled form repeats each loop body once per tuple, with the amplitude
-    locals in place of `A[i0]`, `A[i1]`, ...; the template is split into
-    scalar text and loop bodies once, here, so that unrolling only formats."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.parts: list = []       # scalar text, or (field, body)
-        lines = text.split("\n")
-        scalar: list[str] = []
-        i = 0
-        while i < len(lines):
-            m = _LOOP.fullmatch(lines[i])
-            i += 1
-            if m is None:
-                scalar.append(lines[i - 1])
-                continue
-            if scalar:
-                self.parts.append("\n".join(scalar))
-                scalar = []
-            pad, names, field = m.groups()
-            body = []
-            while i < len(lines) and lines[i].startswith(pad + "    "):
-                line = pad + lines[i][len(pad) + 4:]
-                for k, name in enumerate(names.split(", ")):
-                    line = line.replace(f"A[{name}]", f"{{a[{k}]}}")
-                body.append(line)
-                i += 1
-            self.parts.append((field, "\n".join(body)))
-        if scalar:
-            self.parts.append("\n".join(scalar))
-
-    def render(self, unroll: bool, fields: dict) -> str:
-        """The source of this kernel.  In the loop form the index fields
-        hold namespace names; unrolled, they hold the index tuples."""
-        if not unroll:
-            return self.text.format(**fields)
-        out = []
-        for part in self.parts:
-            if isinstance(part, str):
-                out.append(part.format(**fields))
-            else:
-                field, body = part
-                out += [body.format(a=[_AMPS[i] for i in idx], **fields)
-                        for idx in fields[field]]
-        return "\n".join(out)
+def _unrolled(text: str, fields: dict) -> str:
+    """The kernel template `text` with each loop written out: its body,
+    dedented, once per index tuple of the field that the `for` line names,
+    with the amplitude locals in place of `A[i0]`, `A[i1]`, ..."""
+    def unroll(m: re.Match) -> str:
+        pad, names, field, body = m.groups()
+        body = body.replace("\n" + pad + "    ", "\n" + pad)
+        keys = [f"A[{name}]" for name in names.split(", ")]
+        out = ""
+        for idx in fields[field]:
+            copy = body
+            for key, i in zip(keys, idx):
+                copy = copy.replace(key, _AMPS[i])
+            out += copy
+        return out[1:]
+    return _LOOP.sub(unroll, text)
 
 
 @lru_cache(maxsize=1024)
-def _rendered(template: _Kernel, unroll: bool, fields: tuple) -> str:
-    """A kernel's source, indented for a block body.  Programs of one shape
-    render the same kernels, so a miss of the program cache mostly finds
-    its kernels here; without this cache such a miss (a fresh parse of the
-    lowered IPE program) took about 1.8 times as long."""
-    return textwrap.indent(template.render(unroll, dict(fields)), " " * 12)
+def _rendered(template: str, unroll: bool, fields: tuple) -> str:
+    """A kernel's source, indented for a block body.  A template is a
+    string, the loop form of its kernel: each `for` line loops over the
+    index tuples that a format field such as {P} names, and its body reads
+    the amplitudes `A[i0]`, `A[i1]`, ...  In the loop form the index fields
+    hold namespace names; unrolled, they hold the index tuples, and
+    `_unrolled` writes the loops out here, on a miss.  Programs of one
+    shape render the same kernels, so a miss of the program cache mostly
+    finds its kernels here; without this cache such a miss (a fresh parse
+    of the lowered IPE program) takes about 1.6 times as long (median of
+    400 interleaved pairs, 0.67 against 0.42 ms on a 2-core x86_64 host)."""
+    fields = dict(fields)
+    text = (_unrolled(template, fields) if unroll else template).format(**fields)
+    return " " * 12 + text.replace("\n", "\n" + " " * 12)
 
 
 # Kernel templates.  {P} names a pair tuple (i0, i1), {Q} a quad tuple;
 # angle gates read their phases from {p0}/{p1} or {corner}/{cc}/{ss}, which
 # are locals computed from a register or names of precomputed constants.
-_SWAP = _Kernel("""\
+_SWAP = """\
 for i0, i1 in {P}:
-    A[i0], A[i1] = A[i1], A[i0]""")
+    A[i0], A[i1] = A[i1], A[i0]"""
 
-_H = _Kernel("""\
+_H = """\
 for i0, i1 in {P}:
     t0 = A[i0]
     t1 = A[i1]
     A[i0] = (t0 + t1) * S
-    A[i1] = (t0 - t1) * S""")
+    A[i1] = (t0 - t1) * S"""
 
-_SX = _Kernel("""\
+_SX = """\
 for i0, i1 in {P}:
     t0 = A[i0]
     t1 = A[i1]
     A[i0] = SXA * t0 + SXB * t1
-    A[i1] = SXB * t0 + SXA * t1""")
+    A[i1] = SXB * t0 + SXA * t1"""
 
-_PHASE = _Kernel("""\
+_PHASE = """\
 for i0, i1 in {P}:
     A[i0] *= {p0}
-    A[i1] *= {p1}""")
+    A[i1] *= {p1}"""
 
 _PHASE_OF_REGISTER = """\
 th = {radians}
 p1 = complex(cos(0.5 * th), sin(0.5 * th))
 p0 = p1.conjugate()"""
 
-_ESWAP = _Kernel("""\
+_ESWAP = """\
 for i00, i01, i10, i11 in {Q}:
     A[i00] *= {corner}
     A[i11] *= {corner}
     t0 = A[i01]
     t1 = A[i10]
     A[i01] = {cc} * t0 + {ss} * t1
-    A[i10] = {ss} * t0 + {cc} * t1""")
+    A[i10] = {ss} * t0 + {cc} * t1"""
 
 _ESWAP_OF_REGISTER = """\
 th = 0.5 * ({radians})
@@ -221,7 +201,7 @@ for i0, i1 in {P}:
     p += t1.real * t1.real + t1.imag * t1.imag
 """
 
-_MEASURE = _Kernel(_BORN + """\
+_MEASURE = _BORN + """\
 if rand() < p:
     s = 1.0 / sqrt(p) if p > 0.0 else 1.0
     for i0, i1 in {P}:
@@ -234,9 +214,9 @@ else:
     for i0, i1 in {P}:
         A[i1] = 0j
         A[i0] *= s
-    {dest} = 0""")
+    {dest} = 0"""
 
-_RESET = _Kernel(_BORN + """\
+_RESET = _BORN + """\
 if rand() < p:
     s = 1.0 / sqrt(p) if p > 0.0 else 1.0
     for i0, i1 in {P}:
@@ -247,7 +227,7 @@ else:
     s = 1.0 / sqrt(p) if p > 0.0 else 1.0
     for i0, i1 in {P}:
         A[i1] = 0j
-        A[i0] *= s""")
+        A[i0] *= s"""
 
 _READOUT_FLIP = """\
 if rand() < p_readout:
@@ -267,13 +247,13 @@ else:
     for i0, i1 in {P}:
         A[i1] = -A[i1]"""
 
-_NOISE1 = _Kernel("""\
+_NOISE1 = """\
 if rand() < p_gate1:
     w = 1 + randrange(3)
-""" + textwrap.indent(_PAULI, " " * 4))
+""" + textwrap.indent(_PAULI, " " * 4)
 
 # m in 1..15 names a two-qubit Pauli: high two bits on a, low two on b.
-_NOISE2 = _Kernel("""\
+_NOISE2 = """\
 if rand() < p_gate2:
     m = 1 + randrange(15)
     w = m >> 2
@@ -281,7 +261,7 @@ if rand() < p_gate2:
 """ + textwrap.indent(_PAULI.replace("{P}", "{Pa}"), " " * 8) + """
     w = m & 3
     if w:
-""" + textwrap.indent(_PAULI.replace("{P}", "{Pb}"), " " * 8))
+""" + textwrap.indent(_PAULI.replace("{P}", "{Pb}"), " " * 8)
 
 # The smallest and the largest value `random()` returns.
 _DRAW_ENDS = (0.0, 1.0 - 2.0 ** -53)
@@ -410,8 +390,9 @@ class Generator:
     """Builds the source of `run` for one program, a table from each
     generated line to (block label, HIR line), and the `static` values its
     exec namespace needs: pair tuples, the initial amplitudes and registers,
-    the literal constants, encoded by `domain`, and the known-value tables.  Noise enters the source
-    only through whether it is on; its probabilities are namespace entries.
+    the literal constants, encoded by `domain`, and the known-value tables.
+    Noise enters the source only through whether it is on; its
+    probabilities are namespace entries.
     Programs are checked when they are built, so every instruction and
     gate it meets is one it knows."""
 
@@ -465,23 +446,26 @@ class Generator:
             self.at = (block.label, first.line)
             self.emit(2, f"{'if' if i == 0 else 'elif'} b == {i}:")
             self.emit(3, _STEP_CHECK.format(n=len(block.instructions) + 1))
-            marks = []
             items.append([])
+            # where each leading instruction that the fold may run starts,
+            # and where the last of them ends
+            lead = [len(self.chunks)] if i == 0 and folds else None
             for instr in block.instructions:
-                marks.append(len(self.chunks))
+                mark = len(self.chunks)
                 self.at = (block.label, instr.line)
-                self.instruction(instr)
+                shot_only = self.instruction(instr)
+                if lead and lead[-1] == mark and not shot_only:
+                    lead.append(len(self.chunks))
                 names = self.known_locals(instr, known) if steady[i] else None
                 if names:
-                    items[i].append((marks[-1], self.chunks[marks[-1]][0], names))
-            if i == 0 and folds:
-                self.fold(block.instructions, marks, inits)
+                    items[i].append((mark, self.chunks[mark][0], names))
+            if lead:
+                self.fold(lead, inits)
             self.at = (block.label, block.terminator.line)
             self.terminator(block.terminator, index)
         if any(items[tabled:]):
-            rows = self.walk(prog, succ, known, steady, ipdom, items, start)
-            if rows is not None:
-                self.tabulate(rows, items, tabled, prologue)
+            self.walk(prog, succ, known, steady, ipdom, items, start, tabled,
+                      prologue)
         # (first generated line, (block label, HIR line)) of each chunk
         self.where: list[tuple[int, tuple[str | None, int | None]]] = []
         line = 1
@@ -492,15 +476,16 @@ class Generator:
 
     # -- the entry block's deterministic prefix -----------------------------
 
-    def fold(self, instrs: tuple, marks: list[int], inits: list[str]):
+    def fold(self, ends: list[int], inits: list[str]):
         """Run the leading instructions of the entry block now, once, on the
         initial state, instead of in every shot.  No branch enters the
-        block, so they are the first thing every shot runs.  `marks[k]` is
-        the index of the first chunk of `instrs[k]`, and `inits` name the
+        block, so they are the first thing every shot runs.  They are the
+        instructions before the first that draws noise, flips a readout or
+        appends to `out` or `ev` (as `instruction` reports); the k-th of
+        them is chunks `ends[k]` to `ends[k + 1]`.  `inits` name the
         registers' initial values.
 
-        Instructions fold in order up to the first that draws noise, flips
-        a readout or appends to `out` or `ev`, that raises, or whose draws
+        They fold in order up to the first that raises, or whose draws
         matter: its text runs twice, with every draw returning the smallest
         and the largest value `random()` gives, and folds only if both runs
         leave the same repr of amplitudes and registers.  `rand() < p` takes
@@ -509,19 +494,15 @@ class Generator:
         chunks give way to one bare `rand()` per draw they made, which keeps
         every later draw of the shot where it was, and the state they leave
         becomes the initial amplitudes and registers."""
+        if len(ends) == 1:
+            return
         regs = list(self.reg.values())
         amps = self.amplitudes() if self.unroll else "A[:]"
         snapshot = f"{' ' * 12}yield {amps}, [{', '.join(regs)}]"
-        ends = marks + [len(self.chunks)]
         parts = [f"def fold({', '.join(['rand', 'A0', *regs])}):",
                  " " * 12 + self.unpack]
-        for k, instr in enumerate(instrs):
-            if self.shot_only(instr):
-                break
-            parts += [text for text, _ in self.chunks[ends[k]:ends[k + 1]]]
-            parts.append(snapshot)
-        if len(parts) == 2:
-            return
+        for a, b in zip(ends, ends[1:]):
+            parts += [text for text, _ in self.chunks[a:b]] + [snapshot]
         code = _fold_code("\n".join(parts))
         ns = namespace(self.static, self.domain, None)
         drawn = 0
@@ -553,17 +534,6 @@ class Generator:
             ("\n".join([" " * 12 + "rand()"] * draws), self.chunks[ends[0]][1])
         ] if draws else []
 
-    def shot_only(self, instr: hir.Instruction) -> bool:
-        """Whether `instr` draws noise, flips a readout or appends to `out`
-        or `ev`: what a fold never runs ahead of the shot (noise
-        probabilities are not part of the generated code's key)."""
-        if isinstance(instr, hir.Output):
-            return True
-        if isinstance(instr, hir.Measure):
-            return self.noisy or instr.record is not None
-        return isinstance(instr, hir.Gate) and self.noisy and \
-            instr.name not in NOISELESS_GATES
-
     # -- known values: per-block tables -------------------------------------
 
     def known_locals(self, instr: hir.Instruction,
@@ -578,10 +548,14 @@ class Generator:
 
     def walk(self, prog: hir.HybridProgram, succ: list[tuple[int, ...]],
              known: frozenset[str], steady: list[bool], ipdom: list,
-             items: list, start: list) -> dict[int, list[tuple]] | None:
-        """The rows of each steady block that has known work or a known
-        branch condition, in the order a shot visits it; None when the walk
-        raises or makes more than WALK_VISITS visits.
+             items: list, start: list, first: int, prologue: int):
+        """Tabulate the known work of the blocks from `first` on.  Row k of
+        a block's table holds the values its known instructions set at the
+        k-th visit of the walk below; each known instruction then reads its
+        block's next row, at its own position, through an iterator bound at
+        the start of the shot (before chunk `prologue`).  When the walk
+        raises, or makes more than WALK_VISITS visits, the source stays as
+        it is.
 
         The walk starts at the entry, on the registers' initial values
         `start`, and runs each visited steady block's known instructions
@@ -620,7 +594,7 @@ class Generator:
             while b is not None:
                 visits += 1
                 if visits > WALK_VISITS:
-                    return None
+                    return
                 if b in rows:
                     row, value = walk.send(b)
                     rows[b].append(row)
@@ -628,16 +602,9 @@ class Generator:
                 if type(b) is tuple:
                     b = b[0] if value else b[1]
         except Exception:
-            return None     # the shot raises it at its own block and line
+            return      # the shot raises it at its own block and line
         finally:
             walk.close()
-        return rows
-
-    def tabulate(self, rows: dict[int, list[tuple]], items: list, first: int,
-                 prologue: int):
-        """Make each known instruction of the blocks from `first` on read
-        its block's next row, at its own position, and bind each table's
-        iterator at the start of the shot (before chunk `prologue`)."""
         binds = []
         for i in range(first, len(items)):
             if not items[i] or not rows[i]:
@@ -659,7 +626,7 @@ class Generator:
         pad = "    " * depth
         self.chunks.append((pad + text.replace("\n", "\n" + pad), self.at))
 
-    def kernel(self, template: _Kernel, **fields):
+    def kernel(self, template: str, **fields):
         self.chunks.append((_rendered(template, self.unroll, tuple(fields.items())),
                             self.at))
 
@@ -721,10 +688,14 @@ class Generator:
 
     # -- instructions -------------------------------------------------------
 
-    def instruction(self, instr: hir.Instruction):
+    def instruction(self, instr: hir.Instruction) -> bool:
+        """Emit `instr`.  Returns whether it drew noise, flipped a readout
+        or appended to `out` or `ev`: work that a fold never runs ahead of
+        the shot (noise probabilities are not part of the generated code's
+        key)."""
         if isinstance(instr, hir.Gate):
-            self.gate(instr)
-        elif isinstance(instr, hir.Measure):
+            return self.gate(instr)
+        if isinstance(instr, hir.Measure):
             dest = self.reg[instr.dest]
             self.kernel(_MEASURE, P=self.pairs(instr.qubit), dest=dest)
             if self.noisy:
@@ -732,7 +703,8 @@ class Generator:
             if instr.record is not None:
                 t, phi_inv = (self.boxed(v) for v in instr.record)
                 self.emit(3, f"ev.append(({t}, {phi_inv}, {dest}))")
-        elif isinstance(instr, hir.Reset):
+            return self.noisy or instr.record is not None
+        if isinstance(instr, hir.Reset):
             self.kernel(_RESET, P=self.pairs(instr.qubit))
         elif isinstance(instr, hir.ActiveReset):
             for q in range(self.n):
@@ -741,8 +713,11 @@ class Generator:
             self.classical(instr)
         else:   # hir.Output
             self.emit(3, f"out.append(({instr.name!r}, {self.boxed(instr.name)}))")
+            return True
+        return False
 
-    def gate(self, instr: hir.Gate):
+    def gate(self, instr: hir.Gate) -> bool:
+        """Emit a gate, and its noise draw when noise is on; whether it drew."""
         name, qs = instr.name, instr.qubits
         if name == "h":
             self.kernel(_H, P=self.pairs(qs[0]))
@@ -775,11 +750,12 @@ class Generator:
             self.kernel(_ESWAP, Q=self.quads(*qs),
                         **dict(zip(("corner", "cc", "ss"), terms)))
         if not self.noisy or name in NOISELESS_GATES:
-            return
+            return False
         if len(qs) == 1:
             self.kernel(_NOISE1, P=self.pairs(qs[0]))
         else:
             self.kernel(_NOISE2, Pa=self.pairs(qs[0]), Pb=self.pairs(qs[1]))
+        return True
 
     def classical(self, instr: hir.Classical):
         op = instr.op

@@ -154,11 +154,15 @@ def test_run_range_diagnostic_exits_1(tmp_path, capsys):
     assert "literal-out-of-range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["0.1,0.2", "0.1,0.2,0.3,0.4"])
+@pytest.mark.parametrize("spec", ["0.1,0.2", "0.1,0.2,0.3,0.4", "abc",
+                                  "0.1,abc,0.3", "0.1,0.2,"])
 def test_noise_needs_three_numbers(tmp_path, capsys, spec):
+    """A spec that is not three numbers gets one message, which names the
+    flag and quotes the spec (not float()'s, which names neither)."""
     prog = _write(tmp_path, "teleport.hir", TELEPORT)
     assert main(["run", prog, "--noise", spec]) == 1
-    assert capsys.readouterr().err == "error: --noise takes p1,p2,pr\n"
+    assert capsys.readouterr().err == \
+        f"error: --noise takes p1,p2,pr, not {spec!r}\n"
 
 
 def test_run_step_limit_env(tmp_path, capsys, monkeypatch):

@@ -17,10 +17,10 @@ wrappers around the functions that do them:
     other      the rest of bayes.refit (prologue, pooled row, per-shot means)
 
 On a shared host other tenants slow a process by up to 2x for seconds at a
-time, so each chunk's times are divided by the slowdown a fixed reference
-loop measured just before it, as `perfbench/run.py` does.  It prints µs per
-record (a chunk refits 20) and each section's share of the chunk.  Compare
-two versions by running it in each checkout, alternately.
+time, so each chunk's times are divided by the slowdown that
+`perfbench/run.py`'s `host_slowdown` measured just before it.  It prints
+µs per record (a chunk refits 20) and each section's share of the chunk.
+Compare two versions by running it in each checkout, alternately.
 
     python3 tools/refit_sections.py [chunks] [shots] [seed]
 
@@ -32,36 +32,17 @@ import sys
 import time
 from collections import Counter
 
-sys.path.insert(0, "src")
+sys.path[:0] = ["src", "perfbench"]
 
 from hybridsim import algorithms, bayes, sim  # noqa: E402
+from run import host_slowdown  # noqa: E402
 
 SLICE = 10
-# reference() takes about REF_SECONDS on an unloaded host; the constant
-# only fixes the scale of the reported times.
-REF_LOOPS = 10_000
-REF_SECONDS = 1.5e-3
 # (label, name) of each wrapped function of bayes; "block rows" includes
 # "rows".
 WRAPPED = (("columns", "_block_columns"), ("block rows", "_block_rows"),
            ("rows", "_row"), ("normalise", "_normalise"))
 SECTIONS = ("columns", "set-up", "rows", "normalise")
-
-
-def reference() -> int:
-    """Interpreter-bound work that never touches hybridsim."""
-    acc, z, table = 0, 1 + 0j, {}
-    for i in range(REF_LOOPS):
-        acc = (acc + i * i) % 1000003
-        table[i & 255] = acc
-        z *= 0.6 + 0.8j
-    return acc
-
-
-def slowdown() -> float:
-    t0 = time.perf_counter()
-    reference()
-    return (time.perf_counter() - t0) / REF_SECONDS
 
 
 def slices(mode: str, shots: int, seed: int) -> list[str]:
@@ -94,7 +75,7 @@ def main():
         setattr(bayes, name, timed(spent, label, getattr(bayes, name)))
     for j in range(chunks):
         spent.clear()
-        slow = slowdown()
+        slow = host_slowdown()
         t0 = time.perf_counter()
         for mode, pieces in files.items():
             t1 = time.perf_counter()

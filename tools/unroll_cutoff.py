@@ -12,8 +12,8 @@ entry block's deterministic prefix once, when it generates the source.
 
 On a shared host other tenants slow a process by up to 2x for seconds at
 a time, so the two forms are timed in PAIRS interleaved pairs (the order
-alternating), and each timing is divided by the slowdown a fixed
-reference loop measured just before it, as `perfbench/run.py` does.  Each
+alternating), and each timing is divided by the slowdown that
+`perfbench/run.py`'s `host_slowdown` measured just before it.  Each
 figure is the median over the pairs; the break-even column also gives
 the lowest and highest pair's figure.
 
@@ -26,15 +26,12 @@ import statistics
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path[:0] = ["src", "perfbench"]
 
 from hybridsim import codegen, hir, sim  # noqa: E402
+from run import host_slowdown  # noqa: E402
 
 PAIRS = 5
-# reference() takes about REF_SECONDS on an unloaded host; the constant
-# only fixes the scale of the reported times.
-REF_LOOPS = 10_000
-REF_SECONDS = 1.5e-3
 
 
 def program(n: int) -> hir.HybridProgram:
@@ -49,22 +46,6 @@ def program(n: int) -> hir.HybridProgram:
     return hir.parse("\n".join(lines) + "\n")
 
 
-def reference() -> int:
-    """Interpreter-bound work that never touches hybridsim."""
-    acc, z, table = 0, 1 + 0j, {}
-    for i in range(REF_LOOPS):
-        acc = (acc + i * i) % 1000003
-        table[i & 255] = acc
-        z *= 0.6 + 0.8j
-    return acc
-
-
-def slowdown() -> float:
-    t0 = time.perf_counter()
-    reference()
-    return (time.perf_counter() - t0) / REF_SECONDS
-
-
 def measure(prog, cfg, unroll: bool, shots: int):
     """(cold compile ms, µs per shot) of one form, at reference speed."""
     n = prog.qubits
@@ -74,7 +55,7 @@ def measure(prog, cfg, unroll: bool, shots: int):
     sim._code.cache_clear()
     codegen._rendered.cache_clear()
     codegen._fold_code.cache_clear()
-    slow = slowdown()
+    slow = host_slowdown()
     t0 = time.perf_counter()
     sim.compile_program(prog, cfg)
     t1 = time.perf_counter()
