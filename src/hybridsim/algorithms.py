@@ -59,6 +59,11 @@ class RwpeParams:
             raise ValueError("refresh_period must be >= 1")
         if self.sigma0 <= 0:
             raise ValueError("sigma0 must be positive")
+        # Both are int18 literals of the program.
+        for name in ("n_iter", "refresh_period"):
+            v = getattr(self, name)
+            if v > fx.RAW_MAX:
+                raise ValueError(f"{name}={v} is outside the 18-bit signed range")
         for name in ("mu0", "sigma0", "oracle_coeff"):
             v = getattr(self, name)
             try:

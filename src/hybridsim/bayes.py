@@ -54,7 +54,8 @@ What `refit` keeps, and for how long:
   in one vectorised step (floats as they are, Q2.16 boxes from their raw
   words; any other column one `float` or `int` call per value) and checked
   by one vectorised pass (a block that fails is gone through again record
-  by record, so the error is the first failing record's); the coarse sines
+  by record, by the same conversion, so the error is the first failing
+  record's, and names its shot); the coarse sines
   and gathered tables of one run at a time; one record's scratch buffers,
   sized by the block's longest record (for RWPE 24 x 2048 doubles, 393 kB,
   and as many near-zero flags); and its rows (10 x 2001 doubles, 160 kB).
@@ -117,11 +118,12 @@ class EvidenceRecord:
 
 def evidence_from_record(rec: ShotRecord) -> EvidenceRecord:
     """Convert a shot record's evidence to radians (angles were stored in
-    units of pi; evolution times are plain scalars or Q2.16 boxes, which
-    `float` reads)."""
-    return EvidenceRecord(tuple(
-        (float(t), float(p) * math.pi, int(d))
-        for t, p, d in rec.evidence))
+    units of pi; times and angles are plain scalars or boxes, which `float`
+    reads), as `refit` converts it: evidence it cannot read, or an outcome
+    other than 0 or 1, is a ValueError that names the shot."""
+    t, phi_inv, d = _record_columns(rec)
+    return EvidenceRecord(tuple(zip(t.tolist(), phi_inv.tolist(),
+                                    d.astype(int).tolist())))
 
 
 @dataclass(frozen=True)
@@ -369,6 +371,7 @@ def _fault(cols: np.ndarray, grid_size: int, width: float) -> str | None:
 
 _evidence = attrgetter("evidence")
 _raw = attrgetter("raw")
+_OUTCOMES = frozenset({0, 1})
 
 
 def _column(values: tuple, kind: type = float) -> np.ndarray:
@@ -383,23 +386,45 @@ def _column(values: tuple, kind: type = float) -> np.ndarray:
                        float, n)
 
 
+def _evidence_columns(records: Iterable[ShotRecord]) -> np.ndarray:
+    """The evidence columns (`_columns`) of `records`, record after record:
+    a column of floats or of Q2.16 boxes in one vectorised step, any other
+    one value at a time.  An outcome other than 0 or 1 is a ValueError
+    naming its entry (counted over all of `records`); any other value that
+    cannot be read raises what its conversion raises."""
+    # strict: every entry as long as the first, which must be 3.
+    t, p, d = tuple(zip(*chain.from_iterable(map(_evidence, records)),
+                        strict=True)) or ((), (), ())
+    if not _OUTCOMES.issuperset(d):
+        k = next(k for k, x in enumerate(d) if x not in _OUTCOMES)
+        raise ValueError(f"evidence entry {k} has outcome d = {d[k]!r}, "
+                         "not 0 or 1")
+    cols = np.empty((3, len(t)))
+    cols[0] = _column(t)
+    with np.errstate(over="ignore"):    # inf, as Python's product is
+        np.multiply(_column(p), math.pi, out=cols[1])
+    cols[2] = _column(d, int)
+    return cols
+
+
+def _record_columns(rec: ShotRecord) -> np.ndarray:
+    """One record's evidence columns; evidence that cannot be read is a
+    ValueError that names the shot."""
+    try:
+        return _evidence_columns([rec])
+    except (TypeError, ValueError, ArithmeticError) as e:
+        raise ValueError(f"shot {rec.shot}: {e}") from e
+
+
 def _block_columns(block: list[ShotRecord], lengths: list[int],
                    grid_size: int, width: float) -> np.ndarray:
-    """The block's evidence columns (`_columns`), record after record,
-    converted and checked for the whole block at once: a column of floats
-    or of Q2.16 boxes in one vectorised step, any other one value at a
-    time.  When the block fails, its records are converted and checked one
-    by one, so the error raised is the first failing record's first one."""
+    """The block's evidence columns (`_evidence_columns`), converted and
+    checked for the whole block at once.  When the block fails, the same
+    conversion and checks go through its records one by one, so the error
+    raised is the first failing record's first one, and names its shot."""
     try:
-        # strict: every entry as long as the first, which must be 3.
-        t, p, d = zip(*chain.from_iterable(map(_evidence, block)),
-                      strict=True)
-        cols = np.empty((3, len(t)))
-        cols[0] = _column(t)
-        with np.errstate(over="ignore"):    # inf, as Python's product is
-            np.multiply(_column(p), math.pi, out=cols[1])
-        cols[2] = _column(d, int)
-    except Exception:       # raised again, in record order, below
+        cols = _evidence_columns(block)
+    except Exception:       # raised again, for its record, below
         cols = None
     # (6 |t|) * width rounds monotonically in |t|, so the largest |t| of
     # the block fails the nodes-per-period check when any record does.
@@ -408,8 +433,7 @@ def _block_columns(block: list[ShotRecord], lengths: list[int],
         for rec in block:
             if not rec.evidence:
                 raise ValueError(f"shot {rec.shot} has no evidence to refit")
-            fault = _fault(_columns(evidence_from_record(rec)), grid_size,
-                           width)
+            fault = _fault(_record_columns(rec), grid_size, width)
             if fault is not None:
                 raise ValueError(f"shot {rec.shot}: {fault}")
     return cols
@@ -434,10 +458,11 @@ def refit(records: Sequence[ShotRecord], grid_size: int = 2001,
     """MMSE re-estimate per shot, plus a pooled estimate from all evidence.
 
     `true_value` and `raw_estimates` (both on the doubled scale) enable the
-    mse / raw_mse summary fields.  Raises ValueError when a record's
-    evidence holds a non-finite time or angle, or a time and angle whose
-    product overflows, or when the grid has fewer than
-    MIN_NODES_PER_PERIOD nodes per likelihood period of some record.
+    mse / raw_mse summary fields.  Raises ValueError, naming the shot, when
+    a record's evidence cannot be read, holds an outcome other than 0 or
+    1, a non-finite time or angle, or a time and angle whose product
+    overflows, or when the grid has fewer than MIN_NODES_PER_PERIOD nodes
+    per likelihood period of some record.
     """
     if not records:
         raise ValueError("no records to refit")

@@ -44,16 +44,20 @@ is a classical instruction reading only literals and registers of K, in a
 steady block: one that reaches a `ret` and is not control-dependent
 (through post-dominators, directly or through other branches) on a
 `condbr` whose condition is outside K.  No measurement destination is in
-K.  A walk at generation time follows the known branches from the entry,
-jumps from any other branch to its immediate post-dominator, and runs each
+K.  The walk is generated code too: one function with `run`'s dispatch on
+the block index, run once at generation time.  From the entry it runs each
 steady block's known instructions, and the phase terms of each `rz`, `crz`
-or `eswap` whose angle is known, through the text a shot would run; the
-k-th visit to a block gives row k of its table.  In the shot each known
-instruction assigns its register (or phase terms) from its block's next
-row, at its own position, so every register holds the same value after
-every instruction, and draws, records, step counts and amplitudes are
-unchanged.  When the walk raises, or makes more than `WALK_VISITS` visits,
-the program gets no tables and its source is the one without them.
+or `eswap` whose angle is known, through the text a shot would run, and
+appends the values they set to the block's row list: the k-th visit to a
+block gives row k of its table.  It follows a known branch by the text of
+the shot's own terminator, goes from any other block to its immediate
+post-dominator, and stops at a `ret` or where there is none.  In the shot
+each known instruction assigns its register (or phase terms) from its
+block's next row, at its own position, so every register holds the same
+value after every instruction, and draws, records, step counts and
+amplitudes are unchanged.  When the walk raises, or makes more than `WALK_VISITS` visits
+(it counts them itself), the program gets no tables and its source is the
+one without them.
 """
 
 from __future__ import annotations
@@ -464,7 +468,7 @@ class Generator:
             self.at = (block.label, block.terminator.line)
             self.terminator(block.terminator, index)
         if any(items[tabled:]):
-            self.walk(prog, succ, known, steady, ipdom, items, start, tabled,
+            self.walk(prog, index, known, steady, ipdom, items, start, tabled,
                       prologue)
         # (first generated line, (block label, HIR line)) of each chunk
         self.where: list[tuple[int, tuple[str | None, int | None]]] = []
@@ -503,8 +507,7 @@ class Generator:
                  " " * 12 + self.unpack]
         for a, b in zip(ends, ends[1:]):
             parts += [text for text, _ in self.chunks[a:b]] + [snapshot]
-        code = _fold_code("\n".join(parts))
-        ns = namespace(self.static, self.domain, None)
+        fold = self.function("\n".join(parts))
         drawn = 0
 
         def lowest():
@@ -513,8 +516,8 @@ class Generator:
             return _DRAW_ENDS[0]
 
         args = [self.static["A0"]] + [self.static[c] for c in inits]
-        low = FunctionType(code, ns)(lowest, *args)
-        high = FunctionType(code, ns)(lambda: _DRAW_ENDS[1], *args)
+        low = fold(lowest, *args)
+        high = fold(lambda: _DRAW_ENDS[1], *args)
         folded = draws = 0
         try:
             for state, other in zip(low, high):
@@ -546,7 +549,7 @@ class Generator:
             return "corner, cc, ss" if instr.name == "eswap" else "p0, p1"
         return None
 
-    def walk(self, prog: hir.HybridProgram, succ: list[tuple[int, ...]],
+    def walk(self, prog: hir.HybridProgram, index: dict[str, int],
              known: frozenset[str], steady: list[bool], ipdom: list,
              items: list, start: list, first: int, prologue: int):
         """Tabulate the known work of the blocks from `first` on.  Row k of
@@ -557,61 +560,48 @@ class Generator:
         raises, or makes more than WALK_VISITS visits, the source stays as
         it is.
 
-        The walk starts at the entry, on the registers' initial values
-        `start`, and runs each visited steady block's known instructions
-        through the text a shot would run.  It follows a branch whose
-        condition is known, jumps from any other branch (and from a block
-        that is not steady) to its immediate post-dominator, and stops at a
-        `ret` or where there is none.  A shot visits the steady blocks in
-        the same order, with the same known values, because no register of
-        K changes anywhere else; it may stop sooner."""
-        cond = {i: self.reg[b.terminator.cond] for i, b in enumerate(prog.blocks)
-                if steady[i] and isinstance(b.terminator, hir.CondBr)
-                and b.terminator.cond in known}
+        The walk is generated like `run`: a function of the registers'
+        initial values `start` that dispatches on the block index `b`, from
+        the entry, for at most WALK_VISITS visits.  Each visited steady
+        block runs its known instructions through the text a shot would run
+        and appends the values they set to its row list.  Then a block
+        whose `condbr` has a known condition sets `b` as the shot's
+        terminator does, and any other block (a `br` too, since its target
+        is its immediate post-dominator) sets it to its immediate
+        post-dominator: None after a `ret`, or where there is none, which
+        ends the walk.  A shot visits the steady blocks in the same order,
+        with the same known values, because no register of K changes
+        anywhere else; it may stop sooner."""
+        tabled = [i for i in range(first, len(items)) if items[i]]
         parts = [f"def walk({', '.join(self.reg.values())}):",
-                 "    b = yield", "    while True:"]
-        rows: dict[int, list[tuple]] = {}
-        for i in range(len(prog.blocks)):
-            if items[i] or i in cond:
-                parts.append(f"        {'elif' if rows else 'if'} b == {i}:")
-                # each value as it stands right after its instruction
-                for j, (_, text, names) in enumerate(items[i]):
-                    parts += [text, f"            v{j} = {names}"]
-                row = "".join(f"v{j}, " for j in range(len(items[i])))
-                parts.append(f"            b = yield ({row}), {cond.get(i)}")
-                rows[i] = []
-        walk = FunctionType(_fold_code("\n".join(parts)),
-                            namespace(self.static, self.domain, None))(*start)
-        # Where the walk goes from each block: the target of a `br`, the
-        # (then, else) blocks of a known condition, or else the immediate
-        # post-dominator (None after a `ret`, or where there is none).
-        after = [t[0] if steady[i] and len(t) == 1
-                 else t if steady[i] and i in cond else ipdom[i]
-                 for i, t in enumerate(succ)]
-        b = visits = 0
+                 *[f"    T{i} = []" for i in tabled],
+                 f"    b = 0\n    for _ in range({WALK_VISITS}):"]
+        for i, block in enumerate(prog.blocks):
+            parts.append(f"        {'elif' if i else 'if'} b == {i}:")
+            # each value as it stands right after its instruction
+            for j, (_, text, names) in enumerate(items[i]):
+                parts += [text, f"            v{j} = {names}"]
+            if i in tabled:
+                row = ", ".join([f"v{j}" for j in range(len(items[i]))])
+                parts.append(f"            T{i}.append(({row}))")
+            term = block.terminator
+            parts.append(" " * 12 + (
+                self.jump(term, index) if steady[i] and isinstance(term, hir.CondBr)
+                and term.cond in known else f"b = {ipdom[i]}"))
+        parts += ["        if b is None:",
+                  f"            return {', '.join([f'T{i}' for i in tabled])},",
+                  f"    raise StepLimitExceeded('more than {WALK_VISITS} visits')"]
         try:
-            next(walk)
-            while b is not None:
-                visits += 1
-                if visits > WALK_VISITS:
-                    return
-                if b in rows:
-                    row, value = walk.send(b)
-                    rows[b].append(row)
-                b = after[b]
-                if type(b) is tuple:
-                    b = b[0] if value else b[1]
+            tables = self.function("\n".join(parts))(*start)
         except Exception:
             return      # the shot raises it at its own block and line
-        finally:
-            walk.close()
         binds = []
-        for i in range(first, len(items)):
-            if not items[i] or not rows[i]:
+        for i, rows in zip(tabled, tables):
+            if not rows:
                 continue
             binds.append(f"next{i} = iter(T{i}).__next__")
+            self.static[f"T{i}"] = tuple(rows)
             one = len(items[i]) == 1
-            self.static[f"T{i}"] = tuple([r[0] if one else r for r in rows[i]])
             for j, (k, _, names) in enumerate(items[i]):
                 text = f"{names} = next{i}()" if one else \
                     f"R = next{i}()\n" * (j == 0) + f"{names} = R[{j}]"
@@ -621,6 +611,12 @@ class Generator:
             self.chunks.insert(prologue, ("    " + "\n    ".join(binds), (None, None)))
 
     # -- helpers ------------------------------------------------------------
+
+    def function(self, text: str) -> FunctionType:
+        """The function `text` defines (a fold or a walk), bound to the
+        static values as they stand and the domain's ops, without noise."""
+        return FunctionType(_fold_code(text),
+                            namespace(self.static, self.domain, None))
 
     def emit(self, depth: int, text: str):
         pad = "    " * depth
@@ -770,16 +766,20 @@ class Generator:
         else:
             self.emit(3, f"{dest} = {self.expr(op, self.kinds[instr.dest], args)}")
 
-    def terminator(self, term: hir.Terminator, index: dict[str, int]):
+    def jump(self, term: hir.Br | hir.CondBr, index: dict[str, int]) -> str:
+        """The statement by which a `br` or `condbr` sets the next block."""
         if isinstance(term, hir.Br):
-            self.emit(3, f"b = {index[term.target]}")
-        elif isinstance(term, hir.CondBr):
-            self.emit(3, f"b = {index[term.then_target]} if {self.reg[term.cond]} "
-                         f"else {index[term.else_target]}")
-        else:
+            return f"b = {index[term.target]}"
+        return (f"b = {index[term.then_target]} if {self.reg[term.cond]} "
+                f"else {index[term.else_target]}")
+
+    def terminator(self, term: hir.Terminator, index: dict[str, int]):
+        if isinstance(term, hir.Ret):
             for v in term.values:
                 self.emit(3, f"out.append(({v!r}, {self.boxed(v)}))")
             self.emit(3, f"return {self.amplitudes()}")
+        else:
+            self.emit(3, self.jump(term, index))
 
 
 def namespace(static: dict, domain: Domain, noise: NoiseModel | None) -> dict:

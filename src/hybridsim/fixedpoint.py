@@ -196,6 +196,9 @@ class Int18:
 
     __post_init__ = _check_word
 
+    def __float__(self) -> float:
+        return float(self.raw)
+
     def __repr__(self) -> str:
         return f"Int18({self.raw})"
 

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -452,11 +453,14 @@ def test_refit_raises_the_first_failing_records_error(records):
 
 def _block_columns_per_value(block, lengths, grid_size, width):
     """`bayes._block_columns` with every value converted by its own `float`
-    or `int` call: the path the vectorised columns must agree with."""
+    or `int` call, once every outcome is 0 or 1: the path the vectorised
+    columns must agree with."""
     try:
+        entries = [(t, p, d) for rec in block for t, p, d in rec.evidence]
+        if not all(d in (0, 1) for _, _, d in entries):
+            raise ValueError("an outcome is not 0 or 1")
         cols = np.fromiter(chain.from_iterable([
-            (float(t), float(p) * math.pi, int(d))
-            for rec in block for t, p, d in rec.evidence]),
+            (float(t), float(p) * math.pi, int(d)) for t, p, d in entries]),
             float, 3 * sum(lengths)).reshape(-1, 3).T
     except Exception:
         cols = None
@@ -672,6 +676,37 @@ def test_refit_raises_the_first_failing_records_error_within_a_block():
     with pytest.raises(ValueError, match="shot 3: evidence entry 2 is not "
                                          "finite"):
         refit(records)
+
+
+_GOOD = sim.ShotRecord(0, 0, (), ((2.0, 0.25, 0), (3.0, -0.5, 1)))
+
+
+def _raises_for_shot_1(bad, message):
+    """`refit` raises `message` for the record `bad` (shot 1) both within a
+    block and alone, and `evidence_from_record` raises it too."""
+    pattern = "^" + re.escape(message) + "$"
+    for records in ([_GOOD, bad, _GOOD], [bad]):
+        with pytest.raises(ValueError, match=pattern):
+            refit(records)
+    with pytest.raises(ValueError, match=pattern):
+        bayes.evidence_from_record(bad)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((None, 0.1, 1),
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    ((1.0, 0.1), "not enough values to unpack (expected 3, got 2)"),
+    ((1.0, "x", 1), "could not convert string to float: 'x'"),
+], ids=["time-none", "two-items", "angle-text"])
+def test_evidence_that_cannot_be_read_names_its_shot(entry, message):
+    _raises_for_shot_1(sim.ShotRecord(1, 0, (), (entry,)), f"shot 1: {message}")
+
+
+@pytest.mark.parametrize("d", [2, -1, 0.5])
+def test_refit_rejects_an_outcome_other_than_0_or_1(d):
+    bad = sim.ShotRecord(1, 0, (), ((2.0, 0.25, 0), (3.0, -0.5, d)))
+    _raises_for_shot_1(
+        bad, f"shot 1: evidence entry 1 has outcome d = {d!r}, not 0 or 1")
 
 
 def test_refit_names_the_entry_whose_likelihood_argument_overflows():

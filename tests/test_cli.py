@@ -229,6 +229,22 @@ def test_rwpe_bad_params_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--iters", "--refresh-period"])
+def test_rwpe_range_error_names_the_parameter_and_keeps_the_records_file(
+        tmp_path, capsys, flag):
+    # 131072 is one past the largest int18 word, which both parameters are
+    # in the program.
+    prefix = tmp_path / "walk"
+    out = tmp_path / "walk.records.jsonl"
+    out.write_bytes(b"earlier records\n")
+    assert main(["rwpe", "--shots", "1", "--mode", "fixed", flag, "131072",
+                 "--out-prefix", str(prefix)]) == 1
+    name = {"--iters": "n_iter", "--refresh-period": "refresh_period"}[flag]
+    assert capsys.readouterr().err == \
+        f"error: {name}=131072 is outside the 18-bit signed range\n"
+    assert out.read_bytes() == b"earlier records\n"
+
+
 @pytest.mark.parametrize("bins", ["0", "-3", "two"])
 def test_rwpe_rejects_bins_below_one_before_running(tmp_path, capsys, bins):
     prefix = str(tmp_path / "walk")
@@ -372,6 +388,30 @@ def test_refit_true_value_without_runtime_estimates(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mse"] is not None
     assert payload["raw_mse"] is None
+
+
+def test_refit_reads_an_int18_mu_as_the_runtime_estimate(tmp_path, capsys):
+    # In fixed mode an int18 `mu` output is a box; the run-time estimate
+    # reads it with float(), as it reads a Q2.16 box.
+    prog = _write(tmp_path, "int_mu.hir", """proc main qubits 1
+  var int18 mu = 1
+  var fixed t = 1.0
+  var fixed phi_inv = 0.25
+  var bit d = 0
+entry:
+  h q0
+  mz q0 -> d record(t, phi_inv)
+  output mu
+  ret
+endproc
+""")
+    records = str(tmp_path / "int_mu.jsonl")
+    assert main(["run", prog, "--shots", "4", "--mode", "fixed",
+                 "--out", records]) == 0
+    assert '"outputs":[["mu",{"raw":1}]]' in open(records).read()
+    assert main(["refit", records, "--true-value", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["raw_mse"] == (2.0 - 0.5) ** 2
 
 
 def test_refit_rejects_grid_too_coarse_for_recorded_times(tmp_path, capsys):

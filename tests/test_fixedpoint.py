@@ -155,6 +155,13 @@ def test_typed_wrappers():
         fx.FixedQ216(2 ** 17)
 
 
+def test_both_boxes_read_as_floats():
+    # Code that reads a record's numbers takes float(v), box or not.
+    assert float(fx.FixedQ216(fx.encode(-1.25))) == -1.25
+    assert float(fx.Int18(fx.RAW_MIN)) == -131072.0
+    assert type(float(fx.Int18(7))) is float
+
+
 @pytest.mark.parametrize("make", [lambda: fx.FixedQ216(True),
                                   lambda: fx.Int18(False),
                                   lambda: fx.FixedQ216(1.5)],

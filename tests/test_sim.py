@@ -953,6 +953,40 @@ done:
   ret c, k
 endproc
 """,
+    # `head` computes nothing known, but branches on `more`, which `tail`
+    # computes: the walk still follows that branch, so `body`'s phase of
+    # the known `s` and `tail`'s work are tabled, and `head` reads nothing.
+    "known-branch-without-known-work": """proc main qubits 1
+  var int18 k = 0
+  var bit more = 1
+  var bit m = 0
+  var fixed s = 0.5
+  var fixed mu = 0.0
+prep:
+  h q0
+  br head
+head:
+  condbr more, body, done
+body:
+  rz(s) q0
+  h q0
+  mz q0 -> m
+  condbr m, up, down
+up:
+  add mu, mu, s
+  br tail
+down:
+  sub mu, mu, s
+  br tail
+tail:
+  mul s, s, 0.75
+  add k, k, 1
+  cmp_lt more, k, 3
+  br head
+done:
+  ret mu, s, k
+endproc
+""",
     # `spin` never returns, so it has no post-dominator and `body`'s branch
     # makes nothing control-dependent: `head`'s counter is still tabled.
     "branch-into-endless-loop": """proc main qubits 1
@@ -1005,6 +1039,10 @@ endproc
          _HEAVY_NOISE, 11)
 @example(hir.parse(_TABLE_EDGES["dynamic-known-looking"]),
          ClassicalMode.EXACT_REAL, NoiseModel(), 12)
+@example(hir.parse(_TABLE_EDGES["known-branch-without-known-work"]), FIXED,
+         _HEAVY_NOISE, 13)
+@example(hir.parse(_TABLE_EDGES["known-branch-without-known-work"]),
+         ClassicalMode.EXACT_REAL, None, 14)
 def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
     cfg = ExecConfig(classical_mode=mode, noise=noise, seed=seed)
     compiled = sim.compile_program(prog, cfg)
@@ -1061,6 +1099,16 @@ def test_tables_follow_the_walk_and_leave_the_rest_in_the_shot():
     assert ret.count("cos(") == 1
     looking = _source(_TABLE_EDGES["dynamic-known-looking"])
     assert "r0 = r0 + c" in looking and "r1 = R[0]" in looking
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+def test_a_known_branch_is_followed_from_a_block_without_known_work(mode):
+    source = _source(_TABLE_EDGES["known-branch-without-known-work"], mode)
+    # blocks: prep 0, head 1, body 2, up 3, down 4, tail 5, done 6
+    assert "next2 = iter(T2).__next__" in source     # rz(s)
+    assert "next5 = iter(T5).__next__" in source     # s, k, more
+    assert "next1" not in source and "T1" not in source
+    assert source.count("cos(") == 0
 
 
 def test_a_branch_into_an_endless_loop_keeps_the_tables():
