@@ -21,7 +21,9 @@ and :class:`Int18` box a word as a typed value in shot records.  Each op is
 one Python call that wraps its result inline.  The table reciprocal of a
 word is computed once and remembered (`recip_prewrap_raw` is a bounded
 memo), since a program divides by the same few words in every shot, and
-`fixed_box` hands out one shared, checked `FixedQ216` per word.  Both memos
+`fixed_box` hands out one shared, checked `FixedQ216` per word, which is
+also how a pickled Q2.16 box loads (an `Int18` loads through its
+constructor, so no pickle skips the word check).  Both memos
 key on the argument's exact type, so a `bool` or `float` never finds an
 `int` entry; a call that raises remembers nothing.
 """
@@ -184,6 +186,10 @@ class FixedQ216:
     def __repr__(self) -> str:
         return f"FixedQ216(raw={self.raw}, value={self.value!r})"
 
+    def __reduce__(self):
+        # Unpickled through the word check, as the shared box of its word.
+        return fixed_box, (self.raw,)
+
 
 _set_fixed_raw = FixedQ216.raw.__set__
 
@@ -202,11 +208,18 @@ class Int18:
     def __repr__(self) -> str:
         return f"Int18({self.raw})"
 
+    def __reduce__(self):
+        # Unpickled through the constructor, so through the word check.
+        return Int18, (self.raw,)
+
 
 # The box of each Q2.16 word, built and checked the first time the word is
 # seen and shared after that (boxes are frozen).  RWPE records the same 24
 # times `t` in every shot, and its `phi_inv` words recur: read once, the
 # records of a 3000-shot `fixed` run (15271 distinct words, 49 boxes a
 # record) find 78% of their boxes among 1024 (0.17 MB held), and would find
-# 86% among 4096 (0.79 MB).
-fixed_box = lru_cache(maxsize=1024, typed=True)(FixedQ216)
+# 86% among 4096 (0.79 MB).  A function of its own, not the cached class,
+# so that pickle finds it by its name.
+@lru_cache(maxsize=1024, typed=True)
+def fixed_box(raw: int) -> FixedQ216:
+    return FixedQ216(raw)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -33,10 +34,14 @@ class Histogram:
 def histogram(values, bin_count: int = 100,
               interval: tuple[float, float] = (-2.0, 2.0)) -> Histogram:
     """Equal-width half-open bins over `interval`; out-of-range samples are
-    tallied separately and excluded from the bins."""
+    tallied separately and excluded from the bins.  The interval needs
+    `lo < hi` and a finite width (so finite ends)."""
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     lo, hi = interval
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError("interval needs lo < hi and a finite width, got "
+                         f"{tuple(interval)}")
     width = (hi - lo) / bin_count
     counts = [0] * bin_count
     overflow = 0

@@ -30,18 +30,32 @@ records byte for byte.  A compiled program owns one generator and reseeds
 it at the start of every shot, which gives the same stream as a fresh one;
 so `CompiledProgram.shot` is not reentrant, and two threads must not run
 shots of the same compiled program at once.
+
+`run_shots` relies on that contract to use every usable CPU: a call with
+enough work splits its shots into contiguous pieces, runs the first in the
+calling process and each other in a worker process forked on first use,
+and joins the records in the order the shots were given.  The records, and
+a failing shot's `ShotError`, are those of the serial path.  The usable
+CPUs are `os.sched_getaffinity(0)`, so `taskset` limits them; with one, or
+without the `fork` start method, every call runs serially.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import gc
 import itertools
 import json
 import linecache
+import marshal
 import math
 import operator
+import os
+import pickle
 import random
+import threading
+import time
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -128,6 +142,11 @@ class ShotRecord:
         _set_outputs(self, outputs)
         _set_evidence(self, evidence)
 
+    def __reduce__(self):
+        # Through `__init__`: a frozen dataclass's own `__setstate__` makes
+        # a Python call per field, 5 us a record where this takes 1.
+        return ShotRecord, (self.shot, self.seed, self.outputs, self.evidence)
+
 
 _set_shot = ShotRecord.shot.__set__
 _set_seed = ShotRecord.seed.__set__
@@ -200,7 +219,8 @@ def _q216_domain() -> Domain:
 def select_domain(mode: ClassicalMode) -> Domain:
     """The domain for `mode`.  Built afresh on every call, so the fixed-point
     ops a shot calls are whatever `fixedpoint` holds when a program is
-    compiled.  The ops of known values (`codegen`'s tables and fold) run
+    compiled (in a worker process, whatever it held when the worker was
+    forked).  The ops of known values (`codegen`'s tables and fold) run
     once, when the program's source is generated, with the domain of that
     compile; later compiles reuse their results."""
     return _q216_domain() if mode is ClassicalMode.FIXED_POINT else _real_domain()
@@ -235,17 +255,20 @@ def derive_shot_seed(seed: int, shot_index: int) -> int:
 
 _CACHE_SIZE = 128
 _file_numbers = itertools.count()
+_tokens = itertools.count()
 
 
 def _generated(program: hir.HybridProgram, cfg: ExecConfig, domain: Domain):
-    """(source, line table, static namespace) of `program` under `cfg`'s
-    mode and noise switch.  Threads that miss at once generate equal
+    """(source, line table, static namespace, token) of `program` under
+    `cfg`'s mode and noise switch.  The token is never reused: it names the
+    entry to the worker processes.  Threads that miss at once generate equal
     entries, and either may stay."""
     key = (cfg.classical_mode, cfg.noise is not None)
     entry = program.generated.get(key)
     if entry is None:
         gen = Generator(program, domain, key[1])
-        entry = program.generated[key] = (gen.source, gen.where, gen.static)
+        entry = program.generated[key] = (gen.source, gen.where, gen.static,
+                                          next(_tokens))
     return entry
 
 
@@ -261,6 +284,12 @@ def _code(source: str, name: str) -> CodeType:
                                  filename)
     weakref.finalize(code, linecache.cache.pop, filename, None)
     return code
+
+
+# A worker's code objects, by their marshalled bytes.  Programs of equal
+# source (every RWPE a benchmark set-up builds, the 8 `ipe-native` angle
+# sets) then share one, whose specialized instructions stay warm.
+_unmarshal = lru_cache(maxsize=_CACHE_SIZE)(marshal.loads)
 
 
 # What a shot may raise from inside the generated function: a zero divisor,
@@ -279,15 +308,40 @@ class CompiledProgram:
 
     def __init__(self, program: hir.HybridProgram, cfg: ExecConfig):
         domain = select_domain(cfg.classical_mode)
-        self.source, self.where, static = _generated(program, cfg, domain)
-        self.run = FunctionType(_code(self.source, program.name),
-                                namespace(static, domain, cfg.noise))
-        self.filename = self.run.__code__.co_filename
+        self.source, where, static, token = _generated(program, cfg, domain)
+        self._bind(_code(self.source, program.name), where, static, domain,
+                   cfg.noise)
         self.nqubits = program.qubits
+        # What a worker process needs to build the same `run`.
+        self.key = (token, cfg.noise)
+        self._static = static
+        self._mode = cfg.classical_mode
+
+    def _bind(self, code: CodeType, where, static: dict, domain: Domain,
+              noise: NoiseModel | None):
+        self.where = where
+        self.run = FunctionType(code, namespace(static, domain, noise))
+        self.filename = code.co_filename
         self._rng = random.Random(0)
         # The C generator's own seed: `Random.seed` adds only argument checks
         # and clears the cache of `gauss`, which `run` never calls.
         self._reseed = super(random.Random, self._rng).seed
+
+    def _payload(self) -> tuple:
+        """`run` as a worker receives it: its code object marshalled, and
+        what `_shipped` binds it to."""
+        return (marshal.dumps(self.run.__code__), self.where, self._static,
+                self._mode)
+
+    @classmethod
+    def _shipped(cls, code: bytes, where, static: dict, mode: ClassicalMode,
+                 noise: NoiseModel | None) -> "CompiledProgram":
+        """A worker's copy of a compiled program, from `_payload` and the
+        noise model: no source is generated or compiled."""
+        self = cls.__new__(cls)
+        self._bind(_unmarshal(code), where, static, select_domain(mode),
+                   noise)
+        return self
 
     def shot(self, seed: int, shot_index: int, step_limit: int):
         """(ShotRecord, final amplitudes) of one shot."""
@@ -340,13 +394,244 @@ def run_shot_debug(program: hir.HybridProgram, cfg: ExecConfig,
 
 def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
               shot_indices: Iterable[int] | None = None) -> list[ShotRecord]:
-    """Execute cfg.shots independent shots (or an explicit index subset).
-    Results depend only on (seed, shot index), never on evaluation order."""
-    shot = compile_program(program, cfg)._shot
+    """Execute cfg.shots independent shots (or an explicit index subset),
+    and return their records in the order the indices were given.  Results
+    depend only on (seed, shot index), never on evaluation order, so a call
+    whose work pays for it runs its shots on every usable CPU: the first
+    shot, timed, then the rest of the first piece in this process, and each
+    other piece in a worker process (`_pieces` says how many).  The records,
+    and any `ShotError`, are those of a serial run."""
+    compiled = compile_program(program, cfg)
+    shot = compiled._shot
     indices = range(cfg.shots) if shot_indices is None else shot_indices
+    if type(indices) is not range:
+        indices = list(indices)
+    if not indices:
+        return []
     mixed = _mix64(cfg.seed & _MASK64)
     limit = cfg.step_limit
-    return [shot(mixed, i, limit)[0] for i in indices]
+    start = time.perf_counter()
+    first = shot(mixed, indices[0], limit)[0]
+    pieces = _pieces(len(indices), time.perf_counter() - start)
+    # The workers serve one call at a time: a call that another thread makes
+    # meanwhile runs in its own thread alone.
+    if pieces > 1 and _workers_lock.acquire(blocking=False):
+        try:
+            records = _run_split(compiled, mixed, indices, limit, pieces, first)
+        finally:
+            _workers_lock.release()
+        if records is not None:
+            return records
+    return [first] + [shot(mixed, i, limit)[0]
+                      for i in itertools.islice(indices, 1, None)]
+
+
+# ---------------------------------------------------------------------------
+# Worker processes.  A call that splits runs its first piece in this process
+# and each other piece in a worker: one for each spare usable CPU, forked on
+# first use and kept for the next calls.  A worker receives a program once,
+# as a marshalled code object and its pickled static values, and binds them
+# to its own domain ops (so it calls the `fixedpoint` ops its process held
+# when it was forked); it never generates or compiles source.  It answers
+# each request with its piece's records, or with the position of the first
+# shot that raised, which this process then runs itself to raise the serial
+# error.  Workers are daemons of the `fork` context, which flushes stdout
+# and stderr before it forks and ends a worker with `os._exit`;
+# multiprocessing's exit handler stops them when this process ends, and a
+# worker whose parent died reads EOF and returns.  Fork, not spawn: a forked
+# worker starts with the package imported and its caches warm, where a
+# spawned one would import everything anew.  A worker runs only generated
+# code and pickle, never numpy, whose BLAS threads do not survive a fork.
+
+# The least work, in seconds of shots on one CPU, that a piece must hold to
+# pay for sending it to a worker and its records back.  Measured on a
+# 2-core host, a split into two pieces breaks even at 0.5-0.7 ms of work a
+# call, for RWPE (3 shots of ~200 us) and IPE steps (30 of ~16 us) alike.
+_PIECE_SECONDS = 3e-4
+# Programs each worker keeps, oldest dropped first.
+_WORKER_PROGRAMS = 16
+# How long a process polls a pipe before it blocks on it.  On a shared VM
+# host a process blocked for a few milliseconds takes 0.1-2 ms (at times
+# 10 ms) to wake; one that polls sees a request in 0.03-0.1 ms.  20 ms
+# spans the work a caller typically does between two calls.
+_POLL_SECONDS = 0.02
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _pieces(n: int, first: float) -> int:
+    """How many processes share a call of `n` shots whose first shot took
+    `first` seconds: one for each usable CPU (`taskset` limits them), but
+    no more than the call's work pays for, nor than it has shots; one where
+    `fork` is unavailable or this process may not start processes."""
+    pieces = min(_usable_cpus(), n, int(n * first / _PIECE_SECONDS))
+    if pieces > 1:
+        import multiprocessing      # here, so that serial users never load it
+        # A daemonic process, such as a `multiprocessing.Pool` worker, may
+        # not start processes.
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            return 1
+    return max(pieces, 1)
+
+
+def _remember(programs: dict, key, value):
+    """Keep `value` under `key`, dropping the oldest entry past the bound.
+    Each worker and this process's record of it apply the same rule to the
+    same keys, so they always agree on what the worker holds."""
+    programs[key] = value
+    if len(programs) > _WORKER_PROGRAMS:
+        del programs[next(iter(programs))]
+
+
+class _Worker:
+    """This process's end of one worker: its pipe, its process, and the keys
+    of the programs it holds."""
+
+    def __init__(self, conn, process):
+        self.conn = conn
+        self.process = process
+        self.programs: dict = {}
+
+    def send(self, compiled: CompiledProgram, mixed: int, indices, limit: int):
+        key = compiled.key
+        payload = None
+        if key not in self.programs:
+            payload = compiled._payload()
+            _remember(self.programs, key, None)
+        request = (key, payload, mixed, indices, limit)
+        self.conn.send_bytes(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+
+    def receive(self):
+        # With the collector paused: a reply of many records otherwise sets
+        # off collections that free nothing (50k IPE records load in 43 ms
+        # paused, and in 60-190 ms with collections).
+        data = _recv(self.conn)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return pickle.loads(data)
+        finally:
+            if enabled:
+                gc.enable()
+
+
+_workers: list[_Worker] = []
+_workers_lock = threading.Lock()
+# A process that this one forks by other means starts with no workers: it
+# must not write to this process's pipes.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.clear)
+
+
+def _recv(conn) -> bytes:
+    """The next message on `conn`, polled for up to `_POLL_SECONDS` before
+    blocking."""
+    deadline = time.perf_counter() + _POLL_SECONDS
+    while not conn.poll(0) and time.perf_counter() < deadline:
+        pass
+    return conn.recv_bytes()
+
+
+def _start_workers(count: int) -> list[_Worker]:
+    """`count` workers, forking those not yet running.  Each new worker
+    closes every pipe end of this process that it inherited, so that it
+    reads EOF once this process has gone."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    while len(_workers) < count:
+        conn, theirs = ctx.Pipe()
+        inherited = [w.conn for w in _workers] + [conn]
+        process = ctx.Process(target=_serve, name="hybridsim-worker",
+                              args=(theirs, inherited), daemon=True)
+        process.start()
+        theirs.close()
+        _workers.append(_Worker(conn, process))
+    return _workers[:count]
+
+
+def _stop_workers():
+    """Kill and reap every worker; the next split call forks new ones."""
+    for w in _workers:
+        w.process.kill()
+        w.process.join()
+        w.conn.close()
+    _workers.clear()
+
+
+def _serve(conn, others=()):
+    """A worker's loop.  Each request is (program key, program payload or
+    None, mixed seed, shot indices, step limit); the reply is the records,
+    or the position of the first shot that raised.  Returns when this
+    process's end of the pipe closes."""
+    for c in others:
+        c.close()
+    programs: dict = {}
+    try:
+        while True:
+            key, payload, mixed, indices, limit = pickle.loads(_recv(conn))
+            if payload is not None:
+                _remember(programs, key,
+                          CompiledProgram._shipped(*payload, key[1]))
+            shot = programs[key]._shot
+            records = []
+            try:
+                for i in indices:
+                    records.append(shot(mixed, i, limit)[0])
+            except Exception:       # the caller re-runs it to raise it
+                records = len(records)
+            conn.send_bytes(pickle.dumps(records, pickle.HIGHEST_PROTOCOL))
+    except (EOFError, OSError):
+        return
+
+
+def _run_split(compiled: CompiledProgram, mixed: int, indices, limit: int,
+               pieces: int, first: ShotRecord) -> list[ShotRecord] | None:
+    """`run_shots` in `pieces` contiguous pieces, the first in this process,
+    given the first shot's record.  Every worker's reply is read before
+    anything is raised, so the pipes stay in step.  If a worker cannot be
+    forked or has died, every worker is stopped and None returned: the
+    caller runs the shots itself.  If this process is interrupted, every
+    worker is stopped too."""
+    # Rounded up, so this process, which also unpickles the replies, takes
+    # the largest piece.
+    n = len(indices)
+    cuts = [-(-n * k // pieces) for k in range(pieces + 1)]
+    shot = compiled._shot
+    records = [first]
+    failed = None
+    try:
+        workers = _start_workers(pieces - 1)
+        for w, lo, hi in zip(workers, cuts[1:], cuts[2:]):
+            w.send(compiled, mixed, indices[lo:hi], limit)
+        try:
+            for i in indices[1:cuts[1]]:
+                records.append(shot(mixed, i, limit)[0])
+        except Exception as e:
+            failed = e
+        replies = [w.receive() for w in workers]
+    except (EOFError, OSError):     # no fork, or a closed pipe
+        _stop_workers()
+        return None
+    except BaseException:
+        _stop_workers()
+        raise
+    if failed is not None:
+        raise failed
+    for lo, reply in zip(cuts[1:], replies):
+        if type(reply) is int:
+            # The first failure in the given order: running the shot here
+            # raises exactly the serial error.
+            i = indices[lo + reply]
+            shot(mixed, i, limit)
+            raise RuntimeError(f"shot {i} raised in a worker process but "
+                               "not in this one")
+        records += reply
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +55,17 @@ def test_histogram_conservation_random():
 def test_histogram_needs_a_bin():
     with pytest.raises(ValueError, match="bin_count must be >= 1"):
         histogram([0.5], bin_count=0)
+
+
+@pytest.mark.parametrize("interval", [(2.0, -2.0), (1.0, 1.0),
+                                      (0.0, math.inf), (-math.inf, 0.0),
+                                      (math.nan, 1.0), (-1e308, 1e308)],
+                         ids=["reversed", "empty", "inf-hi", "inf-lo", "nan",
+                              "inf-width"])
+def test_histogram_rejects_an_interval_it_cannot_bin(interval):
+    with pytest.raises(ValueError, match="interval needs lo < hi and a "
+                                         "finite width"):
+        histogram([0.1, 0.5, 0.7], interval=interval)
 
 
 def test_histogram_csv_header():

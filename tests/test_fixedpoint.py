@@ -1,6 +1,7 @@
 """Q2.16 / Int18 semantics against the unbounded-integer oracle."""
 
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -223,6 +224,34 @@ def test_box_memo_shares_one_checked_box_per_word():
     assert box == fx.FixedQ216(fx.encode(0.75))
     assert type(box) is fx.FixedQ216
     assert fx.fixed_box(fx.encode(0.75)) is box
+
+
+@given(RAWS)
+def test_boxes_round_trip_through_pickle(raw):
+    fixed = fx.FixedQ216(raw)
+    back = pickle.loads(pickle.dumps(fixed))
+    assert back == fixed
+    assert back is fx.fixed_box(raw)        # the shared box of its word
+    assert pickle.loads(pickle.dumps(fx.Int18(raw))) == fx.Int18(raw)
+
+
+def _unchecked(cls, raw):
+    """A box holding `raw`, built without the word check."""
+    box = object.__new__(cls)
+    object.__setattr__(box, "raw", raw)
+    return box
+
+
+@pytest.mark.parametrize("cls", [fx.FixedQ216, fx.Int18],
+                         ids=["fixed", "int18"])
+@pytest.mark.parametrize("raw, error", [(10 ** 9, OutOfRange),
+                                        (fx.RAW_MIN - 1, OutOfRange),
+                                        (True, TypeError), (0.5, TypeError)],
+                         ids=["huge", "below", "bool", "float"])
+def test_a_bad_box_word_is_rejected_when_unpickled(cls, raw, error):
+    data = pickle.dumps(_unchecked(cls, raw))
+    with pytest.raises(error):
+        pickle.loads(data)
 
 
 def _held_bytes(memo, words) -> int:

@@ -15,6 +15,9 @@ process of its own that the tracer does not see.  A statement counts as run when
 lines ran, so a compound statement (`if`, `for`, `try`, ...) whose body ran
 counts as run, and statements that share a line share its fate.  Code the
 engine generates at run time has no file under `src/`, so it is not traced.
+Neither is code that runs in a forked worker process (`sim._serve`, the
+loop of a split `run_shots` call): the tracer sees this process only, so a
+test drives that loop in this process, from a thread.
 
 The run writes nothing into the repository: pytest's cache provider is off,
 no bytecode is written, and hypothesis keeps no example database.
