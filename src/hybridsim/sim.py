@@ -37,12 +37,14 @@ calling process and each other in a worker process forked on first use,
 and joins the records in the order the shots were given.  The records, and
 a failing shot's `ShotError`, are those of the serial path.  The usable
 CPUs are `os.sched_getaffinity(0)`, so `taskset` limits them; with one, or
-without the `fork` start method, every call runs serially.
+without `os.fork`, every call runs serially.
 """
 
 from __future__ import annotations
 
+import atexit
 import bisect
+import contextlib
 import enum
 import gc
 import itertools
@@ -54,6 +56,7 @@ import operator
 import os
 import pickle
 import random
+import signal
 import threading
 import time
 import weakref
@@ -246,29 +249,34 @@ def derive_shot_seed(seed: int, shot_index: int) -> int:
 
 
 # Compile caches.  Each program object keeps its generated source, line
-# table and static values in `HybridProgram.generated`, per mode and noise
-# switch, so two equal programs keep their own HIR line numbers.  `_code`
-# keeps the code object of each source text and program name.  Each code
-# object it compiles has a file name of its own, `<hir NAME:N>`, under which
-# its source stays in `linecache`, so that tracebacks show the generated
-# lines, for as long as the code object lives.
+# table, static values and worker payload in `HybridProgram.generated`, per
+# mode and noise switch, so two equal programs keep their own HIR line
+# numbers.  `_code` keeps the code object of each source text and program
+# name.  Each code object it compiles has a file name of its own,
+# `<hir NAME:N>`, under which its source stays in `linecache`, so that
+# tracebacks show the generated lines, for as long as the code object lives.
 
 _CACHE_SIZE = 128
 _file_numbers = itertools.count()
-_tokens = itertools.count()
 
 
 def _generated(program: hir.HybridProgram, cfg: ExecConfig, domain: Domain):
-    """(source, line table, static namespace, token) of `program` under
-    `cfg`'s mode and noise switch.  The token is never reused: it names the
-    entry to the worker processes.  Threads that miss at once generate equal
+    """(source, line table, static namespace, payload) of `program` under
+    `cfg`'s mode and noise switch.  The payload is what a worker process
+    builds the same `run` from (`_shipped`): the code object marshalled, the
+    line table, the static values and the mode, pickled once here, so that
+    every request can carry it.  Threads that miss at once generate equal
     entries, and either may stay."""
     key = (cfg.classical_mode, cfg.noise is not None)
     entry = program.generated.get(key)
     if entry is None:
         gen = Generator(program, domain, key[1])
+        code = marshal.dumps(_code(gen.source, program.name))
+        payload = pickle.dumps(
+            (code, gen.where, gen.static, cfg.classical_mode),
+            pickle.HIGHEST_PROTOCOL)
         entry = program.generated[key] = (gen.source, gen.where, gen.static,
-                                          next(_tokens))
+                                          payload)
     return entry
 
 
@@ -284,12 +292,6 @@ def _code(source: str, name: str) -> CodeType:
                                  filename)
     weakref.finalize(code, linecache.cache.pop, filename, None)
     return code
-
-
-# A worker's code objects, by their marshalled bytes.  Programs of equal
-# source (every RWPE a benchmark set-up builds, the 8 `ipe-native` angle
-# sets) then share one, whose specialized instructions stay warm.
-_unmarshal = lru_cache(maxsize=_CACHE_SIZE)(marshal.loads)
 
 
 # What a shot may raise from inside the generated function: a zero divisor,
@@ -308,14 +310,12 @@ class CompiledProgram:
 
     def __init__(self, program: hir.HybridProgram, cfg: ExecConfig):
         domain = select_domain(cfg.classical_mode)
-        self.source, where, static, token = _generated(program, cfg, domain)
+        self.source, where, static, payload = _generated(program, cfg, domain)
         self._bind(_code(self.source, program.name), where, static, domain,
                    cfg.noise)
         self.nqubits = program.qubits
-        # What a worker process needs to build the same `run`.
-        self.key = (token, cfg.noise)
-        self._static = static
-        self._mode = cfg.classical_mode
+        # What a worker process builds the same `run` from (`_shipped`).
+        self._ship = (payload, cfg.noise)
 
     def _bind(self, code: CodeType, where, static: dict, domain: Domain,
               noise: NoiseModel | None):
@@ -326,22 +326,6 @@ class CompiledProgram:
         # The C generator's own seed: `Random.seed` adds only argument checks
         # and clears the cache of `gauss`, which `run` never calls.
         self._reseed = super(random.Random, self._rng).seed
-
-    def _payload(self) -> tuple:
-        """`run` as a worker receives it: its code object marshalled, and
-        what `_shipped` binds it to."""
-        return (marshal.dumps(self.run.__code__), self.where, self._static,
-                self._mode)
-
-    @classmethod
-    def _shipped(cls, code: bytes, where, static: dict, mode: ClassicalMode,
-                 noise: NoiseModel | None) -> "CompiledProgram":
-        """A worker's copy of a compiled program, from `_payload` and the
-        noise model: no source is generated or compiled."""
-        self = cls.__new__(cls)
-        self._bind(_unmarshal(code), where, static, select_domain(mode),
-                   noise)
-        return self
 
     def shot(self, seed: int, shot_index: int, step_limit: int):
         """(ShotRecord, final amplitudes) of one shot."""
@@ -429,31 +413,34 @@ def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
 # ---------------------------------------------------------------------------
 # Worker processes.  A call that splits runs its first piece in this process
 # and each other piece in a worker: one for each spare usable CPU, forked on
-# first use and kept for the next calls.  A worker receives a program once,
-# as a marshalled code object and its pickled static values, and binds them
-# to its own domain ops (so it calls the `fixedpoint` ops its process held
-# when it was forked); it never generates or compiles source.  It answers
-# each request with its piece's records, or with the position of the first
-# shot that raised, which this process then runs itself to raise the serial
-# error.  Workers are daemons of the `fork` context, which flushes stdout
-# and stderr before it forks and ends a worker with `os._exit`;
-# multiprocessing's exit handler stops them when this process ends, and a
-# worker whose parent died reads EOF and returns.  Fork, not spawn: a forked
-# worker starts with the package imported and its caches warm, where a
-# spawned one would import everything anew.  A worker runs only generated
-# code and pickle, never numpy, whose BLAS threads do not survive a fork.
+# first use and kept for the next calls.  Each request carries its program,
+# as the payload `_generated` pickled once; a worker binds its code object to
+# its own domain ops (so it calls the `fixedpoint` ops its process held when
+# it was forked), never generates or compiles source, and keeps the last 16
+# programs it used (`_shipped`).  It answers each request with its piece's
+# records, or with the position of the first shot that raised, which this
+# process then runs itself to raise the serial error.  A worker is a child
+# made by `os.fork` that runs `_serve` and leaves by `os._exit`, so it runs
+# none of this process's exit handlers and flushes none of its buffers;
+# `_stop_workers`, run at exit, kills and reaps the workers, and a worker
+# whose parent died reads EOF and leaves.  Fork, not spawn: a forked worker
+# starts with the package imported and its caches warm, where a spawned one
+# would import everything anew.  A worker runs only generated code and
+# pickle, never numpy, whose BLAS threads do not survive a fork.
 
 # The least work, in seconds of shots on one CPU, that a piece must hold to
 # pay for sending it to a worker and its records back.  Measured on a
 # 2-core host, a split into two pieces breaks even at 0.5-0.7 ms of work a
 # call, for RWPE (3 shots of ~200 us) and IPE steps (30 of ~16 us) alike.
 _PIECE_SECONDS = 3e-4
-# Programs each worker keeps, oldest dropped first.
-_WORKER_PROGRAMS = 16
 # How long a process polls a pipe before it blocks on it.  On a shared VM
 # host a process blocked for a few milliseconds takes 0.1-2 ms (at times
 # 10 ms) to wake; one that polls sees a request in 0.03-0.1 ms.  20 ms
-# spans the work a caller typically does between two calls.
+# spans the work a caller typically does between two calls.  Blocking at
+# once on both ends instead, over 6 alternating pairs of benchmark runs on a
+# 2-core host, gave median `shots_per_s` x0.955, x0.946 and x0.967 and
+# `chunk_ms_p90` x1.123, x1.072 and x1.038 on `rwpe-real`, `ipe-native` and
+# `rwpe-fixed-noise`.
 _POLL_SECONDS = 0.02
 
 
@@ -467,43 +454,38 @@ def _pieces(n: int, first: float) -> int:
     """How many processes share a call of `n` shots whose first shot took
     `first` seconds: one for each usable CPU (`taskset` limits them), but
     no more than the call's work pays for, nor than it has shots; one where
-    `fork` is unavailable or this process may not start processes."""
+    `os.fork` is unavailable or this process may not start processes."""
     pieces = min(_usable_cpus(), n, int(n * first / _PIECE_SECONDS))
     if pieces > 1:
         import multiprocessing      # here, so that serial users never load it
         # A daemonic process, such as a `multiprocessing.Pool` worker, may
         # not start processes.
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
+        if not hasattr(os, "fork") or multiprocessing.current_process().daemon:
             return 1
     return max(pieces, 1)
 
 
-def _remember(programs: dict, key, value):
-    """Keep `value` under `key`, dropping the oldest entry past the bound.
-    Each worker and this process's record of it apply the same rule to the
-    same keys, so they always agree on what the worker holds."""
-    programs[key] = value
-    if len(programs) > _WORKER_PROGRAMS:
-        del programs[next(iter(programs))]
+@lru_cache(maxsize=16)
+def _shipped(payload: bytes, noise: NoiseModel | None) -> CompiledProgram:
+    """A worker's copy of a compiled program, from the payload `_generated`
+    pickled and the noise model: no source is generated or compiled.  Kept
+    by content, so equal programs share one."""
+    code, where, static, mode = pickle.loads(payload)
+    compiled = CompiledProgram.__new__(CompiledProgram)
+    compiled._bind(marshal.loads(code), where, static, select_domain(mode),
+                   noise)
+    return compiled
 
 
 class _Worker:
-    """This process's end of one worker: its pipe, its process, and the keys
-    of the programs it holds."""
+    """This process's end of one worker: its pipe and its process id."""
 
-    def __init__(self, conn, process):
+    def __init__(self, conn, pid: int):
         self.conn = conn
-        self.process = process
-        self.programs: dict = {}
+        self.pid = pid
 
     def send(self, compiled: CompiledProgram, mixed: int, indices, limit: int):
-        key = compiled.key
-        payload = None
-        if key not in self.programs:
-            payload = compiled._payload()
-            _remember(self.programs, key, None)
-        request = (key, payload, mixed, indices, limit)
+        request = (compiled._ship, mixed, indices, limit)
         self.conn.send_bytes(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
 
     def receive(self):
@@ -523,7 +505,7 @@ class _Worker:
 _workers: list[_Worker] = []
 _workers_lock = threading.Lock()
 # A process that this one forks by other means starts with no workers: it
-# must not write to this process's pipes.
+# must not write to this process's pipes, nor stop its workers.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_workers.clear)
 
@@ -541,43 +523,45 @@ def _start_workers(count: int) -> list[_Worker]:
     """`count` workers, forking those not yet running.  Each new worker
     closes every pipe end of this process that it inherited, so that it
     reads EOF once this process has gone."""
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
+    from multiprocessing.connection import Pipe
     while len(_workers) < count:
-        conn, theirs = ctx.Pipe()
+        conn, theirs = Pipe()
         inherited = [w.conn for w in _workers] + [conn]
-        process = ctx.Process(target=_serve, name="hybridsim-worker",
-                              args=(theirs, inherited), daemon=True)
-        process.start()
+        pid = os.fork()
+        if pid == 0:        # the worker
+            try:
+                _serve(theirs, inherited)
+            finally:
+                os._exit(0)
         theirs.close()
-        _workers.append(_Worker(conn, process))
+        _workers.append(_Worker(conn, pid))
     return _workers[:count]
 
 
 def _stop_workers():
     """Kill and reap every worker; the next split call forks new ones."""
     for w in _workers:
-        w.process.kill()
-        w.process.join()
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(w.pid, signal.SIGKILL)
+            os.waitpid(w.pid, 0)
         w.conn.close()
     _workers.clear()
 
 
+atexit.register(_stop_workers)
+
+
 def _serve(conn, others=()):
-    """A worker's loop.  Each request is (program key, program payload or
-    None, mixed seed, shot indices, step limit); the reply is the records,
-    or the position of the first shot that raised.  Returns when this
-    process's end of the pipe closes."""
+    """A worker's loop.  Each request is ((program payload, noise model),
+    mixed seed, shot indices, step limit); the reply is the records, or the
+    position of the first shot that raised.  Returns when this process's
+    end of the pipe closes."""
     for c in others:
         c.close()
-    programs: dict = {}
     try:
         while True:
-            key, payload, mixed, indices, limit = pickle.loads(_recv(conn))
-            if payload is not None:
-                _remember(programs, key,
-                          CompiledProgram._shipped(*payload, key[1]))
-            shot = programs[key]._shot
+            ship, mixed, indices, limit = pickle.loads(_recv(conn))
+            shot = _shipped(*ship)._shot
             records = []
             try:
                 for i in indices:

@@ -16,9 +16,11 @@ import multiprocessing
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
 import threading
+import time
 import traceback
 from pathlib import Path
 
@@ -97,6 +99,18 @@ def _jsonl(records) -> str:
     return buf.getvalue()
 
 
+def _wait(pid: int, timeout: float = 60.0) -> int | None:
+    """The wait status of this process's child `pid` once it has ended, or
+    None if it is still running after `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.01)
+    return None
+
+
 INDEX_KINDS = {
     "range": lambda n: range(5, 5 + n),
     "permuted": lambda n: random.Random(n).sample(range(10 * n), n),
@@ -165,7 +179,7 @@ def test_a_failing_shot_raises_the_serial_error(monkeypatch, splits, mode,
     # After the first shot, which is timed to decide the split.
     indices[cut1 + 2 if where == "two-workers" else 1] = bad[0]
     want = _error(monkeypatch, program, cfg, indices, serial=True)
-    pids = [w.process.pid for w in sim._workers]
+    pids = [w.pid for w in sim._workers]
     got = _error(monkeypatch, program, cfg, indices, serial=False)
     assert splits == [3]
     assert (got.shot_index, got.block, got.line) == (bad[0], "bad", 10)
@@ -177,7 +191,7 @@ def test_a_failing_shot_raises_the_serial_error(monkeypatch, splits, mode,
     # The pipes stayed in step: the same workers run the next call.
     assert sim.run_shots(program, cfg, ok) == _serial(monkeypatch, program,
                                                       cfg, ok)
-    assert [w.process.pid for w in sim._workers][:len(pids)] == pids
+    assert [w.pid for w in sim._workers][:len(pids)] == pids
 
 
 def test_a_shot_that_only_a_worker_fails_is_reported(monkeypatch, splits):
@@ -262,8 +276,7 @@ def test_one_usable_cpu_or_one_shot_starts_no_worker(monkeypatch):
 
 
 def test_no_split_where_fork_is_unavailable(monkeypatch, splits):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     program = build_rwpe()
     cfg = ExecConfig(seed=3)
     records = sim.run_shots(program, cfg, range(60))
@@ -279,10 +292,10 @@ def test_a_dead_worker_stops_the_workers_and_the_call_runs_here(monkeypatch,
     indices = range(60)
     want = _serial(monkeypatch, program, cfg, indices)
     sim.run_shots(program, cfg, indices)
-    dead = sim._workers[0].process
-    dead.kill()
-    dead.join(timeout=60)
-    assert dead.exitcode is not None
+    dead = sim._workers[0].pid
+    os.kill(dead, signal.SIGKILL)
+    status = _wait(dead)
+    assert status is not None and os.WIFSIGNALED(status)
     assert sim.run_shots(program, cfg, indices) == want
     assert sim._workers == []
     assert sim.run_shots(program, cfg, indices) == want
@@ -295,11 +308,10 @@ def test_a_failed_fork_runs_the_call_here(monkeypatch, splits):
     program = build_rwpe()
     cfg = ExecConfig(seed=3)
 
-    def no_fork(self):
+    def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
-    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start",
-                        no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert sim.run_shots(program, cfg, range(60)) == \
         _serial(monkeypatch, program, cfg, range(60))
     assert splits == [3]
@@ -339,8 +351,27 @@ def test_a_worker_exits_when_its_pipe_closes(splits):
     # must have closed it, or the first would never read EOF.
     first = sim._workers.pop(0)
     first.conn.close()
-    first.process.join(timeout=60)
-    assert first.process.exitcode == 0
+    assert _wait(first.pid) == 0            # it left by `os._exit(0)`
+
+
+def test_a_worker_serves_its_pipe_then_leaves_by_exit(monkeypatch):
+    # The branch of `_start_workers` that only the forked child runs, run in
+    # this process: the loop reads EOF at once, because it closes this
+    # process's end of its pipe, which the child inherits.
+    sim._stop_workers()     # or the loop would close their pipe ends too
+
+    class Left(Exception):
+        pass
+
+    def leave(status):
+        raise Left(status)
+
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "_exit", leave)
+    with pytest.raises(Left) as left:
+        sim._start_workers(1)
+    assert left.value.args == (0,)
+    assert sim._workers == []
 
 
 _PRINTS_THEN_SPLITS = """
@@ -351,15 +382,18 @@ sim._usable_cpus = lambda: 3
 print("before the split")
 program = build_rwpe()
 want = sim.run_shots(program, sim.ExecConfig(shots=200))
+pids = [w.pid for w in sim._workers]
 pid = os.fork()
 if pid == 0:
     # A child forked by other means has no workers, and ends through the
-    # exit handlers, which stop the daemonic workers it knows of.
+    # exit handlers, which must leave this process's workers alone.
     sys.exit(0 if sim._workers == [] else 3)
 assert os.waitpid(pid, 0)[1] == 0
 for _ in range(2):
     assert sim.run_shots(program, sim.ExecConfig(shots=200)) == want
-print("workers", *[w.process.pid for w in sim._workers])
+    # The same workers ran it: a dead one would have been dropped.
+    assert [w.pid for w in sim._workers] == pids
+print("workers", *pids)
 """
 
 
@@ -369,6 +403,7 @@ def test_a_process_that_splits_prints_once_and_leaves_no_worker():
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""        # nor from the child's exit
     assert done.stdout.count("before the split") == 1
     pids = [int(p) for p in done.stdout.split("workers")[1].split()]
     assert len(pids) == 2
@@ -379,7 +414,7 @@ def test_a_process_that_splits_prints_once_and_leaves_no_worker():
 
 def test_the_worker_loop_keeps_programs_and_reports_failures(monkeypatch):
     # The loop a worker runs, driven in this process from a thread.
-    monkeypatch.setattr(sim, "_WORKER_PROGRAMS", 2)
+    sim._shipped.cache_clear()
     ours, theirs = multiprocessing.Pipe()
     inherited, _ = multiprocessing.Pipe()
     thread = threading.Thread(target=sim._serve, args=(theirs, [inherited]))
@@ -392,12 +427,26 @@ def test_the_worker_loop_keeps_programs_and_reports_failures(monkeypatch):
         assert ours.poll(60), "the loop did not answer"
         return worker.receive()
 
-    programs = [build_ipe_program(0.1 * k, 1.0) for k in range(3)]
+    def counts():
+        info = sim._shipped.cache_info()
+        return info.hits, info.misses, info.currsize
+
+    programs = [build_ipe_program(0.05 * k, 1.0) for k in range(17)]
     cfg = ExecConfig(seed=8)
     want = [_serial(monkeypatch, p, cfg, range(6)) for p in programs]
-    for k in (0, 1, 0, 2, 0):       # the third program drops the first
+    for k in range(16):
         assert ask(programs[k], cfg, range(6)) == want[k]
-    assert len(worker.programs) == 2
+    assert sim._shipped.cache_info().maxsize == 16
+    assert counts() == (0, 16, 16)
+    assert ask(programs[0], cfg, range(6)) == want[0]
+    # An equal program built anew has the same payload, so the same entry.
+    assert ask(build_ipe_program(0.0, 1.0), cfg, range(6)) == want[0]
+    assert counts() == (2, 16, 16)
+    assert ask(programs[16], cfg, range(6)) == want[16]  # drops programs[1]
+    assert counts() == (2, 17, 16)
+    # A dropped program is built again from the payload of its request.
+    assert ask(programs[1], cfg, range(6)) == want[1]
+    assert counts() == (2, 18, 16)
     program = hir.parse(_FAILS_ON_ONE)
     ok, bad = _failing_indices(program, cfg, 3)
     assert ask(program, cfg, ok + [bad[0]] + ok) == 3

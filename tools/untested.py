@@ -17,7 +17,9 @@ counts as run, and statements that share a line share its fate.  Code the
 engine generates at run time has no file under `src/`, so it is not traced.
 Neither is code that runs in a forked worker process (`sim._serve`, the
 loop of a split `run_shots` call): the tracer sees this process only, so a
-test drives that loop in this process, from a thread.
+test drives that loop in this process, from a thread, and another runs the
+branch of `sim._start_workers` that only the child takes, with `os.fork`
+patched to return 0.
 
 The run writes nothing into the repository: pytest's cache provider is off,
 no bytecode is written, and hypothesis keeps no example database.
