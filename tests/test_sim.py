@@ -1510,6 +1510,32 @@ def test_write_records_calls_write_once_per_record():
     assert lines == _oracle_jsonl(records).splitlines(True)
 
 
+def test_write_records_stops_at_the_first_record_it_cannot_write():
+    # The lines before a failing record are written, one `write` each, and
+    # nothing after it; so are those a failing iterable gave first.
+    good = sim.run_shots(build_rwpe(), ExecConfig(seed=6, shots=3))
+    bad = sim.ShotRecord(7, 8, (("x", object()),), ((0.5, 0.25, 1),))
+    want = _oracle_jsonl(good[:2]).splitlines(True)
+    lines = []
+
+    class Sink:
+        write = lines.append
+
+    with pytest.raises(TypeError, match="^Object of type object is not JSON "
+                                        "serializable$"):
+        sim.write_records([good[0], good[1], bad, good[2]], Sink())
+    assert lines == want
+
+    def failing():
+        yield from good[:2]
+        raise RuntimeError("no more records")
+
+    lines.clear()
+    with pytest.raises(RuntimeError, match="no more records"):
+        sim.write_records(failing(), Sink())
+    assert lines == want
+
+
 def test_write_records_leaves_no_reference_cycle():
     """Each call's memo is freed on return, not by a later cycle
     collection: a cycle that kept it alive raised the benchmark's peak RSS
