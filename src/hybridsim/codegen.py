@@ -2,8 +2,15 @@
 
 A program becomes the source of one Python function,
 `run(rng, out, ev, limit)`, which `sim.CompiledProgram` runs once per shot.
-Registers are the locals r0, r1, ... (one per declared variable), and each
-block is one branch of a `while` dispatch on the block index `b`.  Gates,
+Registers are the locals r0, r1, ... (one per declared variable).  Each
+block that runs is written once, inside a `while` loop that dispatches on
+the block index `b` (`_place`): a block with a single predecessor is
+written where that predecessor jumps to it, and the immediate
+post-dominator of a `condbr` after its `if`, when every jump into it comes
+from inside that `if`, which then falls through to it.  Only the entry, the
+targets of retreating (loop back) edges and the blocks these rules cannot
+place get a dispatch arm; a jump to one sets `b` and continues the loop.
+RWPE's blocks thus take two arms, and an iteration one dispatch.  Gates,
 measurements, resets and noise draws are inlined from the kernel templates
 below: plain strings of Python that loop over pair tuples.  Up to
 `UNROLL_QUBITS` qubits every such loop is unrolled onto the amplitude
@@ -44,20 +51,20 @@ is a classical instruction reading only literals and registers of K, in a
 steady block: one that reaches a `ret` and is not control-dependent
 (through post-dominators, directly or through other branches) on a
 `condbr` whose condition is outside K.  No measurement destination is in
-K.  The walk is generated code too: one function with `run`'s dispatch on
-the block index, run once at generation time.  From the entry it runs each
-steady block's known instructions, and the phase terms of each `rz`, `crz`
-or `eswap` whose angle is known, through the text a shot would run, and
-appends the values they set to the block's row list: the k-th visit to a
-block gives row k of its table.  It follows a known branch by the text of
-the shot's own terminator, goes from any other block to its immediate
+K.  The walk is generated code too: one function with a flat dispatch on
+the block index, an arm per block, run once at generation time.  From the
+entry it runs each steady block's known instructions, and the phase terms
+of each `rz`, `crz` or `eswap` whose angle is known, through the text a
+shot would run, and appends the values they set to the block's row list:
+the k-th visit to a block gives row k of its table.  It follows a branch
+whose condition is known, goes from any other block to its immediate
 post-dominator, and stops at a `ret` or where there is none.  In the shot
 each known instruction assigns its register (or phase terms) from its
 block's next row, at its own position, so every register holds the same
 value after every instruction, and draws, records, step counts and
-amplitudes are unchanged.  When the walk raises, or makes more than `WALK_VISITS` visits
-(it counts them itself), the program gets no tables and its source is the
-one without them.
+amplitudes are unchanged.  When the walk raises, or makes more than
+`WALK_VISITS` visits (it counts them itself), the program gets no tables
+and its source is the one without them.
 """
 
 from __future__ import annotations
@@ -84,13 +91,13 @@ NOISELESS_GATES = frozenset({"rz"})  # virtual: a bookkeeping phase, zero cost
 
 # Largest qubit count whose amplitudes are unrolled into locals.
 # `tools/unroll_cutoff.py` times both forms on a synthetic program: unrolled
-# shots are 10-40% faster from 3 qubits up, but the first compile of an
-# unrolled program shape roughly doubles with each qubit (about 20, 30-57
-# and 100-140 ms at 4, 5 and 6 qubits, against 5-16 ms looped).  The shots
-# needed to repay that overlap at 4 and 5 qubits (300-1900 and 360-1600,
-# noisy or not, over four runs on a shared 2-core host), so unrolling 5
-# would double the first compile for no clear gain.  The benchmark's
-# programs have 2 qubits, so it does not test this cut-off.
+# shots are 5-40% faster from 3 qubits up, but the first compile of an
+# unrolled program shape roughly doubles with each qubit (about 11-13,
+# 22-29 and 48-79 ms at 4, 5 and 6 qubits, against 4-9 ms looped).  The
+# shots needed to repay that overlap at 4 and 5 qubits (medians of 520-2200
+# and 1250-2500, noisy or not, over four runs on a shared 2-core host), so
+# unrolling 5 would double the first compile for no clear gain.  The
+# benchmark's programs have 2 qubits, so it does not test this cut-off.
 UNROLL_QUBITS = 4
 
 
@@ -379,6 +386,110 @@ def _known(prog: hir.HybridProgram, succ: list[tuple[int, ...]]) \
         known = narrowed
 
 
+# Levels of `if` a block may be placed under.  Python's tokenizer allows
+# 100 levels of indentation; a block body starts at 3 and a kernel nests
+# up to 4 more.
+_NESTING = 32
+
+
+def _heads(nexts: list[tuple[int, ...]]) -> tuple[set[int], set[int]]:
+    """(the blocks reachable from the entry, the entry and the target of
+    each retreating edge among them: an edge to a block on the path of a
+    depth-first search from the entry)."""
+    state = {0: 1}      # 1 on the path, 2 done
+    heads = {0}
+    path = [(0, iter(nexts[0]))]
+    while path:
+        x, todo = path[-1]
+        for t in todo:
+            if state.get(t) == 1:
+                heads.add(t)
+            elif t not in state:
+                state[t] = 1
+                path.append((t, iter(nexts[t])))
+                break
+        else:
+            state[x] = 2
+            path.pop()
+    return set(state), heads
+
+
+def _place(nexts: list[tuple[int, ...]], ipdom: list) -> dict[int, list]:
+    """Where each block's code goes in `run`: the placed code of each
+    dispatch arm, by block index.  Placed code is a list of items: a block
+    index (that block's body), (x, then, else) for the `if` of block x's
+    `condbr` with the placed code of each branch, and [x, t, falls] for
+    block x's jump to block t, which falls through to the code that follows
+    when `falls` is true and otherwise sets `b` and continues the loop.
+
+    Each block that the entry reaches is placed once; the others never run
+    and are left out.  A block whose single predecessor jumps to it is
+    placed at that jump.  The immediate post-dominator m of a `condbr` is
+    placed after its `if` when every jump into m is one of the `if`'s
+    pending jumps: placed in it, not yet decided, and with nothing but the
+    ends of other `if`s between it and the end of this one.  Those fall
+    through to m, and the `if`'s other pending jumps continue the loop.  The
+    entry, the targets of retreating edges and the targets of jumps that
+    continue the loop get an arm; these are the blocks the two rules leave
+    unplaced."""
+    reached, arms = _heads(nexts)
+    preds: list[set[int]] = [set() for _ in nexts]
+    for x in reached:
+        for t in nexts[x]:
+            preds[t].add(x)
+    todo = sorted(arms)
+    code: dict[int, list] = {}
+
+    def edge(x: int, t: int, depth: int, into: list) -> list:
+        """Place x's jump to t, at `depth` levels of `if`, into `into`;
+        return it if it is pending."""
+        if t not in arms and preds[t] == {x} and depth <= _NESTING:
+            return place(t, depth, into)
+        jump = [x, t, None]
+        into.append(jump)
+        if t not in arms and len(preds[t]) > 1:
+            return [jump]
+        resolve(jump, False)
+        return []
+
+    def resolve(jump: list, falls: bool):
+        jump[2] = falls
+        if not falls and jump[1] not in arms:
+            arms.add(jump[1])
+            todo.append(jump[1])
+
+    def place(x: int, depth: int, into: list) -> list:
+        """Place block x and what follows it; return the pending jumps."""
+        while True:
+            into.append(x)
+            targets = nexts[x]
+            if len(targets) == 1:
+                t = targets[0]
+                if t not in arms and preds[t] == {x}:
+                    x = t
+                    continue
+                return edge(x, t, depth, into)
+            if not targets:
+                return []
+            then, other = [], []
+            pending = edge(x, targets[0], depth + 1, then) + \
+                edge(x, targets[1], depth + 1, other)
+            into.append((x, then, other))
+            m = ipdom[x]
+            if m is None or {j[0] for j in pending if j[1] == m} != preds[m]:
+                return pending
+            for jump in pending:
+                resolve(jump, jump[1] == m)
+            x = m
+
+    while todo:
+        x = todo.pop()
+        code[x] = []
+        for jump in place(x, 0, code[x]):
+            resolve(jump, False)
+    return code
+
+
 _STEP_CHECK = """\
 steps += {n}
 if steps > limit:
@@ -396,7 +507,8 @@ class Generator:
     exec namespace needs: pair tuples, the initial amplitudes and registers,
     the literal constants, encoded by `domain`, and the known-value tables.
     Noise enters the source only through whether it is on; its
-    probabilities are namespace entries.
+    probabilities are namespace entries.  Each block's body is generated on
+    its own (`bodies`), and `layout` places the bodies in `run`.
     Programs are checked when they are built, so every instruction and
     gate it meets is one it knows."""
 
@@ -425,7 +537,6 @@ class Generator:
             inits.append(self.literal(d.kind, d.init))
             self.emit(1, f"{self.reg[d.name]} = {inits[-1]}")
         start = [self.static[c] for c in inits]
-        self.emit(1, "steps = 0\nb = 0\nwhile True:")
         index = {b.label: i for i, b in enumerate(prog.blocks)}
         succ = [tuple([index[t] for t in targets])
                 for targets in hir.cfg(prog).successors.values()]
@@ -442,13 +553,17 @@ class Generator:
             known, steady, ipdom = _known(prog, succ)
         else:
             known, steady, ipdom = frozenset(), [False] * len(succ), []
+        # Each block's body, without its jump: the chunks the layout places.
+        self.head = self.chunks
+        self.bodies: list[list[tuple[str, tuple]]] = []
         # (first chunk, text, locals it sets) of each known instruction,
         # per block
         items: list[list[tuple[int, str, str]]] = []
         for i, block in enumerate(prog.blocks):
+            self.chunks = []
+            self.bodies.append(self.chunks)
             first = block.instructions[0] if block.instructions else block.terminator
             self.at = (block.label, first.line)
-            self.emit(2, f"{'if' if i == 0 else 'elif'} b == {i}:")
             self.emit(3, _STEP_CHECK.format(n=len(block.instructions) + 1))
             items.append([])
             # where each leading instruction that the fold may run starts,
@@ -465,11 +580,13 @@ class Generator:
                     items[i].append((mark, self.chunks[mark][0], names))
             if lead:
                 self.fold(lead, inits)
-            self.at = (block.label, block.terminator.line)
-            self.terminator(block.terminator, index)
+            if isinstance(block.terminator, hir.Ret):
+                self.at = (block.label, block.terminator.line)
+                self.ret(block.terminator)
         if any(items[tabled:]):
             self.walk(prog, index, known, steady, ipdom, items, start, tabled,
                       prologue)
+        self.chunks = self.head + self.layout(prog, succ)
         # (first generated line, (block label, HIR line)) of each chunk
         self.where: list[tuple[int, tuple[str | None, int | None]]] = []
         line = 1
@@ -477,6 +594,50 @@ class Generator:
             self.where.append((line, at))
             line += text.count("\n") + 1
         self.source = "\n".join([text for text, _ in self.chunks]) + "\n"
+
+    # -- placing the blocks -------------------------------------------------
+
+    def layout(self, prog: hir.HybridProgram, succ: list[tuple[int, ...]]) -> list:
+        """The chunks of `run`'s loop: a dispatch on the block index `b`
+        with one arm per block that `_place` gives one, in block order, and
+        every block's body (from `self.bodies`) where `_place` puts it."""
+        code = _place([tuple(dict.fromkeys(s)) for s in succ],
+                      _post_dominators(succ)[1])
+        out = [("    steps = 0\n    b = 0\n    while True:", (None, None))]
+        for k, x in enumerate(sorted(code)):
+            block = prog.blocks[x]
+            first = block.instructions[0] if block.instructions else block.terminator
+            out.append((f"        {'elif' if k else 'if'} b == {x}:",
+                        (block.label, first.line)))
+            self.render(prog, code[x], 3, out)
+        return out
+
+    def render(self, prog: hir.HybridProgram, code: list, depth: int, out: list):
+        """Append the chunks of placed code (`_place`), indented `depth`
+        levels."""
+        pad = "    " * depth
+        for item in code:
+            if type(item) is int:       # a body, generated 3 levels deep
+                extra = "    " * (depth - 3)
+                out += [(extra + text.replace("\n", "\n" + extra), at)
+                        for text, at in self.bodies[item]] if extra else self.bodies[item]
+                continue
+            block = prog.blocks[item[0]]
+            at = (block.label, block.terminator.line)
+            if type(item) is list:
+                if not item[2]:
+                    out.append((f"{pad}b = {item[1]}\n{pad}continue", at))
+                continue
+            then, other = [], []
+            self.render(prog, item[1], depth + 1, then)
+            self.render(prog, item[2], depth + 1, other)
+            cond = self.reg[block.terminator.cond]
+            if then:
+                out += [(f"{pad}if {cond}:", at), *then]
+                if other:
+                    out += [(f"{pad}else:", at), *other]
+            else:
+                out += [(f"{pad}if not {cond}:", at), *other]
 
     # -- the entry block's deterministic prefix -----------------------------
 
@@ -556,17 +717,18 @@ class Generator:
         a block's table holds the values its known instructions set at the
         k-th visit of the walk below; each known instruction then reads its
         block's next row, at its own position, through an iterator bound at
-        the start of the shot (before chunk `prologue`).  When the walk
+        the start of the shot (before chunk `prologue` of `self.head`).  When the walk
         raises, or makes more than WALK_VISITS visits, the source stays as
         it is.
 
-        The walk is generated like `run`: a function of the registers'
-        initial values `start` that dispatches on the block index `b`, from
-        the entry, for at most WALK_VISITS visits.  Each visited steady
+        The walk is generated like `run`, but it runs once, so it keeps a
+        flat dispatch: a function of the registers' initial values `start`
+        with one arm per block, which dispatches on the block index `b`,
+        from the entry, for at most WALK_VISITS visits.  Each visited steady
         block runs its known instructions through the text a shot would run
         and appends the values they set to its row list.  Then a block
-        whose `condbr` has a known condition sets `b` as the shot's
-        terminator does, and any other block (a `br` too, since its target
+        whose `condbr` has a known condition sets `b` to the block the shot
+        goes to, and any other block (a `br` too, since its target
         is its immediate post-dominator) sets it to its immediate
         post-dominator: None after a `ret`, or where there is none, which
         ends the walk.  A shot visits the steady blocks in the same order,
@@ -586,8 +748,10 @@ class Generator:
                 parts.append(f"            T{i}.append(({row}))")
             term = block.terminator
             parts.append(" " * 12 + (
-                self.jump(term, index) if steady[i] and isinstance(term, hir.CondBr)
-                and term.cond in known else f"b = {ipdom[i]}"))
+                f"b = {index[term.then_target]} if {self.reg[term.cond]} "
+                f"else {index[term.else_target]}"
+                if steady[i] and isinstance(term, hir.CondBr) and term.cond in known
+                else f"b = {ipdom[i]}"))
         parts += ["        if b is None:",
                   f"            return {', '.join([f'T{i}' for i in tabled])},",
                   f"    raise StepLimitExceeded('more than {WALK_VISITS} visits')"]
@@ -602,13 +766,14 @@ class Generator:
             binds.append(f"next{i} = iter(T{i}).__next__")
             self.static[f"T{i}"] = tuple(rows)
             one = len(items[i]) == 1
+            body = self.bodies[i]
             for j, (k, _, names) in enumerate(items[i]):
                 text = f"{names} = next{i}()" if one else \
                     f"R = next{i}()\n" * (j == 0) + f"{names} = R[{j}]"
-                self.chunks[k] = ("    " * 3 + text.replace("\n", "\n" + "    " * 3),
-                                  self.chunks[k][1])
+                body[k] = ("    " * 3 + text.replace("\n", "\n" + "    " * 3),
+                           body[k][1])
         if binds:
-            self.chunks.insert(prologue, ("    " + "\n    ".join(binds), (None, None)))
+            self.head.insert(prologue, ("    " + "\n    ".join(binds), (None, None)))
 
     # -- helpers ------------------------------------------------------------
 
@@ -766,20 +931,10 @@ class Generator:
         else:
             self.emit(3, f"{dest} = {self.expr(op, self.kinds[instr.dest], args)}")
 
-    def jump(self, term: hir.Br | hir.CondBr, index: dict[str, int]) -> str:
-        """The statement by which a `br` or `condbr` sets the next block."""
-        if isinstance(term, hir.Br):
-            return f"b = {index[term.target]}"
-        return (f"b = {index[term.then_target]} if {self.reg[term.cond]} "
-                f"else {index[term.else_target]}")
-
-    def terminator(self, term: hir.Terminator, index: dict[str, int]):
-        if isinstance(term, hir.Ret):
-            for v in term.values:
-                self.emit(3, f"out.append(({v!r}, {self.boxed(v)}))")
-            self.emit(3, f"return {self.amplitudes()}")
-        else:
-            self.emit(3, self.jump(term, index))
+    def ret(self, term: hir.Ret):
+        for v in term.values:
+            self.emit(3, f"out.append(({v!r}, {self.boxed(v)}))")
+        self.emit(3, f"return {self.amplitudes()}")
 
 
 def namespace(static: dict, domain: Domain, noise: NoiseModel | None) -> dict:

@@ -12,8 +12,10 @@ the arithmetic ops, turns angles into radians and boxes register values
 for records; the code generator is the same for both modes.
 
 Each program is compiled into the source of one Python function, which
-runs once per shot: registers are its locals, and every gate, measurement,
-reset and noise draw is inlined (`codegen` writes the source, and runs the
+runs once per shot: registers are its locals, every gate, measurement,
+reset and noise draw is inlined, and each block is written once, under the
+branches that reach it, so that only loop heads and blocks that no branch
+can hold take a dispatch (`codegen` writes the source, and runs the
 measurement-independent classical work once, while writing it: the entry
 block's start, and per-block tables of every value no measurement decides).  The
 source, its line table and its encoded literals are generated once per
@@ -38,6 +40,10 @@ and joins the records in the order the shots were given.  The records, and
 a failing shot's `ShotError`, are those of the serial path.  The usable
 CPUs are `os.sched_getaffinity(0)`, so `taskset` limits them; with one, or
 without `os.fork`, every call runs serially.
+
+`write_records` writes the records as JSON lines, a block of records at a
+time, rendered by column; every line is byte for byte what `json.dumps`
+gives for the record's object.
 """
 
 from __future__ import annotations
@@ -627,27 +633,30 @@ def _run_split(compiled: CompiledProgram, mixed: int, indices, limit: int,
 # `json.dumps`: every line is byte for byte what
 # `json.dumps(obj, separators=(",", ":"))` gives for the record's object
 # (NaN and +-Infinity included), and `tests/oracles.py` keeps that
-# dict-building encoder as the reference.  Within one call each distinct
-# nonzero float and each distinct Q2.16 word is rendered once: RWPE records
-# the same 24 evolution times `t` in every shot, and float `repr` is most
-# of the cost of a line.
+# dict-building encoder as the reference.  It renders a block of records at
+# a time, by column: the records of one shape (output names and evidence
+# length) give one column per field, and each line is one `%` of a
+# template per shape.  No column of exact ints, of exact floats without a
+# zero or of Q2.16 boxes takes a Python call per value.  Ints go into the
+# template as they are, through `%d`.  Within one call each distinct
+# nonzero float and each distinct Q2.16 word is rendered once, into a memo
+# (RWPE records the same 24 evolution times `t` in every shot, and float
+# `repr` is most of the cost of a line), and read back by one `map`.  Any
+# other column is rendered one value at a time (`_text`, `_plain`).
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _SCALE = fx.SCALE
 # Memo entries one `write_records` call keeps before it starts over, so a
-# long run cannot grow the memo without limit.
+# long run cannot grow the memo without limit (beyond one block's values).
 _MEMO_SIZE = 4096
-
-
-def _float_text(v: float) -> str:
-    if math.isfinite(v):
-        return float.__repr__(v)
-    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-
-
-def _plain(v) -> str:
-    """A value that is never boxed (shot, seed, `d`)."""
-    return "%d" % v if type(v) is int else _dumps(v)
+# Records `write_records` renders by column at once.
+_BLOCK = 256
+_name = operator.itemgetter(0)
+_raw = operator.attrgetter("raw")
+_shot = operator.attrgetter("shot")
+_seed = operator.attrgetter("seed")
+_outputs = operator.attrgetter("outputs")
+_evidence = operator.attrgetter("evidence")
 
 
 def _value_from_json(v, int18: bool = True):
@@ -720,48 +729,162 @@ def record_from_json(obj: dict) -> ShotRecord:
                       outputs, tuple(entries))
 
 
+def _float_text(v: float) -> str:
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
+def _plain(v) -> str:
+    """A value that is never boxed (shot, seed, `d`)."""
+    return "%d" % v if type(v) is int else _dumps(v)
+
+
+def _text(v) -> str:
+    """A value that may be boxed."""
+    t = type(v)
+    if t is float:
+        return _float_text(v)
+    if t is fx.FixedQ216:
+        return '{"raw":%d,"value":%s}' % (v.raw, _float_text(v.value))
+    if t is int:
+        return "%d" % v
+    if t is fx.Int18:
+        return '{"raw":%d}' % v.raw
+    return _dumps(v)
+
+
+def _line(rec: ShotRecord) -> str:
+    """One record's line, rendered value by value."""
+    outputs = ",".join(["[%s,%s]" % (_dumps(name), _text(v))
+                        for name, v in rec.outputs])
+    evidence = ",".join(['{"t":%s,"phi_inv":%s,"d":%s}'
+                         % (_text(t), _text(p), _plain(d))
+                         for t, p, d in rec.evidence])
+    return '{"shot":%s,"seed":%s,"outputs":[%s],"evidence":[%s]}\n' % (
+        _plain(rec.shot), _plain(rec.seed), outputs, evidence)
+
+
+def _float_texts(values: list) -> list[str]:
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = list(map(_float_text, values))
+    return texts
+
+
+def _word_texts(raws: list) -> list[str]:
+    values = map(operator.truediv, raws, itertools.repeat(_SCALE))
+    return list(map('{"raw":%d,"value":%s}'.__mod__,
+                    zip(raws, _float_texts(list(values)))))
+
+
+def _remembered(memo: dict, keys: list, distinct: set, render: Callable) -> list:
+    """The text of each of `keys`, whose set is `distinct`, rendering only
+    the keys that `memo` lacks (all of them, when the memo would outgrow
+    _MEMO_SIZE).  Keys that are all new and distinct skip the memo."""
+    new = list(distinct.difference(memo))
+    if len(new) == len(keys):
+        return render(keys)
+    if new:
+        if len(memo) + len(new) > _MEMO_SIZE:
+            memo.clear()
+            new = list(distinct)
+        memo.update(zip(new, render(new)))
+    return list(map(memo.__getitem__, keys))
+
+
+def _column(col, floats: dict, words: dict, boxed: bool) -> tuple[list, str]:
+    """(what a line's template formats for each value of a column, the
+    conversion that formats it): exact ints as they are, through `%d`, and
+    anything else as its text, through `%s`.  Values that may be boxed are
+    rendered as `_text` does, those that are never boxed as `_plain`."""
+    kinds = set(map(type, col))
+    if kinds == {int}:
+        return col, "%d"
+    if kinds == {float}:
+        distinct = set(col)
+        if 0.0 not in distinct:
+            return _remembered(floats, col, distinct, _float_texts), "%s"
+    if not boxed:
+        return list(map(_plain, col)), "%s"
+    if kinds == {fx.FixedQ216}:
+        raws = list(map(_raw, col))
+        return _remembered(words, raws, set(raws), _word_texts), "%s"
+    return list(map(_text, col)), "%s"
+
+
+def _template(names: tuple, n: int, specs: list) -> str:
+    """The template of a line with outputs `names` and `n` evidence entries,
+    given the conversions of its columns (`_column`): shot, seed, each
+    output, then t, phi_inv and d."""
+    shot, seed, *outs, t, p, d = specs
+    outputs = ",".join(["[%s,%s]" % (_dumps(name).replace("%", "%%"), spec)
+                        for name, spec in zip(names, outs, strict=True)])
+    evidence = ",".join(['{"t":%s,"phi_inv":%s,"d":%s}' % (t, p, d)] * n)
+    return ('{"shot":%s,"seed":%s,"outputs":[%s],"evidence":[%s]}\n'
+            % (shot, seed, outputs, evidence))
+
+
+def _block_lines(block: list[ShotRecord], floats: dict, words: dict) -> list[str]:
+    """The lines of `block`, rendered by column.  Raises whenever a record
+    does not have the shape its line is rendered for."""
+    shapes: dict[tuple, list[int]] = {}
+    for i, rec in enumerate(block):
+        shapes.setdefault((tuple(map(_name, rec.outputs)), len(rec.evidence)),
+                          []).append(i)
+    lines: list = [None] * len(block)
+    for (names, n), where in shapes.items():
+        recs = block if len(shapes) == 1 else [block[i] for i in where]
+        cols = [_column(list(map(_shot, recs)), floats, words, False),
+                _column(list(map(_seed, recs)), floats, words, False)]
+        if names:
+            _, outs = zip(*itertools.chain.from_iterable(map(_outputs, recs)),
+                          strict=True)
+            cols += [_column(outs[j::len(names)], floats, words, True)
+                     for j in range(len(names))]
+        ev = [((), "%s")] * 3
+        if n:
+            t, p, d = zip(*itertools.chain.from_iterable(map(_evidence, recs)),
+                          strict=True)
+            ev = [_column(t, floats, words, True), _column(p, floats, words, True),
+                  _column(d, floats, words, False)]
+        template = _template(names, n, [spec for _, spec in cols + ev])
+        values = [col for col, _ in cols]
+        for e in range(n):
+            values += [col[e::n] for col, _ in ev]
+        for i, line in zip(where, map(template.__mod__, zip(*values))):
+            lines[i] = line
+    return lines
+
+
 def write_records(records: Iterable[ShotRecord], fp: IO[str]):
-    """Write one JSON line per record, with one `fp.write` per line."""
+    """Write one JSON line per record, with one `fp.write` per line.
+    Records are rendered _BLOCK at a time, by column (`_block_lines`).  A
+    block that fails is rendered again record by record (`_line`), so the
+    lines before the first record that cannot be written are written, and
+    its error raised, as they would be one record at a time.  When
+    iterating `records` raises, the records it gave first are written
+    before the error propagates."""
     floats: dict[float, str] = {}   # nonzero float -> its text
     words: dict[int, str] = {}      # Q2.16 raw word -> its boxed text
-
-    def text(v) -> str:
-        # By exact type: `1 == 1.0 == True` and `0.0 == -0.0` hash alike,
-        # so ints, bools and zeros never reach the float memo.
-        t = type(v)
-        if t is float:
-            if not v:
-                return float.__repr__(v)
-            s = floats.get(v)
-            if s is None:
-                if len(floats) >= _MEMO_SIZE:
-                    floats.clear()
-                s = floats[v] = _float_text(v)
-            return s
-        if t is fx.FixedQ216:
-            raw = v.raw
-            s = words.get(raw)
-            if s is None:
-                if len(words) >= _MEMO_SIZE:
-                    words.clear()
-                s = words[raw] = '{"raw":%d,"value":%s}' % (
-                    raw, _float_text(v.value))
-            return s
-        if t is int:
-            return "%d" % v
-        if t is fx.Int18:
-            return '{"raw":%d}' % v.raw
-        return _dumps(v)
-
     write = fp.write
-    for rec in records:
-        outputs = ",".join(["[%s,%s]" % (_dumps(name), text(v))
-                            for name, v in rec.outputs])
-        evidence = ",".join(['{"t":%s,"phi_inv":%s,"d":%s}'
-                             % (text(t), text(p), _plain(d))
-                             for t, p, d in rec.evidence])
-        write('{"shot":%s,"seed":%s,"outputs":[%s],"evidence":[%s]}\n'
-              % (_plain(rec.shot), _plain(rec.seed), outputs, evidence))
+    todo = iter(records)
+    while True:
+        block = []
+        try:
+            for rec in todo:
+                block.append(rec)
+                if len(block) == _BLOCK:
+                    break
+        finally:
+            try:
+                lines = _block_lines(block, floats, words)
+            except Exception:       # raised again, for its record, below
+                lines = map(_line, block)
+            for line in lines:
+                write(line)
+        if len(block) < _BLOCK:
+            return
 
 
 def read_records(fp: IO[str]) -> list[ShotRecord]:

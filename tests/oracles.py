@@ -504,7 +504,15 @@ def measure(state: QuantumState, q: int, rng, noise=None) -> int:
 # -- reference interpreter ------------------------------------------------------
 
 class OutOfSteps(Exception):
-    """`interpret` ran past its step limit."""
+    """`interpret` ran past its step limit when it charged the steps of
+    `block`, whose first instruction (its terminator, if it has none) is at
+    `line`: `steps` had then been charged."""
+
+    def __init__(self, block: str, line: int | None, steps: int):
+        super().__init__(f"{steps} steps at block {block}, line {line}")
+        self.block = block
+        self.line = line
+        self.steps = steps
 
 
 class DividedByZero(ZeroDivisionError):
@@ -562,8 +570,8 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
     flip comes after it), computed without drawing.
 
     Raises DividedByZero, a ZeroDivisionError naming the block, the line
-    and the steps charged, on a zero divisor and OutOfSteps once the steps charged exceed
-    `step_limit`."""
+    and the steps charged, on a zero divisor, and OutOfSteps, naming the
+    block likewise, once the steps charged exceed `step_limit`."""
     if mode not in ("real", "fixed"):
         raise ValueError(f"unknown classical mode {mode!r}")
     fixed = mode == "fixed"
@@ -595,7 +603,8 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
     while True:
         steps += len(block.instructions) + 1
         if steps > step_limit:
-            raise OutOfSteps(f"{steps} steps at block {block.label}")
+            first = (block.instructions or (block.terminator,))[0]
+            raise OutOfSteps(block.label, first.line, steps)
         for ins in block.instructions:
             if isinstance(ins, Gate):
                 angle = None if ins.angle is None else radians(ins.angle)

@@ -9,6 +9,7 @@ import json
 import linecache
 import math
 import random
+import re
 import sys
 import threading
 import traceback
@@ -198,13 +199,14 @@ _DIFFERENTIAL = settings(max_examples=300, deadline=None,
                          report_multiple_bugs=False)
 
 
-def _reference(prog, cfg, shot_index):
+def _reference(prog, cfg, shot_index, step_limit=None):
     """(record, amplitudes, steps) of one shot through the reference
-    interpreter, drawing from the engine's per-shot generator."""
+    interpreter, drawing from the engine's per-shot generator, under
+    `step_limit` (by default, the config's)."""
     shot_seed = sim.derive_shot_seed(cfg.seed, shot_index)
     outputs, evidence, amps, steps, _ = oracles.interpret(
-        prog, cfg.classical_mode.value, cfg.noise,
-        random.Random(shot_seed), cfg.step_limit)
+        prog, cfg.classical_mode.value, cfg.noise, random.Random(shot_seed),
+        cfg.step_limit if step_limit is None else step_limit)
     return sim.ShotRecord(shot_index, shot_seed, outputs, evidence), amps, steps
 
 
@@ -735,35 +737,53 @@ def _instruction(draw, n):
 @st.composite
 def _control_flow_programs(draw):
     n = draw(st.integers(0, codegen.UNROLL_QUBITS + 2))
-    nblocks = draw(st.integers(1, 4))
+    nblocks = draw(st.integers(1, 6))
     labels = [f"b{j}" for j in range(nblocks)]
-    loop = None             # (head, latch, bound): latch jumps back to head
+    # (head, latch, counter, its test, bound) of each loop: the latch
+    # jumps back to the head.  A second loop nests inside the first.
+    loops = []
     if nblocks >= 2 and draw(st.booleans()):
         latch = draw(st.integers(0, nblocks - 2))
-        loop = (draw(st.integers(0, latch)), latch, draw(st.integers(1, 3)))
+        head = draw(st.integers(0, latch))
+        loops.append((head, latch, "k", "more", draw(st.integers(1, 3))))
+        if latch > head and draw(st.booleans()):
+            inner = draw(st.integers(head, latch - 1))
+            loops.append((draw(st.integers(head, inner)), inner, "k2", "more2",
+                          draw(st.integers(1, 3))))
+    latches = {loop[1]: loop for loop in loops}
+    # (block, target): a branch into the first loop's body that skips its
+    # head, which makes the loop irreducible
+    skip = None
+    if loops and 0 < loops[0][0] < loops[0][1] and draw(st.booleans()):
+        skip = (draw(st.integers(0, loops[0][0] - 1)),
+                draw(st.integers(loops[0][0] + 1, loops[0][1])))
     blocks = []
     for j, label in enumerate(labels):
         size = draw(st.integers(0, 14 // nblocks))
         body = [_instruction(draw, n) for _ in range(size)]
         later = st.sampled_from(labels[j + 1:])
+        # mostly the next block, so that fewer blocks go unreached
+        onward = st.one_of(st.just(labels[min(j + 1, nblocks - 1)]), later)
         if j == nblocks - 1:
-            term = hir.Ret(_NAMES + ("k",))
-        elif loop is not None and j == loop[1]:
-            body += [hir.Classical("add", "k", ("k", 1)),
-                     hir.Classical("cmp_lt", "more", ("k", loop[2]))]
-            term = hir.CondBr("more", labels[loop[0]], draw(later))
+            term = hir.Ret(_NAMES + ("k", "k2"))
+        elif j in latches:
+            head, _, k, more, bound = latches[j]
+            body += [hir.Classical("add", k, (k, 1)),
+                     hir.Classical("cmp_lt", more, (k, bound))]
+            term = hir.CondBr(more, labels[head], draw(onward))
         else:
             branch = draw(st.sampled_from(["br", "measured", "compared"]))
-            if branch == "br":
-                term = hir.Br(draw(later))
+            if branch == "br" and (skip is None or j != skip[0]):
+                term = hir.Br(draw(onward))
             else:
                 test = _measurement(draw, n) if branch == "measured" and n else \
                     _classical(draw, ("cmp_eq", "cmp_lt"))
                 body.append(test)
-                term = hir.CondBr(test.dest, draw(later), draw(later))
+                term = hir.CondBr(test.dest, labels[skip[1]] if skip and j == skip[0]
+                                  else draw(later), draw(onward))
         blocks.append(hir.BasicBlock(label, tuple(body), term))
-    decls = _decls(draw) + (hir.VarDecl("k", "int18", 0),
-                            hir.VarDecl("more", "bit", 0))
+    decls = _decls(draw) + tuple(hir.VarDecl(name, kind, 0) for name, kind in (
+        ("k", "int18"), ("more", "bit"), ("k2", "int18"), ("more2", "bit")))
     return hir.HybridProgram("main", n, decls, tuple(blocks))
 
 
@@ -1013,6 +1033,145 @@ endproc
 }
 
 
+# Edges of block placement (`codegen._place`), as programs.
+_LAYOUT_EDGES = {
+    # `dead` never runs: it is left out, and `join` merges `entry`'s branch.
+    "unreachable-block": """proc main qubits 1
+  var bit m = 0
+  var int18 k = 0
+entry:
+  h q0
+  mz q0 -> m
+  condbr m, up, join
+dead:
+  add k, k, 7
+  br join
+up:
+  add k, k, 1
+  br join
+join:
+  add k, k, 2
+  ret k
+endproc
+""",
+    # `spin` never reaches `ret`: every shot that enters it runs out of steps.
+    "endless-loop": """proc main qubits 1
+  var bit m = 0
+  var int18 k = 0
+entry:
+  h q0
+  mz q0 -> m
+  condbr m, spin, done
+spin:
+  x q0
+  add k, k, 1
+  br spin
+done:
+  ret m, k
+endproc
+""",
+    # `join` has three predecessors, one of them under `inner`'s branch,
+    # which merges nothing itself.
+    "three-way-merge": """proc main qubits 1
+  var bit m = 0
+  var int18 k = 0
+entry:
+  h q0
+  mz q0 -> m
+  condbr m, inner, other
+inner:
+  h q0
+  mz q0 -> m
+  condbr m, extra, join
+extra:
+  add k, k, 1
+  br join
+other:
+  add k, k, 2
+  br join
+join:
+  ret m, k
+endproc
+""",
+    # `side` is entered from under `inner`'s branch and from `other`, and
+    # `inner` jumps past it to `join`: no rule places either, so each
+    # gets an arm.
+    "past-an-inner-merge": """proc main qubits 1
+  var bit m = 0
+  var int18 k = 0
+entry:
+  h q0
+  mz q0 -> m
+  condbr m, inner, other
+inner:
+  h q0
+  mz q0 -> m
+  condbr m, side, join
+other:
+  add k, k, 2
+  br side
+side:
+  add k, k, 1
+  br join
+join:
+  ret m, k
+endproc
+""",
+}
+
+
+def _arms(source: str) -> list[int]:
+    """The block index of each arm of `run`'s dispatch."""
+    return [int(b) for b in re.findall(r"^ +(?:el)?if b == (\d+):$", source, re.M)]
+
+
+@pytest.mark.parametrize("name, arms", [
+    ("unreachable-block", ["entry"]), ("endless-loop", ["entry", "spin"]),
+    ("three-way-merge", ["entry"]),
+    ("past-an-inner-merge", ["entry", "side", "join"])])
+def test_blocks_get_an_arm_only_where_no_rule_places_them(name, arms):
+    prog = hir.parse(_LAYOUT_EDGES[name])
+    labels = [b.label for b in prog.blocks]
+    for mode in ClassicalMode:
+        source = _source(_LAYOUT_EDGES[name], mode)
+        assert _arms(source) == [labels.index(a) for a in arms]
+    # each block that runs is placed once
+    reached = len(labels) - (name == "unreachable-block")
+    assert source.count("steps += ") == reached
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("noise", [None, NoiseModel()], ids=["ideal", "noise"])
+def test_rwpe_dispatches_once_per_iteration(mode, noise):
+    # `prep` and the loop head `head`: every other block is placed under
+    # the head's branch.
+    source = sim.compile_program(build_rwpe(), ExecConfig(
+        classical_mode=mode, noise=noise)).source
+    assert _arms(source) == [0, 1]
+
+
+def test_blocks_nest_no_deeper_than_the_cap():
+    # Each `c{j}` enters the next under its branch; past `_NESTING` levels
+    # the next one gets an arm of its own, and so does `done`, which is
+    # now entered from both arms.
+    depth = codegen._NESTING + 8
+    text = "proc main qubits 1\n  var bit m = 0\n  var int18 k = 0\n"
+    for j in range(depth):
+        text += (f"c{j}:\n  reset q0\n  x q0\n  add k, k, 1\n  mz q0 -> m\n"
+                 f"  condbr m, c{j + 1}, done\n")
+    text += f"c{depth}:\n  ret k\ndone:\n  ret k\nendproc\n"
+    prog = hir.parse(text)
+    assert _arms(_source(text)) == [0, codegen._NESTING + 1, depth + 1]
+    cfg = ExecConfig(seed=3, noise=NoiseModel())
+    compiled = sim.compile_program(prog, cfg)
+    for i in range(4):
+        want, want_amps, steps = _reference(prog, cfg, i)
+        record, amps = compiled.shot(cfg.seed, i, steps)
+        assert (repr(record), repr(amps)) == (repr(want), repr(want_amps))
+        _assert_runs_out(compiled, cfg, i, steps - 1,
+                         _out_of_steps(prog, cfg, i, steps - 1))
+
+
 @_DIFFERENTIAL
 @given(_control_flow_programs(), st.sampled_from(list(ClassicalMode)),
        st.sampled_from([None, NoiseModel(), _HEAVY_NOISE]),
@@ -1043,22 +1202,32 @@ endproc
          _HEAVY_NOISE, 13)
 @example(hir.parse(_TABLE_EDGES["known-branch-without-known-work"]),
          ClassicalMode.EXACT_REAL, None, 14)
+@example(hir.parse(_LAYOUT_EDGES["unreachable-block"]), FIXED, NoiseModel(), 15)
+@example(hir.parse(_LAYOUT_EDGES["endless-loop"]), ClassicalMode.EXACT_REAL,
+         None, 16)
+@example(hir.parse(_LAYOUT_EDGES["three-way-merge"]), FIXED, _HEAVY_NOISE, 17)
+@example(hir.parse(_LAYOUT_EDGES["past-an-inner-merge"]),
+         ClassicalMode.EXACT_REAL, _HEAVY_NOISE, 18)
 def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
-    cfg = ExecConfig(classical_mode=mode, noise=noise, seed=seed)
+    # Generated programs take at most about 1000 steps; a loop that never
+    # returns runs out of them.
+    cfg = ExecConfig(classical_mode=mode, noise=noise, seed=seed, step_limit=2000)
     compiled = sim.compile_program(prog, cfg)
     returned = []
     for i in range(3):
         try:
             want, want_amps, steps = _reference(prog, cfg, i)
+        except oracles.OutOfSteps as e:
+            _assert_runs_out(compiled, cfg, i, cfg.step_limit, e)
+            continue
         except oracles.DividedByZero as e:
             with pytest.raises(ShotError) as err:
                 compiled.shot(cfg.seed, i, e.steps)
             assert isinstance(err.value.cause, DivideByZero)
             assert (err.value.block, err.value.line) == (e.block, e.line)
             # the failing block charged its steps before it raised
-            with pytest.raises(ShotError) as err:
-                compiled.shot(cfg.seed, i, e.steps - 1)
-            assert isinstance(err.value.cause, StepLimitExceeded)
+            _assert_runs_out(compiled, cfg, i, e.steps - 1,
+                             _out_of_steps(prog, cfg, i, e.steps - 1))
             continue
         record, amps = compiled.shot(cfg.seed, i, steps)
         returned.append(amps)
@@ -1067,11 +1236,46 @@ def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
         assert amps == want_amps
         assert repr(amps) == repr(want_amps)
         # the shot needs exactly `steps`: one fewer exhausts the budget
-        with pytest.raises(ShotError) as err:
-            compiled.shot(cfg.seed, i, steps - 1)
-        assert isinstance(err.value.cause, StepLimitExceeded)
+        _assert_runs_out(compiled, cfg, i, steps - 1,
+                         _out_of_steps(prog, cfg, i, steps - 1))
     # Each shot returns its own list, never the initial amplitudes themselves.
     assert len({id(amps) for amps in returned}) == len(returned)
+
+
+def _out_of_steps(prog, cfg, shot_index, limit) -> oracles.OutOfSteps:
+    """What the reference raises for one shot under step limit `limit`."""
+    with pytest.raises(oracles.OutOfSteps) as out:
+        _reference(prog, cfg, shot_index, limit)
+    return out.value
+
+
+def _assert_runs_out(compiled, cfg, shot_index, limit, want):
+    """Under step limit `limit`, the shot runs out of steps at the block
+    and line where the reference did (`want`, its OutOfSteps)."""
+    with pytest.raises(ShotError) as err:
+        compiled.shot(cfg.seed, shot_index, limit)
+    assert isinstance(err.value.cause, StepLimitExceeded)
+    assert (err.value.block, err.value.line) == (want.block, want.line)
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("noise", [None, NoiseModel()], ids=["ideal", "noise"])
+def test_rwpe_runs_out_of_steps_where_the_reference_does(mode, noise):
+    # Every step limit short of the shot's steps, one reference run per
+    # block visit: the limits from one visit's charge up to the next's
+    # run out at the next visit's block.
+    prog = build_rwpe()
+    cfg = ExecConfig(classical_mode=mode, noise=noise, seed=21)
+    compiled = sim.compile_program(prog, cfg)
+    _, _, steps = _reference(prog, cfg, 0)
+    limit = 1
+    while limit < steps:
+        want = _out_of_steps(prog, cfg, 0, limit)
+        for short in range(limit, want.steps):
+            _assert_runs_out(compiled, cfg, 0, short, want)
+        limit = want.steps
+    assert limit == steps
+    compiled.shot(cfg.seed, 0, steps)
 
 
 def _source(text, mode=ClassicalMode.EXACT_REAL):
@@ -1508,6 +1712,20 @@ def test_write_records_calls_write_once_per_record():
 
     sim.write_records(records, Sink())
     assert lines == _oracle_jsonl(records).splitlines(True)
+
+
+def test_write_records_renders_every_block_alike():
+    # Over more than two blocks, records of two shapes, one with zeros
+    # (rendered value by value) and one without.
+    rwpe = sim.run_shots(build_rwpe(), ExecConfig(seed=6, shots=3))
+    records = [sim.ShotRecord(k, k, (("k", k),), ((0.0, -0.0, 1), (0.5, k, 0)))
+               if k % 5 == 0 else sim.ShotRecord(k, rwpe[k % 3].seed,
+                                                 rwpe[k % 3].outputs,
+                                                 rwpe[k % 3].evidence)
+               for k in range(2 * sim._BLOCK + 3)]
+    buf = io.StringIO()
+    sim.write_records(iter(records), buf)
+    assert buf.getvalue() == _oracle_jsonl(records)
 
 
 def test_write_records_stops_at_the_first_record_it_cannot_write():
