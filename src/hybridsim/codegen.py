@@ -442,7 +442,7 @@ def _place(nexts: list[tuple[int, ...]], ipdom: list) -> dict[int, list]:
 
     def edge(x: int, t: int, depth: int, into: list) -> list:
         """Place x's jump to t, at `depth` levels of `if`, into `into`;
-        return it if it is pending."""
+        return the pending jumps that it leaves."""
         if t not in arms and preds[t] == {x} and depth <= _NESTING:
             return place(t, depth, into)
         jump = [x, t, None]
@@ -553,7 +553,8 @@ class Generator:
             known, steady, ipdom = _known(prog, succ)
         else:
             known, steady, ipdom = frozenset(), [False] * len(succ), []
-        # Each block's body, without its jump: the chunks the layout places.
+        # The chunks before the loop, then each block's body without its
+        # jump, which `layout` places.
         self.head = self.chunks
         self.bodies: list[list[tuple[str, tuple]]] = []
         # (first chunk, text, locals it sets) of each known instruction,
@@ -620,7 +621,7 @@ class Generator:
             if type(item) is int:       # a body, generated 3 levels deep
                 extra = "    " * (depth - 3)
                 out += [(extra + text.replace("\n", "\n" + extra), at)
-                        for text, at in self.bodies[item]] if extra else self.bodies[item]
+                        for text, at in self.bodies[item]]
                 continue
             block = prog.blocks[item[0]]
             at = (block.label, block.terminator.line)
@@ -717,9 +718,9 @@ class Generator:
         a block's table holds the values its known instructions set at the
         k-th visit of the walk below; each known instruction then reads its
         block's next row, at its own position, through an iterator bound at
-        the start of the shot (before chunk `prologue` of `self.head`).  When the walk
-        raises, or makes more than WALK_VISITS visits, the source stays as
-        it is.
+        the start of the shot (before chunk `prologue` of `self.head`).
+        When the walk raises, or makes more than WALK_VISITS visits, the
+        source stays as it is.
 
         The walk is generated like `run`, but it runs once, so it keeps a
         flat dispatch: a function of the registers' initial values `start`
