@@ -16,19 +16,22 @@ below: plain strings of Python that loop over pair tuples.  Up to
 `UNROLL_QUBITS` qubits every such loop is unrolled onto the amplitude
 locals a0, a1, ..., when a template is first rendered with its index
 tuples (`_rendered`); above it the amplitudes are the list `A` and the
-loops stay.  Each kernel's floating-point operations and draws from the
-shot's generator follow a fixed order, the same in both forms, which the
-reference interpreter in `tests/oracles.py` repeats, so a shot and its
-replay through that interpreter give the same record, amplitudes and step
-count.
+loops stay.  All text is generated unindented, and `_indent` indents each
+piece where it is placed.  Each kernel's floating-point operations and
+draws from the shot's generator follow a fixed order, the same in both
+forms, which the reference interpreter in `tests/oracles.py` repeats, so a
+shot and its replay through that interpreter give the same record,
+amplitudes and step count.
 
 Every value the source refers to (encoded literals, the phases of literal
 angles, noise probabilities, pair tuples, the domain's ops and boxes) is a
 name bound in the exec namespace, never a literal in the text.  Programs
 that differ only in literals therefore share one source, unless the fold
-or the known-value walk below decides differently for them.  `sim` owns
-everything around the source: the number domains, the caches, the
-generator each shot draws from, and the records.
+or the known-value walk below decides differently for them.  One cache,
+`code`, compiles every generated function: `run`, and the fold and the
+walk, which run once here.  `sim` owns everything else around the source:
+the number domains, the per-program caches, the generator each shot draws
+from, and the records.
 
 The start of a shot that no measurement outcome can change runs once, here.
 When no branch enters the entry block, its instructions run at generation
@@ -51,27 +54,29 @@ is a classical instruction reading only literals and registers of K, in a
 steady block: one that reaches a `ret` and is not control-dependent
 (through post-dominators, directly or through other branches) on a
 `condbr` whose condition is outside K.  No measurement destination is in
-K.  The walk is generated code too: one function with a flat dispatch on
-the block index, an arm per block, run once at generation time.  From the
-entry it runs each steady block's known instructions, and the phase terms
-of each `rz`, `crz` or `eswap` whose angle is known, through the text a
-shot would run, and appends the values they set to the block's row list:
-the k-th visit to a block gives row k of its table.  It follows a branch
-whose condition is known, goes from any other block to its immediate
-post-dominator, and stops at a `ret` or where there is none.  In the shot
-each known instruction assigns its register (or phase terms) from its
-block's next row, at its own position, so every register holds the same
-value after every instruction, and draws, records, step counts and
-amplitudes are unchanged.  When the walk raises, or makes more than
-`WALK_VISITS` visits (it counts them itself), the program gets no tables
-and its source is the one without them.
+K.  The walk is generated code too, its blocks placed as `run`'s are
+(`layout`), and it runs once at generation time.  From the entry it runs
+each steady block's known instructions, and the phase terms of each `rz`,
+`crz` or `eswap` whose angle is known, through the text a shot would run,
+and appends the values they set to the block's row list: the k-th visit
+to a block gives row k of its table.  It follows a branch whose condition
+is known, goes from any other block to its immediate post-dominator, and
+stops at a `ret` or where there is none.  In the shot each known
+instruction assigns its register (or phase terms) from its block's next
+row, at its own position, so every register holds the same value after
+every instruction, and draws, records, step counts and amplitudes are
+unchanged.  When the walk raises, or makes more than `WALK_VISITS` visits
+(its step limit), the program gets no tables and its source is the one
+without them.
 """
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import math
 import re
-import textwrap
+import weakref
 from functools import lru_cache
 from types import CodeType, FunctionType
 from typing import TYPE_CHECKING
@@ -142,7 +147,7 @@ def _unrolled(text: str, fields: dict) -> str:
 
 @lru_cache(maxsize=1024)
 def _rendered(template: str, unroll: bool, fields: tuple) -> str:
-    """A kernel's source, indented for a block body.  A template is a
+    """A kernel's source, unindented.  A template is a
     string, the loop form of its kernel: each `for` line loops over the
     index tuples that a format field such as {P} names, and its body reads
     the amplitudes `A[i0]`, `A[i1]`, ...  In the loop form the index fields
@@ -153,8 +158,14 @@ def _rendered(template: str, unroll: bool, fields: tuple) -> str:
     of the lowered IPE program) takes about 1.6 times as long (median of
     400 interleaved pairs, 0.67 against 0.42 ms on a 2-core x86_64 host)."""
     fields = dict(fields)
-    text = (_unrolled(template, fields) if unroll else template).format(**fields)
-    return " " * 12 + text.replace("\n", "\n" + " " * 12)
+    return (_unrolled(template, fields) if unroll else template).format(**fields)
+
+
+def _indent(text: str, depth: int) -> str:
+    """`text` with every line indented `depth` levels.  Generated text is
+    written unindented and indented here, where it is placed."""
+    pad = "    " * depth
+    return pad + text.replace("\n", "\n" + pad)
 
 
 # Kernel templates.  {P} names a pair tuple (i0, i1), {Q} a quad tuple;
@@ -261,7 +272,7 @@ else:
 _NOISE1 = """\
 if rand() < p_gate1:
     w = 1 + randrange(3)
-""" + textwrap.indent(_PAULI, " " * 4)
+""" + _indent(_PAULI, 1)
 
 # m in 1..15 names a two-qubit Pauli: high two bits on a, low two on b.
 _NOISE2 = """\
@@ -269,24 +280,13 @@ if rand() < p_gate2:
     m = 1 + randrange(15)
     w = m >> 2
     if w:
-""" + textwrap.indent(_PAULI.replace("{P}", "{Pa}"), " " * 8) + """
+""" + _indent(_PAULI.replace("{P}", "{Pa}"), 2) + """
     w = m & 3
     if w:
-""" + textwrap.indent(_PAULI.replace("{P}", "{Pb}"), " " * 8)
+""" + _indent(_PAULI.replace("{P}", "{Pb}"), 2)
 
 # The smallest and the largest value `random()` returns.
 _DRAW_ENDS = (0.0, 1.0 - 2.0 ** -53)
-
-
-@lru_cache(maxsize=256)
-def _fold_code(text: str) -> CodeType:
-    """The code object of the function `text` defines: a fold, or a
-    known-value walk.  Programs of one shape fold and walk the same text,
-    and compiling it costs far more than running it: about 2.5 ms for the
-    168 lines of the lowered IPE step's fold, whose two runs take about
-    0.1 ms."""
-    module = compile(text, "<fold>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 # Visits the known-value walk (`Generator.walk`) may make.  Each visit to a
@@ -332,10 +332,10 @@ def _post_dominators(succ: list[tuple[int, ...]]) -> tuple[set[int], list]:
     return reach, ipdom
 
 
-def _known(prog: hir.HybridProgram, succ: list[tuple[int, ...]]) \
-        -> tuple[frozenset[str], list[bool], list]:
-    """(K, whether each block is steady, each block's immediate
-    post-dominator), given each block's successors `succ`.  K is the
+def _known(prog: hir.HybridProgram, succ: list[tuple[int, ...]], reach: set[int],
+           ipdom: list) -> tuple[frozenset[str], list[bool]]:
+    """(K, whether each block is steady), given each block's successors
+    `succ` and what `_post_dominators` gives for them.  K is the
     largest set of registers such that every write to one of them is a
     classical instruction that reads only literals and registers of K, in
     a steady block; a block is steady when it reaches a `ret` and is not
@@ -344,7 +344,6 @@ def _known(prog: hir.HybridProgram, succ: list[tuple[int, ...]]) \
     K.  Steadiness and K depend on each other, so both are narrowed
     together until neither changes."""
     blocks = prog.blocks
-    reach, ipdom = _post_dominators(succ)
     # Ferrante, Ottenstein and Warren: the blocks control-dependent on the
     # branch of x lie on the post-dominator tree from each successor up to,
     # not including, x's immediate post-dominator.
@@ -381,8 +380,7 @@ def _known(prog: hir.HybridProgram, succ: list[tuple[int, ...]]) \
         narrowed = {r for r in known if reads.get(r, set()) <= known
                     and unsteady.isdisjoint(writers.get(r, ()))}
         if narrowed == known:
-            return (frozenset(known),
-                    [i not in unsteady for i in range(len(blocks))], ipdom)
+            return frozenset(known), [i not in unsteady for i in range(len(blocks))]
         known = narrowed
 
 
@@ -508,9 +506,10 @@ class Generator:
     the literal constants, encoded by `domain`, and the known-value tables.
     Noise enters the source only through whether it is on; its
     probabilities are namespace entries.  Each block's body is generated on
-    its own (`bodies`), and `layout` places the bodies in `run`.
-    Programs are checked when they are built, so every instruction and
-    gate it meets is one it knows."""
+    its own (`bodies`), and `layout` places the bodies in `run`.  Every
+    piece of text is generated unindented and indented where it is placed
+    (`_indent`).  Programs are checked when they are built, so every
+    instruction and gate it meets is one it knows."""
 
     def __init__(self, prog: hir.HybridProgram, domain: Domain, noisy: bool):
         self.domain = domain
@@ -528,18 +527,18 @@ class Generator:
 
         self.unpack = ", ".join(_AMPS[:1 << self.n]) + ", = A0" \
             if self.unroll else "A = A0[:]"
-        self.emit(0, "def run(rng, out, ev, limit):")
-        self.emit(1, "rand = rng.random\nrandrange = rng.randrange\n" + self.unpack)
+        self.emit("rand = rng.random\nrandrange = rng.randrange\n" + self.unpack)
         prologue = len(self.chunks)
         # Initializers are encoded here: range errors are load-time errors.
         inits = []
         for d in prog.decls:
             inits.append(self.literal(d.kind, d.init))
-            self.emit(1, f"{self.reg[d.name]} = {inits[-1]}")
+            self.emit(f"{self.reg[d.name]} = {inits[-1]}")
         start = [self.static[c] for c in inits]
         index = {b.label: i for i, b in enumerate(prog.blocks)}
-        succ = [tuple([index[t] for t in targets])
+        succ = [tuple(dict.fromkeys([index[t] for t in targets]))
                 for targets in hir.cfg(prog).successors.values()]
+        reach, ipdom = _post_dominators(succ)
         folds = not any(0 in targets for targets in succ)
         # An entry block that no branch enters runs once a shot: the fold
         # runs its start, and the rest keeps its known work, which a table
@@ -550,9 +549,9 @@ class Generator:
         if any(isinstance(instr, hir.Classical) or isinstance(instr, hir.Gate)
                and isinstance(instr.angle, str)
                for block in prog.blocks[tabled:] for instr in block.instructions):
-            known, steady, ipdom = _known(prog, succ)
+            known, steady = _known(prog, succ, reach, ipdom)
         else:
-            known, steady, ipdom = frozenset(), [False] * len(succ), []
+            known, steady = frozenset(), [False] * len(succ)
         # The chunks before the loop, then each block's body without its
         # jump, which `layout` places.
         self.head = self.chunks
@@ -565,7 +564,7 @@ class Generator:
             self.bodies.append(self.chunks)
             first = block.instructions[0] if block.instructions else block.terminator
             self.at = (block.label, first.line)
-            self.emit(3, _STEP_CHECK.format(n=len(block.instructions) + 1))
+            self.emit(_STEP_CHECK.format(n=len(block.instructions) + 1))
             items.append([])
             # where each leading instruction that the fold may run starts,
             # and where the last of them ends
@@ -585,9 +584,11 @@ class Generator:
                 self.at = (block.label, block.terminator.line)
                 self.ret(block.terminator)
         if any(items[tabled:]):
-            self.walk(prog, index, known, steady, ipdom, items, start, tabled,
+            self.walk(prog, succ, known, steady, ipdom, items, start, tabled,
                       prologue)
-        self.chunks = self.head + self.layout(prog, succ)
+        self.chunks = [("def run(rng, out, ev, limit):", (None, None)),
+                       *[(_indent(text, 1), at) for text, at in self.head],
+                       *self.layout(prog, succ, ipdom, self.bodies)]
         # (first generated line, (block label, HIR line)) of each chunk
         self.where: list[tuple[int, tuple[str | None, int | None]]] = []
         line = 1
@@ -598,47 +599,48 @@ class Generator:
 
     # -- placing the blocks -------------------------------------------------
 
-    def layout(self, prog: hir.HybridProgram, succ: list[tuple[int, ...]]) -> list:
-        """The chunks of `run`'s loop: a dispatch on the block index `b`
-        with one arm per block that `_place` gives one, in block order, and
-        every block's body (from `self.bodies`) where `_place` puts it."""
-        code = _place([tuple(dict.fromkeys(s)) for s in succ],
-                      _post_dominators(succ)[1])
-        out = [("    steps = 0\n    b = 0\n    while True:", (None, None))]
+    def layout(self, prog: hir.HybridProgram, succ: list[tuple[int, ...]],
+               ipdom: list, bodies: list) -> list:
+        """The chunks of a dispatch loop over the blocks of `prog`, given
+        each block's successors `succ` and the merge point `ipdom` of each
+        branch: a dispatch on the block index `b` with one arm per block
+        that `_place` gives one, in block order, and each block's body (from
+        `bodies`) where `_place` puts it.  `run` and the walk are both
+        written this way."""
+        code = _place(succ, ipdom)
+        out = [(_indent("steps = 0\nb = 0\nwhile True:", 1), (None, None))]
         for k, x in enumerate(sorted(code)):
             block = prog.blocks[x]
             first = block.instructions[0] if block.instructions else block.terminator
-            out.append((f"        {'elif' if k else 'if'} b == {x}:",
+            out.append((_indent(f"{'elif' if k else 'if'} b == {x}:", 2),
                         (block.label, first.line)))
-            self.render(prog, code[x], 3, out)
+            self.render(prog, code[x], 3, out, bodies)
         return out
 
-    def render(self, prog: hir.HybridProgram, code: list, depth: int, out: list):
-        """Append the chunks of placed code (`_place`), indented `depth`
-        levels."""
-        pad = "    " * depth
+    def render(self, prog: hir.HybridProgram, code: list, depth: int, out: list,
+               bodies: list):
+        """Append the chunks of placed code (`_place`), with the bodies of
+        `bodies`, indented `depth` levels."""
         for item in code:
-            if type(item) is int:       # a body, generated 3 levels deep
-                extra = "    " * (depth - 3)
-                out += [(extra + text.replace("\n", "\n" + extra), at)
-                        for text, at in self.bodies[item]]
+            if type(item) is int:       # a body
+                out += [(_indent(text, depth), at) for text, at in bodies[item]]
                 continue
             block = prog.blocks[item[0]]
             at = (block.label, block.terminator.line)
             if type(item) is list:
                 if not item[2]:
-                    out.append((f"{pad}b = {item[1]}\n{pad}continue", at))
+                    out.append((_indent(f"b = {item[1]}\ncontinue", depth), at))
                 continue
             then, other = [], []
-            self.render(prog, item[1], depth + 1, then)
-            self.render(prog, item[2], depth + 1, other)
+            self.render(prog, item[1], depth + 1, then, bodies)
+            self.render(prog, item[2], depth + 1, other, bodies)
             cond = self.reg[block.terminator.cond]
             if then:
-                out += [(f"{pad}if {cond}:", at), *then]
+                out += [(_indent(f"if {cond}:", depth), at), *then]
                 if other:
-                    out += [(f"{pad}else:", at), *other]
+                    out += [(_indent("else:", depth), at), *other]
             else:
-                out += [(f"{pad}if not {cond}:", at), *other]
+                out += [(_indent(f"if not {cond}:", depth), at), *other]
 
     # -- the entry block's deterministic prefix -----------------------------
 
@@ -664,12 +666,12 @@ class Generator:
             return
         regs = list(self.reg.values())
         amps = self.amplitudes() if self.unroll else "A[:]"
-        snapshot = f"{' ' * 12}yield {amps}, [{', '.join(regs)}]"
-        parts = [f"def fold({', '.join(['rand', 'A0', *regs])}):",
-                 " " * 12 + self.unpack]
+        snapshot = f"yield {amps}, [{', '.join(regs)}]"
+        parts = [self.unpack]
         for a, b in zip(ends, ends[1:]):
             parts += [text for text, _ in self.chunks[a:b]] + [snapshot]
-        fold = self.function("\n".join(parts))
+        head = f"def fold({', '.join(['rand', 'A0', *regs])}):\n"
+        fold = self.function("fold", head + _indent("\n".join(parts), 1))
         drawn = 0
 
         def lowest():
@@ -696,7 +698,7 @@ class Generator:
         self.static["A0"] = kept[0]
         self.static.update(zip(inits, kept[1]))
         self.chunks[ends[0]:ends[folded]] = [
-            ("\n".join([" " * 12 + "rand()"] * draws), self.chunks[ends[0]][1])
+            ("\n".join(["rand()"] * draws), self.chunks[ends[0]][1])
         ] if draws else []
 
     # -- known values: per-block tables -------------------------------------
@@ -711,7 +713,7 @@ class Generator:
             return "corner, cc, ss" if instr.name == "eswap" else "p0, p1"
         return None
 
-    def walk(self, prog: hir.HybridProgram, index: dict[str, int],
+    def walk(self, prog: hir.HybridProgram, succ: list[tuple[int, ...]],
              known: frozenset[str], steady: list[bool], ipdom: list,
              items: list, start: list, first: int, prologue: int):
         """Tabulate the known work of the blocks from `first` on.  Row k of
@@ -722,42 +724,46 @@ class Generator:
         When the walk raises, or makes more than WALK_VISITS visits, the
         source stays as it is.
 
-        The walk is generated like `run`, but it runs once, so it keeps a
-        flat dispatch: a function of the registers' initial values `start`
-        with one arm per block, which dispatches on the block index `b`,
-        from the entry, for at most WALK_VISITS visits.  Each visited steady
-        block runs its known instructions through the text a shot would run
-        and appends the values they set to its row list.  Then a block
-        whose `condbr` has a known condition sets `b` to the block the shot
-        goes to, and any other block (a `br` too, since its target
-        is its immediate post-dominator) sets it to its immediate
-        post-dominator: None after a `ret`, or where there is none, which
-        ends the walk.  A shot visits the steady blocks in the same order,
-        with the same known values, because no register of K changes
-        anywhere else; it may stop sooner."""
+        The walk is a function of a visit bound and the registers' initial
+        values `start`, generated and placed like `run` (`layout`) from a
+        body per block, and run once, from the entry.  Each body counts its
+        visit with the step check of `run`, so the bound is the walk's step
+        limit.  Then a steady block runs its known instructions through the
+        text a shot would run and appends the values they set to its row
+        list.  A steady block whose `condbr` has a known condition goes
+        where the shot goes; any other block (a `br` too, since its target
+        is its immediate post-dominator) goes to its immediate
+        post-dominator, and where there is none (after a `ret` too) the
+        walk returns its tables.  The program's immediate post-dominators
+        serve as the merge points of `layout`.  A shot visits the steady
+        blocks in the same order, with the same known values, because no
+        register of K changes anywhere else; it may stop sooner."""
         tabled = [i for i in range(first, len(items)) if items[i]]
-        parts = [f"def walk({', '.join(self.reg.values())}):",
-                 *[f"    T{i} = []" for i in tabled],
-                 f"    b = 0\n    for _ in range({WALK_VISITS}):"]
+        check = _STEP_CHECK.format(n=1)
+        end = f"return {', '.join([f'T{i}' for i in tabled])},"
+        bodies, nexts = [], []
         for i, block in enumerate(prog.blocks):
-            parts.append(f"        {'elif' if i else 'if'} b == {i}:")
+            body = [check]
             # each value as it stands right after its instruction
             for j, (_, text, names) in enumerate(items[i]):
-                parts += [text, f"            v{j} = {names}"]
+                body += [text, f"v{j} = {names}"]
             if i in tabled:
                 row = ", ".join([f"v{j}" for j in range(len(items[i]))])
-                parts.append(f"            T{i}.append(({row}))")
+                body.append(f"T{i}.append(({row}))")
             term = block.terminator
-            parts.append(" " * 12 + (
-                f"b = {index[term.then_target]} if {self.reg[term.cond]} "
-                f"else {index[term.else_target]}"
-                if steady[i] and isinstance(term, hir.CondBr) and term.cond in known
-                else f"b = {ipdom[i]}"))
-        parts += ["        if b is None:",
-                  f"            return {', '.join([f'T{i}' for i in tabled])},",
-                  f"    raise StepLimitExceeded('more than {WALK_VISITS} visits')"]
+            if steady[i] and isinstance(term, hir.CondBr) and term.cond in known:
+                nexts.append(succ[i])
+            else:
+                nexts.append(() if ipdom[i] is None else (ipdom[i],))
+            if not nexts[i]:
+                body.append(end)
+            bodies.append([("\n".join(body), (None, None))])
+        text = "\n".join([
+            f"def walk(limit, {', '.join(self.reg.values())}):",
+            _indent("\n".join([f"T{i} = []" for i in tabled]), 1),
+            *[t for t, _ in self.layout(prog, nexts, ipdom, bodies)]])
         try:
-            tables = self.function("\n".join(parts))(*start)
+            tables = self.function("walk", text)(WALK_VISITS, *start)
         except Exception:
             return      # the shot raises it at its own block and line
         binds = []
@@ -771,22 +777,21 @@ class Generator:
             for j, (k, _, names) in enumerate(items[i]):
                 text = f"{names} = next{i}()" if one else \
                     f"R = next{i}()\n" * (j == 0) + f"{names} = R[{j}]"
-                body[k] = ("    " * 3 + text.replace("\n", "\n" + "    " * 3),
-                           body[k][1])
+                body[k] = (text, body[k][1])
         if binds:
-            self.head.insert(prologue, ("    " + "\n    ".join(binds), (None, None)))
+            self.head.insert(prologue, ("\n".join(binds), (None, None)))
 
     # -- helpers ------------------------------------------------------------
 
-    def function(self, text: str) -> FunctionType:
-        """The function `text` defines (a fold or a walk), bound to the
-        static values as they stand and the domain's ops, without noise."""
-        return FunctionType(_fold_code(text),
+    def function(self, name: str, text: str) -> FunctionType:
+        """The function `name` that `text` defines (a fold or a walk), bound
+        to the static values as they stand and the domain's ops, without
+        noise."""
+        return FunctionType(code(text, name),
                             namespace(self.static, self.domain, None))
 
-    def emit(self, depth: int, text: str):
-        pad = "    " * depth
-        self.chunks.append((pad + text.replace("\n", "\n" + pad), self.at))
+    def emit(self, text: str):
+        self.chunks.append((text, self.at))
 
     def kernel(self, template: str, **fields):
         self.chunks.append((_rendered(template, self.unroll, tuple(fields.items())),
@@ -861,10 +866,10 @@ class Generator:
             dest = self.reg[instr.dest]
             self.kernel(_MEASURE, P=self.pairs(instr.qubit), dest=dest)
             if self.noisy:
-                self.emit(3, _READOUT_FLIP.format(dest=dest))
+                self.emit(_READOUT_FLIP.format(dest=dest))
             if instr.record is not None:
                 t, phi_inv = (self.boxed(v) for v in instr.record)
-                self.emit(3, f"ev.append(({t}, {phi_inv}, {dest}))")
+                self.emit(f"ev.append(({t}, {phi_inv}, {dest}))")
             return self.noisy or instr.record is not None
         if isinstance(instr, hir.Reset):
             self.kernel(_RESET, P=self.pairs(instr.qubit))
@@ -874,7 +879,7 @@ class Generator:
         elif isinstance(instr, hir.Classical):
             self.classical(instr)
         else:   # hir.Output
-            self.emit(3, f"out.append(({instr.name!r}, {self.boxed(instr.name)}))")
+            self.emit(f"out.append(({instr.name!r}, {self.boxed(instr.name)}))")
             return True
         return False
 
@@ -892,7 +897,7 @@ class Generator:
         elif name in ("rz", "crz"):
             pairs = self.pairs(qs[0]) if name == "rz" else self.controlled(*qs)
             if isinstance(instr.angle, str):
-                self.emit(3, _PHASE_OF_REGISTER.format(
+                self.emit(_PHASE_OF_REGISTER.format(
                     radians=self.expr("radians", "fixed", [self.reg[instr.angle]])))
                 p0, p1 = "p0", "p1"
             else:
@@ -902,7 +907,7 @@ class Generator:
             self.kernel(_PHASE, P=pairs, p0=p0, p1=p1)
         else:   # eswap
             if isinstance(instr.angle, str):
-                self.emit(3, _ESWAP_OF_REGISTER.format(
+                self.emit(_ESWAP_OF_REGISTER.format(
                     radians=self.expr("radians", "fixed", [self.reg[instr.angle]])))
                 terms = ("corner", "cc", "ss")
             else:
@@ -926,16 +931,40 @@ class Generator:
                 zip(instr.srcs, hir.operand_kinds(instr, self.kinds))]
         if op in ("cmp_eq", "cmp_lt"):
             rel = "==" if op == "cmp_eq" else "<"
-            self.emit(3, f"{dest} = 1 if {args[0]} {rel} {args[1]} else 0")
+            self.emit(f"{dest} = 1 if {args[0]} {rel} {args[1]} else 0")
         elif op == "select":
-            self.emit(3, f"{dest} = {args[1]} if {args[0]} else {args[2]}")
+            self.emit(f"{dest} = {args[1]} if {args[0]} else {args[2]}")
         else:
-            self.emit(3, f"{dest} = {self.expr(op, self.kinds[instr.dest], args)}")
+            self.emit(f"{dest} = {self.expr(op, self.kinds[instr.dest], args)}")
 
     def ret(self, term: hir.Ret):
         for v in term.values:
-            self.emit(3, f"out.append(({v!r}, {self.boxed(v)}))")
-        self.emit(3, f"return {self.amplitudes()}")
+            self.emit(f"out.append(({v!r}, {self.boxed(v)}))")
+        self.emit(f"return {self.amplitudes()}")
+
+
+# The compile cache of generated functions: `run`, and the fold and walk
+# that run once at generation time.  Programs of one shape generate the same
+# text, and compiling it costs far more than running a fold or a walk: about
+# 2.5 ms for the 168 lines of the lowered IPE step's fold, whose two runs
+# take about 0.1 ms.
+CACHE_SIZE = 256
+_file_numbers = itertools.count()
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def code(source: str, name: str) -> CodeType:
+    """The code object of the function `source` defines, compiled under the
+    file name `<hir NAME:N>`, which no other code object has.  The source
+    stays in `linecache` under that name, so that tracebacks show the
+    generated lines, for as long as the code object lives."""
+    filename = f"<hir {name}:{next(_file_numbers)}>"
+    module = compile(source, filename, "exec")
+    obj = next(c for c in module.co_consts if isinstance(c, CodeType))
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    weakref.finalize(obj, linecache.cache.pop, filename, None)
+    return obj
 
 
 def namespace(static: dict, domain: Domain, noise: NoiseModel | None) -> dict:

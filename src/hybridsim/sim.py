@@ -55,7 +55,6 @@ import enum
 import gc
 import itertools
 import json
-import linecache
 import marshal
 import math
 import operator
@@ -65,15 +64,14 @@ import random
 import signal
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from types import CodeType, FunctionType
 from typing import IO, Callable, Iterable
 
+from . import codegen
 from . import fixedpoint as fx
 from . import hir
-from .codegen import Generator, namespace
 from .errors import DivideByZero, OutOfRange, ShotError, StepLimitExceeded
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -257,13 +255,9 @@ def derive_shot_seed(seed: int, shot_index: int) -> int:
 # Compile caches.  Each program object keeps its generated source, line
 # table, static values and worker payload in `HybridProgram.generated`, per
 # mode and noise switch, so two equal programs keep their own HIR line
-# numbers.  `_code` keeps the code object of each source text and program
-# name.  Each code object it compiles has a file name of its own,
-# `<hir NAME:N>`, under which its source stays in `linecache`, so that
-# tracebacks show the generated lines, for as long as the code object lives.
-
-_CACHE_SIZE = 128
-_file_numbers = itertools.count()
+# numbers.  `codegen.code` keeps the code object of each source text and
+# program name, and the source of each under its own file name in
+# `linecache`, as long as the code object lives.
 
 
 def _generated(program: hir.HybridProgram, cfg: ExecConfig, domain: Domain):
@@ -276,28 +270,14 @@ def _generated(program: hir.HybridProgram, cfg: ExecConfig, domain: Domain):
     key = (cfg.classical_mode, cfg.noise is not None)
     entry = program.generated.get(key)
     if entry is None:
-        gen = Generator(program, domain, key[1])
-        code = marshal.dumps(_code(gen.source, program.name))
+        gen = codegen.Generator(program, domain, key[1])
+        code = marshal.dumps(codegen.code(gen.source, program.name))
         payload = pickle.dumps(
             (code, gen.where, gen.static, cfg.classical_mode),
             pickle.HIGHEST_PROTOCOL)
         entry = program.generated[key] = (gen.source, gen.where, gen.static,
                                           payload)
     return entry
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _code(source: str, name: str) -> CodeType:
-    """The code object of the function `source` defines, compiled under the
-    file name `<hir NAME:N>`, which no other code object has: its
-    `linecache` entry goes when it does."""
-    filename = f"<hir {name}:{next(_file_numbers)}>"
-    module = compile(source, filename, "exec")
-    code = next(c for c in module.co_consts if isinstance(c, CodeType))
-    linecache.cache[filename] = (len(source), None, source.splitlines(True),
-                                 filename)
-    weakref.finalize(code, linecache.cache.pop, filename, None)
-    return code
 
 
 # What a shot may raise from inside the generated function: a zero divisor,
@@ -317,8 +297,8 @@ class CompiledProgram:
     def __init__(self, program: hir.HybridProgram, cfg: ExecConfig):
         domain = select_domain(cfg.classical_mode)
         self.source, where, static, payload = _generated(program, cfg, domain)
-        self._bind(_code(self.source, program.name), where, static, domain,
-                   cfg.noise)
+        self._bind(codegen.code(self.source, program.name), where, static,
+                   domain, cfg.noise)
         self.nqubits = program.qubits
         # What a worker process builds the same `run` from (`_shipped`).
         self._ship = (payload, cfg.noise)
@@ -326,7 +306,7 @@ class CompiledProgram:
     def _bind(self, code: CodeType, where, static: dict, domain: Domain,
               noise: NoiseModel | None):
         self.where = where
-        self.run = FunctionType(code, namespace(static, domain, noise))
+        self.run = FunctionType(code, codegen.namespace(static, domain, noise))
         self.filename = code.co_filename
         self._rng = random.Random(0)
         # The C generator's own seed: `Random.seed` adds only argument checks
@@ -880,6 +860,7 @@ def write_records(records: Iterable[ShotRecord], fp: IO[str]):
             try:
                 lines = _block_lines(block, floats, words)
             except Exception:       # raised again, for its record, below
+                # and records the columns cannot take (a list output name)
                 lines = map(_line, block)
             for line in lines:
                 write(line)

@@ -662,7 +662,7 @@ def test_linecache_is_bounded_and_keeps_live_programs():
         text = _MULTIPLIES.replace("proc main", f"proc p{i}")
         sim.compile_program(hir.parse(text), ExecConfig())
     # the code cache's sources, plus the one `live` still runs
-    assert len(_linecache_entries()) <= sim._CACHE_SIZE + 1
+    assert len(_linecache_entries()) <= codegen.CACHE_SIZE + 1
     # The source of a compiled program that is still alive stays readable.
     assert live.filename in linecache.cache
     with pytest.raises(ShotError) as err:
@@ -674,7 +674,7 @@ def test_linecache_is_bounded_and_keeps_live_programs():
 def test_each_code_object_keeps_its_own_linecache_entry():
     prog = hir.parse(_DIVIDES_IN_BLOCK_WORK)
     first = sim.compile_program(prog, ExecConfig())
-    sim._code.cache_clear()
+    codegen.code.cache_clear()
     second = sim.compile_program(prog, ExecConfig())
     assert first.run.__code__ is not second.run.__code__
     assert first.filename != second.filename
@@ -905,6 +905,38 @@ done:
   ret k
 endproc
 """.format(trips=(codegen.WALK_VISITS - 3) // 2 + 1),
+    # A known branch inside a known loop: `odd` toggles every trip, so the
+    # walk visits head, body, one of up and down, and tail: 4N + 3 visits,
+    # and (WALK_VISITS - 3) // 4 + 1 trips is one too many.  The walk
+    # places `tail` after the `if` of `body`, so a bound that counted only
+    # the visits to dispatch arms would let these trips through.
+    "known-diamond-in-known-loop": """proc main qubits 1
+  var int18 k = 0
+  var int18 j = 0
+  var bit more = 0
+  var bit odd = 0
+entry:
+  x q0
+  br head
+head:
+  cmp_lt more, k, {trips}
+  condbr more, body, done
+body:
+  cmp_eq odd, odd, 0
+  condbr odd, up, down
+up:
+  add j, j, 2
+  br tail
+down:
+  sub j, j, 1
+  br tail
+tail:
+  add k, k, 1
+  br head
+done:
+  ret j, k
+endproc
+""".format(trips=(codegen.WALK_VISITS - 3) // 4 + 1),
     # The second trip divides by zero: the walk raises, so nothing is
     # tabled and the shot raises it at its own block and line.
     "late-recip-of-zero": """proc main qubits 1
@@ -1144,10 +1176,14 @@ def test_blocks_get_an_arm_only_where_no_rule_places_them(name, arms):
 @pytest.mark.parametrize("noise", [None, NoiseModel()], ids=["ideal", "noise"])
 def test_rwpe_dispatches_once_per_iteration(mode, noise):
     # `prep` and the loop head `head`: every other block is placed under
-    # the head's branch.
+    # the head's branch, in `run` and in the known-value walk alike.
+    codegen.code.cache_clear()
     source = sim.compile_program(build_rwpe(), ExecConfig(
         classical_mode=mode, noise=noise)).source
     assert _arms(source) == [0, 1]
+    walks = [name for name in _linecache_entries() if name.startswith("<hir walk:")]
+    assert len(walks) == 1
+    assert _arms("".join(linecache.cache[walks[0]][2])) == [0, 1]
 
 
 def test_blocks_nest_no_deeper_than_the_cap():
@@ -1208,6 +1244,8 @@ def test_blocks_nest_no_deeper_than_the_cap():
 @example(hir.parse(_LAYOUT_EDGES["three-way-merge"]), FIXED, _HEAVY_NOISE, 17)
 @example(hir.parse(_LAYOUT_EDGES["past-an-inner-merge"]),
          ClassicalMode.EXACT_REAL, _HEAVY_NOISE, 18)
+@example(hir.parse(_TABLE_EDGES["known-diamond-in-known-loop"].replace(
+    f"k, {(codegen.WALK_VISITS - 3) // 4 + 1}", "k, 5")), FIXED, None, 19)
 def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
     # Generated programs take at most about 1000 steps; a loop that never
     # returns runs out of them.
@@ -1342,20 +1380,22 @@ def test_a_walk_that_fails_leaves_the_source_without_tables(monkeypatch):
     # source is the one a program with no known register gets.
     def source_without_known(text, mode):
         with monkeypatch.context() as m:
-            m.setattr(codegen, "_known", lambda prog, succ: (
-                frozenset(), [False] * len(prog.blocks), [None] * len(prog.blocks)))
+            m.setattr(codegen, "_known", lambda prog, *flow: (
+                frozenset(), [False] * len(prog.blocks)))
             return _source(text, mode)
 
     for name, mode in (("known-loop-past-the-bound", ClassicalMode.EXACT_REAL),
+                       ("known-diamond-in-known-loop", FIXED),
                        ("late-recip-of-zero", FIXED)):
         source = _source(_TABLE_EDGES[name], mode)
         assert "iter(" not in source
         assert source == source_without_known(_TABLE_EDGES[name], mode)
     # One trip fewer stays within the bound and is tabled.
-    fewer = (codegen.WALK_VISITS - 3) // 2
-    text = _TABLE_EDGES["known-loop-past-the-bound"].replace(
-        f"k, {fewer + 1}", f"k, {fewer}")
-    assert "next1 = iter(T1).__next__" in _source(text)
+    for name, visits_per_trip in (("known-loop-past-the-bound", 2),
+                                  ("known-diamond-in-known-loop", 4)):
+        fewer = (codegen.WALK_VISITS - 3) // visits_per_trip
+        text = _TABLE_EDGES[name].replace(f"k, {fewer + 1}", f"k, {fewer}")
+        assert "next1 = iter(T1).__next__" in _source(text)
 
 
 def test_native_ipe_step_computes_no_phase_in_the_shot():
@@ -1752,6 +1792,21 @@ def test_write_records_stops_at_the_first_record_it_cannot_write():
     with pytest.raises(RuntimeError, match="no more records"):
         sim.write_records(failing(), Sink())
     assert lines == want
+
+
+def test_write_records_renders_what_its_columns_cannot_value_by_value():
+    # A list as an output name makes the shape key unhashable, and an
+    # evidence entry that is not a tuple cannot be split into columns: the
+    # record-by-record path writes the first as the reference does and
+    # raises the error of unpacking the second.
+    listed = sim.ShotRecord(0, 1, ((["mu"], 0.5),), ((0.25, 0.5, 1),))
+    buf = io.StringIO()
+    sim.write_records([listed], buf)
+    assert buf.getvalue() == _oracle_jsonl([listed])
+    bare = sim.ShotRecord(1, 2, (), (object(),))
+    with pytest.raises(TypeError, match="^cannot unpack non-iterable object "
+                                        "object$"):
+        sim.write_records([bare], io.StringIO())
 
 
 def test_write_records_leaves_no_reference_cycle():

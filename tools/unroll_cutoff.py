@@ -52,9 +52,8 @@ def measure(prog, cfg, unroll: bool, shots: int):
     codegen.UNROLL_QUBITS = n if unroll else n - 1
     codegen._AMPS = tuple(f"a{i}" for i in range(1 << n))
     prog.generated.clear()
-    sim._code.cache_clear()
+    codegen.code.cache_clear()
     codegen._rendered.cache_clear()
-    codegen._fold_code.cache_clear()
     slow = host_slowdown()
     t0 = time.perf_counter()
     sim.compile_program(prog, cfg)
