@@ -616,21 +616,24 @@ def _run_split(compiled: CompiledProgram, mixed: int, indices, limit: int,
 # dict-building encoder as the reference.  It renders a block of records at
 # a time, by column: the records of one shape (output names and evidence
 # length) give one column per field, and each line is one `%` of a
-# template per shape.  No column of exact ints, of exact floats without a
-# zero or of Q2.16 boxes takes a Python call per value.  Ints go into the
-# template as they are, through `%d`.  Within one call each distinct
-# nonzero float and each distinct Q2.16 word is rendered once, into a memo
-# (RWPE records the same 24 evolution times `t` in every shot, and float
-# `repr` is most of the cost of a line), and read back by one `map`.  Any
-# other column is rendered one value at a time (`_text`, `_plain`).
+# template per shape.  No column of exact ints, of exact finite floats
+# without a zero or of Q2.16 boxes takes a Python call per value.  Ints go
+# into the template as they are, through `%d`.  The text of each such float
+# and of each Q2.16 word comes from one of two process-wide caches of
+# _TEXTS entries (`_finite_text`, `_word_text`), so a value is rendered
+# once per process while it stays among the recently used: RWPE records
+# the same 24 evolution times `t` in every shot, and float `repr` is most
+# of the cost of a line.  A float column that holds a zero or a non-finite
+# value skips the cache: 0.0 == -0.0 would give both zeros one entry, and
+# `repr` does not write NaN and infinities as JSON does.  Any other column
+# is rendered one value at a time (`_text`, `_plain`).
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _SCALE = fx.SCALE
-# Memo entries one `write_records` call keeps before it starts over, so a
-# long run cannot grow the memo without limit (beyond one block's values).
-_MEMO_SIZE = 4096
 # Records `write_records` renders by column at once.
 _BLOCK = 256
+# Entries in each of the writer's two text caches.
+_TEXTS = 512
 _name = operator.itemgetter(0)
 _raw = operator.attrgetter("raw")
 _shot = operator.attrgetter("shot")
@@ -720,13 +723,25 @@ def _plain(v) -> str:
     return "%d" % v if type(v) is int else _dumps(v)
 
 
+# `float.__repr__` itself, so a miss makes no Python-level call.  Both
+# text caches key on exact type, so no key finds the entry of an equal key
+# of another type (1 == 1.0 == True).
+_finite_text = lru_cache(maxsize=_TEXTS, typed=True)(float.__repr__)
+
+
+@lru_cache(maxsize=_TEXTS, typed=True)
+def _word_text(raw: int) -> str:
+    """The box of a Q2.16 raw word."""
+    return '{"raw":%d,"value":%r}' % (raw, raw / _SCALE)
+
+
 def _text(v) -> str:
     """A value that may be boxed."""
     t = type(v)
     if t is float:
         return _float_text(v)
     if t is fx.FixedQ216:
-        return '{"raw":%d,"value":%s}' % (v.raw, _float_text(v.value))
+        return _word_text(v.raw)
     if t is int:
         return "%d" % v
     if t is fx.Int18:
@@ -745,35 +760,7 @@ def _line(rec: ShotRecord) -> str:
         _plain(rec.shot), _plain(rec.seed), outputs, evidence)
 
 
-def _float_texts(values: list) -> list[str]:
-    texts = list(map(float.__repr__, values))
-    if not all(map(math.isfinite, values)):
-        texts = list(map(_float_text, values))
-    return texts
-
-
-def _word_texts(raws: list) -> list[str]:
-    values = map(operator.truediv, raws, itertools.repeat(_SCALE))
-    return list(map('{"raw":%d,"value":%s}'.__mod__,
-                    zip(raws, _float_texts(list(values)))))
-
-
-def _remembered(memo: dict, keys: list, distinct: set, render: Callable) -> list:
-    """The text of each of `keys`, whose set is `distinct`, rendering only
-    the keys that `memo` lacks (all of them, when the memo would outgrow
-    _MEMO_SIZE).  Keys that are all new and distinct skip the memo."""
-    new = list(distinct.difference(memo))
-    if len(new) == len(keys):
-        return render(keys)
-    if new:
-        if len(memo) + len(new) > _MEMO_SIZE:
-            memo.clear()
-            new = list(distinct)
-        memo.update(zip(new, render(new)))
-    return list(map(memo.__getitem__, keys))
-
-
-def _column(col, floats: dict, words: dict, boxed: bool) -> tuple[list, str]:
+def _column(col, boxed: bool) -> tuple[list, str]:
     """(what a line's template formats for each value of a column, the
     conversion that formats it): exact ints as they are, through `%d`, and
     anything else as its text, through `%s`.  Values that may be boxed are
@@ -781,15 +768,12 @@ def _column(col, floats: dict, words: dict, boxed: bool) -> tuple[list, str]:
     kinds = set(map(type, col))
     if kinds == {int}:
         return col, "%d"
-    if kinds == {float}:
-        distinct = set(col)
-        if 0.0 not in distinct:
-            return _remembered(floats, col, distinct, _float_texts), "%s"
+    if kinds == {float} and 0.0 not in col and all(map(math.isfinite, col)):
+        return list(map(_finite_text, col)), "%s"
     if not boxed:
         return list(map(_plain, col)), "%s"
     if kinds == {fx.FixedQ216}:
-        raws = list(map(_raw, col))
-        return _remembered(words, raws, set(raws), _word_texts), "%s"
+        return list(map(_word_text, map(_raw, col))), "%s"
     return list(map(_text, col)), "%s"
 
 
@@ -805,7 +789,7 @@ def _template(names: tuple, n: int, specs: list) -> str:
             % (shot, seed, outputs, evidence))
 
 
-def _block_lines(block: list[ShotRecord], floats: dict, words: dict) -> list[str]:
+def _block_lines(block: list[ShotRecord]) -> list[str]:
     """The lines of `block`, rendered by column.  Raises whenever a record
     does not have the shape its line is rendered for."""
     shapes: dict[tuple, list[int]] = {}
@@ -815,19 +799,18 @@ def _block_lines(block: list[ShotRecord], floats: dict, words: dict) -> list[str
     lines: list = [None] * len(block)
     for (names, n), where in shapes.items():
         recs = block if len(shapes) == 1 else [block[i] for i in where]
-        cols = [_column(list(map(_shot, recs)), floats, words, False),
-                _column(list(map(_seed, recs)), floats, words, False)]
+        cols = [_column(list(map(_shot, recs)), False),
+                _column(list(map(_seed, recs)), False)]
         if names:
             _, outs = zip(*itertools.chain.from_iterable(map(_outputs, recs)),
                           strict=True)
-            cols += [_column(outs[j::len(names)], floats, words, True)
+            cols += [_column(outs[j::len(names)], True)
                      for j in range(len(names))]
         ev = [((), "%s")] * 3
         if n:
             t, p, d = zip(*itertools.chain.from_iterable(map(_evidence, recs)),
                           strict=True)
-            ev = [_column(t, floats, words, True), _column(p, floats, words, True),
-                  _column(d, floats, words, False)]
+            ev = [_column(t, True), _column(p, True), _column(d, False)]
         template = _template(names, n, [spec for _, spec in cols + ev])
         values = [col for col, _ in cols]
         for e in range(n):
@@ -845,8 +828,6 @@ def write_records(records: Iterable[ShotRecord], fp: IO[str]):
     its error raised, as they would be one record at a time.  When
     iterating `records` raises, the records it gave first are written
     before the error propagates."""
-    floats: dict[float, str] = {}   # nonzero float -> its text
-    words: dict[int, str] = {}      # Q2.16 raw word -> its boxed text
     write = fp.write
     todo = iter(records)
     while True:
@@ -858,7 +839,7 @@ def write_records(records: Iterable[ShotRecord], fp: IO[str]):
                     break
         finally:
             try:
-                lines = _block_lines(block, floats, words)
+                lines = _block_lines(block)
             except Exception:       # raised again, for its record, below
                 # and records the columns cannot take (a list output name)
                 lines = map(_line, block)

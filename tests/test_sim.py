@@ -1716,8 +1716,9 @@ def _oracle_jsonl(records) -> str:
 
 
 def _wide_records(n):
-    """Records with more distinct floats and Q2.16 words than the writer's
-    memo holds, each value repeated so that hits follow every restart."""
+    """Records with more distinct floats and Q2.16 words than each of the
+    writer's text caches holds, each value repeated after it has been
+    evicted."""
     floats = [(i + 1) * 0.1 for i in range(n)]
     words = [fx.FixedQ216(fx.RAW_MIN + 31 * i) for i in range(n)]
     ev = tuple(zip(floats + floats, words + words, [0, 1] * n))
@@ -1731,16 +1732,25 @@ def _wide_records(n):
     st.lists(st.tuples(_JSON_NAMES, _JSON_VALUES), max_size=5).map(tuple),
     st.lists(st.tuples(_JSON_VALUES, _JSON_VALUES, _JSON_BARE),
              max_size=5).map(tuple)),
-    max_size=4))
+    max_size=4), st.integers(0, 4))
 @example([sim.ShotRecord(0, 1, tuple(("v", v) for v in _JSON_SPECIAL),
                          tuple((v, v, v) for v in _JSON_SPECIAL[:16])),
           sim.ShotRecord(1, 2, (),
-                         tuple((v, v, 0) for v in _JSON_SPECIAL[::-1]))])
-@example(_wide_records(2 * sim._MEMO_SIZE + 5))
-def test_write_records_matches_reference_encoder(records):
-    buf = io.StringIO()
-    sim.write_records(records, buf)
-    assert buf.getvalue() == _oracle_jsonl(records)
+                         tuple((v, v, 0) for v in _JSON_SPECIAL[::-1]))], 1)
+@example(_wide_records(2 * sim._TEXTS + 5), 2)
+# Words 1 and 65536 are 2**-16 and 1.0, and 1 == 1.0: the floats of the
+# second call must not find the first call's boxes, nor one zero the other.
+@example([sim.ShotRecord(0, 1, (("w", fx.FixedQ216(1)),),
+                         ((fx.FixedQ216(65536), fx.FixedQ216(1), 0),)),
+          sim.ShotRecord(1, 2, (), ((1.0, -0.0, 0), (2 ** -16, 0.0, 1),
+                                    (0.5, -0.0, 0)))], 1)
+def test_write_records_matches_reference_encoder(records, cut):
+    # Two calls, a prefix and then the rest: what the first leaves in the
+    # writer's caches must not change what the second writes.
+    for part in records[:cut], records[cut:]:
+        buf = io.StringIO()
+        sim.write_records(part, buf)
+        assert buf.getvalue() == _oracle_jsonl(part)
 
 
 def test_write_records_calls_write_once_per_record():
@@ -1810,9 +1820,10 @@ def test_write_records_renders_what_its_columns_cannot_value_by_value():
 
 
 def test_write_records_leaves_no_reference_cycle():
-    """Each call's memo is freed on return, not by a later cycle
-    collection: a cycle that kept it alive raised the benchmark's peak RSS
-    by 6 MB over 10k RWPE shots."""
+    """What a call builds (blocks, columns, lines) is freed on return, not
+    by a later cycle collection: a reference cycle that once kept a call's
+    data alive raised the benchmark's peak RSS by 6 MB over 10k RWPE
+    shots."""
     records = sim.run_shots(build_rwpe(), ExecConfig(seed=6, shots=3,
                                                      classical_mode=FIXED))
     gc.collect()
