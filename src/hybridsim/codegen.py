@@ -19,9 +19,27 @@ tuples (`_rendered`); above it the amplitudes are the list `A` and the
 loops stay.  All text is generated unindented, and `_indent` indents each
 piece where it is placed.  Each kernel's floating-point operations and
 draws from the shot's generator follow a fixed order, the same in both
-forms, which the reference interpreter in `tests/oracles.py` repeats, so a
-shot and its replay through that interpreter give the same record,
-amplitudes and step count.
+forms, which the reference interpreter in `tests/oracles.py` repeats over
+every amplitude.  So a shot and its replay through that interpreter give
+the same record and step count, and the same amplitudes but for the sign
+of zero components; `sim.run_shot_debug` amplitudes may differ from those
+of earlier versions in that sign alone.
+
+Kernels touch only the basis states a shot can reach.  One forward
+dataflow pass (`_support`) tracks a bit mask of the basis states that may
+carry amplitude: |0…0⟩ at the entry, the union of the predecessors' masks
+at a block's start, iterated to a fixpoint at loop heads.  `h`, `sx`, the
+middle pair of `eswap` and each gate-noise Pauli (`_NOISE2`'s on a, then
+on b) make a pair live if either member is; `x` and `cnot` swap its bits;
+`reset`, and each reset of `active_reset` in turn, move a live pair onto its
+q = 0 member; phases, measurements and classical work keep the mask
+(`_FLOWS`).  Each kernel is rendered over the index tuples that have a live
+member where it stands (`_sparse`), in both forms.  Every other amplitude
+holds a zero that the skipped arithmetic would have kept zero, perhaps with
+its sign flipped, so no nonzero amplitude, draw, record or step count
+changes, as long as no angle is NaN (a NaN phase turned zeros into NaN).
+In noiseless RWPE q1 stays in |1⟩, so `reset`, `h`, `rz` and `mz` on q0
+touch a1 and a3 only.
 
 Every value the source refers to (encoded literals, the phases of literal
 angles, noise probabilities, pair tuples, the domain's ops and boxes) is a
@@ -120,6 +138,12 @@ def _quads(n: int, a: int, b: int) -> tuple[tuple[int, int, int, int], ...]:
     mb = 1 << (n - 1 - b)
     return tuple((i, i | mb, i | ma, i | ma | mb)
                  for i in range(1 << n) if not i & (ma | mb))
+
+
+@lru_cache(maxsize=None)
+def _controlled(n: int, c: int, t: int) -> tuple[tuple[int, int], ...]:
+    """(i10, i11) over qubits (c, t): the pairs a controlled gate touches."""
+    return tuple([(i10, i11) for _, _, i10, i11 in _quads(n, c, t)])
 
 
 # A `for` line of a kernel template, and the lines of its body.
@@ -287,6 +311,51 @@ if rand() < p_gate2:
 
 # The smallest and the largest value `random()` returns.
 _DRAW_ENDS = (0.0, 1.0 - 2.0 ** -53)
+
+# How a kernel moves the support mask on each pair it touches (the middle
+# pair (i01, i10) of a quad); any other kernel keeps the mask.
+_FLOWS = {_H: "mix", _SX: "mix", _ESWAP: "mix", _NOISE1: "mix", _NOISE2: "mix",
+          _SWAP: "swap", _RESET: "reset"}
+
+
+@lru_cache(maxsize=4096)
+def _sparse(template: str, fields: tuple, mask: int) -> tuple[tuple, int]:
+    """(`fields` with each index field cut to the tuples that have a member
+    in `mask`, the mask after the kernel).  Each field is cut by the mask
+    the fields before it leave: `_NOISE2`'s second Pauli sees the first's."""
+    flow = _FLOWS.get(template)
+    out = []
+    for name, value in fields:
+        if type(value) is tuple:
+            value = tuple([t for t in value if any([mask >> i & 1 for i in t])])
+            for t in value:
+                i0, i1 = t[1:3] if len(t) == 4 else t
+                both = 1 << i0 | 1 << i1
+                if flow == "mix" and mask & both:
+                    mask |= both
+                elif flow == "swap" and (mask >> i0 ^ mask >> i1) & 1:
+                    mask ^= both
+                elif flow == "reset":
+                    mask = mask & ~(1 << i1) | 1 << i0
+        out.append((name, value))
+    return tuple(out), mask
+
+
+def _support(kernels: list[list[tuple]], succ: list[tuple[int, ...]]) -> list[int]:
+    """The support mask at the start of each block, given its kernels'
+    (template, fields) and its successors; 0 where the entry never goes."""
+    masks = [1] + [0] * (len(succ) - 1)
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        mask = masks[x]
+        for kernel in kernels[x]:
+            mask = _sparse(*kernel, mask)[1]
+        for t in succ[x]:
+            if mask & ~masks[t]:
+                masks[t] |= mask
+                todo.append(t)
+    return masks
 
 
 # Visits the known-value walk (`Generator.walk`) may make.  Each visit to a
@@ -521,6 +590,7 @@ class Generator:
         self.static: dict[str, object] = {
             "A0": [1 + 0j] + [0j] * ((1 << self.n) - 1)}
         self.nconsts = 0
+        self.names: dict[tuple, str] = {}   # index tuples -> namespace name
         # (text, (block label, HIR line)) of each generated piece
         self.chunks: list[tuple[str, tuple[str | None, int | None]]] = []
         self.at: tuple[str | None, int | None] = (None, None)
@@ -559,6 +629,9 @@ class Generator:
         # (first chunk, text, locals it sets) of each known instruction,
         # per block
         items: list[list[tuple[int, str, str]]] = []
+        # where each leading instruction of the entry block that the fold
+        # may run starts, and where the last of them ends
+        lead = None
         for i, block in enumerate(prog.blocks):
             self.chunks = []
             self.bodies.append(self.chunks)
@@ -566,23 +639,23 @@ class Generator:
             self.at = (block.label, first.line)
             self.emit(_STEP_CHECK.format(n=len(block.instructions) + 1))
             items.append([])
-            # where each leading instruction that the fold may run starts,
-            # and where the last of them ends
-            lead = [len(self.chunks)] if i == 0 and folds else None
+            if i == 0 and folds:
+                lead = [len(self.chunks)]
             for instr in block.instructions:
                 mark = len(self.chunks)
                 self.at = (block.label, instr.line)
                 shot_only = self.instruction(instr)
-                if lead and lead[-1] == mark and not shot_only:
+                if i == 0 and lead and lead[-1] == mark and not shot_only:
                     lead.append(len(self.chunks))
                 names = self.known_locals(instr, known) if steady[i] else None
                 if names:
                     items[i].append((mark, self.chunks[mark][0], names))
-            if lead:
-                self.fold(lead, inits)
             if isinstance(block.terminator, hir.Ret):
                 self.at = (block.label, block.terminator.line)
                 self.ret(block.terminator)
+        self.sparse(succ)
+        if lead:
+            self.fold(self.bodies[0], lead, inits)
         if any(items[tabled:]):
             self.walk(prog, succ, known, steady, ipdom, items, start, tabled,
                       prologue)
@@ -642,16 +715,33 @@ class Generator:
             else:
                 out += [(_indent(f"if not {cond}:", depth), at), *other]
 
+    # -- the basis states a shot can reach ----------------------------------
+
+    def sparse(self, succ: list[tuple[int, ...]]):
+        """Render each kernel of the bodies over the index tuples with a
+        live member there; a block the entry never reaches keeps them all."""
+        masks = _support([[text for text, _ in body if type(text) is tuple]
+                          for body in self.bodies], succ)
+        for body, mask in zip(self.bodies, masks):
+            mask = mask or (1 << (1 << self.n)) - 1
+            for k, (text, at) in enumerate(body):
+                if type(text) is tuple:
+                    fields, mask = _sparse(*text, mask)
+                    if not self.unroll:     # the loop form names each tuple
+                        fields = tuple([(f, self.indices(v) if type(v) is tuple
+                                         else v) for f, v in fields])
+                    body[k] = (_rendered(text[0], self.unroll, fields), at)
+
     # -- the entry block's deterministic prefix -----------------------------
 
-    def fold(self, ends: list[int], inits: list[str]):
+    def fold(self, body: list, ends: list[int], inits: list[str]):
         """Run the leading instructions of the entry block now, once, on the
         initial state, instead of in every shot.  No branch enters the
         block, so they are the first thing every shot runs.  They are the
         instructions before the first that draws noise, flips a readout or
         appends to `out` or `ev` (as `instruction` reports); the k-th of
-        them is chunks `ends[k]` to `ends[k + 1]`.  `inits` name the
-        registers' initial values.
+        them is chunks `ends[k]` to `ends[k + 1]` of the block's `body`.
+        `inits` name the registers' initial values.
 
         They fold in order up to the first that raises, or whose draws
         matter: its text runs twice, with every draw returning the smallest
@@ -669,7 +759,7 @@ class Generator:
         snapshot = f"yield {amps}, [{', '.join(regs)}]"
         parts = [self.unpack]
         for a, b in zip(ends, ends[1:]):
-            parts += [text for text, _ in self.chunks[a:b]] + [snapshot]
+            parts += [text for text, _ in body[a:b]] + [snapshot]
         head = f"def fold({', '.join(['rand', 'A0', *regs])}):\n"
         fold = self.function("fold", head + _indent("\n".join(parts), 1))
         drawn = 0
@@ -697,8 +787,8 @@ class Generator:
             return
         self.static["A0"] = kept[0]
         self.static.update(zip(inits, kept[1]))
-        self.chunks[ends[0]:ends[folded]] = [
-            ("\n".join(["rand()"] * draws), self.chunks[ends[0]][1])
+        body[ends[0]:ends[folded]] = [
+            ("\n".join(["rand()"] * draws), body[ends[0]][1])
         ] if draws else []
 
     # -- known values: per-block tables -------------------------------------
@@ -794,8 +884,8 @@ class Generator:
         self.chunks.append((text, self.at))
 
     def kernel(self, template: str, **fields):
-        self.chunks.append((_rendered(template, self.unroll, tuple(fields.items())),
-                            self.at))
+        """Emit a kernel over every index tuple; `sparse` renders it."""
+        self.chunks.append(((template, tuple(fields.items())), self.at))
 
     def const(self, *values) -> tuple[str, ...]:
         """Names of new namespace entries holding `values`."""
@@ -815,24 +905,12 @@ class Generator:
             raise OutOfRange(f"angle {angle!r} has no finite radians")
         return half
 
-    def indices(self, name: str, tuples: tuple):
-        """The index tuples a kernel loops over: themselves when unrolled,
-        else the name of a namespace entry holding them."""
-        if self.unroll:
-            return tuples
+    def indices(self, tuples: tuple) -> str:
+        """The name of a namespace entry holding the index tuples a kernel
+        loops over, in the loop form: one name per distinct tuple."""
+        name = self.names.setdefault(tuples, f"I{len(self.names)}")
         self.static[name] = tuples
         return name
-
-    def pairs(self, q: int):
-        return self.indices(f"P{q}", _pairs(self.n, q))
-
-    def quads(self, a: int, b: int):
-        return self.indices(f"Q{a}_{b}", _quads(self.n, a, b))
-
-    def controlled(self, c: int, t: int):
-        """(i10, i11) over qubits (c, t): the pairs a controlled gate touches."""
-        return self.indices(f"C{c}_{t}", tuple(
-            (i10, i11) for _, _, i10, i11 in _quads(self.n, c, t)))
 
     def operand(self, tok, kind: str) -> str:
         """A register, or a constant holding the encoded literal."""
@@ -864,7 +942,7 @@ class Generator:
             return self.gate(instr)
         if isinstance(instr, hir.Measure):
             dest = self.reg[instr.dest]
-            self.kernel(_MEASURE, P=self.pairs(instr.qubit), dest=dest)
+            self.kernel(_MEASURE, P=_pairs(self.n, instr.qubit), dest=dest)
             if self.noisy:
                 self.emit(_READOUT_FLIP.format(dest=dest))
             if instr.record is not None:
@@ -872,10 +950,10 @@ class Generator:
                 self.emit(f"ev.append(({t}, {phi_inv}, {dest}))")
             return self.noisy or instr.record is not None
         if isinstance(instr, hir.Reset):
-            self.kernel(_RESET, P=self.pairs(instr.qubit))
+            self.kernel(_RESET, P=_pairs(self.n, instr.qubit))
         elif isinstance(instr, hir.ActiveReset):
             for q in range(self.n):
-                self.kernel(_RESET, P=self.pairs(q))
+                self.kernel(_RESET, P=_pairs(self.n, q))
         elif isinstance(instr, hir.Classical):
             self.classical(instr)
         else:   # hir.Output
@@ -887,15 +965,15 @@ class Generator:
         """Emit a gate, and its noise draw when noise is on; whether it drew."""
         name, qs = instr.name, instr.qubits
         if name == "h":
-            self.kernel(_H, P=self.pairs(qs[0]))
+            self.kernel(_H, P=_pairs(self.n, qs[0]))
         elif name == "x":
-            self.kernel(_SWAP, P=self.pairs(qs[0]))
+            self.kernel(_SWAP, P=_pairs(self.n, qs[0]))
         elif name == "sx":
-            self.kernel(_SX, P=self.pairs(qs[0]))
+            self.kernel(_SX, P=_pairs(self.n, qs[0]))
         elif name == "cnot":
-            self.kernel(_SWAP, P=self.controlled(*qs))
+            self.kernel(_SWAP, P=_controlled(self.n, *qs))
         elif name in ("rz", "crz"):
-            pairs = self.pairs(qs[0]) if name == "rz" else self.controlled(*qs)
+            pairs = _pairs(self.n, *qs) if name == "rz" else _controlled(self.n, *qs)
             if isinstance(instr.angle, str):
                 self.emit(_PHASE_OF_REGISTER.format(
                     radians=self.expr("radians", "fixed", [self.reg[instr.angle]])))
@@ -914,14 +992,15 @@ class Generator:
                 half = self.half_angle(instr.angle)
                 terms = self.const(complex(math.cos(half), -math.sin(half)),
                                    math.cos(half), -1j * math.sin(half))
-            self.kernel(_ESWAP, Q=self.quads(*qs),
+            self.kernel(_ESWAP, Q=_quads(self.n, *qs),
                         **dict(zip(("corner", "cc", "ss"), terms)))
         if not self.noisy or name in NOISELESS_GATES:
             return False
         if len(qs) == 1:
-            self.kernel(_NOISE1, P=self.pairs(qs[0]))
+            self.kernel(_NOISE1, P=_pairs(self.n, qs[0]))
         else:
-            self.kernel(_NOISE2, Pa=self.pairs(qs[0]), Pb=self.pairs(qs[1]))
+            self.kernel(_NOISE2, Pa=_pairs(self.n, qs[0]),
+                        Pb=_pairs(self.n, qs[1]))
         return True
 
     def classical(self, instr: hir.Classical):

@@ -11,7 +11,8 @@ plus one step, computes classical ops with the word arithmetic below, and
 runs gates, measurements, resets and noise through the statevector model
 `QuantumState`, `apply_noise` and `measure`.  Its floating-point operations
 and random draws follow the same order as the engine's generated code, so
-records and amplitudes must agree exactly.
+records and amplitudes must agree exactly, except for the sign of a zero
+amplitude component (`unsigned_zeros`).
 
 From the package this module imports only:
 
@@ -644,6 +645,14 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
                     tuple(born))
         else:
             raise ValueError(f"cannot interpret {term!r}")
+
+
+def unsigned_zeros(amps) -> list[complex]:
+    """`amps` with each zero real or imaginary part written as +0.0.  The
+    engine skips the arithmetic on amplitudes it knows to be zero, which
+    this reference runs over every amplitude; that arithmetic keeps a zero
+    a zero but may flip its sign, and changes nothing else."""
+    return [complex(a.real or 0.0, a.imag or 0.0) for a in amps]
 
 
 def _classical(ins, kinds, word, ops):

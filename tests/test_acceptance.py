@@ -106,6 +106,29 @@ def test_criterion_4_likelihood_agreement():
             assert abs(freq0 - expect) <= tol, (coeff, phi_inv, t)
 
 
+def test_criterion_4_exact_companion():
+    # Criterion 4's 20 angle sets, drawn as it draws them, checked exactly:
+    # P(0) from the amplitudes of the step without its `mz`.  The unlowered
+    # step keeps q1 in |1>, so its `reset`, `h`, `rz` and `crz` kernels run
+    # over the states a shot can reach alone (`codegen._support`).
+    with criterion(4, "step-amplitudes-match-cos2-exactly"):
+        rng = random.Random(404)
+        for k in range(20):
+            coeff = rng.choice([-1, 1]) * rng.uniform(0.2, 1.9)
+            phi_inv = rng.uniform(-1.0, 1.0)
+            t = rng.uniform(0.2, 6.0)
+            prog = build_ipe_program(phi_inv, t, coeff)
+            main = prog.blocks[0]
+            step = hir.HybridProgram(prog.name, prog.qubits, prog.decls, (
+                hir.BasicBlock(main.label, tuple(
+                    i for i in main.instructions if not isinstance(i, hir.Measure)),
+                    main.terminator),))
+            _, state = sim.run_shot_debug(step, ExecConfig(seed=2000 + k))
+            pr0 = sum(abs(a) ** 2 for a in state.amps[:2])     # q0 = 0
+            expect = analytic_pr0(-coeff / 2.0 * math.pi, phi_inv * math.pi, t)
+            assert abs(pr0 - expect) <= 1e-12, (coeff, phi_inv, t)
+
+
 def test_criterion_5_active_reset_markov():
     with criterion(5, "active-reset-matches-enumeration"):
         shots = 10 ** 5

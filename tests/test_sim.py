@@ -1151,6 +1151,57 @@ endproc
 """,
 }
 
+# Edges of the support analysis (`codegen._support`), as programs.  Each
+# makes the differential test fail at once when one transfer is unsound.
+_SUPPORT_EDGES = {
+    # The `cnot` moves nothing, then noise: its Pauli on q1 must see the
+    # states that its Pauli on q0 made live.
+    "noisy-cnot-from-00": """proc main qubits 2
+  var bit m0 = 0
+  var bit m1 = 0
+entry:
+  cnot q0, q1
+  mz q0 -> m0
+  mz q1 -> m1
+  ret m0, m1
+endproc
+""",
+    # Each reset of `active_reset` must see the states the one before it
+    # left: resetting q0 moves |1x> onto |0x>, where q1's reset must act.
+    "active-reset-after-x": """proc main qubits 2
+  var bit m = 0
+entry:
+  h q1
+  x q0
+  active_reset
+  mz q1 -> m
+  ret m
+endproc
+""",
+    # RWPE's shape: q1 is prepared once, and `h` must make q0's partner
+    # live, or `crz` (on q0 = 1) touches nothing.
+    "looped-eigenstate": """proc main qubits 2
+  var int18 k = 0
+  var bit more = 0
+  var bit d = 0
+prep:
+  x q1
+  br head
+head:
+  reset q0
+  h q0
+  crz(0.5) q0, q1
+  h q0
+  mz q0 -> d
+  add k, k, 1
+  cmp_lt more, k, 3
+  condbr more, head, done
+done:
+  ret d, k
+endproc
+""",
+}
+
 
 def _arms(source: str) -> list[int]:
     """The block index of each arm of `run`'s dispatch."""
@@ -1203,7 +1254,8 @@ def test_blocks_nest_no_deeper_than_the_cap():
     for i in range(4):
         want, want_amps, steps = _reference(prog, cfg, i)
         record, amps = compiled.shot(cfg.seed, i, steps)
-        assert (repr(record), repr(amps)) == (repr(want), repr(want_amps))
+        assert (repr(record), repr(oracles.unsigned_zeros(amps))) == \
+            (repr(want), repr(oracles.unsigned_zeros(want_amps)))
         _assert_runs_out(compiled, cfg, i, steps - 1,
                          _out_of_steps(prog, cfg, i, steps - 1))
 
@@ -1246,6 +1298,11 @@ def test_blocks_nest_no_deeper_than_the_cap():
          ClassicalMode.EXACT_REAL, _HEAVY_NOISE, 18)
 @example(hir.parse(_TABLE_EDGES["known-diamond-in-known-loop"].replace(
     f"k, {(codegen.WALK_VISITS - 3) // 4 + 1}", "k, 5")), FIXED, None, 19)
+@example(hir.parse(_SUPPORT_EDGES["noisy-cnot-from-00"]), ClassicalMode.EXACT_REAL,
+         _HEAVY_NOISE, 32)
+@example(hir.parse(_SUPPORT_EDGES["active-reset-after-x"]), FIXED, None, 31)
+@example(hir.parse(_SUPPORT_EDGES["looped-eigenstate"]), ClassicalMode.EXACT_REAL,
+         None, 30)
 def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
     # Generated programs take at most about 1000 steps; a loop that never
     # returns runs out of them.
@@ -1269,10 +1326,12 @@ def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
             continue
         record, amps = compiled.shot(cfg.seed, i, steps)
         returned.append(amps)
-        # repr tells 1 from 1.0 and -0.0 from 0.0
+        # repr tells 1 from 1.0 and -0.0 from 0.0; amplitudes are compared
+        # bit for bit but for the sign of zero components
         assert repr(record) == repr(want)
         assert amps == want_amps
-        assert repr(amps) == repr(want_amps)
+        assert repr(oracles.unsigned_zeros(amps)) == \
+            repr(oracles.unsigned_zeros(want_amps))
         # the shot needs exactly `steps`: one fewer exhausts the budget
         _assert_runs_out(compiled, cfg, i, steps - 1,
                          _out_of_steps(prog, cfg, i, steps - 1))
@@ -1371,7 +1430,8 @@ def test_a_branch_into_an_endless_loop_keeps_the_tables():
             assert err.value.block == "spin"
             continue
         record, amps = compiled.shot(cfg.seed, i, steps)
-        assert (repr(record), repr(amps)) == (repr(want), repr(want_amps))
+        assert (repr(record), repr(oracles.unsigned_zeros(amps))) == \
+            (repr(want), repr(oracles.unsigned_zeros(want_amps)))
     assert 0 < spun < 40
 
 
@@ -1396,6 +1456,40 @@ def test_a_walk_that_fails_leaves_the_source_without_tables(monkeypatch):
         fewer = (codegen.WALK_VISITS - 3) // visits_per_trip
         text = _TABLE_EDGES[name].replace(f"k, {fewer + 1}", f"k, {fewer}")
         assert "next1 = iter(T1).__next__" in _source(text)
+
+
+def _born_reads(body) -> list[int]:
+    """The amplitudes each Born sum among the chunks `body` reads."""
+    return [text.count("t1 = ") for text, _ in body if "p = 0.0" in text]
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+def test_rwpe_kernels_touch_only_the_states_a_shot_can_reach(mode):
+    # Without noise q1 stays in |1>, so the Born sums of `reset q0` and
+    # `mz q0` read a3 alone; gate noise on q1 makes |q1 = 0> reachable too.
+    domain = sim.select_domain(mode)
+    for noisy, reads in ((False, [1, 1]), (True, [2, 2])):
+        chunks = codegen.Generator(build_rwpe(), domain, noisy).chunks
+        assert _born_reads([c for c in chunks if c[1][0] == "iterate"]) == reads
+
+
+def test_support_keeps_every_tuple_where_the_entry_never_goes():
+    text = """proc main qubits 2
+  var bit m = 0
+entry:
+  mz q1 -> m
+  br done
+dead:
+  mz q1 -> m
+  br done
+done:
+  mz q1 -> m
+  ret m
+endproc
+"""
+    gen = codegen.Generator(hir.parse(text), sim.select_domain(FIXED), False)
+    # the entry's `mz` folds; `done` reads the one state the shot reaches
+    assert [_born_reads(body) for body in gen.bodies] == [[], [2], [1]]
 
 
 def test_native_ipe_step_computes_no_phase_in_the_shot():
