@@ -54,6 +54,7 @@ def measure(prog, cfg, unroll: bool, shots: int):
     prog.generated.clear()
     codegen.code.cache_clear()
     codegen._rendered.cache_clear()
+    codegen._sparse.cache_clear()
     slow = host_slowdown()
     t0 = time.perf_counter()
     sim.compile_program(prog, cfg)
