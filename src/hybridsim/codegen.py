@@ -37,7 +37,8 @@ q = 0 member; phases, measurements and classical work keep the mask
 member where it stands (`_sparse`), in both forms.  Every other amplitude
 holds a zero that the skipped arithmetic would have kept zero, perhaps with
 its sign flipped, so no nonzero amplitude, draw, record or step count
-changes, as long as no angle is NaN (a NaN phase turned zeros into NaN).
+changes.  No phase is NaN: an angle register whose radians are not finite
+(a `real`-mode `inf - inf`) raises `OutOfRange` before its phase is formed.
 In noiseless RWPE q1 stays in |1⟩, so `reset`, `h`, `rz` and `mz` on q0
 touch a1 and a3 only.
 
@@ -220,6 +221,8 @@ for i0, i1 in {P}:
 
 _PHASE_OF_REGISTER = """\
 th = {radians}
+if th - th:
+    raise OutOfRange("angle has no finite radians")
 p1 = complex(cos(0.5 * th), sin(0.5 * th))
 p0 = p1.conjugate()"""
 
@@ -234,6 +237,8 @@ for i00, i01, i10, i11 in {Q}:
 
 _ESWAP_OF_REGISTER = """\
 th = 0.5 * ({radians})
+if th - th:
+    raise OutOfRange("angle has no finite radians")
 corner = complex(cos(th), -sin(th))
 cc = cos(th)
 ss = -1j * sin(th)"""
@@ -563,9 +568,9 @@ if steps > limit:
     raise StepLimitExceeded(f"instruction budget of {{limit}} exhausted")"""
 
 # Names every generated function may use, whatever the program.
-_BUILTINS = {"StepLimitExceeded": StepLimitExceeded, "PI": math.pi, "S": _SQRT_HALF,
-             "SXA": _SX_A, "SXB": _SX_B, "cos": math.cos, "sin": math.sin,
-             "sqrt": math.sqrt}
+_BUILTINS = {"StepLimitExceeded": StepLimitExceeded, "OutOfRange": OutOfRange,
+             "PI": math.pi, "S": _SQRT_HALF, "SXA": _SX_A, "SXB": _SX_B,
+             "cos": math.cos, "sin": math.sin, "sqrt": math.sqrt}
 
 
 class Generator:

@@ -36,14 +36,18 @@ shots of the same compiled program at once.
 `run_shots` relies on that contract to use every usable CPU: a call with
 enough work splits its shots into contiguous pieces, runs the first in the
 calling process and each other in a worker process forked on first use,
-and joins the records in the order the shots were given.  The records, and
-a failing shot's `ShotError`, are those of the serial path.  The usable
-CPUs are `os.sched_getaffinity(0)`, so `taskset` limits them; with one, or
-without `os.fork`, every call runs serially.
+and joins the records in the order the shots were given.  The records are
+those of the serial path, and so is a failing shot's `ShotError`: each
+piece stops at its first failing shot, and once every piece has answered,
+the first failing shot in the given order runs again in the calling
+process, which raises the error.  The usable CPUs are
+`os.sched_getaffinity(0)`, so `taskset` limits them; with one, or without
+`os.fork`, every call runs serially.
 
 `write_records` writes the records as JSON lines, a block of records at a
-time, rendered by column; every line is byte for byte what `json.dumps`
-gives for the record's object.
+time, grouped by shape and rendered by column; a block that fails is
+rendered again one record at a time by the same renderer.  Every line is
+byte for byte what `json.dumps` gives for the record's object.
 """
 
 from __future__ import annotations
@@ -281,9 +285,10 @@ def _generated(program: hir.HybridProgram, cfg: ExecConfig, domain: Domain):
 
 
 # What a shot may raise from inside the generated function: a zero divisor,
-# an exhausted budget, or a real-mode overflow (`cos(inf)` raises
-# ValueError, a float conversion OverflowError).
-_SHOT_FAILURES = (DivideByZero, StepLimitExceeded, ArithmeticError, ValueError)
+# an exhausted budget, an angle register with no finite radians, or another
+# real-mode overflow (a float conversion raises OverflowError).
+_SHOT_FAILURES = (DivideByZero, StepLimitExceeded, OutOfRange, ArithmeticError,
+                  ValueError)
 
 
 class CompiledProgram:
@@ -403,16 +408,17 @@ def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
 # as the payload `_generated` pickled once; a worker binds its code object to
 # its own domain ops (so it calls the `fixedpoint` ops its process held when
 # it was forked), never generates or compiles source, and keeps the last 16
-# programs it used (`_shipped`).  It answers each request with its piece's
-# records, or with the position of the first shot that raised, which this
-# process then runs itself to raise the serial error.  A worker is a child
-# made by `os.fork` that runs `_serve` and leaves by `os._exit`, so it runs
-# none of this process's exit handlers and flushes none of its buffers;
-# `_stop_workers`, run at exit, kills and reaps the workers, and a worker
-# whose parent died reads EOF and leaves.  Fork, not spawn: a forked worker
-# starts with the package imported and its caches warm, where a spawned one
-# would import everything anew.  A worker runs only generated code and
-# pickle, never numpy, whose BLAS threads do not survive a fork.
+# programs it used (`_shipped`).  Every piece, this process's own too, runs
+# through `_piece`, which gives its records or the position of its first
+# shot that raised; once every reply is read, this process runs the first
+# such shot in the given order itself, to raise the serial error.  A worker
+# is a child made by `os.fork` that runs `_serve` and leaves by `os._exit`,
+# so it runs none of this process's exit handlers and flushes none of its
+# buffers; `_stop_workers`, run at exit, kills and reaps the workers, and a
+# worker whose parent died reads EOF and leaves.  Fork, not spawn: a forked
+# worker starts with the package imported and its caches warm, where a
+# spawned one would import everything anew.  A worker runs only generated
+# code and pickle, never numpy, whose BLAS threads do not survive a fork.
 
 # The least work, in seconds of shots on one CPU, that a piece must hold to
 # pay for sending it to a worker and its records back.  Measured on a
@@ -537,24 +543,31 @@ def _stop_workers():
 atexit.register(_stop_workers)
 
 
+def _piece(compiled: CompiledProgram, mixed: int, indices, limit: int):
+    """The records of the shots `indices`, or the position among them of
+    the first shot that raised: the caller runs that shot again to raise its
+    error."""
+    shot = compiled._shot
+    records = []
+    try:
+        for i in indices:
+            records.append(shot(mixed, i, limit)[0])
+    except Exception:
+        return len(records)
+    return records
+
+
 def _serve(conn, others=()):
     """A worker's loop.  Each request is ((program payload, noise model),
-    mixed seed, shot indices, step limit); the reply is the records, or the
-    position of the first shot that raised.  Returns when this process's
-    end of the pipe closes."""
+    mixed seed, shot indices, step limit); the reply is `_piece`'s.
+    Returns when this process's end of the pipe closes."""
     for c in others:
         c.close()
     try:
         while True:
             ship, mixed, indices, limit = pickle.loads(_recv(conn))
-            shot = _shipped(*ship)._shot
-            records = []
-            try:
-                for i in indices:
-                    records.append(shot(mixed, i, limit)[0])
-            except Exception:       # the caller re-runs it to raise it
-                records = len(records)
-            conn.send_bytes(pickle.dumps(records, pickle.HIGHEST_PROTOCOL))
+            reply = _piece(_shipped(*ship), mixed, indices, limit)
+            conn.send_bytes(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
     except (EOFError, OSError):
         return
 
@@ -562,42 +575,37 @@ def _serve(conn, others=()):
 def _run_split(compiled: CompiledProgram, mixed: int, indices, limit: int,
                pieces: int, first: ShotRecord) -> list[ShotRecord] | None:
     """`run_shots` in `pieces` contiguous pieces, the first in this process,
-    given the first shot's record.  Every worker's reply is read before
-    anything is raised, so the pipes stay in step.  If a worker cannot be
-    forked or has died, every worker is stopped and None returned: the
-    caller runs the shots itself.  If this process is interrupted, every
-    worker is stopped too."""
+    given the first shot's record.  Every piece, this process's too, gives
+    `_piece`'s reply, and only once every reply is read does the first shot
+    that raised, in the given order, run again here to raise the serial
+    error; so the pipes stay in step.  If a worker cannot be forked or has
+    died, every worker is stopped and None returned: the caller runs the
+    shots itself.  If this process is interrupted, every worker is stopped
+    too."""
     # Rounded up, so this process, which also unpickles the replies, takes
     # the largest piece.
     n = len(indices)
     cuts = [-(-n * k // pieces) for k in range(pieces + 1)]
-    shot = compiled._shot
-    records = [first]
-    failed = None
     try:
         workers = _start_workers(pieces - 1)
         for w, lo, hi in zip(workers, cuts[1:], cuts[2:]):
             w.send(compiled, mixed, indices[lo:hi], limit)
-        try:
-            for i in indices[1:cuts[1]]:
-                records.append(shot(mixed, i, limit)[0])
-        except Exception as e:
-            failed = e
-        replies = [w.receive() for w in workers]
+        replies = [_piece(compiled, mixed, indices[1:cuts[1]], limit)]
+        replies += [w.receive() for w in workers]
     except (EOFError, OSError):     # no fork, or a closed pipe
         _stop_workers()
         return None
     except BaseException:
         _stop_workers()
         raise
-    if failed is not None:
-        raise failed
-    for lo, reply in zip(cuts[1:], replies):
+    records = [first]
+    # This process's piece starts after the first shot, which ran already.
+    for lo, reply in zip([1] + cuts[1:], replies):
         if type(reply) is int:
             # The first failure in the given order: running the shot here
             # raises exactly the serial error.
             i = indices[lo + reply]
-            shot(mixed, i, limit)
+            compiled._shot(mixed, i, limit)
             raise RuntimeError(f"shot {i} raised in a worker process but "
                                "not in this one")
         records += reply
@@ -614,19 +622,23 @@ def _run_split(compiled: CompiledProgram, mixed: int, indices, limit: int,
 # `json.dumps(obj, separators=(",", ":"))` gives for the record's object
 # (NaN and +-Infinity included), and `tests/oracles.py` keeps that
 # dict-building encoder as the reference.  It renders a block of records at
-# a time, by column: the records of one shape (output names and evidence
-# length) give one column per field, and each line is one `%` of a
-# template per shape.  No column of exact ints, of exact finite floats
-# without a zero or of Q2.16 boxes takes a Python call per value.  Ints go
-# into the template as they are, through `%d`.  The text of each such float
-# and of each Q2.16 word comes from one of two process-wide caches of
-# _TEXTS entries (`_finite_text`, `_word_text`), so a value is rendered
-# once per process while it stays among the recently used: RWPE records
-# the same 24 evolution times `t` in every shot, and float `repr` is most
-# of the cost of a line.  A float column that holds a zero or a non-finite
-# value skips the cache: 0.0 == -0.0 would give both zeros one entry, and
-# `repr` does not write NaN and infinities as JSON does.  Any other column
-# is rendered one value at a time (`_text`, `_plain`).
+# a time, by column: `_block_lines` groups them by shape (output names and
+# evidence length, `_shape`), and `_shape_lines`, the one renderer, gives
+# the records of one shape one column per field and each line one `%` of
+# the shape's template.  A block that fails goes through `_shape_lines`
+# again one record at a time, without the grouping, which also takes a
+# shape that is not a dict key (a list output name).  No column of exact
+# ints, of exact finite floats without a zero or of Q2.16 boxes takes a
+# Python call per value.  Ints go into the template as they are, through
+# `%d`.  The text of each such float and of each Q2.16 word comes from one
+# of two process-wide caches of _TEXTS entries (`_finite_text`,
+# `_word_text`), so a value is rendered once per process while it stays
+# among the recently used: RWPE records the same 24 evolution times `t` in
+# every shot, and float `repr` is most of the cost of a line.  A float
+# column that holds a zero or a non-finite value skips the cache: 0.0 ==
+# -0.0 would give both zeros one entry, and `repr` does not write NaN and
+# infinities as JSON does.  Any other column is rendered one value at a
+# time (`_text`, `_plain`).
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _SCALE = fx.SCALE
@@ -749,17 +761,6 @@ def _text(v) -> str:
     return _dumps(v)
 
 
-def _line(rec: ShotRecord) -> str:
-    """One record's line, rendered value by value."""
-    outputs = ",".join(["[%s,%s]" % (_dumps(name), _text(v))
-                        for name, v in rec.outputs])
-    evidence = ",".join(['{"t":%s,"phi_inv":%s,"d":%s}'
-                         % (_text(t), _text(p), _plain(d))
-                         for t, p, d in rec.evidence])
-    return '{"shot":%s,"seed":%s,"outputs":[%s],"evidence":[%s]}\n' % (
-        _plain(rec.shot), _plain(rec.seed), outputs, evidence)
-
-
 def _column(col, boxed: bool) -> tuple[list, str]:
     """(what a line's template formats for each value of a column, the
     conversion that formats it): exact ints as they are, through `%d`, and
@@ -789,33 +790,43 @@ def _template(names: tuple, n: int, specs: list) -> str:
             % (shot, seed, outputs, evidence))
 
 
+def _shape(rec: ShotRecord) -> tuple:
+    """(output names, number of evidence entries) of a record."""
+    return tuple(map(_name, rec.outputs)), len(rec.evidence)
+
+
+def _shape_lines(recs: list[ShotRecord], names: tuple, n: int) -> list[str]:
+    """The lines of `recs`, records with outputs `names` and `n` evidence
+    entries, rendered by column.  Raises whenever a record does not have
+    that shape."""
+    cols = [_column(list(map(_shot, recs)), False),
+            _column(list(map(_seed, recs)), False)]
+    if names:
+        _, outs = zip(*itertools.chain.from_iterable(map(_outputs, recs)),
+                      strict=True)
+        cols += [_column(outs[j::len(names)], True) for j in range(len(names))]
+    ev = [((), "%s")] * 3
+    if n:
+        t, p, d = zip(*itertools.chain.from_iterable(map(_evidence, recs)),
+                      strict=True)
+        ev = [_column(t, True), _column(p, True), _column(d, False)]
+    template = _template(names, n, [spec for _, spec in cols + ev])
+    values = [col for col, _ in cols]
+    for e in range(n):
+        values += [col[e::n] for col, _ in ev]
+    return list(map(template.__mod__, zip(*values)))
+
+
 def _block_lines(block: list[ShotRecord]) -> list[str]:
-    """The lines of `block`, rendered by column.  Raises whenever a record
-    does not have the shape its line is rendered for."""
+    """The lines of `block`: its records grouped by shape (`_shape`), each
+    group rendered by `_shape_lines`."""
     shapes: dict[tuple, list[int]] = {}
     for i, rec in enumerate(block):
-        shapes.setdefault((tuple(map(_name, rec.outputs)), len(rec.evidence)),
-                          []).append(i)
+        shapes.setdefault(_shape(rec), []).append(i)
     lines: list = [None] * len(block)
-    for (names, n), where in shapes.items():
+    for shape, where in shapes.items():
         recs = block if len(shapes) == 1 else [block[i] for i in where]
-        cols = [_column(list(map(_shot, recs)), False),
-                _column(list(map(_seed, recs)), False)]
-        if names:
-            _, outs = zip(*itertools.chain.from_iterable(map(_outputs, recs)),
-                          strict=True)
-            cols += [_column(outs[j::len(names)], True)
-                     for j in range(len(names))]
-        ev = [((), "%s")] * 3
-        if n:
-            t, p, d = zip(*itertools.chain.from_iterable(map(_evidence, recs)),
-                          strict=True)
-            ev = [_column(t, True), _column(p, True), _column(d, False)]
-        template = _template(names, n, [spec for _, spec in cols + ev])
-        values = [col for col, _ in cols]
-        for e in range(n):
-            values += [col[e::n] for col, _ in ev]
-        for i, line in zip(where, map(template.__mod__, zip(*values))):
+        for i, line in zip(where, _shape_lines(recs, *shape)):
             lines[i] = line
     return lines
 
@@ -823,11 +834,11 @@ def _block_lines(block: list[ShotRecord]) -> list[str]:
 def write_records(records: Iterable[ShotRecord], fp: IO[str]):
     """Write one JSON line per record, with one `fp.write` per line.
     Records are rendered _BLOCK at a time, by column (`_block_lines`).  A
-    block that fails is rendered again record by record (`_line`), so the
-    lines before the first record that cannot be written are written, and
-    its error raised, as they would be one record at a time.  When
-    iterating `records` raises, the records it gave first are written
-    before the error propagates."""
+    block that fails is rendered again record by record, by the same
+    renderer (`_shape_lines`), so the lines before the first record that
+    cannot be written are written, and its error raised, as they would be
+    one record at a time.  When iterating `records` raises, the records it
+    gave first are written before the error propagates."""
     write = fp.write
     todo = iter(records)
     while True:
@@ -841,8 +852,9 @@ def write_records(records: Iterable[ShotRecord], fp: IO[str]):
             try:
                 lines = _block_lines(block)
             except Exception:       # raised again, for its record, below
-                # and records the columns cannot take (a list output name)
-                lines = map(_line, block)
+                # or a shape that is not a key (a list output name)
+                lines = (_shape_lines([rec], *_shape(rec))[0]
+                         for rec in block)
             for line in lines:
                 write(line)
         if len(block) < _BLOCK:

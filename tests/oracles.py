@@ -282,6 +282,17 @@ def binom_3sigma(p: float, n: int) -> float:
 
 # -- two-pass grid refit ------------------------------------------------------
 
+def largest_time(records) -> float:
+    """The largest |t| of the records' evidence entries."""
+    return max(abs(float(t)) for rec in records for t, _, _ in rec.evidence)
+
+
+def grid_nodes(t: float, width: float) -> int:
+    """The fewest grid nodes over a prior interval of `width` that give 6
+    nodes per likelihood period 2/|t|."""
+    return math.ceil(6 * t * width / 2.0) + 1
+
+
 def _grid_update(log_w: np.ndarray, evidence, phis_rad: np.ndarray) -> np.ndarray:
     """Normalised weights after multiplying in each entry's cos^2 / sin^2
     factor, one entry at a time, each log factor floored at -745."""
@@ -527,6 +538,18 @@ class DividedByZero(ZeroDivisionError):
         self.steps = steps
 
 
+class NonFiniteAngle(ArithmeticError):
+    """A gate of `interpret` at `line` of `block` took an angle whose
+    radians are not finite, after `steps` steps had been charged (its
+    block's included)."""
+
+    def __init__(self, block: str, line: int | None, steps: int):
+        super().__init__(f"angle not finite at block {block}, line {line}")
+        self.block = block
+        self.line = line
+        self.steps = steps
+
+
 def _fx_recip(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("reciprocal of zero")
@@ -571,8 +594,10 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
     flip comes after it), computed without drawing.
 
     Raises DividedByZero, a ZeroDivisionError naming the block, the line
-    and the steps charged, on a zero divisor, and OutOfSteps, naming the
-    block likewise, once the steps charged exceed `step_limit`."""
+    and the steps charged, on a zero divisor, NonFiniteAngle, naming them
+    likewise, on a gate angle whose radians are not finite, and OutOfSteps,
+    naming the block likewise, once the steps charged exceed
+    `step_limit`."""
     if mode not in ("real", "fixed"):
         raise ValueError(f"unknown classical mode {mode!r}")
     fixed = mode == "fixed"
@@ -609,6 +634,8 @@ def interpret(prog, mode: str, noise, rng, step_limit: int):
         for ins in block.instructions:
             if isinstance(ins, Gate):
                 angle = None if ins.angle is None else radians(ins.angle)
+                if angle is not None and not math.isfinite(angle):
+                    raise NonFiniteAngle(block.label, ins.line, steps)
                 state.apply_gate(ins.name, ins.qubits, angle)
                 if noise is not None:
                     apply_noise(state, ins.name, ins.qubits, rng, noise)

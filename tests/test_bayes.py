@@ -252,17 +252,20 @@ def test_refit_rejects_empty():
 
 
 def test_refit_rejects_grid_with_fewer_than_six_nodes_per_period():
-    # RWPE's last evolution time is 322.08: 6 nodes per period of 2/|t| over
-    # [-1, 1] need 1934 nodes.
+    # 6 nodes per period 2/|t| of RWPE's largest evolution time over [-1, 1]
+    # (322.085 and 1934 nodes today).
     records = sim.run_shots(build_rwpe(), ExecConfig(seed=1, shots=3))
-    refit(records, grid_size=1934)
-    with pytest.raises(ValueError, match=r"shot 0: \|t\| = 322\.085 needs a grid "
-                                         r"of at least 1934 nodes"):
-        refit(records, grid_size=1933)
+    t = oracles.largest_time(records)
+    need = oracles.grid_nodes(t, 2.0)
+    refit(records, grid_size=need)
+    with pytest.raises(ValueError, match=re.escape(
+            f"shot 0: |t| = {t:.6g} needs a grid of at least {need} nodes")):
+        refit(records, grid_size=need - 1)
     # A narrower prior interval needs proportionally fewer nodes.
-    refit(records, grid_size=1001, prior_interval=(0.0, 1.0))
-    with pytest.raises(ValueError, match="at least 968 nodes"):
-        refit(records, grid_size=967, prior_interval=(0.0, 1.0))
+    need = oracles.grid_nodes(t, 1.0)
+    refit(records, grid_size=need, prior_interval=(0.0, 1.0))
+    with pytest.raises(ValueError, match=f"at least {need} nodes"):
+        refit(records, grid_size=need - 1, prior_interval=(0.0, 1.0))
 
 
 @pytest.mark.parametrize("interval", [(0.5, 0.5), (1.0, -1.0)],

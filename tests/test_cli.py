@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import oracles
 import pytest
 
 from hybridsim import cli, hir, sim
@@ -197,15 +198,16 @@ def test_run_rejects_a_step_limit_that_is_not_a_positive_integer(
 
 
 def test_run_real_overflow_exits_2(tmp_path, capsys):
-    # 1/0.0001 squared seven times overflows to inf; cos(inf) then fails
-    # inside the shot, which is exit 2 with the shot, block and line.
+    # 1/0.0001 squared seven times overflows to inf; the angle then has no
+    # finite radians inside the shot, which is exit 2 with the shot, block
+    # and line.
     prog = _write(tmp_path, "overflow.hir",
                   "proc main qubits 1\n  var fixed a = 0.0001\n"
                   "  var fixed b = 0.0\nentry:\n  recip b, a\n"
                   + "  mul b, b, b\n" * 7 + "  rz(b) q0\n  ret b\nendproc\n")
     assert main(["run", prog, "--shots", "1",
                  "--out", str(tmp_path / "r.jsonl")]) == 2
-    assert "shot 0, block entry, line 13: math domain error" in \
+    assert "shot 0, block entry, line 13: angle has no finite radians" in \
         capsys.readouterr().err
 
 
@@ -426,14 +428,23 @@ endproc
     assert payload["raw_mse"] == (2.0 - 0.5) ** 2
 
 
+def _largest_time(path: str) -> float:
+    with open(path, encoding="utf-8") as f:
+        return oracles.largest_time(sim.read_records(f))
+
+
 def test_refit_rejects_grid_too_coarse_for_recorded_times(tmp_path, capsys):
     prefix = str(tmp_path / "walk")
     main(["rwpe", "--shots", "5", "--seed", "9", "--out-prefix", prefix])
     capsys.readouterr()
-    assert main(["refit", prefix + ".records.jsonl", "--grid", "801"]) == 1
+    records = prefix + ".records.jsonl"
+    t = _largest_time(records)
+    need = oracles.grid_nodes(t, 2.0)
+    assert main(["refit", records, "--grid", str(need)]) == 0
+    capsys.readouterr()
+    assert main(["refit", records, "--grid", str(need - 1)]) == 1
     err = capsys.readouterr().err
-    assert "shot 0: |t| = 322.085" in err
-    assert "at least 1934 nodes" in err
+    assert f"shot 0: |t| = {t:.6g} needs a grid of at least {need} nodes" in err
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])
@@ -461,7 +472,7 @@ def test_refit_rejects_an_empty_prior_interval(tmp_path, capsys):
      "(0.0, inf)"),
     ("1e308", "prior interval needs finite ends and width in radians, got "
      "(0.0, 1e+308)"),
-    ("1e307", "shot 0: |t| = 322.085 needs a grid of at least inf nodes"),
+    ("1e307", "shot 0: |t| = {t:.6g} needs a grid of at least inf nodes"),
 ], ids=["infinite", "radians-overflow", "grid-size-overflows"])
 def test_refit_rejects_a_prior_interval_it_cannot_grid(tmp_path, capsys, hi,
                                                        message):
@@ -471,6 +482,7 @@ def test_refit_rejects_a_prior_interval_it_cannot_grid(tmp_path, capsys, hi,
     code = main(["refit", prefix + ".records.jsonl", "--interval", "0", hi])
     assert code == 1
     captured = capsys.readouterr()
+    message = message.format(t=_largest_time(prefix + ".records.jsonl"))
     assert captured.err.startswith(f"error: {message}")
     assert captured.out == ""
 

@@ -27,7 +27,7 @@ from hybridsim import codegen, hir, profiles, sim
 from hybridsim import fixedpoint as fx
 from hybridsim.algorithms import (build_active_reset, build_ipe_program,
                                   build_rwpe, build_teleport)
-from hybridsim.errors import DivideByZero, ShotError, StepLimitExceeded
+from hybridsim.errors import DivideByZero, OutOfRange, ShotError, StepLimitExceeded
 from hybridsim.lowering import lower_to_native
 from hybridsim.sim import ClassicalMode, ExecConfig, NoiseModel
 from oracles import QuantumState
@@ -488,8 +488,9 @@ def test_step_limit_shot_error_names_the_looping_block():
     assert "shot 3, block loop, line 5:" in str(e)
 
 
-# A real-mode angle that overflows to infinity makes `cos` raise inside the
-# generated code; like any failure inside a shot it names shot, block, line.
+# A real-mode angle that overflows to infinity has no finite radians, which
+# raises OutOfRange inside the generated code; like any failure inside a
+# shot it names shot, block, line.
 _OVERFLOWS = """proc main qubits 1
   var fixed a = 0.0001
   var fixed b = 0.0
@@ -507,7 +508,7 @@ def test_real_overflow_raises_shot_error():
         sim.run_shots(prog, ExecConfig(), [4])
     e = err.value
     assert (e.shot_index, e.block, e.line) == (4, "entry", 13)
-    assert isinstance(e.cause, ValueError)
+    assert isinstance(e.cause, OutOfRange)
     # Q2.16 words wrap instead, so the same program runs in fixed mode.
     assert sim.run_shot(prog, ExecConfig(classical_mode=FIXED)).outputs
 
@@ -1200,6 +1201,21 @@ done:
   ret d, k
 endproc
 """,
+    # `inf - inf` is NaN: a NaN phase on states no shot reaches turned the
+    # reference's zeros into NaN where the engine skipped them, so the two
+    # measured differently; both raise at the `crz` now.
+    "nan-angle": """proc main qubits 2
+  var fixed x = 1.5
+  var fixed y = 0.0
+  var bit m = 0
+entry:
+""" + "  mul x, x, x\n" * 12 + """  sub y, x, x
+  crz(y) q0, q1
+  h q0
+  mz q0 -> m
+  ret m
+endproc
+""",
 }
 
 
@@ -1303,6 +1319,7 @@ def test_blocks_nest_no_deeper_than_the_cap():
 @example(hir.parse(_SUPPORT_EDGES["active-reset-after-x"]), FIXED, None, 31)
 @example(hir.parse(_SUPPORT_EDGES["looped-eigenstate"]), ClassicalMode.EXACT_REAL,
          None, 30)
+@example(hir.parse(_SUPPORT_EDGES["nan-angle"]), ClassicalMode.EXACT_REAL, None, 0)
 def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
     # Generated programs take at most about 1000 steps; a loop that never
     # returns runs out of them.
@@ -1315,10 +1332,12 @@ def test_engine_matches_reference_interpreter(prog, mode, noise, seed):
         except oracles.OutOfSteps as e:
             _assert_runs_out(compiled, cfg, i, cfg.step_limit, e)
             continue
-        except oracles.DividedByZero as e:
+        except (oracles.DividedByZero, oracles.NonFiniteAngle) as e:
             with pytest.raises(ShotError) as err:
                 compiled.shot(cfg.seed, i, e.steps)
-            assert isinstance(err.value.cause, DivideByZero)
+            assert isinstance(err.value.cause, OutOfRange
+                              if isinstance(e, oracles.NonFiniteAngle)
+                              else DivideByZero)
             assert (err.value.block, err.value.line) == (e.block, e.line)
             # the failing block charged its steps before it raised
             _assert_runs_out(compiled, cfg, i, e.steps - 1,
@@ -1874,19 +1893,24 @@ def test_write_records_renders_every_block_alike():
 
 def test_write_records_stops_at_the_first_record_it_cannot_write():
     # The lines before a failing record are written, one `write` each, and
-    # nothing after it; so are those a failing iterable gave first.
+    # nothing after it; so are those a failing iterable gave first.  A
+    # record whose shape is not a key (a list output name) before the
+    # failing one is written too.
     good = sim.run_shots(build_rwpe(), ExecConfig(seed=6, shots=3))
     bad = sim.ShotRecord(7, 8, (("x", object()),), ((0.5, 0.25, 1),))
+    listed = sim.ShotRecord(5, 6, ((["mu"], 0.5),), ((0.25, 0.5, 1),))
     want = _oracle_jsonl(good[:2]).splitlines(True)
     lines = []
 
     class Sink:
         write = lines.append
 
-    with pytest.raises(TypeError, match="^Object of type object is not JSON "
-                                        "serializable$"):
-        sim.write_records([good[0], good[1], bad, good[2]], Sink())
-    assert lines == want
+    for before in [good[:2], good[:2] + [listed]]:
+        lines.clear()
+        with pytest.raises(TypeError, match="^Object of type object is not "
+                                            "JSON serializable$"):
+            sim.write_records(before + [bad, good[2]], Sink())
+        assert lines == _oracle_jsonl(before).splitlines(True)
 
     def failing():
         yield from good[:2]
@@ -1901,15 +1925,15 @@ def test_write_records_stops_at_the_first_record_it_cannot_write():
 def test_write_records_renders_what_its_columns_cannot_value_by_value():
     # A list as an output name makes the shape key unhashable, and an
     # evidence entry that is not a tuple cannot be split into columns: the
-    # record-by-record path writes the first as the reference does and
-    # raises the error of unpacking the second.
+    # record-by-record path, the same renderer without the grouping, writes
+    # the first as the reference does and raises the error of splitting the
+    # second.
     listed = sim.ShotRecord(0, 1, ((["mu"], 0.5),), ((0.25, 0.5, 1),))
     buf = io.StringIO()
     sim.write_records([listed], buf)
     assert buf.getvalue() == _oracle_jsonl([listed])
     bare = sim.ShotRecord(1, 2, (), (object(),))
-    with pytest.raises(TypeError, match="^cannot unpack non-iterable object "
-                                        "object$"):
+    with pytest.raises(TypeError, match="^'object' object is not iterable$"):
         sim.write_records([bare], io.StringIO())
 
 

@@ -114,3 +114,29 @@ def test_refit_sections_script_runs():
     for row in rows:
         assert re.fullmatch(r".{10} +-?\d+\.\d +-?\d+\.\d%", row), row
     assert rows[-1].endswith("100.0%")
+
+
+def test_code_lines_counts_code_alone():
+    """tools/code_lines.py counts the lines that hold code, without
+    docstrings, comments or blanks, and prints each module of the package
+    and their total."""
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", ROOT / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    assert code_lines.code_lines('"""Module\ndocstring."""\n'
+                                 "# a comment\n"
+                                 "\n"
+                                 "def f(x):  # counted\n"
+                                 "    '''Docstring.'''\n"
+                                 "    s = '''two\n"
+                                 "lines'''\n"
+                                 "    return (x,\n"
+                                 "            s)\n") == 5
+    done = subprocess.run([sys.executable, "tools/code_lines.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *rows, total = [line.split() for line in done.stdout.splitlines()]
+    assert sorted(path for path, _ in rows) == sorted(
+        f"src/hybridsim/{p.name}" for p in (ROOT / "src/hybridsim").glob("*.py"))
+    assert total == ["total", str(sum(int(n) for _, n in rows))]
