@@ -231,9 +231,10 @@ def select_domain(mode: ClassicalMode) -> Domain:
     """The domain for `mode`.  Built afresh on every call, so the fixed-point
     ops a shot calls are whatever `fixedpoint` holds when a program is
     compiled (in a worker process, whatever it held when the worker was
-    forked).  The ops of known values (`codegen`'s tables and fold) run
-    once, when the program's source is generated, with the domain of that
-    compile; later compiles reuse their results."""
+    forked).  The ops of known values run once, in `codegen`'s walk (which
+    folds the entry block and fills the tables), when the program's source
+    is generated, with the domain of that compile; later compiles reuse
+    their results."""
     return _q216_domain() if mode is ClassicalMode.FIXED_POINT else _real_domain()
 
 

@@ -788,7 +788,7 @@ def _control_flow_programs(draw):
     return hir.HybridProgram("main", n, decls, tuple(blocks))
 
 
-# Edges of the entry-block fold (`codegen.Generator.fold`), as programs.
+# Edges of the entry-block fold (`codegen.Generator.walk`), as programs.
 _FOLD_EDGES = {
     # The entry block is also the loop head, so none of it may fold.
     "entry-is-loop-head": """proc main qubits 1
@@ -805,7 +805,8 @@ b1:
   ret f0, k
 endproc
 """,
-    # p = 0: both draws fold into bare draws, and the fold stops at `mz q0`.
+    # p = 0: both draws fold into bare draws, and the fold stops at `mz q0`,
+    # whose q0 = 1 member `h q0` makes live.
     "fresh-qubit-p0": """proc main qubits 2
   var bit b0 = 0
   var fixed f0 = 0.5
@@ -818,7 +819,8 @@ entry:
   ret b0
 endproc
 """,
-    # p = 1: the whole block folds.
+    # p = 1, but q0 = 1 is live at `mz q0`: the fold stops there, and the
+    # `mz` stays in the shot.
     "x-then-mz-p1": """proc main qubits 1
   var bit b0 = 0
 entry:
@@ -842,7 +844,8 @@ entry:
   ret b0
 endproc
 """,
-    # A constant division by zero stops the fold; the shot still raises it.
+    # A constant division by zero raises in the prefix, so nothing folds;
+    # the shot raises it.
     "div-by-zero": """proc main qubits 1
   var fixed a = 0.5
   var fixed b = 0.0
@@ -850,6 +853,24 @@ entry:
   x q0
   div a, 1.0, b
   ret a
+endproc
+""",
+    # The walk folds `x q0; h q1`, then raises at the known `div` after the
+    # prefix: the fold stays, and `add c` gets no table.
+    "walk-raises-after-the-fold": """proc main qubits 2
+  var fixed a = 0.5
+  var fixed b = 0.0
+  var bit m = 0
+  var int18 c = 0
+entry:
+  x q0
+  h q1
+  mz q1 -> m
+  div a, 1.0, b
+  br next
+next:
+  add c, c, 1
+  ret a, c
 endproc
 """,
 }
@@ -1289,6 +1310,9 @@ def test_blocks_nest_no_deeper_than_the_cap():
 @example(hir.parse(_FOLD_EDGES["div-by-zero"]), FIXED, None, 4)
 @example(hir.parse(_FOLD_EDGES["div-by-zero"]), ClassicalMode.EXACT_REAL,
          None, 5)
+@example(hir.parse(_FOLD_EDGES["walk-raises-after-the-fold"]), FIXED, None, 20)
+@example(hir.parse(_FOLD_EDGES["walk-raises-after-the-fold"]),
+         ClassicalMode.EXACT_REAL, None, 21)
 @example(hir.parse(_TABLE_EDGES["known-loop-dynamic-diamond"]), FIXED,
          _HEAVY_NOISE, 6)
 @example(hir.parse(_TABLE_EDGES["known-loop-dynamic-diamond"]),
@@ -1509,6 +1533,49 @@ endproc
     gen = codegen.Generator(hir.parse(text), sim.select_domain(FIXED), False)
     # the entry's `mz` folds; `done` reads the one state the shot reaches
     assert [_born_reads(body) for body in gen.bodies] == [[], [2], [1]]
+
+
+_ESWAP_THEN_MZ = """proc main qubits 2
+  var bit d = 0
+entry:
+  x q0
+  eswap({}) q0, q1
+  mz q0 -> d
+  ret d
+endproc
+"""
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+def test_the_fold_stops_at_the_first_draw_that_may_come_out_1(mode):
+    domain = sim.select_domain(mode)
+
+    def generate(text):
+        return codegen.Generator(hir.parse(text), domain, False)
+
+    # `reset q1` and `mz q1` draw with p = 0.0 from |00>: two bare draws,
+    # and the one Born sum left is `mz q0`'s
+    fresh = generate(_FOLD_EDGES["fresh-qubit-p0"])
+    assert fresh.bodies[0][1][0] == "rand()\nrand()"
+    assert _born_reads(fresh.bodies[0]) == [1] and "t1 = a2" in fresh.source
+    # `x q0` folds; `mz q0` has p = 1 but stays in the shot
+    p1 = generate(_FOLD_EDGES["x-then-mz-p1"])
+    assert p1.static["A0"] == [0j, 1 + 0j]
+    assert _born_reads(p1.bodies[0]) == [1] and "rand()\n" not in p1.source
+    # The fold's extent depends on the program's shape, not its literals.
+    sources = {generate(_ESWAP_THEN_MZ.format(theta)).source
+               for theta in (0.0, 0.5)}
+    assert len(sources) == 1
+
+
+@pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
+def test_a_walk_that_raises_after_the_fold_keeps_the_fold(mode):
+    gen = codegen.Generator(hir.parse(_FOLD_EDGES["walk-raises-after-the-fold"]),
+                            sim.select_domain(mode), False)
+    s = codegen._SQRT_HALF
+    assert gen.static["A0"] == [0j, 0j, s + 0j, s + 0j]     # after `h q1`
+    assert not [name for name in gen.static if name.startswith("T")]
+    assert "iter(" not in gen.source and "div_fixed(" in gen.source
 
 
 def test_native_ipe_step_computes_no_phase_in_the_shot():
