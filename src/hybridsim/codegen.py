@@ -42,15 +42,15 @@ changes.  No phase is NaN: an angle register whose radians are not finite
 In noiseless RWPE q1 stays in |1⟩, so `reset`, `h`, `rz` and `mz` on q0
 touch a1 and a3 only.
 
-Every value the source refers to (encoded literals, the phases of literal
-angles, noise probabilities, pair tuples, the domain's ops and boxes) is a
-name bound in the exec namespace, never a literal in the text.  Programs
-that differ only in literals therefore share one source, unless the
-known-value walk below succeeds for one and raises for the other.  One
-cache, `code`, compiles every generated function: `run`, and the walk,
-which runs once here.  `sim` owns everything else around the source: the
-number domains, the per-program caches, the generator each shot draws
-from, and the records.
+Every value the source refers to (encoded literals, the registers'
+initial values `R0`, the phases of literal angles, noise probabilities,
+pair tuples, the domain's ops and boxes) is a name bound in the exec
+namespace, never a literal in the text.  Programs that differ only in
+literals therefore share one source, unless the known-value walk below
+succeeds for one and raises for the other.  One cache, `code`, compiles
+every generated function: `run`, and the walk, which runs once here.
+`sim` owns everything else around the source: the number domains, the
+per-program caches, the generator each shot draws from, and the records.
 
 What no measurement outcome can change runs once, here, in one generated
 function: the known-value walk (`Generator.walk`).  When no branch enters
@@ -64,11 +64,11 @@ the first measurement or reset (each reset of `active_reset` too) whose
 q = 1 member is live under the support mask above.  So every draw it makes
 has p = 0.0 and comes out 0 whatever `rand()` gives.  Each folded draw stays
 in the shot as a bare `rand()`, and the folded state becomes the initial
-values, so draws, records, step counts and amplitudes are unchanged.  When
-the folded instructions raise, nothing folds and the shot raises it.
+amplitudes `A0` and registers `R0`, which a shot unpacks in one line each,
+so draws, records, step counts and amplitudes are unchanged.  When the
+folded instructions raise, nothing folds and the shot raises it.
 
-Classical work that no measurement can change leaves the shot too, for
-every block but an entry block that no branch enters (the fold's).  The
+Classical work that no measurement can change leaves the shot too.  The
 known registers K are the largest set such that every write to one of them
 is a classical instruction reading only literals and registers of K, in a
 steady block: one that reaches a `ret` and is not control-dependent
@@ -77,17 +77,18 @@ steady block: one that reaches a `ret` and is not control-dependent
 K.  The walk's blocks are placed as `run`'s are (`layout`).  From the
 entry, after the fold, it runs each steady block's known instructions, and
 the phase terms of each `rz`, `crz` or `eswap` whose angle is known,
-through the text a shot would run, and appends the values they set to the
-block's row list: the k-th visit to a block gives row k of its table.  It
-follows a branch whose condition is known, goes from any other block to
-its immediate post-dominator, and stops at a `ret` or where there is none.
-In the shot each known instruction assigns its register (or phase terms)
-from its block's next row, at its own position, so every register holds
-the same value after every instruction, and draws, records, step counts
-and amplitudes are unchanged.  When the walk raises, or makes more than
-`WALK_VISITS` visits (its step limit), the program gets no tables and its
-source is the one without them, but for the fold when the walk got past
-it.
+through the text a shot would run, and appends the values they set, as one
+row per visit, to one list `T`, in the order of its visits.  It follows a
+branch whose condition is known, goes from any other block to its
+immediate post-dominator, and stops at a `ret` or where there is none.  A
+shot visits the steady blocks in the walk's order, and may only stop
+sooner, so it binds one iterator over `T` at its start, and each known
+instruction assigns its register (or phase terms) from the next row, at
+its own position: every register holds the same value after every
+instruction, and draws, records, step counts and amplitudes are unchanged.
+When the walk raises, or makes more than `WALK_VISITS` visits (its step
+limit), the program gets no rows and its source is the one without them,
+but for the fold when the walk got past it.
 """
 
 from __future__ import annotations
@@ -362,10 +363,10 @@ def _support(kernels: list[list[tuple]], succ: list[tuple[int, ...]]) -> list[in
 
 
 # Visits the known-value walk (`Generator.walk`) may make.  Each visit to a
-# steady block adds a row to its table, so the bound caps both the memory
-# the tables hold for the life of the program and the time the walk takes
-# when the source is generated.  RWPE's walk makes 127 visits; a program
-# whose known loops run longer gets no tables and today's per-shot code.
+# steady block with known work adds a row to `T`, so the bound caps both the
+# memory the rows hold for the life of the program and the time the walk
+# takes when the source is generated.  RWPE's walk makes 127 visits; a
+# program whose known loops run longer gets no rows and the per-shot code.
 WALK_VISITS = 4096
 
 
@@ -574,8 +575,9 @@ _BUILTINS = {"StepLimitExceeded": StepLimitExceeded, "OutOfRange": OutOfRange,
 class Generator:
     """Builds the source of `run` for one program, a table from each
     generated line to (block label, HIR line), and the `static` values its
-    exec namespace needs: pair tuples, the initial amplitudes and registers,
-    the literal constants, encoded by `domain`, and the known-value tables.
+    exec namespace needs: pair tuples, the initial amplitudes `A0` and
+    registers `R0`, the literal constants, encoded by `domain`, and the
+    known-value rows `T`.
     Noise enters the source only through whether it is on; its
     probabilities are namespace entries.  Each block's body is generated on
     its own (`bodies`), and `layout` places the bodies in `run`.  Every
@@ -590,40 +592,29 @@ class Generator:
         self.unroll = self.n <= UNROLL_QUBITS
         self.reg = {d.name: f"r{i}" for i, d in enumerate(prog.decls)}
         self.kinds = {d.name: d.kind for d in prog.decls}
+        # Initializers are encoded here: range errors are load-time errors.
         self.static: dict[str, object] = {
-            "A0": [1 + 0j] + [0j] * ((1 << self.n) - 1)}
+            "A0": [1 + 0j] + [0j] * ((1 << self.n) - 1),
+            "R0": tuple([domain.literal[d.kind](d.init) for d in prog.decls])}
         self.nconsts = 0
         self.names: dict[tuple, str] = {}   # index tuples -> namespace name
         # (text, (block label, HIR line)) of each generated piece
         self.chunks: list[tuple[str, tuple[str | None, int | None]]] = []
         self.at: tuple[str | None, int | None] = (None, None)
 
+        # the registers as a tuple display without its parentheses
+        self.registers = "".join([f"{r}, " for r in self.reg.values()])
         self.unpack = ", ".join(_AMPS[:1 << self.n]) + ", = A0" \
             if self.unroll else "A = A0[:]"
+        if self.registers:
+            self.unpack += f"\n{self.registers}= R0"
         self.emit("rand = rng.random\nrandrange = rng.randrange\n" + self.unpack)
-        prologue = len(self.chunks)
-        # Initializers are encoded here: range errors are load-time errors.
-        inits = []
-        for d in prog.decls:
-            inits.append(self.literal(d.kind, d.init))
-            self.emit(f"{self.reg[d.name]} = {inits[-1]}")
         index = {b.label: i for i, b in enumerate(prog.blocks)}
         succ = [tuple(dict.fromkeys([index[t] for t in targets]))
                 for targets in hir.cfg(prog).successors.values()]
         reach, ipdom = _post_dominators(succ)
         folds = not any(0 in targets for targets in succ)
-        # An entry block that no branch enters runs once a shot: the walk
-        # folds its start, and the rest keeps its known work, which a table
-        # read through a per-shot iterator would not make cheaper.  So
-        # tables start at block `tabled`; without a register computed from
-        # there on, there is nothing to analyse.
-        tabled = int(folds)
-        if any(isinstance(instr, hir.Classical) or isinstance(instr, hir.Gate)
-               and isinstance(instr.angle, str)
-               for block in prog.blocks[tabled:] for instr in block.instructions):
-            known, steady = _known(prog, succ, reach, ipdom)
-        else:
-            known, steady = frozenset(), [False] * len(succ)
+        known, steady = _known(prog, succ, reach, ipdom)
         # The chunks before the loop, then each block's body without its
         # jump, which `layout` places.
         self.head = self.chunks
@@ -654,13 +645,12 @@ class Generator:
                 self.at = (block.label, block.terminator.line)
                 self.ret(block.terminator)
         # The fold ends before the first draw that may come out 1, and runs
-        # the known work of block 0 before its end; the walk runs the rest.
+        # the known work of block 0 before its end; the walk tables the rest.
         stop = self.sparse(succ)
         end = max([k for k in lead if k <= stop])
         items[0] = [item for item in items[0] if item[0] >= end]
-        if end > 1 or any(items[tabled:]):
-            self.walk(prog, succ, known, steady, ipdom, items, inits, tabled,
-                      prologue, end)
+        if end > 1 or any(items):
+            self.walk(prog, succ, known, steady, ipdom, items, end)
         self.chunks = [("def run(rng, out, ev, limit):", (None, None)),
                        *[(_indent(text, 1), at) for text, at in self.head],
                        *self.layout(prog, succ, ipdom, self.bodies)]
@@ -698,7 +688,8 @@ class Generator:
         `bodies`, indented `depth` levels."""
         for item in code:
             if type(item) is int:       # a body
-                out += [(_indent(text, depth), at) for text, at in bodies[item]]
+                out += [(_indent(text, depth), at) for text, at in bodies[item]
+                        if text]
                 continue
             block = prog.blocks[item[0]]
             at = (block.label, block.terminator.line)
@@ -736,13 +727,17 @@ class Generator:
                             [mask >> i1 & 1 for _, i1 in dict(text[1])["P"]]):
                         stop = min(stop, k)
                     fields, mask = _sparse(*text, mask)
+                    if "rand()" not in text[0] and not any(
+                            [v for _, v in fields if type(v) is tuple]):
+                        body[k] = ("", at)      # no chunk: it touches nothing
+                        continue
                     if not self.unroll:     # the loop form names each tuple
                         fields = tuple([(f, self.indices(v) if type(v) is tuple
                                          else v) for f, v in fields])
                     body[k] = (_rendered(text[0], self.unroll, fields), at)
         return stop
 
-    # -- known values: per-block tables -------------------------------------
+    # -- known values: one row stream ---------------------------------------
 
     def known_locals(self, instr: hir.Instruction,
                      known: frozenset[str]) -> str | None:
@@ -756,76 +751,70 @@ class Generator:
 
     def walk(self, prog: hir.HybridProgram, succ: list[tuple[int, ...]],
              known: frozenset[str], steady: list[bool], ipdom: list,
-             items: list, inits: list[str], first: int, prologue: int,
-             end: int):
+             items: list, end: int):
         """Fold the entry block's leading instructions, the chunks of its
-        body after its step check and before chunk `end`, and tabulate the
-        known work of the blocks from `first` on.  `inits` name the
-        registers' initial values.
+        body after its step check and before chunk `end`, and table the
+        known work `items` of each block.
 
-        The walk is a function of a visit bound and those values, generated
-        and placed like `run` (`layout`) from a body per block, and run
-        once, from the entry.  Each body counts its visit with the step
-        check of `run`, so the bound is the walk's step limit.  The entry
-        block's body first runs the folded instructions through the text a
-        shot would run, on the initial amplitudes, and appends the state
-        they leave to `F`.  No branch enters that block, so they are the
-        first thing every shot runs; they stop before any that draws noise,
-        flips a readout or appends to `out` or `ev` (as `instruction`
-        reports), and before the first measurement or reset whose q = 1
-        member may be live (`sparse`).  Every draw they make has p = 0.0,
-        so it comes out 0 whatever `rand()` gives: the walk's `rand` counts
-        the draws and returns 0.0.  The folded chunks give way to one bare
-        `rand()` per draw, which keeps every later draw of the shot where
-        it was, and the state becomes the initial amplitudes and registers.
+        The walk is a function of a visit bound, generated and placed like
+        `run` (`layout`) from a body per block, and run once, from the
+        entry, on the initial amplitudes `A0` and registers `R0`.  Each
+        body counts its visit with the step check of `run`, so the bound is
+        the walk's step limit.  The entry block's body first runs the
+        folded instructions through the text a shot would run, and appends
+        the state they leave to `F`.  No branch enters that block, so they
+        are the first thing every shot runs; they stop before any that
+        draws noise, flips a readout or appends to `out` or `ev` (as
+        `instruction` reports), and before the first measurement or reset
+        whose q = 1 member may be live (`sparse`).  Every draw they make
+        has p = 0.0, so it comes out 0 whatever `rand()` gives: the walk's
+        `rand` counts the draws and returns 0.0.  The folded chunks give
+        way to one bare `rand()` per draw, which keeps every later draw of
+        the shot where it was, and the state becomes `A0` and `R0`.
 
-        Then a steady block runs its known instructions through the text a
-        shot would run and appends the values they set to its row list:
-        row k of a block's table holds them at the k-th visit.  Each known
-        instruction then reads its block's next row, at its own position,
-        through an iterator bound at the start of the shot (before chunk
-        `prologue` of `self.head`).  A steady block whose `condbr` has a
-        known condition goes where the shot goes; any other block (a `br`
-        too, since its target is its immediate post-dominator) goes to its
+        Then each steady block, the entry block too, runs its known
+        instructions through the text a shot would run and appends the
+        values they set, as one row, to the list `T`: a row per visit, in
+        the order of the visits.  A steady block whose `condbr` has a known
+        condition goes where the shot goes; any other block (a `br` too,
+        since its target is its immediate post-dominator) goes to its
         immediate post-dominator, and where there is none (after a `ret`
-        too), or when there is nothing to tabulate, the walk returns its
-        tables.  The program's immediate post-dominators serve as the merge
-        points of `layout`.  A shot visits the steady blocks in the same
-        order, with the same known values, because no register of K
-        changes anywhere else; it may stop sooner.  When the walk raises,
-        or makes more than WALK_VISITS visits, the source keeps its known
-        work, and its fold if the walk got past it; the shot raises what
-        the walk raised at its own block and line."""
-        tabled = [i for i in range(first, len(items)) if items[i]]
+        too), or when there is nothing to table, the walk returns `T`.  The
+        program's immediate post-dominators serve as the merge points of
+        `layout`.  A shot visits the steady blocks in the same order, with
+        the same known values, because no register of K changes anywhere
+        else; it may stop sooner.  So each shot binds one iterator over `T`
+        at its start, and each known instruction reads the next row, at its
+        own position.  When the walk raises, or makes more than WALK_VISITS
+        visits, the source keeps its known work, and its fold if the walk
+        got past it; the shot raises what the walk raised at its own block
+        and line."""
         check = _STEP_CHECK.format(n=1)
-        regs = ", ".join(self.reg.values())
-        ret = f"return [{', '.join([f'T{i}' for i in tabled])}]"
         bodies, nexts = [], []
         for i, block in enumerate(prog.blocks):
             body = [check]
             if i == 0 and end > 1:
-                body += [self.unpack,
-                         *[text for text, _ in self.bodies[0][1:end]],
-                         f"F.append(({self.amplitudes()}, [{regs}]))"]
+                body += [*[text for text, _ in self.bodies[0][1:end] if text],
+                         f"F.append(({self.amplitudes()}, ({self.registers})))"]
             # each value as it stands right after its instruction
             for j, (_, text, names) in enumerate(items[i]):
                 body += [text, f"v{j} = {names}"]
-            if i in tabled:
+            if items[i]:
                 row = ", ".join([f"v{j}" for j in range(len(items[i]))])
-                body.append(f"T{i}.append(({row}))")
+                body.append(f"T.append(({row}))")
             term = block.terminator
-            if not tabled:
+            if not any(items):
                 nexts.append(())
             elif steady[i] and isinstance(term, hir.CondBr) and term.cond in known:
                 nexts.append(succ[i])
             else:
                 nexts.append(() if ipdom[i] is None else (ipdom[i],))
             if not nexts[i]:
-                body.append(ret)
+                body.append("return T")
             bodies.append([("\n".join(body), (None, None))])
         text = "\n".join([
-            f"def walk(limit, rand, F, {regs}):",
-            _indent("\n".join([f"T{i} = []" for i in tabled]), 1),
+            "def walk(limit, rand, F):",
+            _indent("T = []\n" + self.unpack, 1),
             *[t for t, _ in self.layout(prog, nexts, ipdom, bodies)]])
         walk = FunctionType(code(text, "walk"),
                             namespace(self.static, self.domain, None))
@@ -838,30 +827,23 @@ class Generator:
 
         folded: list = []
         try:
-            tables = walk(WALK_VISITS, rand, folded,
-                          *[self.static[c] for c in inits])
+            rows = walk(WALK_VISITS, rand, folded)
         except Exception:
-            tables = []     # the shot raises it at its own block and line
+            rows = []       # the shot raises it at its own block and line
+        if rows:
+            self.static["T"] = tuple(rows)
+            self.head.append(("row = iter(T).__next__", (None, None)))
+            for body, known_items in zip(self.bodies, items):
+                for j, (k, _, names) in enumerate(known_items):
+                    text = f"{names} = row()" if len(known_items) == 1 else \
+                        "R = row()\n" * (j == 0) + f"{names} = R[{j}]"
+                    body[k] = (text, body[k][1])
+        # after the rows: the splice moves the chunks of block 0
         if folded:
-            self.static["A0"], values = folded[0]
-            self.static.update(zip(inits, values))
+            self.static["A0"], self.static["R0"] = folded[0]
             self.bodies[0][1:end] = [
                 ("\n".join(["rand()"] * draws), self.bodies[0][1][1])
             ] if draws else []
-        binds = []
-        for i, rows in zip(tabled, tables):
-            if not rows:
-                continue
-            binds.append(f"next{i} = iter(T{i}).__next__")
-            self.static[f"T{i}"] = tuple(rows)
-            one = len(items[i]) == 1
-            body = self.bodies[i]
-            for j, (k, _, names) in enumerate(items[i]):
-                text = f"{names} = next{i}()" if one else \
-                    f"R = next{i}()\n" * (j == 0) + f"{names} = R[{j}]"
-                body[k] = (text, body[k][1])
-        if binds:
-            self.head.insert(prologue, ("\n".join(binds), (None, None)))
 
     # -- helpers ------------------------------------------------------------
 
@@ -1009,9 +991,9 @@ class Generator:
 
 # The compile cache of generated functions: `run`, and the walk that runs
 # once at generation time.  Programs of one shape generate the same text,
-# and compiling it costs far more than running a walk: about 0.6 ms for
-# the 146 lines of the lowered IPE step's walk, which then runs in about
-# 0.01 ms (medians of 30 and 50 runs on a 2-core x86_64 host).
+# and compiling it costs far more than running a walk: about 1.5 ms for
+# the 147 lines of the lowered IPE step's walk, which then runs in about
+# 0.015 ms (medians of 60 and 50 runs on a shared 2-core x86_64 host).
 CACHE_SIZE = 256
 _file_numbers = itertools.count()
 

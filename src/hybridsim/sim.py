@@ -17,10 +17,11 @@ reset and noise draw is inlined, and each block is written once, under the
 branches that reach it, so that only loop heads and blocks that no branch
 can hold take a dispatch (`codegen` writes the source, and runs the
 measurement-independent classical work once, while writing it: the entry
-block's start, and per-block tables of every value no measurement decides).  The
-source, its line table and its encoded literals are generated once per
-program object, mode and noise switch, and kept on the program; only the
-namespace of domain ops and noise probabilities is rebuilt on each compile.
+block's start, and one stream of rows of every value no measurement
+decides, which each shot reads in order).  The source, its line table
+and its encoded literals are generated once per program object, mode and
+noise switch, and kept on the program; only the namespace of domain ops
+and noise probabilities is rebuilt on each compile.
 This is the only engine: the independent reference that checks it, an
 interpreter that walks the same blocks one instruction at a time, lives in
 `tests/oracles.py`.
@@ -232,7 +233,7 @@ def select_domain(mode: ClassicalMode) -> Domain:
     ops a shot calls are whatever `fixedpoint` holds when a program is
     compiled (in a worker process, whatever it held when the worker was
     forked).  The ops of known values run once, in `codegen`'s walk (which
-    folds the entry block and fills the tables), when the program's source
+    folds the entry block and writes the rows), when the program's source
     is generated, with the domain of that compile; later compiles reuse
     their results."""
     return _q216_domain() if mode is ClassicalMode.FIXED_POINT else _real_domain()

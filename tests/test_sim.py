@@ -1445,20 +1445,31 @@ def test_tables_follow_the_walk_and_leave_the_rest_in_the_shot():
     assert "r0 = r0 + c" in looking and "r1 = R[0]" in looking
 
 
+def _row_reads(gen) -> list[int]:
+    """How many rows of the known-value stream each block's body reads."""
+    return [sum([text.count("row()") for text, _ in body]) for body in gen.bodies]
+
+
 @pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
 def test_a_known_branch_is_followed_from_a_block_without_known_work(mode):
-    source = _source(_TABLE_EDGES["known-branch-without-known-work"], mode)
-    # blocks: prep 0, head 1, body 2, up 3, down 4, tail 5, done 6
-    assert "next2 = iter(T2).__next__" in source     # rz(s)
-    assert "next5 = iter(T5).__next__" in source     # s, k, more
-    assert "next1" not in source and "T1" not in source
-    assert source.count("cos(") == 0
+    gen = codegen.Generator(hir.parse(_TABLE_EDGES["known-branch-without-known-work"]),
+                            sim.select_domain(mode), False)
+    # blocks: prep 0, head 1, body 2, up 3, down 4, tail 5, done 6; `body`
+    # reads rz(s)'s phases and `tail` s, k and more, in turn, one row each
+    assert _row_reads(gen) == [0, 0, 1, 0, 0, 1, 0]
+    assert [len(row) for row in gen.static["T"]] == [2, 3] * 3
+    assert "row = iter(T).__next__" in gen.source
+    assert gen.source.count("cos(") == 0
 
 
 def test_a_branch_into_an_endless_loop_keeps_the_tables():
     text = _TABLE_EDGES["branch-into-endless-loop"]
     prog = hir.parse(text)
-    assert "R = next1()" in _source(text)
+    gen = codegen.Generator(prog, sim.select_domain(ClassicalMode.EXACT_REAL), False)
+    # blocks: prep 0, head 1, body 2, spin 3, done 4; `head` reads k and
+    # more from one row per trip
+    assert _row_reads(gen) == [0, 1, 0, 0, 0] and "R = row()" in gen.source
+    assert len(gen.static["T"]) == 4
     cfg = ExecConfig(seed=13, step_limit=40)
     compiled = sim.compile_program(prog, cfg)
     spun = 0
@@ -1493,12 +1504,16 @@ def test_a_walk_that_fails_leaves_the_source_without_tables(monkeypatch):
         source = _source(_TABLE_EDGES[name], mode)
         assert "iter(" not in source
         assert source == source_without_known(_TABLE_EDGES[name], mode)
-    # One trip fewer stays within the bound and is tabled.
+    # One trip fewer stays within the bound and is tabled: a row for each
+    # visit to a block with known work, and `head` reads one of them.
     for name, visits_per_trip in (("known-loop-past-the-bound", 2),
                                   ("known-diamond-in-known-loop", 4)):
         fewer = (codegen.WALK_VISITS - 3) // visits_per_trip
         text = _TABLE_EDGES[name].replace(f"k, {fewer + 1}", f"k, {fewer}")
-        assert "next1 = iter(T1).__next__" in _source(text)
+        gen = codegen.Generator(hir.parse(text),
+                                sim.select_domain(ClassicalMode.EXACT_REAL), False)
+        assert "row = iter(T).__next__" in gen.source and _row_reads(gen)[1] == 1
+        assert len(gen.static["T"]) == visits_per_trip * fewer + 1
 
 
 def _born_reads(body) -> list[int]:
@@ -1533,6 +1548,25 @@ endproc
     gen = codegen.Generator(hir.parse(text), sim.select_domain(FIXED), False)
     # the entry's `mz` folds; `done` reads the one state the shot reaches
     assert [_born_reads(body) for body in gen.bodies] == [[], [2], [1]]
+
+
+@pytest.mark.parametrize("qubits", [3, 6], ids=["unrolled", "looped"])
+def test_a_kernel_that_touches_nothing_gets_no_chunk(qubits):
+    # q0 stays 0, so the `cnot` after the measurement touches no state a
+    # shot reaches: it gets no line in `run` and no entry in `where`.
+    prog = hir.parse(f"""proc main qubits {qubits}
+  var bit m = 0
+entry:
+  h q2
+  mz q2 -> m
+  cnot q0, q1
+  ret m
+endproc
+""")
+    gen = codegen.Generator(prog, sim.select_domain(FIXED), False)
+    line = prog.blocks[0].instructions[2].line
+    assert line not in [at[1] for _, at in gen.where]
+    assert [text for text, _ in gen.chunks if not text.strip()] == []
 
 
 _ESWAP_THEN_MZ = """proc main qubits 2
@@ -1580,10 +1614,15 @@ def test_a_walk_that_raises_after_the_fold_keeps_the_fold(mode):
 
 def test_native_ipe_step_computes_no_phase_in_the_shot():
     # Every gate of the lowered IPE step acts before its one random
-    # measurement, so the fold computes all its phases at generation time.
+    # measurement.  Without noise the fold computes all its phases at
+    # generation time; with noise nothing folds, and the walk tables the
+    # phases of the entry block's known angles.
     prog = lower_to_native(build_ipe_program(-0.4, 1.7, 0.9), profiles.NATIVE)
-    source = sim.compile_program(prog, ExecConfig()).source
-    assert "cos(" not in source and "sin(" not in source
+    for mode in ClassicalMode:
+        for noise in (None, NoiseModel()):
+            source = sim.compile_program(prog, ExecConfig(
+                classical_mode=mode, noise=noise)).source
+            assert "cos(" not in source and "sin(" not in source, (mode, noise)
 
 
 # The reference must not share code with the engine it checks: its module

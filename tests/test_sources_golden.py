@@ -37,21 +37,31 @@ PROGRAMS = {
 }
 
 
-def source_digests() -> dict[str, str]:
-    out = {}
+def golden_sources():
+    """(key, source) of each golden configuration."""
     for name, build in PROGRAMS.items():
         prog = build()
         for mode in ClassicalMode:
             domain = sim.select_domain(mode)
             for noise_name, noisy in (("ideal", False), ("noise", True)):
-                source = Generator(prog, domain, noisy).source
-                out[f"{name}/{mode.value}/{noise_name}"] = \
-                    hashlib.sha256(source.encode()).hexdigest()
-    return out
+                yield (f"{name}/{mode.value}/{noise_name}",
+                       Generator(prog, domain, noisy).source)
+
+
+def source_digests() -> dict[str, str]:
+    return {key: hashlib.sha256(source.encode()).hexdigest()
+            for key, source in golden_sources()}
 
 
 def test_sources_byte_identical_to_golden():
     assert source_digests() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_no_golden_source_has_a_blank_line():
+    # A kernel that touches no reachable state and draws nothing gets no
+    # line at all, in either form.
+    for key, source in golden_sources():
+        assert [line for line in source.splitlines() if not line.strip()] == [], key
 
 
 if __name__ == "__main__":
