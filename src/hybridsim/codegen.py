@@ -7,9 +7,10 @@ block that runs is written once, inside a `while` loop that dispatches on
 the block index `b` (`_place`): a block with a single predecessor is
 written where that predecessor jumps to it, and the immediate
 post-dominator of a `condbr` after its `if`, when every jump into it comes
-from inside that `if`, which then falls through to it.  Only the entry, the
-targets of retreating (loop back) edges and the blocks these rules cannot
-place get a dispatch arm; a jump to one sets `b` and continues the loop.
+from inside that `if`, which then falls through to it.  Only the entry and
+the blocks these rules cannot place get a dispatch arm, and no rule can
+place a loop head (the target of a loop back edge); a jump to an arm sets
+`b` and continues the loop.
 RWPE's blocks thus take two arms, and an iteration one dispatch.  Gates,
 measurements, resets and noise draws are inlined from the kernel templates
 below: plain strings of Python that loop over pair tuples.  Up to
@@ -44,7 +45,7 @@ touch a1 and a3 only.
 
 Every value the source refers to (encoded literals, the registers'
 initial values `R0`, the phases of literal angles, noise probabilities,
-pair tuples, the domain's ops and boxes) is a name bound in the exec
+pair tuples, the functions the domain names) is a name bound in the exec
 namespace, never a literal in the text.  Programs that differ only in
 literals therefore share one source, unless the known-value walk below
 succeeds for one and raises for the other.  One cache, `code`, compiles
@@ -463,28 +464,6 @@ def _known(prog: hir.HybridProgram, succ: list[tuple[int, ...]], reach: set[int]
 _NESTING = 32
 
 
-def _heads(nexts: list[tuple[int, ...]]) -> tuple[set[int], set[int]]:
-    """(the blocks reachable from the entry, the entry and the target of
-    each retreating edge among them: an edge to a block on the path of a
-    depth-first search from the entry)."""
-    state = {0: 1}      # 1 on the path, 2 done
-    heads = {0}
-    path = [(0, iter(nexts[0]))]
-    while path:
-        x, todo = path[-1]
-        for t in todo:
-            if state.get(t) == 1:
-                heads.add(t)
-            elif t not in state:
-                state[t] = 1
-                path.append((t, iter(nexts[t])))
-                break
-        else:
-            state[x] = 2
-            path.pop()
-    return set(state), heads
-
-
 def _place(nexts: list[tuple[int, ...]], ipdom: list) -> dict[int, list]:
     """Where each block's code goes in `run`: the placed code of each
     dispatch arm, by block index.  Placed code is a list of items: a block
@@ -500,15 +479,27 @@ def _place(nexts: list[tuple[int, ...]], ipdom: list) -> dict[int, list]:
     pending jumps: placed in it, not yet decided, and with nothing but the
     ends of other `if`s between it and the end of this one.  Those fall
     through to m, and the `if`'s other pending jumps continue the loop.  The
-    entry, the targets of retreating edges and the targets of jumps that
-    continue the loop get an arm; these are the blocks the two rules leave
-    unplaced."""
-    reached, arms = _heads(nexts)
+    entry and the targets of jumps that continue the loop get an arm; these
+    are the blocks the two rules leave unplaced.
+
+    A loop head, the target of a retreating edge (an edge to a block on
+    the path of a depth-first search from the entry), needs no search to
+    find it: neither rule can place it, so every jump to it continues the
+    loop.  The search enters the head from one predecessor and returns to
+    it from another, the latch, which the head reaches.  And a block placed
+    inside an `if` is entered only from the `if`'s block or from blocks
+    placed inside it: were every predecessor of the head placed inside one
+    `if`, the path of the search would pass through the `if`'s block both
+    before the head and, on its way to the latch, after it."""
+    arms = {0}
     preds: list[set[int]] = [set() for _ in nexts]
+    reached = [0]
     for x in reached:
         for t in nexts[x]:
+            if t and not preds[t]:      # first reached
+                reached.append(t)
             preds[t].add(x)
-    todo = sorted(arms)
+    todo = [0]
     code: dict[int, list] = {}
 
     def edge(x: int, t: int, depth: int, into: list) -> list:
@@ -867,7 +858,8 @@ class Generator:
 
     def half_angle(self, angle) -> float:
         """Half the radians of a literal angle, as the domain rounds it."""
-        half = 0.5 * self.domain.radians(self.domain.literal["fixed"](angle))
+        half = 0.5 * self.domain.names["radians_fixed"](
+            self.domain.literal["fixed"](angle))
         if not math.isfinite(half):     # real mode: pi * angle overflows
             raise OutOfRange(f"angle {angle!r} has no finite radians")
         return half
@@ -886,9 +878,10 @@ class Generator:
         return self.literal(kind, tok)
 
     def boxed(self, name: str) -> str:
-        if self.domain.box[self.kinds[name]] is None:
+        box = f"box_{self.kinds[name]}"
+        if box not in self.domain.names:
             return self.reg[name]
-        return f"box_{self.kinds[name]}({self.reg[name]})"
+        return f"{box}({self.reg[name]})"
 
     def expr(self, op: str, kind: str, args: list[str]) -> str:
         """The domain's `op` on `args`: an operator form, else a call."""
@@ -1014,12 +1007,10 @@ def code(source: str, name: str) -> CodeType:
 
 
 def namespace(static: dict, domain: Domain, noise: NoiseModel | None) -> dict:
-    """The exec namespace of one compile of a generated `run`."""
-    ns = dict(_BUILTINS, radians_fixed=domain.radians, **static)
-    for (op, kind), fn in domain.ops.items():
-        ns[f"{op}_{kind}"] = fn
-    for kind, box in domain.box.items():
-        ns[f"box_{kind}"] = box
+    """The exec namespace of one compile of a generated `run`: the names
+    every generated function may use, the names `domain` gives its
+    functions, the program's `static` values and the noise probabilities."""
+    ns = _BUILTINS | domain.names | static
     if noise is not None:
         ns.update(p_gate1=noise.p_gate1, p_gate2=noise.p_gate2,
                   p_readout=noise.p_readout)

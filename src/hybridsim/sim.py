@@ -7,9 +7,11 @@ finite shot counts, depolarizing/readout noise, and fixed-point classical
 arithmetic instead of exact reals.
 
 The classical mode is resolved once per compile into a `Domain`, exact
-reals or bit-exact Q2.16 words.  The domain encodes literals, implements
-the arithmetic ops, turns angles into radians and boxes register values
-for records; the code generator is the same for both modes.
+reals or bit-exact Q2.16 words.  A domain is its literal encoders, the
+functions that generated code calls by name (the arithmetic ops, an angle
+word's radians, the boxes of record values) and the operator forms that
+stand in for some of those calls; the code generator is the same for both
+modes.
 
 Each program is compiled into the source of one Python function, which
 runs once per shot: registers are its locals, every gate, measurement,
@@ -130,6 +132,7 @@ class ExecConfig:
     step_limit: int = DEFAULT_STEP_LIMIT
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.step_limit < 1:
@@ -174,13 +177,14 @@ _set_evidence = ShotRecord.evidence.__set__
 
 @dataclass(frozen=True)
 class Domain:
-    literal: dict[str, Callable]              # kind -> literal encoder
-    ops: dict[tuple[str, str], Callable]      # (op, operand kind) -> word fn
-    radians: Callable[[object], float]        # angle word -> radians
-    box: dict[str, Callable | None]           # kind -> record value (None: bare)
+    literal: dict[str, Callable]    # kind -> literal encoder
+    # Each name generated code calls -> its function: `{op}_{kind}` for an
+    # op on words of a kind, `radians_fixed` for an angle word's radians,
+    # `box_{kind}` for a kind whose record value is boxed.
+    names: dict[str, Callable]
     # (op, operand kind) -> the op as an expression over {0}, {1}, for the
     # ops (and "radians") that are a plain Python operator; every other op
-    # is a call of its `ops` entry.
+    # is a call of its `names` entry.
     forms: dict[tuple[str, str], str]
 
 
@@ -202,10 +206,8 @@ _OPERATORS = {"add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
 
 def _real_domain() -> Domain:
     return Domain(literal={"bit": int, "int18": int, "fixed": float},
-                  ops={("recip", "fixed"): _real_recip,
-                       ("div", "fixed"): _real_div},
-                  radians=math.pi.__mul__,
-                  box={"bit": None, "int18": None, "fixed": None},
+                  names={"recip_fixed": _real_recip, "div_fixed": _real_div,
+                         "radians_fixed": math.pi.__mul__},
                   forms={("radians", "fixed"): "PI * {0}",
                          **{(op, k): form for op, form in _OPERATORS.items()
                             for k in ("int18", "fixed")}})
@@ -213,29 +215,28 @@ def _real_domain() -> Domain:
 
 def _q216_domain() -> Domain:
     wrap = fx.wrap_raw
-    ops = {(op, k): fn for op, fn in (("add", fx.add_raw), ("sub", fx.sub_raw),
-                                      ("neg", fx.neg_raw))
-           for k in ("int18", "fixed")}
-    ops["mul", "int18"] = lambda a, b: wrap(a * b)
-    ops["mul", "fixed"] = fx.mul_raw
-    ops["recip", "fixed"] = fx.recip_raw
-    ops["div", "fixed"] = fx.div_raw
+    names = {f"{op}_{k}": fn for op, fn in (("add", fx.add_raw),
+                                            ("sub", fx.sub_raw),
+                                            ("neg", fx.neg_raw))
+             for k in ("int18", "fixed")}
     return Domain(literal={"bit": int,
                            "int18": lambda v: fx.check_int_range(int(v)),
                            "fixed": lambda v: fx.encode(float(v))},
-                  ops=ops, radians=fx.to_radians,
-                  box={"bit": None, "int18": fx.Int18, "fixed": fx.fixed_box},
+                  names=dict(names, mul_int18=lambda a, b: wrap(a * b),
+                             mul_fixed=fx.mul_raw, recip_fixed=fx.recip_raw,
+                             div_fixed=fx.div_raw, radians_fixed=fx.to_radians,
+                             box_int18=fx.Int18, box_fixed=fx.fixed_box),
                   forms={})
 
 
 def select_domain(mode: ClassicalMode) -> Domain:
     """The domain for `mode`.  Built afresh on every call, so the fixed-point
-    ops a shot calls are whatever `fixedpoint` holds when a program is
-    compiled (in a worker process, whatever it held when the worker was
-    forked).  The ops of known values run once, in `codegen`'s walk (which
-    folds the entry block and writes the rows), when the program's source
-    is generated, with the domain of that compile; later compiles reuse
-    their results."""
+    functions in its `names`, which a shot calls, are whatever `fixedpoint`
+    holds when a program is compiled (in a worker process, whatever it held
+    when the worker was forked).  The ops of known values run once, in
+    `codegen`'s walk (which folds the entry block and writes the rows),
+    when the program's source is generated, with the domain of that
+    compile; later compiles reuse their results."""
     return _q216_domain() if mode is ClassicalMode.FIXED_POINT else _real_domain()
 
 
@@ -255,7 +256,8 @@ def _mix64(z: int) -> int:
 
 def derive_shot_seed(seed: int, shot_index: int) -> int:
     """Independent, order-free per-shot stream seed."""
-    return _mix64(_mix64(seed & _MASK64) ^ (shot_index & _MASK64))
+    return _mix64(_mix64(operator.index(seed) & _MASK64)
+                  ^ (operator.index(shot_index) & _MASK64))
 
 
 # Compile caches.  Each program object keeps its generated source, line
@@ -306,7 +308,6 @@ class CompiledProgram:
         self.source, where, static, payload = _generated(program, cfg, domain)
         self._bind(codegen.code(self.source, program.name), where, static,
                    domain, cfg.noise)
-        self.nqubits = program.qubits
         # What a worker process builds the same `run` from (`_shipped`).
         self._ship = (payload, cfg.noise)
 
@@ -365,8 +366,9 @@ def run_shot_debug(program: hir.HybridProgram, cfg: ExecConfig,
     """Like run_shot, but also returns the final statevector:
     (record, QuantumState)."""
     compiled = compile_program(program, cfg)
-    record, amps = compiled.shot(cfg.seed, shot_index, cfg.step_limit)
-    return record, QuantumState(compiled.nqubits, amps)
+    record, amps = compiled.shot(cfg.seed, operator.index(shot_index),
+                                 cfg.step_limit)
+    return record, QuantumState(program.qubits, amps)
 
 
 def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
@@ -382,7 +384,7 @@ def run_shots(program: hir.HybridProgram, cfg: ExecConfig,
     shot = compiled._shot
     indices = range(cfg.shots) if shot_indices is None else shot_indices
     if type(indices) is not range:
-        indices = list(indices)
+        indices = list(map(operator.index, indices))
     if not indices:
         return []
     mixed = _mix64(cfg.seed & _MASK64)

@@ -1171,6 +1171,57 @@ join:
   ret m, k
 endproc
 """,
+    # An irreducible loop: `entry` branches into `left` and `right`, which
+    # jump to each other until `left`'s counter lets it leave.  Each is
+    # entered from `entry` and from the other, so each gets an arm.
+    "irreducible-loop": """proc main qubits 1
+  var bit m = 0
+  var bit more = 0
+  var int18 k = 0
+entry:
+  h q0
+  mz q0 -> m
+  condbr m, left, right
+left:
+  add k, k, 1
+  cmp_lt more, k, 5
+  condbr more, right, done
+right:
+  x q0
+  add k, k, 2
+  br left
+done:
+  mz q0 -> m
+  ret m, k
+endproc
+""",
+    # `inner` is a loop head inside the loop of `outer`: both get an arm,
+    # and `latch` and `done` are placed under `inner`'s branch.
+    "nested-loops": """proc main qubits 1
+  var bit m = 0
+  var bit more = 0
+  var int18 i = 0
+  var int18 j = 0
+entry:
+  h q0
+  br outer
+outer:
+  mz q0 -> m
+  add i, i, 1
+  sub j, j, j
+  br inner
+inner:
+  h q0
+  add j, j, 1
+  cmp_lt more, j, 3
+  condbr more, inner, latch
+latch:
+  cmp_lt more, i, 3
+  condbr more, outer, done
+done:
+  ret m, i, j
+endproc
+""",
 }
 
 # Edges of the support analysis (`codegen._support`), as programs.  Each
@@ -1248,7 +1299,9 @@ def _arms(source: str) -> list[int]:
 @pytest.mark.parametrize("name, arms", [
     ("unreachable-block", ["entry"]), ("endless-loop", ["entry", "spin"]),
     ("three-way-merge", ["entry"]),
-    ("past-an-inner-merge", ["entry", "side", "join"])])
+    ("past-an-inner-merge", ["entry", "side", "join"]),
+    ("irreducible-loop", ["entry", "left", "right"]),
+    ("nested-loops", ["entry", "outer", "inner"])])
 def test_blocks_get_an_arm_only_where_no_rule_places_them(name, arms):
     prog = hir.parse(_LAYOUT_EDGES[name])
     labels = [b.label for b in prog.blocks]
@@ -1258,6 +1311,49 @@ def test_blocks_get_an_arm_only_where_no_rule_places_them(name, arms):
     # each block that runs is placed once
     reached = len(labels) - (name == "unreachable-block")
     assert source.count("steps += ") == reached
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=2).map(
+        lambda targets: tuple(dict.fromkeys(targets))),
+    min_size=n, max_size=n)))
+def test_every_block_is_placed_once_and_every_loop_head_gets_an_arm(succ):
+    # Successor lists of any shape, irreducible cycles and blocks that
+    # never reach a `ret` among them.
+    _, ipdom = codegen._post_dominators(succ)
+    code = codegen._place(succ, ipdom)
+    placed = []
+
+    def blocks(items):
+        for item in items:
+            if type(item) is int:
+                placed.append(item)
+            elif type(item) is tuple:
+                blocks(item[1])
+                blocks(item[2])
+
+    for x, items in code.items():
+        assert items[0] == x
+        blocks(items)
+    # The targets of retreating edges, whatever order a depth-first search
+    # from the entry takes the successors in.
+    for order in (list, reversed):
+        reached, path, heads = set(), [], {0}
+
+        def search(x):
+            reached.add(x)
+            path.append(x)
+            for t in order(succ[x]):
+                if t in path:
+                    heads.add(t)
+                elif t not in reached:
+                    search(t)
+            path.pop()
+
+        search(0)
+        assert sorted(placed) == sorted(reached)
+        assert heads <= set(code)
 
 
 @pytest.mark.parametrize("mode", list(ClassicalMode), ids=lambda m: m.value)
@@ -1336,6 +1432,12 @@ def test_blocks_nest_no_deeper_than_the_cap():
 @example(hir.parse(_LAYOUT_EDGES["three-way-merge"]), FIXED, _HEAVY_NOISE, 17)
 @example(hir.parse(_LAYOUT_EDGES["past-an-inner-merge"]),
          ClassicalMode.EXACT_REAL, _HEAVY_NOISE, 18)
+@example(hir.parse(_LAYOUT_EDGES["irreducible-loop"]), FIXED, _HEAVY_NOISE, 22)
+@example(hir.parse(_LAYOUT_EDGES["irreducible-loop"]), ClassicalMode.EXACT_REAL,
+         None, 23)
+@example(hir.parse(_LAYOUT_EDGES["nested-loops"]), FIXED, None, 24)
+@example(hir.parse(_LAYOUT_EDGES["nested-loops"]), ClassicalMode.EXACT_REAL,
+         NoiseModel(), 25)
 @example(hir.parse(_TABLE_EDGES["known-diamond-in-known-loop"].replace(
     f"k, {(codegen.WALK_VISITS - 3) // 4 + 1}", "k, 5")), FIXED, None, 19)
 @example(hir.parse(_SUPPORT_EDGES["noisy-cnot-from-00"]), ClassicalMode.EXACT_REAL,
@@ -1738,6 +1840,31 @@ def test_noise_model_validation():
         NoiseModel(p_gate1=1.5)
     with pytest.raises(ValueError):
         ExecConfig(shots=0)
+
+
+def test_numpy_and_bool_integers_are_seeds_and_shot_indices():
+    prog = build_rwpe()
+    cfg = ExecConfig(seed=3, shots=3)
+    want = sim.run_shots(prog, cfg)
+
+    def jsonl(records):
+        buf = io.StringIO()
+        sim.write_records(records, buf)
+        return buf.getvalue()
+
+    numpy_cfg = ExecConfig(seed=np.int64(3), shots=3)
+    assert type(numpy_cfg.seed) is int
+    assert jsonl(sim.run_shots(prog, numpy_cfg)) == jsonl(want)
+    assert jsonl(sim.run_shots(prog, cfg, np.arange(3))) == jsonl(want)
+    assert sim.derive_shot_seed(np.int64(3), np.int64(1)) == want[1].seed
+    record, _ = sim.run_shot_debug(prog, cfg, np.int64(1))
+    assert jsonl([record]) == jsonl(want[1:2])
+    [record] = sim.run_shots(prog, cfg, [True])
+    assert type(record.shot) is int and record.shot == 1
+    assert jsonl([record]) == jsonl(want[1:2])
+    assert sim.read_records(io.StringIO(jsonl([record]))) == [record]
+    with pytest.raises(TypeError):
+        ExecConfig(seed=2.0)
 
 
 def test_exec_config_needs_a_step():
